@@ -187,32 +187,52 @@ class ChannelState:
         self.claimed += n
 
 
+def short_input(
+    channels: dict[int, ChannelState], inputs: list[tuple[int, int]]
+) -> int | None:
+    """First of the (channel_id, required_tokens) inputs whose channel holds
+    fewer unclaimed tokens than one firing needs; None when all can serve."""
+    for cid, need in inputs:
+        if channels[cid].unclaimed < need:
+            return cid
+    return None
+
+
+def reserve_inputs(
+    channels: dict[int, ChannelState], inputs: list[tuple[int, int]]
+) -> None:
+    for cid, need in inputs:
+        channels[cid].reserve(need)
+
+
+def _input_pairs(state: MiddlewareState, task_id: int) -> list[tuple[int, int]]:
+    return [
+        (c.channel_id, required_tokens(state, task_id, c.channel_id))
+        for c in input_channels(state, task_id)
+    ]
+
+
 def check_activation(
     state: MiddlewareState, channels: dict[int, ChannelState], task_id: int
 ) -> bool:
     """True when every input channel holds the required unclaimed tokens.
 
     A node with no input channels never auto-activates here; roots with a
-    period are released by the clock instead.
+    period are released by the clock instead.  Scans state.channels; the
+    scheduler core checks through GraphInfo.inputs instead.
     """
     task = state.task(task_id)
     if task.kind is not TaskKind.GRAPH_NODE:
         raise UsageError("check_activation applies to graph_node tasks")
-    inputs = input_channels(state, task_id)
-    if not inputs:
-        return False
-    for ch in inputs:
-        if channels[ch.channel_id].unclaimed < required_tokens(state, task_id, ch.channel_id):
-            return False
-    return True
+    inputs = _input_pairs(state, task_id)
+    return bool(inputs) and short_input(channels, inputs) is None
 
 
 def reserve_activation(
     state: MiddlewareState, channels: dict[int, ChannelState], task_id: int
 ) -> None:
     """Logically claim the tokens that justified one activation."""
-    for ch in input_channels(state, task_id):
-        channels[ch.channel_id].reserve(required_tokens(state, task_id, ch.channel_id))
+    reserve_inputs(channels, _input_pairs(state, task_id))
 
 
 # ----------------------------------------------------- graph validation
@@ -220,12 +240,22 @@ def reserve_activation(
 
 @dataclass
 class GraphInfo:
-    """Derived structure used by validation and by both backends."""
+    """Derived structure used by validation and by both backends.
+
+    `inputs` and `outputs` are the run's channel index, built in one pass
+    over state.channels: for every task with a connected channel, its
+    (channel_id, required_tokens) input pairs and (channel_id, push_count)
+    output pairs.  They list the channels input_channels and
+    output_channels return, in the same (channel id) order, so the hot
+    paths read them instead of rescanning state.channels per check or job.
+    """
 
     node_rate: dict[int, int] = field(default_factory=dict)  # firings per iteration
     node_root: dict[int, int] = field(default_factory=dict)  # node -> root task
     diagnostics: list[Diagnostic] = field(default_factory=list)
     topo_order: list[int] = field(default_factory=list)
+    inputs: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    outputs: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
 
 def analyze_graph(state: MiddlewareState) -> GraphInfo:
@@ -244,22 +274,29 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
             )
             continue
         edges.append((ch.src, ch.dst, ch))
+        cid = ch.channel_id
+        info.inputs.setdefault(ch.dst, []).append(
+            (cid, required_tokens(state, ch.dst, cid))
+        )
+        info.outputs.setdefault(ch.src, []).append(
+            (cid, push_count(state, ch.src, cid))
+        )
 
     # ---- acyclicity (Kahn) over tasks touched by channels
     touched = sorted({t for s, d, _ in edges for t in (s, d)})
     indeg = {t: 0 for t in touched}
     for _, d, _ in edges:
         indeg[d] += 1
-    order = [t for t in touched if indeg[t] == 0]
+    order = deque(t for t in touched if indeg[t] == 0)
     seen = list(order)
     while order:
-        t = order.pop(0)
-        for s, d, _ in edges:
-            if s == t:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    order.append(d)
-                    seen.append(d)
+        t = order.popleft()
+        for cid, _ in info.outputs.get(t, ()):
+            d = state.channels[cid].dst
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                order.append(d)
+                seen.append(d)
     if len(seen) != len(touched):
         cyc = sorted(set(touched) - set(seen))
         names = ", ".join(state.tasks[t].name for t in cyc)
@@ -326,7 +363,7 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
         if task.kind is not TaskKind.GRAPH_NODE:
             rate[t] = Fraction(1)  # data exchange between recurring tasks
             continue
-        inputs = input_channels(state, t)
+        inputs = info.inputs.get(t)
         if not inputs:
             diags.append(
                 Diagnostic(
@@ -339,10 +376,10 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
             rate[t] = Fraction(0)
             continue
         firings: Fraction | None = None
-        for ch in inputs:
-            src_rate = rate.get(ch.src, Fraction(0))
-            arriving = src_rate * push_count(state, ch.src, ch.channel_id)
-            f = arriving / required_tokens(state, t, ch.channel_id)
+        for cid, need in inputs:
+            src = state.channels[cid].src
+            arriving = rate.get(src, Fraction(0)) * push_count(state, src, cid)
+            f = arriving / need
             if firings is None:
                 firings = f
             elif firings != f:

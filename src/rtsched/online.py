@@ -17,12 +17,7 @@ import math
 from typing import Callable
 
 from .errors import ConfigurationError, SelectionError
-from .graph import (
-    ChannelState,
-    analyze_graph,
-    check_activation,
-    reserve_activation,
-)
+from .graph import ChannelState, analyze_graph, reserve_inputs, short_input
 from .model import (
     MappingScheme,
     MiddlewareState,
@@ -208,6 +203,15 @@ class SchedulerCore:
         self._root_releases: dict[int, list[int]] = {}
         self._root_ids = set(self.graph.node_root.values())
         self._node_fired: dict[int, int] = {t: 0 for t in self.graph.node_rate}
+        # token-driven nodes with their indexed inputs, in topological order;
+        # roots release on the clock even if they have inputs
+        self._token_nodes = [
+            (state.tasks[t], self.graph.inputs[t])
+            for t, rate in self.graph.node_rate.items()
+            if rate > 0 and state.tasks[t].period is None
+        ]
+        # node -> (short channel, its push count) at the node's last failed check
+        self._short: dict[int, tuple[ChannelState, int]] = {}
 
     # ------------------------------------------------------ releases
 
@@ -258,16 +262,16 @@ class SchedulerCore:
         return jobs
 
     def graph_activations(self, channels: dict[int, ChannelState], now: int) -> list[Job]:
-        """Data-driven releases: nodes whose inputs hold enough tokens."""
+        """Data-driven releases: nodes whose inputs hold enough tokens.
+
+        Inputs come from the run's channel index (GraphInfo.inputs), and
+        checks are push-driven: a node is re-checked only once the input
+        channel that failed its last check has been pushed (see
+        `_fireable`)."""
         jobs: list[Job] = []
-        for tid, rate in self.graph.node_rate.items():
-            if rate <= 0:
-                continue
-            task = self.state.task(tid)
-            if task.period is not None:
-                continue  # roots release on the clock even if they have inputs
-            while check_activation(self.state, channels, tid):
-                reserve_activation(self.state, channels, tid)
+        for task, inputs in self._token_nodes:
+            while self._fireable(channels, task.task_id, inputs):
+                reserve_inputs(channels, inputs)
                 jobs.append(self.make_job(task, now))
         return jobs
 
@@ -282,12 +286,28 @@ class SchedulerCore:
                 return True
         if any(release < horizon for release, _ in self._pending):
             return True
-        for tid, rate in self.graph.node_rate.items():
-            if rate <= 0:
-                continue
-            task = self.state.task(tid)
-            if task.period is None and check_activation(self.state, channels, tid):
-                return True
+        return any(
+            self._fireable(channels, task.task_id, inputs)
+            for task, inputs in self._token_nodes
+        )
+
+    def _fireable(
+        self, channels: dict[int, ChannelState], tid: int, inputs: list[tuple[int, int]]
+    ) -> bool:
+        """check_activation over indexed inputs, skipping a node whose last
+        check found channel c short while c has not been pushed since.
+        Only a push raises a channel's unclaimed count (pop and reserve
+        never do), so the skipped check would fail again."""
+        memo = self._short.get(tid)
+        if memo is not None:
+            ch, pushes = memo
+            if ch.pushes == pushes and channels.get(ch.channel_id) is ch:
+                return False
+        cid = short_input(channels, inputs)
+        if cid is None:
+            return True
+        ch = channels[cid]
+        self._short[tid] = (ch, ch.pushes)
         return False
 
     def make_job(self, task: TaskDescriptor, abs_release: int) -> Job:

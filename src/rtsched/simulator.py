@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigurationError, UsageError, ValidationError
-from .graph import ChannelState, input_channels, output_channels, push_count, required_tokens
+from .graph import ChannelState
 from .model import (
     ClockSource,
     MappingScheme,
@@ -126,7 +127,7 @@ class _FifoLock:
 
     def __init__(self) -> None:
         self.holder: str | None = None
-        self.waiters: list[tuple[str, int, Callable]] = []  # (actor, t_req, fn)
+        self.waiters: deque[tuple[str, int, Callable]] = deque()  # (actor, t_req, fn)
 
     def request(self, now: int, actor: str, grant: Callable[[int, int], None]) -> None:
         if self.holder is None:
@@ -139,7 +140,7 @@ class _FifoLock:
         assert self.holder is not None
         self.holder = None
         if self.waiters:
-            actor, t_req, grant = self.waiters.pop(0)
+            actor, t_req, grant = self.waiters.popleft()
             self.holder = actor
             grant(now, now - t_req)
 
@@ -217,6 +218,13 @@ class _Engine:
         )
         self.core = SchedulerCore(state, self.registry, self.ctx, restrict=restrict)
         self.channels = {c.channel_id: ChannelState(c) for c in state.channels}
+        self.channel_ids = {c.name: c.channel_id for c in state.channels}  # body_ops names
+        unknown = {op[2] for ops in model.body_ops.values() for op in ops}
+        unknown -= self.channel_ids.keys()
+        if unknown:
+            raise ConfigurationError(
+                f"body_ops name unknown channels: {', '.join(sorted(unknown))}"
+            )
         self.chan_prod_waiters: dict[int, list] = {c: [] for c in self.channels}
         self.chan_cons_waiters: dict[int, list] = {c: [] for c in self.channels}
         self.workers = [_WorkerSim(i) for i in range(state.config.worker_count)]
@@ -613,16 +621,14 @@ class _Engine:
                 if off > cursor:
                     program.append(("exec", off - cursor))
                     cursor = off
-                cid = next(c.channel_id for c in self.state.channels if c.name == chname)
-                program.append((op, cid, count))
+                program.append((op, self.channel_ids[chname], count))
             if cursor < duration:
                 program.append(("exec", duration - cursor))
         else:
-            for ch in input_channels(self.state, tid):
-                program.append(("pop", ch.channel_id, required_tokens(self.state, tid, ch.channel_id)))
+            graph = self.core.graph
+            program.extend(("pop", cid, n) for cid, n in graph.inputs.get(tid, ()))
             program.append(("exec", duration))
-            for ch in output_channels(self.state, tid):
-                program.append(("push", ch.channel_id, push_count(self.state, tid, ch.channel_id)))
+            program.extend(("push", cid, n) for cid, n in graph.outputs.get(tid, ()))
         ex = _JobExec(program, duration)
         if duration > job.version.wcet_estimate:
             ex.overrun = duration - job.version.wcet_estimate

@@ -3,7 +3,7 @@
 Nothing here imports rtsched.  The timeline oracle is a straightforward
 single-core scheduler over (release, deadline, remaining) triples; the SDF
 oracle searches for the repetition vector instead of normalizing fractions;
-the gcd/lcm oracles use trial division and multiple-stepping.  Keeping the
+the gcd/lcm oracles use trial division and prime factorisation.  Keeping the
 algorithms structurally different from the package is the point.
 """
 
@@ -26,12 +26,26 @@ def gcd_oracle(values: list[int]) -> int:
 
 
 def lcm_oracle(values: list[int]) -> int:
-    """Smallest common multiple, by stepping through multiples of the max."""
+    """Smallest common multiple from prime factorisations: trial-divide
+    each value and multiply every prime at its largest exponent.  Costs
+    O(sqrt(max)) per value, whatever the inputs' common factors."""
     assert values and all(v > 0 for v in values)
-    step = max(values)
-    h = step
-    while any(h % v for v in values):
-        h += step
+    exponents: dict[int, int] = {}
+    for v in values:
+        p = 2
+        while p * p <= v:
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            if e > exponents.get(p, 0):
+                exponents[p] = e
+            p += 1
+        if v > 1:  # a prime factor above sqrt of the value
+            exponents.setdefault(v, 1)
+    h = 1
+    for p, e in exponents.items():
+        h *= p**e
     return h
 
 
@@ -201,6 +215,35 @@ def sdf_vector_brute(
         if ok:
             return r
     return None
+
+
+# ------------------------------------------------------ activation oracle
+
+
+def activation_oracle(
+    tokens: dict[int, list[int]],
+    connections: list[tuple[int, int, int]],
+    nodes: list[int],
+) -> dict[int, int]:
+    """Firings of one data-driven activation pass, by full scan.
+
+    tokens maps channel id -> [occupancy, claimed] and receives the claims;
+    connections lists (channel id, consumer, required tokens) per connected
+    channel; nodes are the token-driven consumers.  Every check rescans all
+    connections for the node's inputs, and a node fires (claiming its
+    required tokens on each input) while each input holds enough unclaimed
+    tokens.  Returns node -> firings, omitting nodes that did not fire.
+    """
+    fired: dict[int, int] = {}
+    for n in nodes:
+        while True:
+            ins = [(cid, req) for cid, dst, req in connections if dst == n]
+            if not ins or any(tokens[cid][0] - tokens[cid][1] < req for cid, req in ins):
+                break
+            for cid, req in ins:
+                tokens[cid][1] += req
+            fired[n] = fired.get(n, 0) + 1
+    return fired
 
 
 # --------------------------------------------------------- set generators

@@ -1,0 +1,168 @@
+"""Golden traces: fixed-seed runs whose trace CSV and report JSON must not
+move by a single byte.
+
+Each case builds a task set, simulates it, and hashes the trace exactly as
+`rtsched simulate --trace` writes it and the report exactly as `--report`
+writes it.  A digest change means virtual-time behaviour changed; update a
+digest only together with an explanation of why the output had to move.
+
+The known SDF lost-wakeup scenario (a->b produce 3, b->c consume 3 over a
+2 s horizon) is deliberately not pinned: its output is a defect.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from rtsched import (
+    PolicyConfig,
+    PriorityAssignment,
+    SdfEdge,
+    SdfGraph,
+    SimJobModel,
+    TaskKind,
+    expand_sdf,
+    init,
+    load_document,
+    ms,
+    run_simulation,
+    trace_csv_text,
+    us,
+)
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+
+
+def _sdf(actors, edges, wcets, model=None):
+    state = init(PolicyConfig(worker_count=2))
+    expand_sdf(
+        state,
+        SdfGraph(actors, [SdfEdge(*e) for e in edges]),
+        period=ms(100),
+        wcets=wcets,
+        relative_deadline=ms(1000),
+    )
+    return state, model or SimJobModel(), "1s", 7
+
+
+def _fanout(k, model=None):
+    return _sdf(
+        ["src", "w", "snk"],
+        [("src", "w", k, 1), ("w", "snk", 1, k)],
+        {"src": us(100), "w": us(200), "snk": us(100)},
+        model,
+    )
+
+
+def _fanout8():
+    # non-zero cost knobs: the queue lock serialises scheduler and workers
+    return _fanout(8, SimJobModel(
+        get_task_cost=us(2),
+        sched_scan_cost_per_task=100,
+        sort_cost_per_element=50,
+        context_switch_cost=us(1),
+    ))
+
+
+def _fanout64():
+    return _fanout(64)
+
+
+def _chain():
+    # firings 1:2:3:1 per iteration
+    actors = ["a", "b", "c", "d"]
+    return _sdf(
+        actors,
+        [("a", "b", 2, 1), ("b", "c", 3, 2), ("c", "d", 1, 3)],
+        {a: us(100) for a in actors},
+    )
+
+
+def _document(name, horizon, seed):
+    doc = load_document(os.path.join(DEMOS, name))
+    return doc.build_state(), doc.sim_model(), horizon, seed
+
+
+def _vision():
+    return _document("vision_pipeline.json", None, 3)
+
+
+def _drone():
+    return _document("drone.json", "5hp", 3)
+
+
+def _gedf_periodic():
+    state = init(PolicyConfig(
+        worker_count=2, priority_assignment=PriorityAssignment.EDF
+    ))
+    exec_time = {}
+    for i, (period, wcet) in enumerate(
+        [(ms(10), ms(3)), (ms(20), ms(7)), (ms(25), ms(6)),
+         (ms(40), ms(9)), (ms(50), ms(12)), (ms(100), ms(20))]
+    ):
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period)
+        state.version_decl(tid, wcet_estimate=wcet)
+        exec_time[f"t{i}"] = {"dist": "uniform", "low": wcet // 2, "high": wcet}
+    model = SimJobModel(
+        exec_time=exec_time,
+        get_task_cost=us(5),
+        sched_scan_cost_per_task=us(1),
+        sort_cost_per_element=200,
+        context_switch_cost=us(3),
+    )
+    return state, model, "200ms", 11
+
+
+# case -> (build function, trace sha256, report sha256)
+GOLDEN = {
+    "fanout-k8": (
+        _fanout8,
+        "f82de367767becfe72d35545962b6ed44180ef6e50c54a7de18efb57c7991df2",
+        "aa5f85ec75e468b65dac565429cde4af129b25cae2ddb9207bf90d85afd35e09",
+    ),
+    "fanout-k64": (
+        _fanout64,
+        "adbb521216ed74c8b745ca88646e849de8e9f272be187a750e0a5e6576daaa90",
+        "ba266a46099af772a7135ea79173dfa9983625a0b3e799484a5fbb98ae620c04",
+    ),
+    "chain-1-2-3-1": (
+        _chain,
+        "f48f734d16260db59d694a3923ee19d2ccdf65584346d7849fdec682381bd9cb",
+        "2720dccd5df0e9039de5ec63815f44dee0e00cb1098a6ba17d876b0960fbfe00",
+    ),
+    "vision-pipeline": (
+        _vision,
+        "12706726a55c5bfb2e64cca5670d1f136fbcf7a3d205cc8c0d8285a83c2b252b",
+        "f0fbac9b83e34596b99c228d6efa0189b1aa2c91a857297156e3fead9ad73ab9",
+    ),
+    "drone": (
+        _drone,
+        "b8186c43ad2a53523da0bdff9198a49a570375004d9e90876e28a50e78678bd0",
+        "5a406fa80d97f50872cb38a2ea9fa0a1e14ff492e2e715af2ec98e8314cdee50",
+    ),
+    "gedf-periodic": (
+        _gedf_periodic,
+        "80df078036bc9407aeef30d0b8c31693bed836683d68b02ff3fa94ce66af666f",
+        "775596d09225ef05135c4fd040d2be631d87b58a6aa6ff7f56199d122b0f2663",
+    ),
+}
+
+
+def digests(build):
+    state, model, horizon, seed = build()
+    trace, report = run_simulation(state, model, horizon=horizon, seed=seed)
+    assert not report.truncated
+    assert report.released == report.completed > 0
+    report_text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return (
+        hashlib.sha256(trace_csv_text(trace).encode()).hexdigest(),
+        hashlib.sha256(report_text.encode()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_digests(case):
+    build, trace_sha, report_sha = GOLDEN[case]
+    assert digests(build) == (trace_sha, report_sha)

@@ -233,6 +233,11 @@ class TestChannels:
         assert report.misses == 1
         assert any("unfinished" in w for w in report.warnings)
 
+    def test_body_ops_unknown_channel_rejected(self):
+        model = SimJobModel(body_ops={"t": [(0, "pop", "nosuch", 1)]})
+        with pytest.raises(ConfigurationError, match="nosuch"):
+            run_simulation(_one_task(), model)
+
 
 class TestExecutionModel:
     def test_uniform_samples_stay_in_range(self):
