@@ -180,18 +180,27 @@ class TaskDescriptor:
             ) from None
 
 
+def activation_release(task: TaskDescriptor, now: int, last: dict[int, int]) -> int:
+    """Release instant of an activation request for `task` at `now`.
+
+    A sporadic release is deferred to max(now, last release + period) to
+    honour the minimum inter-arrival spacing; `last` maps task ids to their
+    latest sporadic release and is updated.  Aperiodic tasks release now.
+    """
+    if task.kind is not TaskKind.SPORADIC:
+        return now
+    prev = last.get(task.task_id)
+    release = now if prev is None else max(now, prev + task.period)
+    last[task.task_id] = release
+    return release
+
+
 @dataclass
 class AcceleratorDescriptor:
-    """A single-unit hardware resource.
-
-    Occupancy is runtime state: the holding job's id and the effective
-    (possibly inherited) priority key of the holder.
-    """
+    """A single-unit hardware resource."""
 
     accel_id: int
     name: str
-    occupied_by: tuple[int, int] | None = None  # (task_id, job seq)
-    holder_key: tuple | None = None
 
 
 @dataclass
@@ -248,7 +257,6 @@ class MiddlewareState:
         self.activation_overrides: dict[tuple[int, int], int] = {}
         self.push_counts: dict[tuple[int, int], int] = {}
         self.table = None  # ScheduleTable under OFFLINE
-        self.start_instant: int | None = None
         self.pending_activations: list[tuple[int, int]] = []  # (release, task)
         self._last_sporadic_release: dict[int, int] = {}
         self._backend = None
@@ -395,12 +403,7 @@ class MiddlewareState:
             )
         if now is None:
             now = self._backend.now() if self._backend is not None else 0
-        if task.kind is TaskKind.SPORADIC:
-            last = self._last_sporadic_release.get(task_id)
-            release = now if last is None else max(now, last + task.period)
-            self._last_sporadic_release[task_id] = release
-        else:
-            release = now
+        release = activation_release(task, now, self._last_sporadic_release)
         self.pending_activations.append((release, task_id))
         return release
 
@@ -417,9 +420,7 @@ class MiddlewareState:
 
             self._backend = RealtimeBackend(self)
         if self._backend is not None:
-            self.start_instant = self._backend.start()
-        else:
-            self.start_instant = 0
+            self._backend.start()
         self.phase = Phase.RUNNING
 
     def stop(self) -> None:

@@ -12,9 +12,12 @@ warning, because the table author may know better than the estimates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .model import Diagnostic, MiddlewareState
+from .online import Job
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,32 @@ class ScheduleTable:
         self.cores.setdefault(core, []).append(
             TableEntry(task_id, version_id, release_offset)
         )
+
+
+def table_jobs(state: MiddlewareState, core: int) -> Iterator[tuple[int, Job]]:
+    """The jobs one core's table entries release, iteration after iteration,
+    as (release instant, job) pairs in dispatch order.
+
+    Job sequence numbers count per task on this core.  A task without a
+    relative deadline must finish by the end of its table iteration.
+    """
+    table: ScheduleTable = state.table
+    entries = table.cores[core]
+    if not entries:
+        return
+    seqs: dict[int, int] = {}
+    for m in itertools.count():
+        for entry in entries:
+            release = m * table.table_period + entry.release_offset
+            task = state.tasks[entry.task_id]
+            seq = seqs.get(entry.task_id, 0)
+            seqs[entry.task_id] = seq + 1
+            if task.relative_deadline is not None:
+                deadline = release + task.relative_deadline
+            else:
+                deadline = (m + 1) * table.table_period
+            yield release, Job(task, seq, task.versions[entry.version_id], release,
+                               deadline, key=None)
 
 
 def validate_table(state: MiddlewareState, table: ScheduleTable) -> list[Diagnostic]:

@@ -24,6 +24,7 @@ from .model import (
     TaskDescriptor,
     TaskKind,
     VersionDescriptor,
+    activation_release,
 )
 from .priority import PriorityKey, assign_priority, sort_ready
 from .versions import AcceleratorRegistry, SelectionContext, select_version
@@ -217,13 +218,7 @@ class SchedulerCore:
 
     def activate(self, task_id: int, now: int) -> int:
         """Sporadic/aperiodic activation request at instant `now`."""
-        task = self.state.task(task_id)
-        if task.kind is TaskKind.SPORADIC:
-            last = self._last_sporadic.get(task_id)
-            release = now if last is None else max(now, last + task.period)
-            self._last_sporadic[task_id] = release
-        else:
-            release = now
+        release = activation_release(self.state.task(task_id), now, self._last_sporadic)
         self._pending.append((release, task_id))
         return release
 

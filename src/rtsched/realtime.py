@@ -36,7 +36,8 @@ from .model import (
     task_decl,
     version_decl,
 )
-from .online import Job, JobState, SchedulerCore
+from .offline import table_jobs
+from .online import Job, JobState, SchedulerCore, scheduler_tick_period
 from .tracing import SCHEDULER_WORKER, RunReport, Stat, TraceEvent, compute_overheads
 from .versions import AcceleratorRegistry, SelectionContext
 
@@ -305,8 +306,6 @@ class RealtimeBackend:
         return trace, report
 
     def core_tick(self) -> int:
-        from .online import scheduler_tick_period
-
         if self.state.config.mapping_scheme is MappingScheme.OFFLINE:
             return self.state.table.table_period
         return scheduler_tick_period(self.state)
@@ -497,38 +496,19 @@ class RealtimeBackend:
     def _offline_loop(self, core_id: int) -> None:
         self._try_elevate()
         self._try_pin(core_id % max(1, available_cpus()))
-        table = self.state.table
-        entries = table.cores[core_id]
-        if not entries:
-            return
-        seqs: dict[int, int] = {}
-        m = 0
-        while not self._stopping.is_set():
-            for entry in entries:
-                if self._stopping.is_set():
-                    return
-                release = m * table.table_period + entry.release_offset
-                self._sleep_until(release)
-                if self._stopping.is_set():
-                    return
-                now = self.now_ns()
-                task = self.state.tasks[entry.task_id]
-                version = task.versions[entry.version_id]
-                seq = seqs.get(entry.task_id, 0)
-                seqs[entry.task_id] = seq + 1
-                if task.relative_deadline is not None:
-                    deadline = release + task.relative_deadline
-                else:
-                    deadline = (m + 1) * table.table_period
-                job = Job(task, seq, version, release, deadline, key=None)
-                self.emit("release_theoretical", task=task.name, seq=seq, t=release)
-                job.release_effective = now
-                self.emit("release_effective", task=task.name, seq=seq, worker=core_id)
-                if now > release:
-                    self.emit("overrun", task=task.name, seq=seq, worker=core_id,
-                              late=now - release)
-                self._run_job(core_id, job)
-            m += 1
+        for release, job in table_jobs(self.state, core_id):
+            self._sleep_until(release)
+            if self._stopping.is_set():
+                return
+            now = self.now_ns()
+            task, seq = job.task, job.seq
+            self.emit("release_theoretical", task=task.name, seq=seq, t=release)
+            job.release_effective = now
+            self.emit("release_effective", task=task.name, seq=seq, worker=core_id)
+            if now > release:
+                self.emit("overrun", task=task.name, seq=seq, worker=core_id,
+                          late=now - release)
+            self._run_job(core_id, job)
 
 
 # -------------------------------------------------------------- helpers

@@ -10,6 +10,11 @@ critical sections take no time.  With non-zero knobs the FIFO queue lock
 serialises the scheduler and the workers, making the classic blocking
 bounds observable in the trace.
 
+Under the off-line mapping each core replays its table entries instead of
+pulling from a ready queue, and there is no scheduler tick.  A table entry
+otherwise runs through the same execution path as an on-line job: the same
+segments, channel parking and waking, completion accounting and event loop.
+
 Same-instant ordering is fixed: control events (scripted activations, mode
 switches), then the scheduler tick, then job completions, then everything
 else in scheduling order.  This is part of the deterministic contract.
@@ -21,7 +26,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ConfigurationError, UsageError, ValidationError
 from .graph import ChannelState
@@ -33,7 +38,7 @@ from .model import (
     TaskDescriptor,
     VersionDescriptor,
 )
-from .offline import ScheduleTable
+from .offline import table_jobs
 from .online import Job, JobState, SchedulerCore, hyperperiod, scheduler_tick_period
 from .tracing import (
     SCHEDULER_WORKER,
@@ -231,13 +236,16 @@ class _Engine:
         self.locks = [_FifoLock() for _ in self.core.queues]
         self.execs: dict[tuple[int, int], _JobExec] = {}
         self.live_jobs: set[tuple[int, int]] = set()
-        self._offline_blocked: dict = {}
-        self._offline_finish: dict = {}
         self._sched_active = False
         self._sched_missed = False
         self._tick_armed = False
-        offline = state.config.mapping_scheme is MappingScheme.OFFLINE
-        self.tick = 0 if offline else scheduler_tick_period(state)
+        self.offline = state.config.mapping_scheme is MappingScheme.OFFLINE
+        self.tick = 0 if self.offline else scheduler_tick_period(state)
+        # per-core table replay under the off-line mapping
+        self.tables: dict[int, Iterator[tuple[int, Job]]] = (
+            {c: table_jobs(state, c) for c in sorted(state.table.cores)}
+            if self.offline else {}
+        )
 
     # ------------------------------------------------------- plumbing
 
@@ -259,11 +267,15 @@ class _Engine:
         )
 
     def run(self) -> None:
-        for t, mask in sorted(self.model.mode_schedule):
-            self.push_event(t, _P_CONTROL, self._mk_mode(frozenset(mask)))
-        for t, name in sorted(self.model.activations):
-            self.push_event(t, _P_CONTROL, self._mk_activation(name, t))
-        self._arm_tick(0)
+        if self.offline:
+            for core in self.tables:
+                self._next_entry(core)
+        else:
+            for t, mask in sorted(self.model.mode_schedule):
+                self.push_event(t, _P_CONTROL, self._mk_mode(frozenset(mask)))
+            for t, name in sorted(self.model.activations):
+                self.push_event(t, _P_CONTROL, self._mk_activation(name, t))
+            self._arm_tick(0)
 
         while self._heap:
             t, prio, _, fn = heapq.heappop(self._heap)
@@ -383,12 +395,16 @@ class _Engine:
 
         return grant
 
+    def _release(self, job: Job, worker: int | None = None) -> None:
+        """The job becomes dispatchable now: count it and trace it."""
+        job.release_effective = self.now
+        self.report.task(job.task.name).released += 1
+        self.report.released += 1
+        self.emit("release_effective", task=job.task.name, seq=job.seq, worker=worker)
+
     def _tick_cs_end(self, qi: int, jobs: list[Job]) -> None:
         for job in jobs:
-            job.release_effective = self.now
-            self.report.task(job.task.name).released += 1
-            self.report.released += 1
-            self.emit("release_effective", task=job.task.name, seq=job.seq)
+            self._release(job)
         self.emit("tick_end", worker=SCHEDULER_WORKER)
         self.locks[qi].release(self.now)
         self._after_insert(qi)
@@ -419,10 +435,7 @@ class _Engine:
 
                 def cs_end() -> None:
                     for job in by_queue[qi]:
-                        job.release_effective = self.now
-                        self.report.task(job.task.name).released += 1
-                        self.report.released += 1
-                        self.emit("release_effective", task=job.task.name, seq=job.seq)
+                        self._release(job)
                     self.locks[qi].release(self.now)
                     self._after_insert(qi)
                     step(idx + 1)
@@ -757,161 +770,33 @@ class _Engine:
         # unparked waiters may be pullable by idle workers of any queue
         for qi in sorted({self.core.queue_for(j) for j in woken}):
             self._after_insert(qi)
-        self._request_pull(w, self._queue_of_worker(w))
+        if self.offline:
+            self._next_entry(w)
+        else:
+            self._request_pull(w, self._queue_of_worker(w))
 
-    # ------------------------------------------------------- offline
+    # --------------------------------------------------- table replay
 
-    def run_offline(self) -> None:
-        table: ScheduleTable = self.state.table
-        for core_id in sorted(table.cores):
-            self._offline_core(core_id, table)
-        while self._heap:
-            t, prio, _, fn = heapq.heappop(self._heap)
-            self.now = t
-            fn()
-            self.events_done += 1
-            if self.events_done > _EVENT_CAP:
-                self.report.truncated = True
-                self.report.warnings.append("event cap reached; run truncated")
-                break
-        if self.live_jobs:
-            self.report.truncated = True
-            for tid, s in sorted(self.live_jobs):
-                task = self.state.tasks[tid]
-                self.report.task(task.name).misses += 1
-                self.report.misses += 1
+    def _next_entry(self, core: int) -> None:
+        """Schedule the core's next table entry: at its release instant, or
+        as soon as the core frees up if the previous entry ran late."""
+        release, job = next(self.tables[core], (None, None))
+        if job is not None and release < self.horizon:
+            self.push_event(max(release, self.now), _P_MISC,
+                            lambda: self._run_entry(core, job))
 
-    def _offline_core(self, core_id: int, table: ScheduleTable) -> None:
-        entries = table.cores[core_id]
-        if not entries:
-            return
-        core_seq: dict[int, int] = {}
-
-        def schedule_entry(m: int, i: int, free_at: int) -> None:
-            if i == len(entries):
-                m, i = m + 1, 0
-            entry = entries[i]
-            release = m * table.table_period + entry.release_offset
-            if release >= self.horizon:
-                return
-            start_at = max(release, free_at)
-            self.push_event(start_at, _P_MISC, lambda: run_entry(m, i, release))
-
-        def run_entry(m: int, i: int, release: int) -> None:
-            entry = entries[i]
-            task = self.state.tasks[entry.task_id]
-            version = task.versions[entry.version_id]
-            seq = core_seq.get(entry.task_id, 0)
-            core_seq[entry.task_id] = seq + 1
-            if task.relative_deadline is not None:
-                deadline = release + task.relative_deadline
-            else:
-                deadline = (m + 1) * table.table_period  # end of the iteration
-            job = Job(task, seq, version, release, deadline, key=None)
-            self.live_jobs.add(job.job_id)
-            self.emit("release_theoretical", task=task.name, seq=seq, t=release)
-            job.release_effective = self.now
-            self.report.task(task.name).released += 1
-            self.report.released += 1
-            self.emit("release_effective", task=task.name, seq=seq, worker=core_id)
-            if self.now > release:
-                self.emit(
-                    "overrun", task=task.name, seq=seq, worker=core_id,
-                    late=self.now - release,
-                )
-            job.worker = core_id
-            job.state = JobState.RUNNING
-            ws = self.workers[core_id]
-            ws.current = job
-            job.started = self.now
-            self.emit("job_start", task=task.name, seq=seq, worker=core_id,
-                      version=version.name)
-            self.execs[job.job_id] = self._build_exec(job)
-            self._offline_advance(core_id, job, m, i)
-
-        def finish(job: Job, m: int, i: int) -> None:
-            self._complete_offline(core_id, job)
-            schedule_entry(m, i + 1, self.now)
-
-        self._offline_finish[core_id] = finish
-        schedule_entry(0, 0, 0)
-
-    def _offline_advance(self, core_id: int, job: Job, m: int, i: int) -> None:
-        ws = self.workers[core_id]
-        assert ws.current is job
-        ex = self.execs[job.job_id]
-        job.channel_blocked = False
-        while ex.step < len(ex.program):
-            kind = ex.program[ex.step][0]
-            if kind == "exec":
-                dur = ex.program[ex.step][1] if ex.left == 0 else ex.left
-                ex.left = dur
-                ex.seg_end = self.now + dur
-                ex.gen += 1
-                gen = ex.gen
-
-                def seg_done() -> None:
-                    e = self.execs.get(job.job_id)
-                    if e is None or e.gen != gen:
-                        return
-                    e.left = 0
-                    e.step += 1
-                    self._offline_advance(core_id, job, m, i)
-
-                self.push_event(ex.seg_end, _P_DONE, seg_done)
-                return
-            _, cid, count = ex.program[ex.step]
-            if ex.left == 0:
-                ex.left = count
-            ch = self.channels[cid]
-            while ex.left > 0:
-                if kind == "pop":
-                    if not ch.can_pop():
-                        self._park_on_channel(self.chan_cons_waiters[cid], core_id, job)
-                        self._offline_blocked[job.job_id] = (core_id, m, i)
-                        return
-                    ch.pop()
-                    self._offline_wake(self.chan_prod_waiters[cid])
-                else:
-                    if not ch.can_push():
-                        self._park_on_channel(self.chan_prod_waiters[cid], core_id, job)
-                        self._offline_blocked[job.job_id] = (core_id, m, i)
-                        return
-                    ch.push()
-                    self._offline_wake(self.chan_cons_waiters[cid])
-                ex.left -= 1
-            ex.step += 1
-            ex.left = 0
-        self._offline_finish[core_id](job, m, i)
-
-    def _offline_wake(self, waiters: list) -> None:
-        if not waiters:
-            return
-        core_id, job = waiters.pop(0)
-        job.channel_blocked = False
-        slot = self._offline_blocked.pop(job.job_id, None)
-        if slot is not None:
-            c, m, i = slot
-            self.push_event(self.now, _P_MISC, lambda: self._offline_advance(c, job, m, i))
-
-    def _complete_offline(self, core_id: int, job: Job) -> None:
-        ex = self.execs.pop(job.job_id)
-        job.state = JobState.COMPLETED
-        job.completed = self.now
-        self.live_jobs.discard(job.job_id)
-        self.emit("job_complete", task=job.task.name, seq=job.seq, worker=core_id)
-        stats = self.report.task(job.task.name)
-        stats.completed += 1
-        self.report.completed += 1
-        stats.response.add(self.now - job.abs_release)
-        if self.now > job.abs_deadline:
-            stats.misses += 1
-            self.report.misses += 1
-            self.emit(
-                "deadline_miss", task=job.task.name, seq=job.seq, worker=core_id,
-                late=self.now - job.abs_deadline,
-            )
-        self.workers[core_id].current = None
+    def _run_entry(self, core: int, job: Job) -> None:
+        self.live_jobs.add(job.job_id)
+        self.emit("release_theoretical", task=job.task.name, seq=job.seq,
+                  t=job.abs_release)
+        self._release(job, worker=core)
+        if self.now > job.abs_release:
+            self.emit("overrun", task=job.task.name, seq=job.seq, worker=core,
+                      late=self.now - job.abs_release)
+        job.worker = core
+        job.state = JobState.RUNNING
+        self.workers[core].current = job
+        self._do_start(core, job)
 
 
 # ----------------------------------------------------------- entry point
@@ -957,10 +842,7 @@ def run_simulation(
         raise ConfigurationError("horizon must be > 0")
 
     engine = _Engine(state, model, horizon_ns, seed, restrict)
-    if offline:
-        engine.run_offline()
-    else:
-        engine.run()
+    engine.run()
 
     engine.trace.sort(key=lambda e: e.timestamp_ns)  # stable: same-time order kept
     engine.report.overheads = compute_overheads(

@@ -17,12 +17,17 @@ import os
 import pytest
 
 from rtsched import (
+    MappingScheme,
     PolicyConfig,
     PriorityAssignment,
+    ScheduleTable,
     SdfEdge,
     SdfGraph,
     SimJobModel,
     TaskKind,
+    VersionSelection,
+    channel_connect,
+    channel_decl,
     expand_sdf,
     init,
     load_document,
@@ -93,16 +98,15 @@ def _drone():
     return _document("drone.json", "5hp", 3)
 
 
-def _gedf_periodic():
-    state = init(PolicyConfig(
-        worker_count=2, priority_assignment=PriorityAssignment.EDF
-    ))
+def _periodic(config, placed):
+    state = init(config)
     exec_time = {}
     for i, (period, wcet) in enumerate(
         [(ms(10), ms(3)), (ms(20), ms(7)), (ms(25), ms(6)),
          (ms(40), ms(9)), (ms(50), ms(12)), (ms(100), ms(20))]
     ):
-        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period)
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period,
+                              virt_core_id=i % 2 if placed else None)
         state.version_decl(tid, wcet_estimate=wcet)
         exec_time[f"t{i}"] = {"dist": "uniform", "low": wcet // 2, "high": wcet}
     model = SimJobModel(
@@ -113,6 +117,46 @@ def _gedf_periodic():
         context_switch_cost=us(3),
     )
     return state, model, "200ms", 11
+
+
+def _gedf_periodic():
+    return _periodic(PolicyConfig(
+        worker_count=2, priority_assignment=PriorityAssignment.EDF
+    ), placed=False)
+
+
+def _partitioned_rm():
+    # same task set, placed alternately on the two per-core queues
+    return _periodic(PolicyConfig(
+        worker_count=2,
+        mapping_scheme=MappingScheme.PARTITIONED,
+        priority_assignment=PriorityAssignment.RM,
+    ), placed=True)
+
+
+def _offline_table():
+    # cons parks on its input channel until prod on the other core pushes;
+    # aux is due while prod may still run, so some entries start late
+    state = init(PolicyConfig(
+        worker_count=2,
+        mapping_scheme=MappingScheme.OFFLINE,
+        preemptive=False,
+        version_selection=VersionSelection.PRESELECTED,
+    ))
+    table = ScheduleTable(ms(10))
+    exec_time, tids = {}, {}
+    for name, core, wcet, offset in [
+        ("prod", 0, ms(4), 0), ("aux", 0, ms(5), ms(3)), ("cons", 1, ms(3), ms(1)),
+    ]:
+        tid = tids[name] = state.task_decl(
+            name, TaskKind.PERIODIC, period=ms(10), virt_core_id=core
+        )
+        table.add(core, tid, state.version_decl(tid, wcet_estimate=wcet), offset)
+        exec_time[name] = {"dist": "uniform", "low": wcet // 2, "high": wcet}
+    channel_connect(state, channel_decl(state, "prod->cons", 8, 1),
+                    tids["prod"], tids["cons"])
+    state.table = table
+    return state, SimJobModel(exec_time=exec_time), ms(100), 5
 
 
 # case -> (build function, trace sha256, report sha256)
@@ -146,6 +190,16 @@ GOLDEN = {
         _gedf_periodic,
         "80df078036bc9407aeef30d0b8c31693bed836683d68b02ff3fa94ce66af666f",
         "775596d09225ef05135c4fd040d2be631d87b58a6aa6ff7f56199d122b0f2663",
+    ),
+    "partitioned-rm": (
+        _partitioned_rm,
+        "ab7a3f84bf4fecb60619e8a37ceae074f4bd9c616c8b8fb93df088e49a42b178",
+        "bac83c1afed9d1d38d35705a5e2f6696c7f55c105ef55a28a8b27d729de14649",
+    ),
+    "offline-table": (
+        _offline_table,
+        "5179a216c6d90e3dd2b04b817e338bd982155ae397460f4be7e388a6c9836cd1",
+        "0a43ecb51b023c601c0a5d0573f28002181579fb2335e5313aa60d9def1f64be",
     ),
 }
 

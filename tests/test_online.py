@@ -120,6 +120,26 @@ class TestActivation:
         assert core.activate(aid, now=ms(3)) == ms(3)
         assert core.activate(aid, now=ms(3)) == ms(3)  # no separation rule
 
+    @pytest.mark.parametrize("kind", [TaskKind.SPORADIC, TaskKind.APERIODIC])
+    @pytest.mark.parametrize("instants", [
+        [0, ms(2), ms(11)],
+        [ms(1), ms(1), ms(1), ms(20)],
+        [ms(3), ms(4), ms(9), ms(9), ms(30), ms(31)],
+    ])
+    def test_state_and_core_release_alike(self, kind, instants):
+        state = init(PolicyConfig())
+        base = state.task_decl("base", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(base, wcet_estimate=us(10))
+        sporadic = kind is TaskKind.SPORADIC
+        tid = state.task_decl("s", kind, period=ms(5) if sporadic else None,
+                              relative_deadline=ms(5))
+        state.version_decl(tid, wcet_estimate=us(10))
+        core = _core(state)
+        state.start()
+        via_state = [state.task_activate(tid, now=t) for t in instants]
+        via_core = [core.activate(tid, now=t) for t in instants]
+        assert via_state == via_core
+
 
 class TestDueReleases:
     def test_periodic_schedule(self):

@@ -333,8 +333,27 @@ class TestOffline:
         state.table = table
         trace, _ = run_simulation(state, model, horizon=ms(10))
         assert _times(trace, "job_start", task="t0") == [0, ms(6)]
-        [late] = _events(trace, "overrun")
+        overruns = _events(trace, "overrun")
+        [late] = [e for e in overruns if "late" in e.payload]
         assert late.payload["late"] == ms(1)
+        # both entries execute 6 ms against a 2 ms estimate
+        assert [e.payload.get("over") for e in overruns if "over" in e.payload] == [
+            ms(4), ms(4)
+        ]
+
+    def test_consumer_without_producer_is_reported_unfinished(self):
+        state, _, _ = self._offline_state()
+        prod = state.task_decl("prod", TaskKind.PERIODIC, period=ms(10), virt_core_id=0)
+        state.version_decl(prod, wcet_estimate=ms(2))
+        cons = state.task_decl("cons", TaskKind.PERIODIC, period=ms(10), virt_core_id=1)
+        state.version_decl(cons, wcet_estimate=ms(2))
+        channel_connect(state, channel_decl(state, "prod->cons", 8, 1), prod, cons)
+        table = ScheduleTable(ms(10))
+        table.add(1, cons, 0, ms(1))  # prod is never dispatched
+        state.table = table
+        _, report = run_simulation(state, horizon=ms(30))
+        assert report.truncated
+        assert report.warnings == ["run ended with unfinished jobs: cons#0"]
 
 
 class TestParseHorizon:
