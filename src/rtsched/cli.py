@@ -20,7 +20,7 @@ import sys
 
 from .document import document_from_state, load_document
 from .errors import RtschedError
-from .graph import SdfEdge, SdfGraph, plan_expansion
+from .graph import plan_expansion
 from .simulator import policy_label, run_simulation
 from .sweep import SweepSpec, best_policy, run_sweep, write_sweep_csv
 from .tracing import write_trace_csv
@@ -145,20 +145,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_expand_sdf(args) -> int:
     doc = load_document(args.document)
-    if "sdf" not in doc.data:
+    sdf = doc.sdf_graph()
+    if sdf is None:
         raise RtschedError("document has no sdf section")
-    s = doc.data["sdf"]
-    edges = [
-        SdfEdge(
-            src=e["src"],
-            dst=e["dst"],
-            produce=int(e.get("produce", 1)),
-            consume=int(e.get("consume", 1)),
-            initial_tokens=int(e.get("initial_tokens", 0)),
-        )
-        for e in s.get("edges", [])
-    ]
-    sdf = SdfGraph(actors=sorted(s["wcets"]), edges=edges)
     plan = plan_expansion(sdf)  # raises on inconsistent or deadlocked graphs
     print(" ".join(f"{a}:{n}" for a, n in sorted(plan.repetition.items())))
 

@@ -192,6 +192,23 @@ class TaskSetDocument:
         except ValueError as e:
             raise ConfigurationError(f"bad config value: {e}") from None
 
+    def sdf_graph(self) -> SdfGraph | None:
+        """The graph of the `sdf` section, or None when there is none."""
+        if "sdf" not in self.data:
+            return None
+        s = self.data["sdf"]
+        edges = [
+            SdfEdge(
+                src=e["src"],
+                dst=e["dst"],
+                produce=int(e.get("produce", 1)),
+                consume=int(e.get("consume", 1)),
+                initial_tokens=int(e.get("initial_tokens", 0)),
+            )
+            for e in s.get("edges", [])
+        ]
+        return SdfGraph(actors=sorted(s["wcets"]), edges=edges)
+
     def build_state(self) -> MiddlewareState:
         config = self.config()
         if config.version_selection is VersionSelection.USER:
@@ -256,22 +273,12 @@ class TaskSetDocument:
                 required_tokens=c.get("required_tokens"),
                 push_count=c.get("push_count"),
             )
-        if "sdf" in self.data:
+        sdf = self.sdf_graph()
+        if sdf is not None:
             s = self.data["sdf"]
-            edges = [
-                SdfEdge(
-                    src=e["src"],
-                    dst=e["dst"],
-                    produce=int(e.get("produce", 1)),
-                    consume=int(e.get("consume", 1)),
-                    initial_tokens=int(e.get("initial_tokens", 0)),
-                )
-                for e in s.get("edges", [])
-            ]
-            actors = sorted(s["wcets"])
             expand_sdf(
                 state,
-                SdfGraph(actors=actors, edges=edges),
+                sdf,
                 period=int(s["period"]),
                 wcets={a: int(w) for a, w in s["wcets"].items()},
                 relative_deadline=s.get("relative_deadline"),

@@ -456,10 +456,6 @@ class MiddlewareState:
             raise DeclarationError(f"unknown accelerator id {accel_id}")
         return self.accelerators[accel_id]
 
-    def recurring_tasks(self) -> list[TaskDescriptor]:
-        """Tasks that contribute to the scheduler tick (have a period)."""
-        return [t for t in self.tasks if t.period is not None]
-
     # ------------------------------------------------------ validation
 
     def validate(self) -> list[Diagnostic]:

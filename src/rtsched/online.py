@@ -12,7 +12,6 @@ locking and tracing belong to the backends.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Callable
 
@@ -27,14 +26,12 @@ from .model import (
     activation_release,
 )
 from .priority import PriorityKey, assign_priority, sort_ready
-from .versions import AcceleratorRegistry, SelectionContext, select_version
-
-
-class JobState(enum.Enum):
-    READY = "ready"
-    RUNNING = "running"
-    PREEMPTED = "preempted"
-    COMPLETED = "completed"
+from .versions import (
+    AcceleratorRegistry,
+    SelectionContext,
+    eligible_versions,
+    select_version,
+)
 
 
 class Job:
@@ -48,14 +45,9 @@ class Job:
         "abs_deadline",
         "key",
         "boost",
-        "state",
         "worker",
         "blocked_on",
         "channel_blocked",
-        "release_effective",
-        "started",
-        "completed",
-        "exec_total",
     )
 
     def __init__(
@@ -74,14 +66,9 @@ class Job:
         self.abs_deadline = abs_deadline
         self.key = key
         self.boost: PriorityKey | None = None
-        self.state = JobState.READY
         self.worker: int | None = None  # fixed at first dispatch, never migrates
         self.blocked_on: set[int] = set()
         self.channel_blocked = False
-        self.release_effective: int | None = None
-        self.started: int | None = None
-        self.completed: int | None = None
-        self.exec_total = 0
 
     @property
     def job_id(self) -> tuple[int, int]:
@@ -100,7 +87,7 @@ class Job:
         self.boost = None
 
     def __repr__(self) -> str:  # debug aid
-        return f"<job {self.task.name}#{self.seq} {self.state.value}>"
+        return f"<job {self.task.name}#{self.seq}>"
 
 
 class ReadyQueue:
@@ -427,9 +414,7 @@ class SchedulerCore:
         if not busy:
             return (version, sorted(version.accelerators))
         pool = self._pool(job.task) or job.task.versions
-        free_pool = [
-            v for v in pool if not any(self.registry.busy(a) for a in v.accelerators)
-        ]
+        free_pool = eligible_versions(pool, self.registry)
         if free_pool:
             try:
                 alt = select_version(

@@ -15,6 +15,7 @@ poll in 50 microsecond slices so a blocked body still honours preemption.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import os
 import threading
@@ -37,7 +38,7 @@ from .model import (
     version_decl,
 )
 from .offline import table_jobs
-from .online import Job, JobState, SchedulerCore, scheduler_tick_period
+from .online import Job, SchedulerCore, scheduler_tick_period
 from .tracing import SCHEDULER_WORKER, RunReport, Stat, TraceEvent, compute_overheads
 from .versions import AcceleratorRegistry, SelectionContext
 
@@ -178,9 +179,9 @@ class RealtimeBackend:
         self.work_conds = [threading.Condition() for _ in self.core.queues]
         self.preempt_flags = [threading.Event() for _ in range(cfg.worker_count)]
         self.trace: list[TraceEvent] = []
-        self.trace_lock = threading.Lock()
+        self.trace_lock = threading.Lock()  # guards trace and report
+        self.report = RunReport()  # counted as jobs release and complete
         self.warnings: list[str] = []
-        self.finished_jobs: list[Job] = []
         self.t0 = 0
         self._stopping = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -281,21 +282,11 @@ class RealtimeBackend:
         """Trace and report of everything run so far (call after stop)."""
         with self.trace_lock:
             trace = sorted(self.trace, key=lambda e: e.timestamp_ns)
-        report = RunReport()
-        for job in self.finished_jobs:
-            st = report.task(job.task.name)
-            st.released += 1
-            st.completed += 1
-            report.released += 1
-            report.completed += 1
-            st.response.add(job.completed - job.abs_release)
-            if job.completed > job.abs_deadline:
-                st.misses += 1
-                report.misses += 1
-        live = [j for q in self.core.queues for j in q.items]
+            report = copy.deepcopy(self.report)
+        live = [j.task.name for q in self.core.queues for j in q.items]
         if live:
-            report.truncated = True
             report.warnings.append(f"{len(live)} jobs still queued at stop")
+        report.count_unfinished(live)
         report.warnings.extend(self.warnings)
         report.overheads = compute_overheads(trace, allow_truncated=True)
         report.meta = {
@@ -358,10 +349,8 @@ class RealtimeBackend:
                               t=job.abs_release)
                     core.queues[0].insert(job)
                 core.queues[0].sort()
-            t_eff = self.now_ns()
             for job in jobs:
-                job.release_effective = t_eff
-                self.emit("release_effective", task=job.task.name, seq=job.seq)
+                self._release(job)
             self.emit("tick_end", worker=SCHEDULER_WORKER)
             self.queue_locks[0].release()
             self._post_insert(0)
@@ -383,13 +372,17 @@ class RealtimeBackend:
                 for job in by_queue[qi]:
                     core.queues[qi].insert(job)
                 core.queues[qi].sort()
-                t_eff = self.now_ns()
                 for job in by_queue[qi]:
-                    job.release_effective = t_eff
-                    self.emit("release_effective", task=job.task.name, seq=job.seq)
+                    self._release(job)
                 self.queue_locks[qi].release()
                 self._post_insert(qi)
             self.emit("tick_end", worker=SCHEDULER_WORKER)
+
+    def _release(self, job: Job, worker: int | None = None) -> None:
+        """The job becomes dispatchable now: count it and trace it."""
+        with self.trace_lock:
+            self.report.count_release(job.task.name)
+        self.emit("release_effective", task=job.task.name, seq=job.seq, worker=worker)
 
     def _post_insert(self, qi: int) -> None:
         with self.work_conds[qi]:
@@ -443,22 +436,19 @@ class RealtimeBackend:
                 break
             if first:
                 first = False
-                interrupted.state = JobState.PREEMPTED
                 self.emit("preempt", task=interrupted.task.name, seq=interrupted.seq,
                           worker=w, by=job.task.name)
             self._run_job(w, job)
         if not first:
-            interrupted.state = JobState.RUNNING
             self.emit("resume", task=interrupted.task.name, seq=interrupted.seq, worker=w)
         return time.monotonic_ns() - t_in
 
     def _run_job(self, w: int, job: Job) -> None:
         job.worker = w
-        job.state = JobState.RUNNING
         ctx = JobContext(self, job, w)
         prev = getattr(_tls, "ctx", None)
         _tls.ctx = ctx
-        job.started = self.now_ns()
+        t_start = self.now_ns()
         self.emit("job_start", task=job.task.name, seq=job.seq, worker=w,
                   version=job.version.name)
         try:
@@ -470,17 +460,17 @@ class RealtimeBackend:
         finally:
             _tls.ctx = prev
         t_done = self.now_ns()
-        job.completed = t_done
-        job.state = JobState.COMPLETED
-        body_ns = t_done - job.started - ctx.stolen_ns
-        job.exec_total = body_ns
+        body_ns = t_done - t_start - ctx.stolen_ns
+        with self.trace_lock:
+            late = self.report.count_completion(
+                job.task.name, job.abs_release, job.abs_deadline, t_done
+            )
         self.emit("job_complete", task=job.task.name, seq=job.seq, worker=w)
         if body_ns > job.version.wcet_estimate:
             self.emit("overrun", task=job.task.name, seq=job.seq, worker=w,
                       over=body_ns - job.version.wcet_estimate)
-        if t_done > job.abs_deadline:
-            self.emit("deadline_miss", task=job.task.name, seq=job.seq, worker=w,
-                      late=t_done - job.abs_deadline)
+        if late > 0:
+            self.emit("deadline_miss", task=job.task.name, seq=job.seq, worker=w, late=late)
         with self.reg_mutex:
             freed = self.registry.release_all(job)
             woken = self.core.unblock_accel_waiters(freed) if freed else []
@@ -489,7 +479,6 @@ class RealtimeBackend:
                       accel=self.state.accelerators[a].name)
         for other in sorted({self.core.queue_for(j) for j in woken}):
             self._post_insert(other)
-        self.finished_jobs.append(job)
 
     # ------------------------------------------------------- offline
 
@@ -503,8 +492,7 @@ class RealtimeBackend:
             now = self.now_ns()
             task, seq = job.task, job.seq
             self.emit("release_theoretical", task=task.name, seq=seq, t=release)
-            job.release_effective = now
-            self.emit("release_effective", task=task.name, seq=seq, worker=core_id)
+            self._release(job, worker=core_id)
             if now > release:
                 self.emit("overrun", task=task.name, seq=seq, worker=core_id,
                           late=now - release)

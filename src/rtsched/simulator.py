@@ -39,7 +39,7 @@ from .model import (
     VersionDescriptor,
 )
 from .offline import table_jobs
-from .online import Job, JobState, SchedulerCore, hyperperiod, scheduler_tick_period
+from .online import Job, SchedulerCore, hyperperiod, scheduler_tick_period
 from .tracing import (
     SCHEDULER_WORKER,
     Overheads,
@@ -240,6 +240,12 @@ class _Engine:
         self._sched_missed = False
         self._tick_armed = False
         self.offline = state.config.mapping_scheme is MappingScheme.OFFLINE
+        for name in ("activations", "mode_schedule"):
+            if self.offline and getattr(model, name):
+                raise ConfigurationError(
+                    f"SimJobModel.{name} is not supported under the off-line"
+                    " mapping: cores replay their table only"
+                )
         self.tick = 0 if self.offline else scheduler_tick_period(state)
         # per-core table replay under the off-line mapping
         self.tables: dict[int, Iterator[tuple[int, Job]]] = (
@@ -290,13 +296,10 @@ class _Engine:
                 break
 
         if self.live_jobs:
-            self.report.truncated = True
-            names = ", ".join(f"{self.state.tasks[t].name}#{s}" for t, s in sorted(self.live_jobs))
+            unfinished = [(self.state.tasks[t].name, s) for t, s in sorted(self.live_jobs)]
+            names = ", ".join(f"{n}#{s}" for n, s in unfinished)
             self.report.warnings.append(f"run ended with unfinished jobs: {names}")
-            for tid, s in sorted(self.live_jobs):
-                task = self.state.tasks[tid]
-                self.report.task(task.name).misses += 1
-                self.report.misses += 1
+            self.report.count_unfinished([n for n, _ in unfinished])
 
     def _mk_mode(self, mask: frozenset) -> Callable[[], None]:
         def fn() -> None:
@@ -397,9 +400,7 @@ class _Engine:
 
     def _release(self, job: Job, worker: int | None = None) -> None:
         """The job becomes dispatchable now: count it and trace it."""
-        job.release_effective = self.now
-        self.report.task(job.task.name).released += 1
-        self.report.released += 1
+        self.report.count_release(job.task.name)
         self.emit("release_effective", task=job.task.name, seq=job.seq, worker=worker)
 
     def _tick_cs_end(self, qi: int, jobs: list[Job]) -> None:
@@ -530,12 +531,10 @@ class _Engine:
         assert job is not None and job.worker is None
         job.worker = w
         ws.current = job
-        job.state = JobState.RUNNING
         cost = self.model.context_switch_cost if ws.stack else 0
         self.push_event(self.now + cost, _P_MISC, lambda: self._do_start(w, job))
 
     def _do_start(self, w: int, job: Job) -> None:
-        job.started = self.now
         self.emit("job_start", task=job.task.name, seq=job.seq, worker=w,
                   version=job.version.name)
         self.execs[job.job_id] = self._build_exec(job)
@@ -544,7 +543,6 @@ class _Engine:
     def _do_resume(self, w: int, job: Job, switch: int) -> None:
         ws = self.workers[w]
         ws.current = job
-        job.state = JobState.RUNNING
         self.emit("resume", task=job.task.name, seq=job.seq, worker=w, switch=switch)
         self._advance(w, job)
 
@@ -576,7 +574,6 @@ class _Engine:
                         switch=switch,
                         by=head.task.name,
                     )
-                    job.state = JobState.PREEMPTED
                     ws.stack.append(job)
                     ws.current = None
                     action, nxt, acquired = self.core.pick_next(qi, ws.stack[-1])
@@ -739,24 +736,15 @@ class _Engine:
     def _complete(self, w: int, job: Job) -> None:
         ws = self.workers[w]
         ex = self.execs.pop(job.job_id)
-        job.state = JobState.COMPLETED
-        job.completed = self.now
-        job.exec_total = ex.duration
         self.live_jobs.discard(job.job_id)
         self.emit("job_complete", task=job.task.name, seq=job.seq, worker=w)
         if ex.overrun:
             self.emit("overrun", task=job.task.name, seq=job.seq, worker=w, over=ex.overrun)
-        stats = self.report.task(job.task.name)
-        stats.completed += 1
-        self.report.completed += 1
-        stats.response.add(self.now - job.abs_release)
-        if self.now > job.abs_deadline:
-            stats.misses += 1
-            self.report.misses += 1
-            self.emit(
-                "deadline_miss", task=job.task.name, seq=job.seq, worker=w,
-                late=self.now - job.abs_deadline,
-            )
+        late = self.report.count_completion(
+            job.task.name, job.abs_release, job.abs_deadline, self.now
+        )
+        if late > 0:
+            self.emit("deadline_miss", task=job.task.name, seq=job.seq, worker=w, late=late)
         freed = self.registry.release_all(job)
         woken: list[Job] = []
         if freed:
@@ -794,7 +782,6 @@ class _Engine:
             self.emit("overrun", task=job.task.name, seq=job.seq, worker=core,
                       late=self.now - job.abs_release)
         job.worker = core
-        job.state = JobState.RUNNING
         self.workers[core].current = job
         self._do_start(core, job)
 

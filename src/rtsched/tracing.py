@@ -183,19 +183,58 @@ class Overheads:
 
 @dataclass
 class RunReport:
+    """Per-task counts of one run; the totals are sums over `tasks`.
+
+    Both backends count through the three `count_*` methods: a job is
+    released when it becomes dispatchable (its release_effective event);
+    it is completed, with its response time and a miss if it finished
+    after its deadline, when it completes; a job still unfinished when the
+    run ends is a miss and marks the run truncated.
+    """
+
     tasks: dict[str, TaskStats] = field(default_factory=dict)
     overheads: Overheads = field(default_factory=Overheads)
-    released: int = 0
-    completed: int = 0
-    misses: int = 0
     truncated: bool = False
     warnings: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    @property
+    def released(self) -> int:
+        return sum(s.released for s in self.tasks.values())
+
+    @property
+    def completed(self) -> int:
+        return sum(s.completed for s in self.tasks.values())
+
+    @property
+    def misses(self) -> int:
+        return sum(s.misses for s in self.tasks.values())
 
     def task(self, name: str) -> TaskStats:
         if name not in self.tasks:
             self.tasks[name] = TaskStats()
         return self.tasks[name]
+
+    def count_release(self, task: str) -> None:
+        self.task(task).released += 1
+
+    def count_completion(self, task: str, release: int, deadline: int, now: int) -> int:
+        """Count a job of `task` completing at `now`.  Returns its lateness;
+        a positive value is a deadline miss."""
+        stats = self.task(task)
+        stats.completed += 1
+        stats.response.add(now - release)
+        late = now - deadline
+        if late > 0:
+            stats.misses += 1
+        return late
+
+    def count_unfinished(self, tasks: list[str]) -> None:
+        """Count jobs (by task name) that the run ended without finishing."""
+        if tasks:
+            self.truncated = True
+        for name in tasks:
+            self.task(name).misses += 1
 
     def to_dict(self) -> dict:
         return {

@@ -114,14 +114,10 @@ class AcceleratorRegistry:
 
 
 def eligible_versions(
-    task: TaskDescriptor, registry: AcceleratorRegistry
+    versions: list[VersionDescriptor], registry: AcceleratorRegistry
 ) -> list[VersionDescriptor]:
-    """Versions whose accelerator needs are all free, in declaration order."""
-    return [
-        v
-        for v in task.versions
-        if not any(registry.busy(a) for a in v.accelerators)
-    ]
+    """The versions whose accelerators are all free, in the given order."""
+    return [v for v in versions if not any(registry.busy(a) for a in v.accelerators)]
 
 
 def select_version(
@@ -142,9 +138,7 @@ def select_version(
     pool = list(pool) if pool is not None else list(task.versions)
     if not pool:
         raise SelectionError(f"task {task.name!r} has no versions")
-    candidates = [
-        v for v in pool if not any(registry.busy(a) for a in v.accelerators)
-    ] or pool
+    candidates = eligible_versions(pool, registry) or pool
 
     if method is VersionSelection.PRESELECTED:
         return candidates[0]

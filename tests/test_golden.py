@@ -18,6 +18,7 @@ import pytest
 
 from rtsched import (
     MappingScheme,
+    ModeSelect,
     PolicyConfig,
     PriorityAssignment,
     ScheduleTable,
@@ -159,6 +160,48 @@ def _offline_table():
     return state, SimJobModel(exec_time=exec_time), ms(100), 5
 
 
+def _scripted_modes():
+    # scripted sporadic (second request deferred by the min gap) and
+    # aperiodic activations, a mode switch that changes hp's version, and
+    # hp, lp and s contending for one accelerator under inheritance
+    state = init(PolicyConfig(
+        worker_count=2,
+        priority_assignment=PriorityAssignment.EDF,
+        version_selection=VersionSelection.MODE,
+    ))
+    gpu = state.hwaccel_decl("gpu")
+    both = ModeSelect(frozenset({"lo", "hi"}))
+    exec_time = {}
+    for name, kind, period, deadline, versions in [
+        ("hp", TaskKind.PERIODIC, ms(5), None,
+         [("fast", "hi", ms(1)), ("slow", "lo", ms(2))]),
+        ("lp", TaskKind.PERIODIC, ms(25), None, [("gpu", None, ms(6))]),
+        ("mid", TaskKind.PERIODIC, ms(10), None, [("cpu", None, ms(3))]),
+        ("s", TaskKind.SPORADIC, ms(20), ms(8), [("gpu", None, ms(2))]),
+        ("a", TaskKind.APERIODIC, None, ms(6), [("cpu", None, ms(1))]),
+    ]:
+        tid = state.task_decl(name, kind, period=period, relative_deadline=deadline)
+        for vname, mode, wcet in versions:
+            select = both if mode is None else ModeSelect(frozenset({mode}))
+            vid = state.version_decl(tid, wcet_estimate=wcet, select=select, name=vname)
+            if vname != "cpu":
+                state.hwaccel_use(tid, vid, gpu)
+        exec_time[name] = {"dist": "uniform", "low": versions[0][2] // 2,
+                           "high": versions[0][2]}
+    model = SimJobModel(
+        exec_time=exec_time,
+        get_task_cost=us(4),
+        sched_scan_cost_per_task=us(1),
+        sort_cost_per_element=100,
+        context_switch_cost=us(2),
+        activations=[(ms(3), "s"), (ms(9), "s"), (ms(7), "a"), (ms(31), "a"),
+                     (ms(44), "s")],
+        mode_schedule=[(ms(20), frozenset({"hi"})), (ms(60), frozenset({"lo"}))],
+        execution_mode=frozenset({"lo"}),
+    )
+    return state, model, ms(100), 13
+
+
 # case -> (build function, trace sha256, report sha256)
 GOLDEN = {
     "fanout-k8": (
@@ -200,6 +243,11 @@ GOLDEN = {
         _offline_table,
         "5179a216c6d90e3dd2b04b817e338bd982155ae397460f4be7e388a6c9836cd1",
         "0a43ecb51b023c601c0a5d0573f28002181579fb2335e5313aa60d9def1f64be",
+    ),
+    "scripted-modes": (
+        _scripted_modes,
+        "be92b5a0ef9123c42b1da54a137efc396eba7af492c6a82f7ac74fa451104e5e",
+        "dc9fdbc8dafae5537e95b0b2bf2317433cf573dd8d0fa65a8a0dc62a68537738",
     ),
 }
 

@@ -23,7 +23,7 @@ from rtsched import (
     us,
 )
 from rtsched.graph import ChannelState
-from rtsched.online import Job, JobState, ReadyQueue, SchedulerCore
+from rtsched.online import Job, ReadyQueue, SchedulerCore
 
 from .oracles import gcd_oracle, lcm_oracle
 
@@ -191,7 +191,6 @@ class TestMakeJob:
         core = _core(state)
         job = core.make_job(state.tasks[0], ms(30))
         assert job.abs_deadline == ms(40)
-        assert job.state is JobState.READY
 
     def test_explicit_deadline(self):
         state = init(PolicyConfig())

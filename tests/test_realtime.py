@@ -6,7 +6,9 @@ so the suite passes on small machines, with one honest test of the real
 check.
 """
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ from rtsched import (
     ClockSource,
     ConfigurationError,
     MappingScheme,
+    Phase,
     PolicyConfig,
     ScheduleTable,
     TaskKind,
@@ -196,6 +199,59 @@ class TestRealtimeRuns:
         assert report.completed >= 2
         assert report.meta["tick_ns"] == ms(50)
         assert report.misses == 0
+
+    def test_report_counts_match_trace(self, many_cpus):
+        # one worker; "late" misses its 1 ms deadline on every job
+        state = init(_rt_config(worker_count=1))
+        for name, deadline in (("ok", None), ("late", ms(1))):
+            tid = state.task_decl(name, TaskKind.PERIODIC, period=ms(10),
+                                  relative_deadline=deadline)
+            state.version_decl(tid, entry=lambda ctx, args: ctx.sleep_ns(ms(2)),
+                               wcet_estimate=ms(3))
+        trace, report = run_realtime(state, ms(60))
+        kinds = Counter(e.kind for e in trace)
+        assert report.released == kinds["release_effective"] > 0
+        assert report.completed == kinds["job_complete"] > 0
+        # a job released but not completed was still queued at stop
+        unfinished = report.released - report.completed
+        assert unfinished == 0 or report.truncated
+        assert report.misses == kinds["deadline_miss"] + unfinished
+        assert report.tasks["late"].misses >= report.tasks["late"].completed > 0
+        for name, st in report.tasks.items():
+            assert st.released == sum(
+                1 for e in trace if e.kind == "release_effective" and e.task == name
+            )
+
+    def test_counts_survive_thread_contention(self, many_cpus):
+        # each "burst" job activates "a" eight times; the next scheduler
+        # pass releases them together and four workers complete them at
+        # nearly the same instant into one TaskStats.  A lost update would
+        # break the equalities with the trace.
+        state = init(_rt_config(worker_count=4))
+        a = state.task_decl("a", TaskKind.APERIODIC, relative_deadline=ms(50))
+        state.version_decl(a, entry=lambda ctx, args: None, wcet_estimate=ms(1))
+
+        def burst(ctx, args):
+            # start() enters the running phase, which task_activate needs,
+            # only some milliseconds after its threads began
+            while state.phase is not Phase.RUNNING:
+                ctx.sleep_ns(ms(1))
+            for _ in range(8):
+                state.task_activate(a)
+
+        b = state.task_decl("burst", TaskKind.PERIODIC, period=ms(5))
+        state.version_decl(b, entry=burst, wcet_estimate=ms(1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            trace, report = run_realtime(state, ms(100))
+        finally:
+            sys.setswitchinterval(interval)
+        done = Counter(e.task for e in trace if e.kind == "job_complete")
+        released = Counter(e.task for e in trace if e.kind == "release_effective")
+        assert done["a"] > 8
+        assert report.tasks["a"].completed == report.tasks["a"].response.count == done["a"]
+        assert report.tasks["a"].released == released["a"]
 
 
 class TestLatencyProbe:

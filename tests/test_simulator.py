@@ -355,6 +355,22 @@ class TestOffline:
         assert report.truncated
         assert report.warnings == ["run ended with unfinished jobs: cons#0"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("activations", [(ms(1), "s")]),
+        ("mode_schedule", [(ms(1), frozenset({"night"}))]),
+    ])
+    def test_scripted_inputs_rejected(self, field, value):
+        # a table replays its entries only: the scripted input would be
+        # ignored without a word, and "s" would never run
+        state, t0, _ = self._offline_state()
+        s = state.task_decl("s", TaskKind.SPORADIC, period=ms(10), virt_core_id=0)
+        state.version_decl(s, wcet_estimate=ms(1))
+        table = ScheduleTable(ms(10))
+        table.add(0, t0, 0, 0)
+        state.table = table
+        with pytest.raises(ConfigurationError, match=field):
+            run_simulation(state, SimJobModel(**{field: value}), horizon=ms(20))
+
 
 class TestParseHorizon:
     def test_forms(self):

@@ -98,7 +98,6 @@ class TestRunReport:
         r = RunReport()
         r.task("b").released += 1
         r.task("a").response.add(7)
-        r.released = 1
         r.meta = {"seed": 3, "backend": "virtual"}
         d = r.to_dict()
         assert list(d["tasks"]) == ["a", "b"]  # sorted

@@ -144,9 +144,9 @@ class TestEligibility:
             binds=[(0, "gpu")],
         )
         reg = AcceleratorRegistry(1)
-        assert [v.version_id for v in eligible_versions(task, reg)] == [0, 1]
+        assert [v.version_id for v in eligible_versions(task.versions, reg)] == [0, 1]
         reg.acquire(FakeJob(0, _key(1)), {0})
-        assert [v.version_id for v in eligible_versions(task, reg)] == [1]
+        assert [v.version_id for v in eligible_versions(task.versions, reg)] == [1]
 
 
 class TestSelection:
