@@ -419,9 +419,15 @@ class MiddlewareState:
             from .realtime import RealtimeBackend
 
             self._backend = RealtimeBackend(self)
+        # running before the backend's threads start: their bodies may
+        # call task_activate at once
+        previous, self.phase = self.phase, Phase.RUNNING
         if self._backend is not None:
-            self._backend.start()
-        self.phase = Phase.RUNNING
+            try:
+                self._backend.start()
+            except BaseException:
+                self.phase = previous
+                raise
 
     def stop(self) -> None:
         """Cease releases; jobs already released run to completion."""

@@ -434,6 +434,14 @@ class SchedulerCore:
         job.blocked_on = set(busy)
         return None
 
+    def free_accelerators(self, job: Job) -> tuple[list[int], list[int]]:
+        """After `job` completes: free its accelerators and unpark their
+        waiters.  Returns the freed ids and the sorted ids of the queues
+        whose jobs became dispatchable."""
+        freed = self.registry.release_all(job)
+        woken = self.unblock_accel_waiters(freed) if freed else []
+        return freed, sorted({self.queue_for(j) for j in woken})
+
     def unblock_accel_waiters(self, accel_ids: list[int]) -> list[Job]:
         """Clear parked markers after an accelerator release.  Returns the
         jobs that became dispatchable."""

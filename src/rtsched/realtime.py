@@ -39,7 +39,7 @@ from .model import (
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, scheduler_tick_period
-from .tracing import SCHEDULER_WORKER, RunReport, Stat, TraceEvent, compute_overheads
+from .tracing import SCHEDULER_WORKER, RunLog, RunReport, Stat, TraceEvent, compute_overheads
 from .versions import AcceleratorRegistry, SelectionContext
 
 _POLL_S = 50e-6  # channel wait slice
@@ -178,9 +178,8 @@ class RealtimeBackend:
         self.reg_mutex = threading.RLock()  # cross-queue accelerator state
         self.work_conds = [threading.Condition() for _ in self.core.queues]
         self.preempt_flags = [threading.Event() for _ in range(cfg.worker_count)]
-        self.trace: list[TraceEvent] = []
-        self.trace_lock = threading.Lock()  # guards trace and report
-        self.report = RunReport()  # counted as jobs release and complete
+        self.log = RunLog()
+        self.trace_lock = threading.Lock()  # guards log
         self.warnings: list[str] = []
         self.t0 = 0
         self._stopping = threading.Event()
@@ -193,19 +192,6 @@ class RealtimeBackend:
         return time.monotonic_ns() - self.t0
 
     now = now_ns  # lifecycle hooks use the shorter name
-
-    def emit(self, kind: str, *, task: str = "", seq: int | None = None,
-             worker: int | None = None, t: int | None = None, **payload) -> None:
-        ev = TraceEvent(
-            timestamp_ns=self.now_ns() if t is None else t,
-            kind=kind,
-            task=task,
-            job_seq=seq,
-            worker=worker,
-            payload=payload,
-        )
-        with self.trace_lock:
-            self.trace.append(ev)
 
     def _warn_once(self, key: str, message: str) -> None:
         if key not in self._degraded:
@@ -281,8 +267,8 @@ class RealtimeBackend:
     def collect(self) -> tuple[list[TraceEvent], RunReport]:
         """Trace and report of everything run so far (call after stop)."""
         with self.trace_lock:
-            trace = sorted(self.trace, key=lambda e: e.timestamp_ns)
-            report = copy.deepcopy(self.report)
+            trace = sorted(self.log.trace, key=lambda e: e.timestamp_ns)
+            report = copy.deepcopy(self.log.report)
         live = [j.task.name for q in self.core.queues for j in q.items]
         if live:
             report.warnings.append(f"{len(live)} jobs still queued at stop")
@@ -333,56 +319,62 @@ class RealtimeBackend:
         for release, task_id in items:
             self.core.enqueue_release(release, task_id)
 
-    def _sched_pass(self, now: int) -> None:
-        core = self.core
-        self._consume_activations()
-        if core.global_mapping:
-            waited = self.queue_locks[0].acquire()
-            self.emit("lock_wait", worker=SCHEDULER_WORKER, wait=waited, purpose="tick", queue=0)
-            self.emit("tick_begin", worker=SCHEDULER_WORKER)
-            with self.reg_mutex:
-                jobs = core.due_releases(now)
-                with self.channels_lock:
-                    jobs.extend(core.graph_activations(self.channels, now))
-                for job in jobs:
-                    self.emit("release_theoretical", task=job.task.name, seq=job.seq,
-                              t=job.abs_release)
-                    core.queues[0].insert(job)
-                core.queues[0].sort()
+    def _collect_releases(self, now: int) -> list[Job]:
+        with self.reg_mutex:
+            jobs = self.core.due_releases(now)
+            with self.channels_lock:
+                jobs.extend(self.core.graph_activations(self.channels, now))
+        return jobs
+
+    def _fill(self, qi: int, jobs: list[Job]) -> int:
+        """Insert `jobs` into queue qi, whose lock the caller holds.
+        Returns the instant they became dispatchable."""
+        with self.reg_mutex:
             for job in jobs:
-                self._release(job)
-            self.emit("tick_end", worker=SCHEDULER_WORKER)
+                self.core.queues[qi].insert(job)
+            self.core.queues[qi].sort()
+        return self.now_ns()
+
+    def _sched_pass(self, now: int) -> None:
+        """One tick: release what is due, then record the pass in one go."""
+        self._consume_activations()
+        log = self.log
+        if self.core.global_mapping:
+            waited = self.queue_locks[0].acquire()
+            t_begin = self.now_ns()
+            jobs = self._collect_releases(now)
+            t_end = self._fill(0, jobs)
             self.queue_locks[0].release()
             self._post_insert(0)
-        else:
-            self.emit("tick_begin", worker=SCHEDULER_WORKER)
-            with self.reg_mutex:
-                jobs = core.due_releases(now)
-                with self.channels_lock:
-                    jobs.extend(core.graph_activations(self.channels, now))
-            by_queue: dict[int, list[Job]] = {}
-            for job in jobs:
-                self.emit("release_theoretical", task=job.task.name, seq=job.seq,
-                          t=job.abs_release)
-                by_queue.setdefault(core.queue_for(job), []).append(job)
-            for qi in sorted(by_queue):
-                waited = self.queue_locks[qi].acquire()
-                self.emit("lock_wait", worker=SCHEDULER_WORKER, wait=waited,
-                          purpose="tick", queue=qi)
-                for job in by_queue[qi]:
-                    core.queues[qi].insert(job)
-                core.queues[qi].sort()
-                for job in by_queue[qi]:
-                    self._release(job)
-                self.queue_locks[qi].release()
-                self._post_insert(qi)
-            self.emit("tick_end", worker=SCHEDULER_WORKER)
-
-    def _release(self, job: Job, worker: int | None = None) -> None:
-        """The job becomes dispatchable now: count it and trace it."""
+            with self.trace_lock:
+                log.emit(t_begin, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
+                         purpose="tick", queue=0)
+                log.emit(t_begin, "tick_begin", worker=SCHEDULER_WORKER)
+                for job in jobs:
+                    log.theoretical(job)
+                    log.release(t_end, job)
+                log.emit(t_end, "tick_end", worker=SCHEDULER_WORKER)
+            return
+        t_begin = self.now_ns()
+        by_queue: dict[int, list[Job]] = {}
+        for job in self._collect_releases(now):
+            by_queue.setdefault(self.core.queue_for(job), []).append(job)
+        fills = []
+        for qi in sorted(by_queue):
+            waited = self.queue_locks[qi].acquire()
+            fills.append((qi, waited, self._fill(qi, by_queue[qi])))
+            self.queue_locks[qi].release()
+            self._post_insert(qi)
+        t_end = self.now_ns()
         with self.trace_lock:
-            self.report.count_release(job.task.name)
-        self.emit("release_effective", task=job.task.name, seq=job.seq, worker=worker)
+            log.emit(t_begin, "tick_begin", worker=SCHEDULER_WORKER)
+            for qi, waited, t in fills:
+                log.emit(t, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
+                         purpose="tick", queue=qi)
+                for job in by_queue[qi]:
+                    log.theoretical(job)
+                    log.release(t, job)
+            log.emit(t_end, "tick_end", worker=SCHEDULER_WORKER)
 
     def _post_insert(self, qi: int) -> None:
         with self.work_conds[qi]:
@@ -400,14 +392,14 @@ class RealtimeBackend:
             with self.reg_mutex:
                 action, job, acquired = self.core.pick_next(qi, stack_top)
         finally:
-            held = self.now_ns() - t_grant
+            t = self.now_ns()
             self.queue_locks[qi].release()
-        self.emit("lock_wait", worker=w, wait=waited, held=held,
-                  purpose="get_task", got=action)
-        for a in acquired:
-            self.emit("accel_acquire", task=job.task.name, seq=job.seq, worker=w,
-                      accel=self.state.accelerators[a].name)
-        return action, job, acquired
+        names = [self.state.accelerators[a].name for a in acquired]
+        with self.trace_lock:
+            self.log.emit(t, "lock_wait", worker=w, wait=waited, held=t - t_grant,
+                          purpose="get_task", got=action)
+            self.log.accels(t, "accel_acquire", job, w, names)
+        return action, job
 
     def _worker_loop(self, w: int) -> None:
         self._try_elevate()
@@ -415,7 +407,7 @@ class RealtimeBackend:
         qi = 0 if self.core.global_mapping else w
         cond = self.work_conds[qi]
         while True:
-            action, job, _ = self._locked_pick(w, qi, None)
+            action, job = self._locked_pick(w, qi, None)
             if action == "start":
                 self._run_job(w, job)
                 continue
@@ -431,16 +423,17 @@ class RealtimeBackend:
         t_in = time.monotonic_ns()
         first = True
         while True:
-            action, job, _ = self._locked_pick(w, qi, interrupted)
+            action, job = self._locked_pick(w, qi, interrupted)
             if action != "start":
                 break
             if first:
                 first = False
-                self.emit("preempt", task=interrupted.task.name, seq=interrupted.seq,
-                          worker=w, by=job.task.name)
+                with self.trace_lock:
+                    self.log.emit(self.now_ns(), "preempt", interrupted, w, by=job.task.name)
             self._run_job(w, job)
         if not first:
-            self.emit("resume", task=interrupted.task.name, seq=interrupted.seq, worker=w)
+            with self.trace_lock:
+                self.log.emit(self.now_ns(), "resume", interrupted, w)
         return time.monotonic_ns() - t_in
 
     def _run_job(self, w: int, job: Job) -> None:
@@ -449,8 +442,8 @@ class RealtimeBackend:
         prev = getattr(_tls, "ctx", None)
         _tls.ctx = ctx
         t_start = self.now_ns()
-        self.emit("job_start", task=job.task.name, seq=job.seq, worker=w,
-                  version=job.version.name)
+        with self.trace_lock:
+            self.log.start(t_start, job, w)
         try:
             entry = job.version.entry
             if entry is None:
@@ -460,25 +453,14 @@ class RealtimeBackend:
         finally:
             _tls.ctx = prev
         t_done = self.now_ns()
-        body_ns = t_done - t_start - ctx.stolen_ns
-        with self.trace_lock:
-            late = self.report.count_completion(
-                job.task.name, job.abs_release, job.abs_deadline, t_done
-            )
-        self.emit("job_complete", task=job.task.name, seq=job.seq, worker=w)
-        if body_ns > job.version.wcet_estimate:
-            self.emit("overrun", task=job.task.name, seq=job.seq, worker=w,
-                      over=body_ns - job.version.wcet_estimate)
-        if late > 0:
-            self.emit("deadline_miss", task=job.task.name, seq=job.seq, worker=w, late=late)
         with self.reg_mutex:
-            freed = self.registry.release_all(job)
-            woken = self.core.unblock_accel_waiters(freed) if freed else []
-        for a in freed:
-            self.emit("accel_release", task=job.task.name, seq=job.seq, worker=w,
-                      accel=self.state.accelerators[a].name)
-        for other in sorted({self.core.queue_for(j) for j in woken}):
-            self._post_insert(other)
+            freed, notify = self.core.free_accelerators(job)
+        for qi in notify:
+            self._post_insert(qi)
+        names = [self.state.accelerators[a].name for a in freed]
+        with self.trace_lock:
+            self.log.complete(t_done, job, w, t_done - t_start - ctx.stolen_ns)
+            self.log.accels(t_done, "accel_release", job, w, names)
 
     # ------------------------------------------------------- offline
 
@@ -489,13 +471,8 @@ class RealtimeBackend:
             self._sleep_until(release)
             if self._stopping.is_set():
                 return
-            now = self.now_ns()
-            task, seq = job.task, job.seq
-            self.emit("release_theoretical", task=task.name, seq=seq, t=release)
-            self._release(job, worker=core_id)
-            if now > release:
-                self.emit("overrun", task=task.name, seq=seq, worker=core_id,
-                          late=now - release)
+            with self.trace_lock:
+                self.log.table_release(self.now_ns(), job, core_id)
             self._run_job(core_id, job)
 
 

@@ -40,13 +40,7 @@ from .model import (
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, hyperperiod, scheduler_tick_period
-from .tracing import (
-    SCHEDULER_WORKER,
-    Overheads,
-    RunReport,
-    TraceEvent,
-    compute_overheads,
-)
+from .tracing import SCHEDULER_WORKER, RunLog, RunReport, TraceEvent, compute_overheads
 from .versions import AcceleratorRegistry, SelectionContext
 
 # event ordering classes at equal timestamps
@@ -174,7 +168,7 @@ class _WorkerSim:
 class _JobExec:
     """Execution progress of one dispatched job."""
 
-    __slots__ = ("program", "step", "left", "seg_end", "gen", "duration", "overrun")
+    __slots__ = ("program", "step", "left", "seg_end", "gen", "duration")
 
     def __init__(self, program: list, duration: int):
         self.program = program
@@ -183,7 +177,6 @@ class _JobExec:
         self.seg_end = 0
         self.gen = 0
         self.duration = duration
-        self.overrun = 0
 
 
 # ---------------------------------------------------------------- engine
@@ -205,8 +198,7 @@ class _Engine:
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self.trace: list[TraceEvent] = []
-        self.report = RunReport()
+        self.log = RunLog()
         self.events_done = 0
 
         self.registry = AcceleratorRegistry(
@@ -259,18 +251,8 @@ class _Engine:
         self._seq += 1
         heapq.heappush(self._heap, (t, prio, self._seq, fn))
 
-    def emit(self, kind: str, *, task: str = "", seq: int | None = None,
-             worker: int | None = None, t: int | None = None, **payload) -> None:
-        self.trace.append(
-            TraceEvent(
-                timestamp_ns=self.now if t is None else t,
-                kind=kind,
-                task=task,
-                job_seq=seq,
-                worker=worker,
-                payload=payload,
-            )
-        )
+    def _accel_names(self, ids: list[int]) -> list[str]:
+        return [self.state.accelerators[a].name for a in ids]
 
     def run(self) -> None:
         if self.offline:
@@ -291,15 +273,15 @@ class _Engine:
             fn()
             self.events_done += 1
             if self.events_done > _EVENT_CAP:
-                self.report.truncated = True
-                self.report.warnings.append("event cap reached; run truncated")
+                self.log.report.truncated = True
+                self.log.report.warnings.append("event cap reached; run truncated")
                 break
 
         if self.live_jobs:
             unfinished = [(self.state.tasks[t].name, s) for t, s in sorted(self.live_jobs)]
             names = ", ".join(f"{n}#{s}" for n, s in unfinished)
-            self.report.warnings.append(f"run ended with unfinished jobs: {names}")
-            self.report.count_unfinished([n for n, _ in unfinished])
+            self.log.report.warnings.append(f"run ended with unfinished jobs: {names}")
+            self.log.report.count_unfinished([n for n, _ in unfinished])
 
     def _mk_mode(self, mask: frozenset) -> Callable[[], None]:
         def fn() -> None:
@@ -349,7 +331,7 @@ class _Engine:
         else:
             # scan happens outside any lock under partitioned mapping
             scan = self.model.sched_scan_cost_per_task * len(self.state.tasks)
-            self.emit("tick_begin", worker=SCHEDULER_WORKER)
+            self.log.emit(self.now, "tick_begin", worker=SCHEDULER_WORKER)
             jobs = self._collect_releases()
             by_queue: dict[int, list[Job]] = {}
             for job in jobs:
@@ -368,25 +350,15 @@ class _Engine:
         jobs = self.core.due_releases(self.now, self.horizon)
         jobs.extend(self.core.graph_activations(self.channels, self.now))
         for job in jobs:
-            self.emit(
-                "release_theoretical",
-                task=job.task.name,
-                seq=job.seq,
-                t=job.abs_release,
-            )
+            self.log.theoretical(job)
             self.live_jobs.add(job.job_id)
         return jobs
 
     def _mk_tick_cs(self, qi: int) -> Callable[[int, int], None]:
         def grant(now: int, waited: int) -> None:
-            self.emit(
-                "lock_wait",
-                worker=SCHEDULER_WORKER,
-                wait=waited,
-                purpose="tick",
-                queue=qi,
-            )
-            self.emit("tick_begin", worker=SCHEDULER_WORKER)
+            self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
+                          purpose="tick", queue=qi)
+            self.log.emit(now, "tick_begin", worker=SCHEDULER_WORKER)
             jobs = self._collect_releases()
             queue = self.core.queues[qi]
             for job in jobs:
@@ -398,15 +370,10 @@ class _Engine:
 
         return grant
 
-    def _release(self, job: Job, worker: int | None = None) -> None:
-        """The job becomes dispatchable now: count it and trace it."""
-        self.report.count_release(job.task.name)
-        self.emit("release_effective", task=job.task.name, seq=job.seq, worker=worker)
-
     def _tick_cs_end(self, qi: int, jobs: list[Job]) -> None:
         for job in jobs:
-            self._release(job)
-        self.emit("tick_end", worker=SCHEDULER_WORKER)
+            self.log.release(self.now, job)
+        self.log.emit(self.now, "tick_end", worker=SCHEDULER_WORKER)
         self.locks[qi].release(self.now)
         self._after_insert(qi)
         self._sched_done()
@@ -415,19 +382,14 @@ class _Engine:
         # lock each touched per-core queue in turn, then close the tick
         def step(idx: int) -> None:
             if idx == len(order):
-                self.emit("tick_end", worker=SCHEDULER_WORKER)
+                self.log.emit(self.now, "tick_end", worker=SCHEDULER_WORKER)
                 self._sched_done()
                 return
             qi = order[idx]
 
             def grant(now: int, waited: int) -> None:
-                self.emit(
-                    "lock_wait",
-                    worker=SCHEDULER_WORKER,
-                    wait=waited,
-                    purpose="tick",
-                    queue=qi,
-                )
+                self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
+                              purpose="tick", queue=qi)
                 queue = self.core.queues[qi]
                 for job in by_queue[qi]:
                     queue.insert(job)
@@ -436,7 +398,7 @@ class _Engine:
 
                 def cs_end() -> None:
                     for job in by_queue[qi]:
-                        self._release(job)
+                        self.log.release(self.now, job)
                     self.locks[qi].release(self.now)
                     self._after_insert(qi)
                     step(idx + 1)
@@ -494,22 +456,9 @@ class _Engine:
             stack_top = ws.stack[-1] if ws.stack else None
             action, job, acquired = self.core.pick_next(qi, stack_top)
             cost = self.model.get_task_cost
-            self.emit(
-                "lock_wait",
-                worker=w,
-                wait=waited,
-                held=cost,
-                purpose="get_task",
-                got=action,
-            )
-            for a in acquired:
-                self.emit(
-                    "accel_acquire",
-                    task=job.task.name,
-                    seq=job.seq,
-                    worker=w,
-                    accel=self.state.accelerators[a].name,
-                )
+            self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
+                          purpose="get_task", got=action)
+            self.log.accels(now, "accel_acquire", job, w, self._accel_names(acquired))
             self.push_event(now + cost, _P_MISC, lambda: self._pull_cs_end(w, qi, action, job))
 
         self.locks[qi].request(t_req, "worker", grant)
@@ -535,15 +484,14 @@ class _Engine:
         self.push_event(self.now + cost, _P_MISC, lambda: self._do_start(w, job))
 
     def _do_start(self, w: int, job: Job) -> None:
-        self.emit("job_start", task=job.task.name, seq=job.seq, worker=w,
-                  version=job.version.name)
+        self.log.start(self.now, job, w)
         self.execs[job.job_id] = self._build_exec(job)
         self._advance(w, job)
 
     def _do_resume(self, w: int, job: Job, switch: int) -> None:
         ws = self.workers[w]
         ws.current = job
-        self.emit("resume", task=job.task.name, seq=job.seq, worker=w, switch=switch)
+        self.log.emit(self.now, "resume", job, w, switch=switch)
         self._advance(w, job)
 
     def _mk_notify(self, w: int, qi: int) -> Callable[[], None]:
@@ -565,32 +513,20 @@ class _Engine:
                 head = self.core.queues[qi].first_dispatchable()
                 if head is not None and head.effective_key() < job.effective_key():
                     switch = self.model.context_switch_cost
-                    self.emit(
-                        "lock_wait", worker=w, wait=waited, held=cost,
-                        purpose="get_task", got="preempt",
-                    )
-                    self.emit(
-                        "preempt", task=job.task.name, seq=job.seq, worker=w,
-                        switch=switch,
-                        by=head.task.name,
-                    )
+                    self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
+                                  purpose="get_task", got="preempt")
+                    self.log.emit(now, "preempt", job, w, switch=switch, by=head.task.name)
                     ws.stack.append(job)
                     ws.current = None
                     action, nxt, acquired = self.core.pick_next(qi, ws.stack[-1])
-                    for a in acquired:
-                        self.emit(
-                            "accel_acquire", task=nxt.task.name, seq=nxt.seq,
-                            worker=w, accel=self.state.accelerators[a].name,
-                        )
+                    self.log.accels(now, "accel_acquire", nxt, w, self._accel_names(acquired))
                     self.push_event(
                         now + cost, _P_MISC,
                         lambda: self._pull_cs_end(w, qi, action, nxt),
                     )
                 else:
-                    self.emit(
-                        "lock_wait", worker=w, wait=waited, held=cost,
-                        purpose="get_task", got="none",
-                    )
+                    self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
+                                  purpose="get_task", got="none")
                     self.push_event(now + cost, _P_MISC, lambda: self._notify_stale(w, job))
 
             self.locks[qi].request(self.now, "worker", grant)
@@ -639,10 +575,7 @@ class _Engine:
             program.extend(("pop", cid, n) for cid, n in graph.inputs.get(tid, ()))
             program.append(("exec", duration))
             program.extend(("push", cid, n) for cid, n in graph.outputs.get(tid, ()))
-        ex = _JobExec(program, duration)
-        if duration > job.version.wcet_estimate:
-            ex.overrun = duration - job.version.wcet_estimate
-        return ex
+        return _JobExec(program, duration)
 
     def _advance(self, w: int, job: Job) -> None:
         """Run the job's program until it blocks, sleeps, or completes."""
@@ -737,26 +670,12 @@ class _Engine:
         ws = self.workers[w]
         ex = self.execs.pop(job.job_id)
         self.live_jobs.discard(job.job_id)
-        self.emit("job_complete", task=job.task.name, seq=job.seq, worker=w)
-        if ex.overrun:
-            self.emit("overrun", task=job.task.name, seq=job.seq, worker=w, over=ex.overrun)
-        late = self.report.count_completion(
-            job.task.name, job.abs_release, job.abs_deadline, self.now
-        )
-        if late > 0:
-            self.emit("deadline_miss", task=job.task.name, seq=job.seq, worker=w, late=late)
-        freed = self.registry.release_all(job)
-        woken: list[Job] = []
-        if freed:
-            for a in freed:
-                self.emit(
-                    "accel_release", task=job.task.name, seq=job.seq, worker=w,
-                    accel=self.state.accelerators[a].name,
-                )
-            woken = self.core.unblock_accel_waiters(freed)
+        self.log.complete(self.now, job, w, ex.duration)
+        freed, notify = self.core.free_accelerators(job)
+        self.log.accels(self.now, "accel_release", job, w, self._accel_names(freed))
         ws.current = None
         # unparked waiters may be pullable by idle workers of any queue
-        for qi in sorted({self.core.queue_for(j) for j in woken}):
+        for qi in notify:
             self._after_insert(qi)
         if self.offline:
             self._next_entry(w)
@@ -775,12 +694,7 @@ class _Engine:
 
     def _run_entry(self, core: int, job: Job) -> None:
         self.live_jobs.add(job.job_id)
-        self.emit("release_theoretical", task=job.task.name, seq=job.seq,
-                  t=job.abs_release)
-        self._release(job, worker=core)
-        if self.now > job.abs_release:
-            self.emit("overrun", task=job.task.name, seq=job.seq, worker=core,
-                      late=self.now - job.abs_release)
+        self.log.table_release(self.now, job, core)
         job.worker = core
         self.workers[core].current = job
         self._do_start(core, job)
@@ -831,11 +745,10 @@ def run_simulation(
     engine = _Engine(state, model, horizon_ns, seed, restrict)
     engine.run()
 
-    engine.trace.sort(key=lambda e: e.timestamp_ns)  # stable: same-time order kept
-    engine.report.overheads = compute_overheads(
-        engine.trace, allow_truncated=engine.report.truncated
-    )
-    engine.report.meta = {
+    trace, report = engine.log.trace, engine.log.report
+    trace.sort(key=lambda e: e.timestamp_ns)  # stable: same-time order kept
+    report.overheads = compute_overheads(trace, allow_truncated=report.truncated)
+    report.meta = {
         "backend": ClockSource.VIRTUAL.value,
         "policy": policy_label(state.config),
         "seed": seed,
@@ -843,4 +756,4 @@ def run_simulation(
         "tick_ns": engine.tick if not offline else state.table.table_period,
         "workers": state.config.worker_count,
     }
-    return engine.trace, engine.report
+    return trace, report

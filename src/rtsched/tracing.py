@@ -185,11 +185,12 @@ class Overheads:
 class RunReport:
     """Per-task counts of one run; the totals are sums over `tasks`.
 
-    Both backends count through the three `count_*` methods: a job is
-    released when it becomes dispatchable (its release_effective event);
-    it is completed, with its response time and a miss if it finished
-    after its deadline, when it completes; a job still unfinished when the
-    run ends is a miss and marks the run truncated.
+    Both backends count through the three `count_*` methods (releases and
+    completions by way of RunLog): a job is released when it becomes
+    dispatchable (its release_effective event); it is completed, with its
+    response time and a miss if it finished after its deadline, when it
+    completes; a job still unfinished when the run ends is a miss and marks
+    the run truncated.
     """
 
     tasks: dict[str, TaskStats] = field(default_factory=dict)
@@ -249,6 +250,58 @@ class RunReport:
             "run": self.overheads.to_dict(),
             "warnings": list(self.warnings),
         }
+
+
+class RunLog:
+    """The record of one run: its trace and its report.
+
+    Both backends record through it, one method per step of a job's life,
+    so each step's events and the count that goes with them are written in
+    one place.  `t` is the instant of the step.  Not thread-safe: the
+    thread backend calls it under its own lock.
+    """
+
+    def __init__(self) -> None:
+        self.trace: list[TraceEvent] = []
+        self.report = RunReport()
+
+    def emit(self, t: int, kind: str, job=None, worker: int | None = None, **payload) -> None:
+        if job is None:
+            self.trace.append(TraceEvent(t, kind, "", None, worker, payload))
+        else:
+            self.trace.append(TraceEvent(t, kind, job.task.name, job.seq, worker, payload))
+
+    def theoretical(self, job) -> None:
+        self.emit(job.abs_release, "release_theoretical", job)
+
+    def release(self, t: int, job, worker: int | None = None) -> None:
+        """The job becomes dispatchable at `t`."""
+        self.report.count_release(job.task.name)
+        self.emit(t, "release_effective", job, worker)
+
+    def table_release(self, t: int, job, worker: int) -> None:
+        """A table entry enters its core at `t`, late if past its release."""
+        self.theoretical(job)
+        self.release(t, job, worker)
+        if t > job.abs_release:
+            self.emit(t, "overrun", job, worker, late=t - job.abs_release)
+
+    def start(self, t: int, job, worker: int) -> None:
+        self.emit(t, "job_start", job, worker, version=job.version.name)
+
+    def complete(self, t: int, job, worker: int, body_ns: int) -> None:
+        """The job completes at `t` after running `body_ns` of its own."""
+        self.emit(t, "job_complete", job, worker)
+        if body_ns > job.version.wcet_estimate:
+            self.emit(t, "overrun", job, worker, over=body_ns - job.version.wcet_estimate)
+        late = self.report.count_completion(job.task.name, job.abs_release, job.abs_deadline, t)
+        if late > 0:
+            self.emit(t, "deadline_miss", job, worker, late=late)
+
+    def accels(self, t: int, kind: str, job, worker: int, names: list[str]) -> None:
+        """One accel_acquire or accel_release event per accelerator name."""
+        for name in names:
+            self.emit(t, kind, job, worker, accel=name)
 
 
 # ------------------------------------------------------ trace analysis

@@ -17,10 +17,8 @@ from typing import Callable
 
 from .errors import RtschedError, SelectionError, UsageError
 from .model import (
-    BitmaskSelect,
     EnergySelect,
     EnergyTimeSelect,
-    ModeSelect,
     TaskDescriptor,
     UserSelect,
     VersionDescriptor,
@@ -60,13 +58,6 @@ class AcceleratorRegistry:
 
     def holder(self, accel_id: int):
         return self.holders[accel_id]
-
-    def occupancy(self, accel_id: int):
-        """(job id, effective key) of the holder, or None when free."""
-        job = self.holders[accel_id]
-        if job is None:
-            return None
-        return (job.job_id, job.effective_key())
 
     def acquire(self, job, accel_ids) -> list[int]:
         """Atomically take all of accel_ids for `job` if every one is free.
@@ -132,8 +123,9 @@ def select_version(
     `pool` narrows the considered versions (exploration restrictions or a
     dispatch-time retry over accelerator-free versions); default is the
     full declared set.  When every considered version touches a busy
-    accelerator the choice falls back to the pool itself; the dispatch
-    path then waits on (or inherits into) the resource.
+    accelerator the choice falls back to the pool itself (under MODE and
+    BITMASK: to the matching versions in it); the dispatch path then waits
+    on (or inherits into) the resource.
     """
     pool = list(pool) if pool is not None else list(task.versions)
     if not pool:
@@ -148,19 +140,17 @@ def select_version(
     if method is VersionSelection.ENERGY_TIME:
         return _select_energy_time(task, candidates, ctx)
     if method is VersionSelection.MODE:
-        for v in candidates:
-            assert isinstance(v.select_props, ModeSelect)
-            if v.select_props.mode_mask & ctx.execution_mode:
-                return v
+        matching = [v for v in pool if v.select_props.mode_mask & ctx.execution_mode]
+        if matching:
+            return (eligible_versions(matching, registry) or matching)[0]
         raise SelectionError(
             f"no version of task {task.name!r} matches execution mode"
             f" {sorted(ctx.execution_mode)}"
         )
     if method is VersionSelection.BITMASK:
-        for v in candidates:
-            assert isinstance(v.select_props, BitmaskSelect)
-            if v.select_props.permission_mask & ctx.permission_mask:
-                return v
+        matching = [v for v in pool if v.select_props.permission_mask & ctx.permission_mask]
+        if matching:
+            return (eligible_versions(matching, registry) or matching)[0]
         raise SelectionError(
             f"no version of task {task.name!r} matches permission mask"
             f" {sorted(ctx.permission_mask)}"

@@ -242,6 +242,30 @@ class TestLifecycle:
         state.cleanup()
         assert state.phase is Phase.CLEANED
 
+    def test_backend_starts_in_running_phase(self):
+        # backend threads may call task_activate as soon as they run
+        class Backend:
+            fail = False
+
+            def start(self):
+                seen.append(state.phase)
+                if self.fail:
+                    raise OSError("no threads")
+
+            def stop(self):
+                pass
+
+        seen = []
+        state = self._simple()
+        state._backend = Backend()
+        state.start()
+        state.stop()
+        state._backend.fail = True
+        with pytest.raises(OSError):
+            state.start()
+        assert seen == [Phase.RUNNING, Phase.RUNNING]
+        assert state.phase is Phase.STOPPED
+
     def test_declarations_frozen_after_start(self):
         state = self._simple()
         state.start()

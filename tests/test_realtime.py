@@ -18,7 +18,6 @@ from rtsched import (
     ClockSource,
     ConfigurationError,
     MappingScheme,
-    Phase,
     PolicyConfig,
     ScheduleTable,
     TaskKind,
@@ -217,9 +216,16 @@ class TestRealtimeRuns:
         assert unfinished == 0 or report.truncated
         assert report.misses == kinds["deadline_miss"] + unfinished
         assert report.tasks["late"].misses >= report.tasks["late"].completed > 0
+        # job_complete carries the instant the response time was taken at
+        release = {(e.task, e.job_seq): e.timestamp_ns
+                   for e in trace if e.kind == "release_theoretical"}
         for name, st in report.tasks.items():
             assert st.released == sum(
                 1 for e in trace if e.kind == "release_effective" and e.task == name
+            )
+            assert st.response.total == sum(
+                e.timestamp_ns - release[(name, e.job_seq)]
+                for e in trace if e.kind == "job_complete" and e.task == name
             )
 
     def test_counts_survive_thread_contention(self, many_cpus):
@@ -232,10 +238,6 @@ class TestRealtimeRuns:
         state.version_decl(a, entry=lambda ctx, args: None, wcet_estimate=ms(1))
 
         def burst(ctx, args):
-            # start() enters the running phase, which task_activate needs,
-            # only some milliseconds after its threads began
-            while state.phase is not Phase.RUNNING:
-                ctx.sleep_ns(ms(1))
             for _ in range(8):
                 state.task_activate(a)
 

@@ -295,6 +295,24 @@ class TestExecutionModel:
         versions = [e.payload["version"] for e in _events(trace, "job_start")]
         assert versions == ["day", "day", "night"]
 
+    def test_mode_match_on_busy_accelerator_parks(self):
+        # the only version matching the mode needs the gpu that hog holds:
+        # t takes it anyway and waits, instead of failing the run
+        state = init(PolicyConfig(version_selection=VersionSelection.MODE, worker_count=2))
+        gpu = state.hwaccel_decl("gpu")
+        hi, lo = ModeSelect(frozenset({"hi"})), ModeSelect(frozenset({"lo"}))
+        hog = state.task_decl("hog", TaskKind.PERIODIC, period=ms(10))
+        state.hwaccel_use(hog, state.version_decl(hog, wcet_estimate=ms(8), select=hi), gpu)
+        t = state.task_decl("t", TaskKind.PERIODIC, period=ms(10), release_offset=ms(1))
+        state.hwaccel_use(t, state.version_decl(t, wcet_estimate=ms(1), select=hi,
+                                                name="hi"), gpu)
+        state.version_decl(t, wcet_estimate=ms(1), select=lo, name="lo")
+        model = SimJobModel(execution_mode=frozenset({"hi"}))
+        trace, report = run_simulation(state, model, horizon=ms(50))
+        assert {e.payload["version"] for e in _events(trace, "job_start", "t")} == {"hi"}
+        assert _times(trace, "job_start", task="t") == [ms(8), ms(18), ms(28), ms(38), ms(48)]
+        assert report.tasks["t"].completed == 5 and not report.truncated
+
 
 class TestOffline:
     def _offline_state(self):

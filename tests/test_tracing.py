@@ -1,6 +1,7 @@
 """Trace serialization and overhead accounting."""
 
 import io
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from rtsched import (
     trace_csv_text,
     write_trace_csv,
 )
+from rtsched.tracing import RunLog
 
 
 def _ev(t, kind, task="", seq=None, worker=None, **payload):
@@ -111,6 +113,37 @@ class TestRunReport:
     def test_task_accessor_creates_once(self):
         r = RunReport()
         assert r.task("x") is r.task("x")
+
+
+def _job(release, deadline, wcet, task="t", seq=0):
+    version = SimpleNamespace(name="v0", wcet_estimate=wcet)
+    return SimpleNamespace(task=SimpleNamespace(name=task), seq=seq, version=version,
+                           abs_release=release, abs_deadline=deadline)
+
+
+class TestRunLog:
+    def test_complete_records_overrun_and_miss(self):
+        log = RunLog()
+        log.complete(15, _job(0, 10, wcet=4), worker=1, body_ns=6)
+        assert log.trace == [
+            _ev(15, "job_complete", "t", 0, worker=1),
+            _ev(15, "overrun", "t", 0, worker=1, over=2),
+            _ev(15, "deadline_miss", "t", 0, worker=1, late=5),
+        ]
+        st = log.report.tasks["t"]
+        assert (st.completed, st.misses, st.response.total) == (1, 1, 15)
+
+    def test_table_release_late_entry(self):
+        log = RunLog()
+        log.table_release(7, _job(5, 20, wcet=1), worker=2)
+        assert log.trace == [
+            _ev(5, "release_theoretical", "t", 0),
+            _ev(7, "release_effective", "t", 0, worker=2),
+            _ev(7, "overrun", "t", 0, worker=2, late=2),
+        ]
+        assert log.report.released == 1
+        log.table_release(9, _job(9, 20, wcet=1, seq=1), worker=2)
+        assert [e.kind for e in log.trace[3:]] == ["release_theoretical", "release_effective"]
 
 
 class TestComputeOverheads:

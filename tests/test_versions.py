@@ -127,13 +127,6 @@ class TestRegistry:
         reg = AcceleratorRegistry(1)
         assert reg.release_all(FakeJob(7, _key(1))) == []
 
-    def test_occupancy_reports_holder_key(self):
-        reg = AcceleratorRegistry(1)
-        assert reg.occupancy(0) is None
-        job = FakeJob(3, _key(4))
-        reg.acquire(job, {0})
-        assert reg.occupancy(0) == (3, job.effective_key())
-
 
 class TestEligibility:
     def test_filters_versions_on_busy_accelerators(self):
