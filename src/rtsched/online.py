@@ -2,9 +2,9 @@
 
 The scheduler wakes every tick (the GCD of all recurring periods), releases
 due jobs, evaluates graph activations, inserts into the single shared queue
-(GLOBAL) or the per-core queues (PARTITIONED), sorts what it touched, and
-notifies workers.  Workers pull under a FIFO lock; a preempted job goes on
-the preempting worker's stack and never migrates.
+(GLOBAL) or the per-core queues (PARTITIONED), places the new jobs in key
+order, and notifies workers.  Workers pull under a FIFO lock; a preempted
+job goes on the preempting worker's stack and never migrates.
 
 This module holds the data structures and the decision logic only; time,
 locking and tracing belong to the backends.
@@ -13,6 +13,8 @@ locking and tracing belong to the backends.
 from __future__ import annotations
 
 import math
+from bisect import insort
+from operator import attrgetter
 from typing import Callable
 
 from .errors import ConfigurationError, SelectionError
@@ -25,7 +27,7 @@ from .model import (
     VersionDescriptor,
     activation_release,
 )
-from .priority import PriorityKey, assign_priority, sort_ready
+from .priority import PriorityKey, assign_priority
 from .versions import (
     AcceleratorRegistry,
     SelectionContext,
@@ -90,20 +92,40 @@ class Job:
         return f"<job {self.task.name}#{self.seq}>"
 
 
-class ReadyQueue:
-    """Priority-sorted job list.  Admission to the guarding lock is FIFO;
-    the lock itself lives in the backend."""
+_KEY = attrgetter("key")
 
-    __slots__ = ("items",)
+
+class ReadyQueue:
+    """Job list kept in `Job.key` order, highest priority first.
+
+    `insert` appends; `sort` then places the jobs appended since its last
+    call by binary insertion, so a pass costs O(k log n) for k new jobs
+    whatever the backlog.  Read the order only after `sort`.  The placed
+    prefix stays in order because a queued job's key never changes:
+    inheritance boosts only accelerator holders, and acquisition is
+    all-or-nothing, so a holder has started and left the queue.  Keys end
+    in (task_id, seq) and are unique, so the order equals a stable sort.
+    Admission to the guarding lock is FIFO; the lock lives in the backend.
+    """
+
+    __slots__ = ("items", "_placed")
 
     def __init__(self) -> None:
         self.items: list[Job] = []
+        self._placed = 0  # items[:_placed] are in key order
 
     def insert(self, job: Job) -> None:
+        assert job.boost is None, f"{job} queued with an inherited priority"
         self.items.append(job)
 
     def sort(self) -> None:
-        sort_ready(self.items)
+        items = self.items
+        if self._placed < len(items):
+            new = items[self._placed:]
+            del items[self._placed:]
+            for job in new:
+                insort(items, job, key=_KEY)
+            self._placed = len(items)
 
     def first_dispatchable(self) -> Job | None:
         for job in self.items:
@@ -111,8 +133,15 @@ class ReadyQueue:
                 return job
         return None
 
+    def pop(self, index: int) -> Job:
+        if index < self._placed:
+            self._placed -= 1
+        return self.items.pop(index)
+
     def remove(self, job: Job) -> None:
-        self.items.remove(job)
+        """Take `job` out of the queue; it is no longer parked here."""
+        self.pop(self.items.index(job))
+        job.blocked_on.clear()
 
     def __len__(self) -> int:
         return len(self.items)
@@ -200,6 +229,8 @@ class SchedulerCore:
         ]
         # node -> (short channel, its push count) at the node's last failed check
         self._short: dict[int, tuple[ChannelState, int]] = {}
+        # accelerator id -> queued jobs parked on it, in parking order
+        self._accel_waiters: dict[int, list[Job]] = {}
 
     # ------------------------------------------------------ releases
 
@@ -387,7 +418,7 @@ class SchedulerCore:
         """
         queue = self.queues[qi]
         stack_ok = stack_top is not None and not stack_top.channel_blocked
-        for job in list(queue.items):
+        for i, job in enumerate(queue.items):
             if job.blocked_on:
                 continue
             if stack_ok and stack_top.effective_key() < job.effective_key():
@@ -397,7 +428,7 @@ class SchedulerCore:
                 continue  # parked on a busy accelerator
             version, acquired = resolved
             job.version = version
-            queue.remove(job)
+            queue.pop(i)
             return ("start", job, acquired)
         if stack_ok:
             return ("resume", stack_top, [])
@@ -432,6 +463,8 @@ class SchedulerCore:
                 return (alt, sorted(alt.accelerators))
         self.registry.apply_inheritance(job, busy)
         job.blocked_on = set(busy)
+        for a in busy:
+            self._accel_waiters.setdefault(a, []).append(job)
         return None
 
     def free_accelerators(self, job: Job) -> tuple[list[int], list[int]]:
@@ -444,13 +477,14 @@ class SchedulerCore:
 
     def unblock_accel_waiters(self, accel_ids: list[int]) -> list[Job]:
         """Clear parked markers after an accelerator release.  Returns the
-        jobs that became dispatchable."""
+        jobs that became dispatchable, by queue and then in queue order.
+        Visits only the jobs parked on `accel_ids`, not the backlog."""
         woken: list[Job] = []
-        freed = set(accel_ids)
-        for queue in self.queues:
-            for job in queue.items:
-                if job.blocked_on and job.blocked_on & freed:
-                    job.blocked_on -= freed
+        for a in accel_ids:
+            for job in self._accel_waiters.pop(a, ()):
+                if a in job.blocked_on:  # else it left the queue meanwhile
+                    job.blocked_on.discard(a)
                     if not job.blocked_on:
                         woken.append(job)
+        woken.sort(key=lambda j: (self.queue_for(j), j.key))
         return woken

@@ -71,11 +71,3 @@ def assign_priority(
         primary = task.user_priority
     return PriorityKey(CLASS_RECURRING, primary, task.task_id, seq)
 
-
-def sort_ready(jobs: list) -> None:
-    """Sort a ready queue in place, highest priority first.
-
-    Items must expose .effective_key().  Python's sort is stable, so equal
-    keys keep their insertion order and re-sorting is idempotent.
-    """
-    jobs.sort(key=lambda j: j.effective_key())

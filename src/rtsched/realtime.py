@@ -103,6 +103,10 @@ class FifoTicketLock:
             self._cond.notify_all()
 
 
+class _Abandoned(Exception):
+    """Unwinds a body that is blocked on a channel when the run stops."""
+
+
 class JobContext:
     """Handle a running body uses to talk to the middleware."""
 
@@ -132,8 +136,7 @@ class JobContext:
                     self.job.channel_blocked = False
                     return
                 self.job.channel_blocked = True
-            self.yield_point()
-            time.sleep(_POLL_S)
+            self._poll_blocked()
 
     def pop(self, channel_id: int):
         be = self.backend
@@ -145,8 +148,15 @@ class JobContext:
                     self.job.channel_blocked = False
                     return value
                 self.job.channel_blocked = True
-            self.yield_point()
-            time.sleep(_POLL_S)
+            self._poll_blocked()
+
+    def _poll_blocked(self) -> None:
+        """One slice of a channel wait.  Once the run stops no scheduler
+        pass will move the channel, so the body is abandoned."""
+        if self.backend._stopping.is_set():
+            raise _Abandoned
+        self.yield_point()
+        time.sleep(_POLL_S)
 
     def sleep_ns(self, duration: int) -> None:
         """Busy portion stand-in: sleeps in slices, honouring preemption.
@@ -444,12 +454,15 @@ class RealtimeBackend:
         t_start = self.now_ns()
         with self.trace_lock:
             self.log.start(t_start, job, w)
+        abandoned = False
         try:
             entry = job.version.entry
             if entry is None:
                 ctx.sleep_ns(job.version.wcet_estimate)
             else:
                 entry(ctx, job.version.static_args)
+        except _Abandoned:
+            abandoned = True
         finally:
             _tls.ctx = prev
         t_done = self.now_ns()
@@ -459,7 +472,14 @@ class RealtimeBackend:
             self._post_insert(qi)
         names = [self.state.accelerators[a].name for a in freed]
         with self.trace_lock:
-            self.log.complete(t_done, job, w, t_done - t_start - ctx.stolen_ns)
+            if abandoned:
+                self.log.report.warnings.append(
+                    f"job {job.task.name}#{job.seq} abandoned at stop,"
+                    " blocked on a channel"
+                )
+                self.log.report.count_unfinished([job.task.name])
+            else:
+                self.log.complete(t_done, job, w, t_done - t_start - ctx.stolen_ns)
             self.log.accels(t_done, "accel_release", job, w, names)
 
     # ------------------------------------------------------- offline

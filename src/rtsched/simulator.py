@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -222,8 +222,9 @@ class _Engine:
             raise ConfigurationError(
                 f"body_ops name unknown channels: {', '.join(sorted(unknown))}"
             )
-        self.chan_prod_waiters: dict[int, list] = {c: [] for c in self.channels}
-        self.chan_cons_waiters: dict[int, list] = {c: [] for c in self.channels}
+        # (worker, job) parked per channel: ordered sets, woken FIFO
+        self.chan_prod_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
+        self.chan_cons_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
         self.workers = [_WorkerSim(i) for i in range(state.config.worker_count)]
         self.locks = [_FifoLock() for _ in self.core.queues]
         self.execs: dict[tuple[int, int], _JobExec] = {}
@@ -411,16 +412,22 @@ class _Engine:
 
     def _after_insert(self, qi: int) -> None:
         """Wake idle workers and notify preemption targets of queue qi."""
-        queue = self.core.queues[qi]
-        dispatchable = sum(1 for j in queue.items if not j.blocked_on)
         idle = [
             w
             for w in self.core.workers_of_queue(qi)
             if self.workers[w].idle and not self.workers[w].pending_pull
         ]
-        for w in idle[:dispatchable]:
-            self.workers[w].pending_pull = True
-            self.push_event(self.now, _P_MISC, self._mk_pull(w, qi))
+        if idle:
+            # one pull per dispatchable job, counted no further than needed
+            dispatchable = 0
+            for job in self.core.queues[qi].items:
+                if not job.blocked_on:
+                    dispatchable += 1
+                    if dispatchable == len(idle):
+                        break
+            for w in idle[:dispatchable]:
+                self.workers[w].pending_pull = True
+                self.push_event(self.now, _P_MISC, self._mk_pull(w, qi))
         if self.state.config.preemptive:
             running = [
                 w.current if (w.current is not None and not w.in_cs) else None
@@ -617,11 +624,11 @@ class _Engine:
         self._complete(w, job)
 
     @staticmethod
-    def _park_on_channel(waiters: list, w: int, job: Job) -> None:
-        # a stale notification can re-run the blocked step; keep one entry
+    def _park_on_channel(waiters: OrderedDict, w: int, job: Job) -> None:
+        # a stale notification can re-run the blocked step; the entry keeps
+        # its first place
         job.channel_blocked = True
-        if (w, job) not in waiters:
-            waiters.append((w, job))
+        waiters[(w, job)] = None
 
     def _mk_seg_done(self, w: int, job: Job, gen: int) -> Callable[[], None]:
         def fn() -> None:
@@ -645,10 +652,10 @@ class _Engine:
             ex.left = max(0, ex.seg_end - self.now)
             ex.gen += 1  # cancels the pending segment event
 
-    def _wake_channel(self, waiters: list) -> None:
+    def _wake_channel(self, waiters: OrderedDict) -> None:
         if not waiters:
             return
-        w, job = waiters.pop(0)
+        (w, job), _ = waiters.popitem(last=False)
         job.channel_blocked = False
         ws = self.workers[w]
         if ws.current is job and not ws.in_cs:

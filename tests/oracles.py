@@ -3,7 +3,8 @@
 Nothing here imports rtsched.  The timeline oracle is a straightforward
 single-core scheduler over (release, deadline, remaining) triples; the SDF
 oracle searches for the repetition vector instead of normalizing fractions;
-the gcd/lcm oracles use trial division and prime factorisation.  Keeping the
+the gcd/lcm oracles use trial division and prime factorisation; the ready
+queue oracle fully re-sorts its live jobs on every read.  Keeping the
 algorithms structurally different from the package is the point.
 """
 
@@ -244,6 +245,65 @@ def activation_oracle(
                 tokens[cid][1] += req
             fired[n] = fired.get(n, 0) + 1
     return fired
+
+
+# ----------------------------------------------------- ready-queue oracle
+
+
+class ReadyQueueOracle:
+    """Ready queue with accelerator parking, by full sort and full scan.
+
+    Jobs are opaque: `key(job)` gives the priority key (smaller first) and
+    `accels(job)` the accelerator ids its version needs.  A pick starts the
+    first job in key order that is not parked and whose accelerators are
+    all free, and parks each unparked job it passes whose accelerators are
+    busy; a release frees the holder's accelerators and unparks, in key
+    order, the jobs left waiting on nothing.
+    """
+
+    def __init__(self, key, accels):
+        self.key = key
+        self.accels = accels
+        self.live: list = []
+        self.parked: dict = {}  # job -> set of busy accelerator ids
+        self.held: dict[int, object] = {}  # accelerator id -> holder
+
+    def order(self) -> list:
+        return sorted(self.live, key=self.key)
+
+    def insert(self, job) -> None:
+        self.live.append(job)
+
+    def remove(self, job) -> None:
+        self.live.remove(job)
+        self.parked.pop(job, None)
+
+    def pick(self):
+        for job in self.order():
+            if job in self.parked:
+                continue
+            busy = {a for a in self.accels(job) if a in self.held}
+            if busy:
+                self.parked[job] = busy
+                continue
+            for a in self.accels(job):
+                self.held[a] = job
+            self.live.remove(job)
+            return job
+        return None
+
+    def release(self, holder) -> tuple[list[int], list]:
+        freed = sorted(a for a, h in self.held.items() if h is holder)
+        for a in freed:
+            del self.held[a]
+        woken = []
+        for job in self.order():
+            if job in self.parked:
+                self.parked[job] -= set(freed)
+                if not self.parked[job]:
+                    del self.parked[job]
+                    woken.append(job)
+        return freed, woken
 
 
 # --------------------------------------------------------- set generators

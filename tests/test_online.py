@@ -25,7 +25,7 @@ from rtsched import (
 from rtsched.graph import ChannelState
 from rtsched.online import Job, ReadyQueue, SchedulerCore
 
-from .oracles import gcd_oracle, lcm_oracle
+from .oracles import ReadyQueueOracle, gcd_oracle, lcm_oracle
 
 
 def _periodic_state(periods, offsets=None, config=None, wcet=us(10)):
@@ -270,6 +270,115 @@ class TestReadyQueue:
         assert len(q) == 1
 
 
+def _accel_state():
+    """EDF; tasks needing no accelerator, a0, a1 and both; one version each."""
+    state = init(PolicyConfig())
+    accels = [state.hwaccel_decl("a0"), state.hwaccel_decl("a1")]
+    for i, use in enumerate(([], [0], [1], [0, 1])):
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=ms(10 + 5 * i))
+        vid = state.version_decl(tid, wcet_estimate=ms(1))
+        for a in use:
+            state.hwaccel_use(tid, vid, accels[a])
+    return state
+
+
+_QUEUE_OPS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 3), st.integers(0, 30)),
+    st.tuples(st.just("sort")),
+    st.tuples(st.just("pick")),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("complete"), st.integers(0, 63)),
+)
+
+
+class TestReadyQueueOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_QUEUE_OPS, min_size=20, max_size=60))
+    def test_matches_full_sort_oracle(self, ops):
+        state = _accel_state()
+        core = _core(state)
+        queue = core.queues[0]
+        oracle = ReadyQueueOracle(
+            key=Job.effective_key, accels=lambda j: j.version.accelerators
+        )
+        running: list[Job] = []
+        for op in ops:
+            if op[0] == "insert":
+                job = core.make_job(state.tasks[op[1]], ms(op[2]))
+                queue.insert(job)
+                oracle.insert(job)
+            elif op[0] == "sort":
+                queue.sort()
+                assert queue.items == sorted(oracle.live, key=Job.effective_key)
+            elif op[0] == "pick":
+                queue.sort()  # the backends sort in the pass that inserts
+                action, job, acquired = core.pick_next(0, None)
+                expected = oracle.pick()
+                assert job is expected
+                assert action == ("idle" if expected is None else "start")
+                if job is not None:
+                    assert acquired == sorted(job.version.accelerators)
+                    running.append(job)
+            elif op[0] == "remove" and oracle.live:
+                job = oracle.live[op[1] % len(oracle.live)]
+                queue.remove(job)
+                oracle.remove(job)
+            elif op[0] == "complete" and running:
+                job = running.pop(op[1] % len(running))
+                freed = core.registry.release_all(job)
+                expected_freed, expected_woken = oracle.release(job)
+                assert freed == expected_freed
+                assert core.unblock_accel_waiters(freed) == expected_woken
+            for job in oracle.live:
+                assert job.blocked_on == oracle.parked.get(job, set())
+                assert job.boost is None  # queued keys never move
+            assert len(queue) == len(oracle.live)
+
+    def test_unblock_returns_waiters_in_queue_order(self):
+        # b parks on a0 first, then the better a does: both wake in key order
+        state = _accel_state()
+        core = _core(state)
+        queue = core.queues[0]
+        holder = core.make_job(state.tasks[1], 0)
+        queue.insert(holder)
+        core.pick_next(0, None)
+        b = core.make_job(state.tasks[1], ms(20))
+        queue.insert(b)
+        assert core.pick_next(0, None) == ("idle", None, [])
+        a = core.make_job(state.tasks[1], 0)
+        queue.insert(a)
+        queue.sort()
+        assert core.pick_next(0, None) == ("idle", None, [])
+        assert queue.items == [a, b]
+        assert core.unblock_accel_waiters(core.registry.release_all(holder)) == [a, b]
+
+    def test_boosted_holder_leaves_queued_sibling_in_place(self):
+        # lo#0 holds a1 and inherits hi's key while lo#1, the next job of
+        # the same task, sits queued: lo#1's key and position stay put
+        state = _accel_state()
+        core = _core(state)
+        queue = core.queues[0]
+        lo_task, hi_task, free_task = state.tasks[3], state.tasks[2], state.tasks[0]
+        holder = core.make_job(lo_task, 0)
+        queue.insert(holder)
+        assert core.pick_next(0, None)[1] is holder
+        sibling = core.make_job(lo_task, ms(20))
+        hi = core.make_job(hi_task, 0)
+        queue.insert(sibling)
+        queue.insert(hi)
+        queue.sort()
+        assert queue.items == [hi, sibling]
+        key_before = sibling.key
+        assert core.pick_next(0, None) == ("idle", None, [])
+        assert holder.effective_key() == hi.key  # inheritance applied
+        assert sibling.key == key_before and sibling.boost is None
+        other = core.make_job(free_task, 0)
+        queue.insert(other)
+        queue.sort()
+        assert queue.items == [other, hi, sibling]
+        assert queue.items == sorted(queue.items, key=Job.effective_key)
+
+
 class TestRouting:
     def test_global_single_queue_all_workers(self):
         state = _periodic_state(
@@ -413,9 +522,13 @@ class TestDispatch:
         state.hwaccel_use(t, v, a0)
         state.hwaccel_use(t, v, a1)
         core = _core(state)
-        job = core.make_job(state.task(t), 0)
-        job.blocked_on = {0, 1}
+        holder = core.make_job(state.task(t), 0)
+        core.queues[0].insert(holder)
+        assert core.pick_next(0, None) == ("start", holder, [0, 1])
+        job = core.make_job(state.task(t), ms(10))
         core.queues[0].insert(job)
+        assert core.pick_next(0, None) == ("idle", None, [])
+        assert job.blocked_on == {0, 1}
         assert core.unblock_accel_waiters([0]) == []
         assert job.blocked_on == {1}
         assert core.unblock_accel_waiters([1]) == [job]

@@ -180,6 +180,42 @@ class TestRealtimeRuns:
         assert cons_done and prod_done
         assert cons_done.completed <= prod_done.completed
 
+    def test_stop_abandons_channel_blocked_bodies(self, many_cpus):
+        # each prod job pushes 5 tokens into a capacity-1 channel and cons
+        # pops 1, so prod jobs block and nest in one another; once the
+        # scheduler stops no cons job drains the channel.  stop() must
+        # still return, counting the blocked jobs as unfinished.
+        from rtsched import channel_connect, channel_decl
+
+        state = init(_rt_config(worker_count=1))
+        prod = state.task_decl("prod", TaskKind.PERIODIC, period=ms(10))
+        cons = state.task_decl("cons", TaskKind.GRAPH_NODE,
+                               relative_deadline=ms(10))
+        ch = channel_decl(state, "c", element_size=8, capacity=1)
+        channel_connect(state, ch, prod, cons)
+
+        def push5(ctx, args):
+            for _ in range(5):
+                ctx.push(ch, "x")
+
+        state.version_decl(prod, entry=push5, wcet_estimate=ms(1))
+        state.version_decl(cons, entry=lambda ctx, args: ctx.pop(ch),
+                           wcet_estimate=ms(1))
+        out = []
+        th = threading.Thread(
+            target=lambda: out.append(run_realtime(state, ms(50))), daemon=True
+        )
+        th.start()
+        th.join(timeout=10)
+        assert not th.is_alive(), "run_realtime still inside stop() after 10 s"
+        trace, report = out[0]
+        abandoned = [w for w in report.warnings if "abandoned" in w]
+        assert abandoned and report.truncated
+        done = Counter(e.task for e in trace if e.kind == "job_complete")
+        assert report.tasks["prod"].completed == done["prod"]
+        assert report.completed == sum(done.values())
+        assert report.released >= report.completed + len(abandoned)
+
     def test_offline_table_on_threads(self, many_cpus):
         cfg = _rt_config(
             mapping_scheme=MappingScheme.OFFLINE,
