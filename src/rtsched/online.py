@@ -2,9 +2,9 @@
 
 The scheduler wakes every tick (the GCD of all recurring periods), releases
 due jobs, evaluates graph activations, inserts into the single shared queue
-(GLOBAL) or the per-core queues (PARTITIONED), places the new jobs in key
-order, and notifies workers.  Workers pull under a FIFO lock; a preempted
-job goes on the preempting worker's stack and never migrates.
+(GLOBAL) or the per-core queues (PARTITIONED), each insert placing its
+job in key order, and notifies workers.  Workers pull under a FIFO lock; a
+preempted job goes on the preempting worker's stack and never migrates.
 
 This module holds the data structures and the decision logic only; time,
 locking and tracing belong to the backends.
@@ -98,34 +98,28 @@ _KEY = attrgetter("key")
 class ReadyQueue:
     """Job list kept in `Job.key` order, highest priority first.
 
-    `insert` appends; `sort` then places the jobs appended since its last
-    call by binary insertion, so a pass costs O(k log n) for k new jobs
-    whatever the backlog.  Read the order only after `sort`.  The placed
-    prefix stays in order because a queued job's key never changes:
-    inheritance boosts only accelerator holders, and acquisition is
-    all-or-nothing, so a holder has started and left the queue.  Keys end
-    in (task_id, seq) and are unique, so the order equals a stable sort.
-    Admission to the guarding lock is FIFO; the lock lives in the backend.
+    `insert` places each job by binary insertion, so a pass costs
+    O(k log n) for k new jobs whatever the backlog; `sort` has nothing left
+    to do and stays so callers keep the contract "insert, then sort before
+    reading order".  The order holds because a queued job's key never
+    changes: inheritance boosts only accelerator holders, and acquisition
+    is all-or-nothing, so a holder has started and left the queue.  Keys
+    end in (task_id, seq) and are unique, so the order equals a stable
+    sort.  Admission to the guarding lock is FIFO; the lock lives in the
+    backend.
     """
 
-    __slots__ = ("items", "_placed")
+    __slots__ = ("items",)
 
     def __init__(self) -> None:
         self.items: list[Job] = []
-        self._placed = 0  # items[:_placed] are in key order
 
     def insert(self, job: Job) -> None:
         assert job.boost is None, f"{job} queued with an inherited priority"
-        self.items.append(job)
+        insort(self.items, job, key=_KEY)
 
     def sort(self) -> None:
-        items = self.items
-        if self._placed < len(items):
-            new = items[self._placed:]
-            del items[self._placed:]
-            for job in new:
-                insort(items, job, key=_KEY)
-            self._placed = len(items)
+        """No-op: `insert` already keeps the items in key order."""
 
     def first_dispatchable(self) -> Job | None:
         for job in self.items:
@@ -133,15 +127,8 @@ class ReadyQueue:
                 return job
         return None
 
-    def pop(self, index: int) -> Job:
-        if index < self._placed:
-            self._placed -= 1
-        return self.items.pop(index)
-
     def remove(self, job: Job) -> None:
-        """Take `job` out of the queue; it is no longer parked here."""
-        self.pop(self.items.index(job))
-        job.blocked_on.clear()
+        self.items.remove(job)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -229,8 +216,6 @@ class SchedulerCore:
         ]
         # node -> (short channel, its push count) at the node's last failed check
         self._short: dict[int, tuple[ChannelState, int]] = {}
-        # accelerator id -> queued jobs parked on it, in parking order
-        self._accel_waiters: dict[int, list[Job]] = {}
 
     # ------------------------------------------------------ releases
 
@@ -428,7 +413,7 @@ class SchedulerCore:
                 continue  # parked on a busy accelerator
             version, acquired = resolved
             job.version = version
-            queue.pop(i)
+            del queue.items[i]
             return ("start", job, acquired)
         if stack_ok:
             return ("resume", stack_top, [])
@@ -463,8 +448,6 @@ class SchedulerCore:
                 return (alt, sorted(alt.accelerators))
         self.registry.apply_inheritance(job, busy)
         job.blocked_on = set(busy)
-        for a in busy:
-            self._accel_waiters.setdefault(a, []).append(job)
         return None
 
     def free_accelerators(self, job: Job) -> tuple[list[int], list[int]]:
@@ -477,14 +460,13 @@ class SchedulerCore:
 
     def unblock_accel_waiters(self, accel_ids: list[int]) -> list[Job]:
         """Clear parked markers after an accelerator release.  Returns the
-        jobs that became dispatchable, by queue and then in queue order.
-        Visits only the jobs parked on `accel_ids`, not the backlog."""
+        jobs that became dispatchable."""
         woken: list[Job] = []
-        for a in accel_ids:
-            for job in self._accel_waiters.pop(a, ()):
-                if a in job.blocked_on:  # else it left the queue meanwhile
-                    job.blocked_on.discard(a)
+        freed = set(accel_ids)
+        for queue in self.queues:
+            for job in queue.items:
+                if job.blocked_on and job.blocked_on & freed:
+                    job.blocked_on -= freed
                     if not job.blocked_on:
                         woken.append(job)
-        woken.sort(key=lambda j: (self.queue_for(j), j.key))
         return woken

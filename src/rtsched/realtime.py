@@ -103,8 +103,10 @@ class FifoTicketLock:
             self._cond.notify_all()
 
 
-class _Abandoned(Exception):
-    """Unwinds a body that is blocked on a channel when the run stops."""
+class _Abandoned(BaseException):
+    """Unwinds a body that is blocked on a channel when the run stops.  A
+    BaseException, as GeneratorExit is, so a body's `except Exception`
+    cannot catch it and poll on."""
 
 
 class JobContext:

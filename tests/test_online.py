@@ -309,7 +309,6 @@ class TestReadyQueueOracle:
                 oracle.insert(job)
             elif op[0] == "sort":
                 queue.sort()
-                assert queue.items == sorted(oracle.live, key=Job.effective_key)
             elif op[0] == "pick":
                 queue.sort()  # the backends sort in the pass that inserts
                 action, job, acquired = core.pick_next(0, None)
@@ -329,28 +328,12 @@ class TestReadyQueueOracle:
                 expected_freed, expected_woken = oracle.release(job)
                 assert freed == expected_freed
                 assert core.unblock_accel_waiters(freed) == expected_woken
+            # insert keeps the order, so it holds after every step
+            assert queue.items == sorted(oracle.live, key=Job.effective_key)
             for job in oracle.live:
                 assert job.blocked_on == oracle.parked.get(job, set())
                 assert job.boost is None  # queued keys never move
             assert len(queue) == len(oracle.live)
-
-    def test_unblock_returns_waiters_in_queue_order(self):
-        # b parks on a0 first, then the better a does: both wake in key order
-        state = _accel_state()
-        core = _core(state)
-        queue = core.queues[0]
-        holder = core.make_job(state.tasks[1], 0)
-        queue.insert(holder)
-        core.pick_next(0, None)
-        b = core.make_job(state.tasks[1], ms(20))
-        queue.insert(b)
-        assert core.pick_next(0, None) == ("idle", None, [])
-        a = core.make_job(state.tasks[1], 0)
-        queue.insert(a)
-        queue.sort()
-        assert core.pick_next(0, None) == ("idle", None, [])
-        assert queue.items == [a, b]
-        assert core.unblock_accel_waiters(core.registry.release_all(holder)) == [a, b]
 
     def test_boosted_holder_leaves_queued_sibling_in_place(self):
         # lo#0 holds a1 and inherits hi's key while lo#1, the next job of
@@ -522,13 +505,9 @@ class TestDispatch:
         state.hwaccel_use(t, v, a0)
         state.hwaccel_use(t, v, a1)
         core = _core(state)
-        holder = core.make_job(state.task(t), 0)
-        core.queues[0].insert(holder)
-        assert core.pick_next(0, None) == ("start", holder, [0, 1])
-        job = core.make_job(state.task(t), ms(10))
+        job = core.make_job(state.task(t), 0)
+        job.blocked_on = {0, 1}
         core.queues[0].insert(job)
-        assert core.pick_next(0, None) == ("idle", None, [])
-        assert job.blocked_on == {0, 1}
         assert core.unblock_accel_waiters([0]) == []
         assert job.blocked_on == {1}
         assert core.unblock_accel_waiters([1]) == [job]

@@ -180,11 +180,13 @@ class TestRealtimeRuns:
         assert cons_done and prod_done
         assert cons_done.completed <= prod_done.completed
 
-    def test_stop_abandons_channel_blocked_bodies(self, many_cpus):
+    @pytest.mark.parametrize("retry", [False, True], ids=["plain", "retry"])
+    def test_stop_abandons_channel_blocked_bodies(self, many_cpus, retry):
         # each prod job pushes 5 tokens into a capacity-1 channel and cons
         # pops 1, so prod jobs block and nest in one another; once the
         # scheduler stops no cons job drains the channel.  stop() must
-        # still return, counting the blocked jobs as unfinished.
+        # still return, counting the blocked jobs as unfinished, also when
+        # the body retries every push that raises an Exception.
         from rtsched import channel_connect, channel_decl
 
         state = init(_rt_config(worker_count=1))
@@ -195,8 +197,15 @@ class TestRealtimeRuns:
         channel_connect(state, ch, prod, cons)
 
         def push5(ctx, args):
-            for _ in range(5):
-                ctx.push(ch, "x")
+            sent = 0
+            while sent < 5:
+                try:
+                    ctx.push(ch, "x")
+                except Exception:
+                    if retry:
+                        continue
+                    raise
+                sent += 1
 
         state.version_decl(prod, entry=push5, wcet_estimate=ms(1))
         state.version_decl(cons, entry=lambda ctx, args: ctx.pop(ch),
