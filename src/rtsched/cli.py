@@ -167,8 +167,6 @@ def _cmd_latency(args) -> int:
     from .model import us
     from .realtime import latency_probe
 
-    if args.loops <= 0:
-        raise RtschedError("loops must be positive")
     stats = latency_probe(
         threads=args.threads,
         period_ns=us(args.interval),

@@ -238,7 +238,7 @@ class TaskSetDocument:
             vid = state.version_decl(
                 task_ids[tname],
                 wcet_estimate=int(v["wcet_estimate"]),
-                select=_select_from_dict(self.config().version_selection, v.get("select")),
+                select=_select_from_dict(config.version_selection, v.get("select")),
                 name=v.get("name", ""),
             )
             version_ids[(tname, state.task(task_ids[tname]).versions[vid].name)] = vid

@@ -149,12 +149,10 @@ class ChannelState:
     def __init__(self, desc: ChannelDescriptor):
         self.channel_id = desc.channel_id
         self.capacity = max(desc.capacity, 1)  # capacity 0: one virtual token
-        self.items: deque = deque()
+        self.items: deque = deque([None] * min(desc.initial_tokens, self.capacity))
         self.claimed = 0
         self.pushes = 0
         self.pops = 0
-        for _ in range(min(desc.initial_tokens, self.capacity)):
-            self.items.append(None)
 
     @property
     def occupancy(self) -> int:
@@ -264,6 +262,12 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
     edges: list[tuple[int, int, ChannelDescriptor]] = []
 
     for ch in state.channels:
+        room = max(ch.capacity, 1)  # as ChannelState holds it
+        if not 0 <= ch.initial_tokens <= room:
+            diags.append(Diagnostic(
+                "error", "bad-initial-tokens",
+                f"channel {ch.name!r} starts with {ch.initial_tokens} tokens; it holds 0 to {room}",
+            ))
         if ch.src is None or ch.dst is None:
             diags.append(
                 Diagnostic(
@@ -419,10 +423,6 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
                     )
                 )
     return info
-
-
-def validate_graph(state: MiddlewareState) -> list[Diagnostic]:
-    return analyze_graph(state).diagnostics
 
 
 # ------------------------------------------------------- SDF expansion

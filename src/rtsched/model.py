@@ -402,7 +402,7 @@ class MiddlewareState:
                 " recurring tasks self-release"
             )
         if now is None:
-            now = self._backend.now() if self._backend is not None else 0
+            now = self._backend.now_ns() if self._backend is not None else 0
         release = activation_release(task, now, self._last_sporadic_release)
         self.pending_activations.append((release, task_id))
         return release
@@ -410,15 +410,16 @@ class MiddlewareState:
     # ------------------------------------------------------- lifecycle
 
     def start(self) -> None:
-        """Validate the task set and enter the running phase."""
+        """Validate the task set and begin a run: one fresh clock, trace
+        and report, with no activation request left from an earlier run."""
         self._require_phase(Phase.INITIALIZED, Phase.STOPPED, op="start")
-        errors = [d for d in self.validate() if d.level == "error"]
-        if errors:
-            raise ValidationError("; ".join(str(d) for d in errors))
-        if self._backend is None and self.config.clock_source is ClockSource.MONOTONIC_OS:
+        graph = self.check()
+        self.pending_activations.clear()
+        self._last_sporadic_release.clear()
+        if self.config.clock_source is ClockSource.MONOTONIC_OS:
             from .realtime import RealtimeBackend
 
-            self._backend = RealtimeBackend(self)
+            self._backend = RealtimeBackend(self, graph)
         # running before the backend's threads start: their bodies may
         # call task_activate at once
         previous, self.phase = self.phase, Phase.RUNNING
@@ -430,7 +431,8 @@ class MiddlewareState:
                 raise
 
     def stop(self) -> None:
-        """Cease releases; jobs already released run to completion."""
+        """Cease releases.  Jobs already released still run to completion,
+        so on the thread backend stop() returns once that backlog is done."""
         self._require_phase(Phase.RUNNING, op="stop")
         if self._backend is not None:
             self._backend.stop()
@@ -439,9 +441,7 @@ class MiddlewareState:
     def cleanup(self) -> None:
         """Tear down.  Terminal: no operation is legal afterwards."""
         self._require_phase(Phase.STOPPED, op="cleanup")
-        if self._backend is not None:
-            self._backend.cleanup()
-            self._backend = None
+        self._backend = None
         self.phase = Phase.CLEANED
 
     # --------------------------------------------------------- lookups
@@ -464,10 +464,23 @@ class MiddlewareState:
 
     # ------------------------------------------------------ validation
 
-    def validate(self) -> list[Diagnostic]:
-        """Start-time validation.  Returns diagnostics, errors first."""
-        from . import graph as _graph
-        from . import offline as _offline
+    def check(self):
+        """The gate every run opens through: analyse the graph once,
+        validate, and return the GraphInfo.  Raises ValidationError listing
+        each error as `code: message`."""
+        from .graph import analyze_graph
+
+        graph = analyze_graph(self)
+        errors = [d for d in self.validate(graph) if d.level == "error"]
+        if errors:
+            raise ValidationError("; ".join(f"{d.code}: {d.message}" for d in errors))
+        return graph
+
+    def validate(self, graph=None) -> list[Diagnostic]:
+        """Start-time validation.  Returns diagnostics, errors first.
+        `graph` is the task set's GraphInfo when the caller already has it."""
+        from .graph import analyze_graph
+        from .offline import validate_table
 
         out: list[Diagnostic] = []
         cfg = self.config
@@ -525,7 +538,7 @@ class MiddlewareState:
                     )
                 )
 
-        out.extend(_graph.validate_graph(self))
+        out.extend((graph or analyze_graph(self)).diagnostics)
 
         if cfg.mapping_scheme is MappingScheme.OFFLINE:
             if self.table is None:
@@ -533,7 +546,7 @@ class MiddlewareState:
                     Diagnostic("error", "no-table", "OFFLINE mapping requires a table")
                 )
             else:
-                out.extend(_offline.validate_table(self, self.table))
+                out.extend(validate_table(self, self.table))
 
         out.sort(key=lambda d: (d.level != "error",))
         return out

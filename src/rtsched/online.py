@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .errors import ConfigurationError, SelectionError
-from .graph import ChannelState, analyze_graph, reserve_inputs, short_input
+from .graph import ChannelState, GraphInfo, reserve_inputs, short_input
 from .model import (
     MappingScheme,
     MiddlewareState,
@@ -138,12 +138,15 @@ class ReadyQueue:
 
 
 def scheduler_tick_period(state: MiddlewareState) -> int:
-    """GCD of every recurring period and nonzero release offset.
+    """The run's tick: the table period under OFFLINE, else the GCD of
+    every recurring period and nonzero release offset.
 
     Dividing the offsets too puts every theoretical release instant on the
     scheduler's wake grid, so periodic jobs are never enqueued late just
     because their first release fell between ticks.
     """
+    if state.config.mapping_scheme is MappingScheme.OFFLINE:
+        return state.table.table_period
     instants = [t.period for t in state.tasks if t.period is not None]
     if not instants:
         raise ConfigurationError(
@@ -175,13 +178,15 @@ def hyperperiod(state: MiddlewareState) -> int:
 class SchedulerCore:
     """Release bookkeeping and dispatch decisions for one run.
 
-    Owns nothing timing-related.  `select_ctx` is read at each decision so
-    backends can vary execution mode or battery level over time.
+    Owns nothing timing-related.  `graph` is the analysis the run was
+    validated with (MiddlewareState.check).  `select_ctx` is read at each
+    decision so backends can vary execution mode or battery level over time.
     """
 
     def __init__(
         self,
         state: MiddlewareState,
+        graph: GraphInfo,
         registry: AcceleratorRegistry,
         select_ctx: SelectionContext,
         *,
@@ -195,7 +200,7 @@ class SchedulerCore:
         self.global_mapping = cfg.mapping_scheme is MappingScheme.GLOBAL
         self.queue_count = 1 if self.global_mapping else cfg.worker_count
         self.queues = [ReadyQueue() for _ in range(self.queue_count)]
-        self.graph = analyze_graph(state)
+        self.graph = graph
         self._seq = {t.task_id: 0 for t in state.tasks}
         self._next_periodic = {
             t.task_id: t.release_offset

@@ -15,14 +15,13 @@ poll in 50 microsecond slices so a blocked body still honours preemption.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import os
 import threading
 import time
 
 from .errors import BackendError, ConfigurationError
-from .graph import ChannelState
+from .graph import ChannelState, GraphInfo
 from .model import (
     ClockSource,
     MappingScheme,
@@ -39,7 +38,7 @@ from .model import (
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, scheduler_tick_period
-from .tracing import SCHEDULER_WORKER, RunLog, RunReport, Stat, TraceEvent, compute_overheads
+from .tracing import SCHEDULER_WORKER, RunLog, RunReport, Stat, TraceEvent
 from .versions import AcceleratorRegistry, SelectionContext
 
 _POLL_S = 50e-6  # channel wait slice
@@ -175,14 +174,16 @@ class JobContext:
 
 
 class RealtimeBackend:
-    """Threaded execution of a validated state.  Created by start()."""
+    """Threaded execution of one run of a validated state.  Each start()
+    builds a fresh one; `graph` is the analysis the run was validated with."""
 
-    def __init__(self, state: MiddlewareState):
+    def __init__(self, state: MiddlewareState, graph: GraphInfo):
         self.state = state
         cfg = state.config
         self.registry = AcceleratorRegistry(len(state.accelerators))
         self.select_ctx = SelectionContext()
-        self.core = SchedulerCore(state, self.registry, self.select_ctx)
+        self.core = SchedulerCore(state, graph, self.registry, self.select_ctx)
+        self.tick = scheduler_tick_period(state)
         self.channels = {c.channel_id: ChannelState(c) for c in state.channels}
         self.channels_lock = threading.Lock()
         spin = cfg.locking_strategy.name == "LOCK_FREE"
@@ -191,8 +192,8 @@ class RealtimeBackend:
         self.work_conds = [threading.Condition() for _ in self.core.queues]
         self.preempt_flags = [threading.Event() for _ in range(cfg.worker_count)]
         self.log = RunLog()
-        self.trace_lock = threading.Lock()  # guards log
-        self.warnings: list[str] = []
+        self.trace_lock = threading.Lock()  # guards log, unfinished, _degraded
+        self.unfinished: list[Job] = []  # released jobs whose body failed
         self.t0 = 0
         self._stopping = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -203,12 +204,11 @@ class RealtimeBackend:
     def now_ns(self) -> int:
         return time.monotonic_ns() - self.t0
 
-    now = now_ns  # lifecycle hooks use the shorter name
-
     def _warn_once(self, key: str, message: str) -> None:
-        if key not in self._degraded:
-            self._degraded.add(key)
-            self.warnings.append(message)
+        with self.trace_lock:
+            if key not in self._degraded:
+                self._degraded.add(key)
+                self.log.report.warnings.append(message)
 
     def _try_elevate(self) -> None:
         try:
@@ -237,9 +237,8 @@ class RealtimeBackend:
 
     # ------------------------------------------------------ lifecycle
 
-    def start(self) -> int:
+    def start(self) -> None:
         cfg = self.state.config
-        self._stopping.clear()
         self._try_mlock()
         self.t0 = time.monotonic_ns()
         if cfg.mapping_scheme is MappingScheme.OFFLINE:
@@ -262,7 +261,6 @@ class RealtimeBackend:
             self._threads.append(th)
         for th in self._threads:
             th.start()
-        return self.t0
 
     def stop(self) -> None:
         self._stopping.set()
@@ -271,33 +269,17 @@ class RealtimeBackend:
                 cond.notify_all()
         for th in self._threads:
             th.join()
-        self._threads.clear()
-
-    def cleanup(self) -> None:
-        self._stopping.set()
 
     def collect(self) -> tuple[list[TraceEvent], RunReport]:
-        """Trace and report of everything run so far (call after stop)."""
-        with self.trace_lock:
-            trace = sorted(self.log.trace, key=lambda e: e.timestamp_ns)
-            report = copy.deepcopy(self.log.report)
-        live = [j.task.name for q in self.core.queues for j in q.items]
-        if live:
-            report.warnings.append(f"{len(live)} jobs still queued at stop")
-        report.count_unfinished(live)
-        report.warnings.extend(self.warnings)
-        report.overheads = compute_overheads(trace, allow_truncated=True)
-        report.meta = {
+        """Trace and report of this run.  Call once, after stop."""
+        # a pass racing stop() can queue jobs after the workers have left
+        left = self.unfinished + [j for q in self.core.queues for j in q.items]
+        left.sort(key=lambda j: j.job_id)
+        return self.log.close([(j.task.name, j.seq) for j in left], {
             "backend": ClockSource.MONOTONIC_OS.value,
             "workers": self.state.config.worker_count,
-            "tick_ns": self.core_tick(),
-        }
-        return trace, report
-
-    def core_tick(self) -> int:
-        if self.state.config.mapping_scheme is MappingScheme.OFFLINE:
-            return self.state.table.table_period
-        return scheduler_tick_period(self.state)
+            "tick_ns": self.tick,
+        })
 
     # ------------------------------------------------------ scheduler
 
@@ -314,15 +296,14 @@ class RealtimeBackend:
     def _scheduler_loop(self) -> None:
         self._try_elevate()
         self._try_pin(available_cpus() - 1)  # after workers took 0..n-1
-        tick = self.core_tick()
         k = 0
         while not self._stopping.is_set():
-            self._sleep_until(k * tick)
+            self._sleep_until(k * self.tick)
             if self._stopping.is_set():
                 return
             now = self.now_ns()
             self._sched_pass(now)
-            k = now // tick + 1
+            k = now // self.tick + 1
 
     def _consume_activations(self) -> None:
         pend = self.state.pending_activations
@@ -456,7 +437,7 @@ class RealtimeBackend:
         t_start = self.now_ns()
         with self.trace_lock:
             self.log.start(t_start, job, w)
-        abandoned = False
+        failure = None  # why the body did not finish
         try:
             entry = job.version.entry
             if entry is None:
@@ -464,7 +445,9 @@ class RealtimeBackend:
             else:
                 entry(ctx, job.version.static_args)
         except _Abandoned:
-            abandoned = True
+            failure = "abandoned at stop, blocked on a channel"
+        except Exception as e:
+            failure = f"raised {type(e).__name__}: {e}"
         finally:
             _tls.ctx = prev
         t_done = self.now_ns()
@@ -474,12 +457,9 @@ class RealtimeBackend:
             self._post_insert(qi)
         names = [self.state.accelerators[a].name for a in freed]
         with self.trace_lock:
-            if abandoned:
-                self.log.report.warnings.append(
-                    f"job {job.task.name}#{job.seq} abandoned at stop,"
-                    " blocked on a channel"
-                )
-                self.log.report.count_unfinished([job.task.name])
+            if failure:
+                self.log.report.warnings.append(f"job {job.task.name}#{job.seq} {failure}")
+                self.unfinished.append(job)
             else:
                 self.log.complete(t_done, job, w, t_done - t_start - ctx.stolen_ns)
             self.log.accels(t_done, "accel_release", job, w, names)
@@ -505,7 +485,12 @@ def run_realtime(
     state: MiddlewareState, duration_ns: int
 ) -> tuple[list[TraceEvent], RunReport]:
     """Start the thread backend, run for duration_ns of wall time, stop,
-    and return (trace, report).  The state is left STOPPED."""
+    and return (trace, report).  The state is left STOPPED.
+
+    Each call is one run with its own clock, trace and report.  stop() lets
+    the jobs already released finish, so the call returns after duration_ns
+    plus that backlog.  A job whose body raises, or is still blocked on a
+    channel at stop, is counted unfinished with a warning naming it."""
     if state.config.clock_source is not ClockSource.MONOTONIC_OS:
         raise ConfigurationError("run_realtime requires clock_source=MONOTONIC_OS")
     processor_preflight(state.config.worker_count + 1)

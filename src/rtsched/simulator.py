@@ -28,8 +28,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .errors import ConfigurationError, UsageError, ValidationError
-from .graph import ChannelState
+from .errors import ConfigurationError, UsageError
+from .graph import ChannelState, GraphInfo
 from .model import (
     ClockSource,
     MappingScheme,
@@ -40,7 +40,7 @@ from .model import (
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, hyperperiod, scheduler_tick_period
-from .tracing import SCHEDULER_WORKER, RunLog, RunReport, TraceEvent, compute_overheads
+from .tracing import SCHEDULER_WORKER, RunLog, RunReport, TraceEvent
 from .versions import AcceleratorRegistry, SelectionContext
 
 # event ordering classes at equal timestamps
@@ -186,6 +186,7 @@ class _Engine:
     def __init__(
         self,
         state: MiddlewareState,
+        graph: GraphInfo,
         model: SimJobModel,
         horizon: int,
         seed: int,
@@ -213,7 +214,7 @@ class _Engine:
             ),
             alpha=model.alpha,
         )
-        self.core = SchedulerCore(state, self.registry, self.ctx, restrict=restrict)
+        self.core = SchedulerCore(state, graph, self.registry, self.ctx, restrict=restrict)
         self.channels = {c.channel_id: ChannelState(c) for c in state.channels}
         self.channel_ids = {c.name: c.channel_id for c in state.channels}  # body_ops names
         unknown = {op[2] for ops in model.body_ops.values() for op in ops}
@@ -239,7 +240,7 @@ class _Engine:
                     f"SimJobModel.{name} is not supported under the off-line"
                     " mapping: cores replay their table only"
                 )
-        self.tick = 0 if self.offline else scheduler_tick_period(state)
+        self.tick = scheduler_tick_period(state)
         # per-core table replay under the off-line mapping
         self.tables: dict[int, Iterator[tuple[int, Job]]] = (
             {c: table_jobs(state, c) for c in sorted(state.table.cores)}
@@ -278,12 +279,6 @@ class _Engine:
                 self.log.report.warnings.append("event cap reached; run truncated")
                 break
 
-        if self.live_jobs:
-            unfinished = [(self.state.tasks[t].name, s) for t, s in sorted(self.live_jobs)]
-            names = ", ".join(f"{n}#{s}" for n, s in unfinished)
-            self.log.report.warnings.append(f"run ended with unfinished jobs: {names}")
-            self.log.report.count_unfinished([n for n, _ in unfinished])
-
     def _mk_mode(self, mask: frozenset) -> Callable[[], None]:
         def fn() -> None:
             self.ctx.execution_mode = mask
@@ -309,7 +304,7 @@ class _Engine:
         """Past the horizon nothing new arrives on the clock, but the tick
         keeps firing while a pass could still release something: pipelined
         graph iterations need ticks to move tokens toward the sinks."""
-        if self._tick_armed or self.tick <= 0:
+        if self._tick_armed or self.offline:
             return
         grid = (self.now // self.tick + 1) * self.tick
         if grid < self.horizon or self._sched_active or self.core.work_pending(
@@ -726,41 +721,27 @@ def run_simulation(
     and everything already released drains to completion.
     """
     model = model or SimJobModel()
-    diags = [d for d in state.validate() if d.level == "error"]
-    if diags:
-        raise ValidationError("; ".join(f"{d.code}: {d.message}" for d in diags))
+    graph = state.check()
 
     offline = state.config.mapping_scheme is MappingScheme.OFFLINE
-    base_err: ConfigurationError | None = None
-    if offline:
-        base = state.table.table_period
-    else:
-        try:
-            base = hyperperiod(state)
-        except ConfigurationError as e:
-            base, base_err = None, e
-    horizon_ns = parse_horizon(horizon, base)
-    if horizon_ns is None:
-        if base is None:
-            raise base_err or ConfigurationError(
-                "hyperperiod undefined for this task set; pass an explicit horizon"
-            )
-        horizon_ns = base
+    try:
+        base = state.table.table_period if offline else hyperperiod(state)
+    except ConfigurationError:
+        if horizon is None:
+            raise
+        base = None
+    horizon_ns = base if horizon is None else parse_horizon(horizon, base)
     if horizon_ns <= 0:
         raise ConfigurationError("horizon must be > 0")
 
-    engine = _Engine(state, model, horizon_ns, seed, restrict)
+    engine = _Engine(state, graph, model, horizon_ns, seed, restrict)
     engine.run()
-
-    trace, report = engine.log.trace, engine.log.report
-    trace.sort(key=lambda e: e.timestamp_ns)  # stable: same-time order kept
-    report.overheads = compute_overheads(trace, allow_truncated=report.truncated)
-    report.meta = {
+    unfinished = [(state.tasks[t].name, s) for t, s in sorted(engine.live_jobs)]
+    return engine.log.close(unfinished, {
         "backend": ClockSource.VIRTUAL.value,
         "policy": policy_label(state.config),
         "seed": seed,
         "horizon_ns": horizon_ns,
-        "tick_ns": engine.tick if not offline else state.table.table_period,
+        "tick_ns": engine.tick,
         "workers": state.config.worker_count,
-    }
-    return trace, report
+    })

@@ -257,8 +257,8 @@ class RunLog:
 
     Both backends record through it, one method per step of a job's life,
     so each step's events and the count that goes with them are written in
-    one place.  `t` is the instant of the step.  Not thread-safe: the
-    thread backend calls it under its own lock.
+    one place, and end the run with `close`.  `t` is the instant of the
+    step.  Not thread-safe: the thread backend calls it under its own lock.
     """
 
     def __init__(self) -> None:
@@ -302,6 +302,22 @@ class RunLog:
         """One accel_acquire or accel_release event per accelerator name."""
         for name in names:
             self.emit(t, kind, job, worker, accel=name)
+
+    def close(
+        self, unfinished: list[tuple[str, int]], meta: dict
+    ) -> tuple[list[TraceEvent], RunReport]:
+        """End the run: count the `(task, seq)` jobs it left unfinished,
+        sort the trace by time (stable: same-instant order is kept), derive
+        the overheads and set `meta`.  Returns (trace, report)."""
+        report = self.report
+        if unfinished:
+            names = ", ".join(f"{n}#{s}" for n, s in unfinished)
+            report.warnings.append(f"run ended with unfinished jobs: {names}")
+            report.count_unfinished([n for n, _ in unfinished])
+        self.trace.sort(key=lambda e: e.timestamp_ns)
+        report.overheads = compute_overheads(self.trace, allow_truncated=report.truncated)
+        report.meta = meta
+        return self.trace, report
 
 
 # ------------------------------------------------------ trace analysis

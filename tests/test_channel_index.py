@@ -89,7 +89,9 @@ def test_index_matches_scans(g):
 
 
 def _core(state):
-    return SchedulerCore(state, AcceleratorRegistry(0), SelectionContext())
+    return SchedulerCore(
+        state, analyze_graph(state), AcceleratorRegistry(0), SelectionContext()
+    )
 
 
 def _snapshot(channels):

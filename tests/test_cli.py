@@ -79,6 +79,32 @@ class TestValidate:
         assert "[no-version]" in out
         assert "invalid: 1 error(s)" in out
 
+    @pytest.mark.parametrize("initial", [3, -4])
+    def test_initial_tokens_must_fit_the_channel(self, tmp_path, capsys, initial):
+        # a capacity-1 channel cannot start with 3 tokens, nor with -4
+        path = _doc(
+            tmp_path,
+            {
+                "tasks": [
+                    {"name": "src", "kind": "periodic", "period": ms(10)},
+                    {"name": "snk", "kind": "graph_node"},
+                ],
+                "versions": [
+                    {"task": "src", "wcet_estimate": ms(1)},
+                    {"task": "snk", "wcet_estimate": ms(1)},
+                ],
+                "channels": [
+                    {"name": "c", "capacity": 1, "initial_tokens": initial}
+                ],
+                "connections": [{"channel": "c", "src": "src", "dst": "snk"}],
+            },
+        )
+        assert main(["validate", path]) == 1
+        assert "[bad-initial-tokens]" in capsys.readouterr().out
+        assert main(["simulate", path]) == 1
+        err = capsys.readouterr().err
+        assert f"bad-initial-tokens: channel 'c' starts with {initial} tokens" in err
+
     def test_bad_json_reported(self, tmp_path, capsys):
         p = tmp_path / "junk.json"
         p.write_text("{nope")

@@ -187,6 +187,21 @@ class TestAnalyzeGraph:
         info = analyze_graph(state)
         assert any(d.code == "dangling-channel" for d in info.diagnostics)
 
+    @pytest.mark.parametrize(
+        "capacity,initial,ok",
+        [(1, 3, False), (1, -4, False), (2, 2, True), (0, 1, True), (0, 2, False)],
+    )
+    def test_initial_tokens_must_fit(self, capacity, initial, ok):
+        # capacity 0 is a precedence edge holding one virtual token
+        state = init(PolicyConfig())
+        root = state.task_decl("root", TaskKind.PERIODIC, period=ms(10))
+        node = state.task_decl("node", TaskKind.GRAPH_NODE)
+        cid = channel_decl(state, "c", 8, capacity)
+        channel_connect(state, cid, root, node)
+        state.channels[cid].initial_tokens = initial
+        errors = [d.code for d in analyze_graph(state).diagnostics if d.level == "error"]
+        assert errors == ([] if ok else ["bad-initial-tokens"])
+
     def test_root_and_rates(self):
         state = init(PolicyConfig())
         root = state.task_decl("root", TaskKind.PERIODIC, period=ms(10))

@@ -1,9 +1,12 @@
 """Declarations, config checks, lifecycle phases."""
 
+import sys
+
 import pytest
 
 from rtsched import (
     BitmaskSelect,
+    ClockSource,
     ConfigurationError,
     DeclarationError,
     Diagnostic,
@@ -19,8 +22,10 @@ from rtsched import (
     UsageError,
     ValidationError,
     VersionSelection,
+    analyze_graph,
     init,
     ms,
+    run_simulation,
     us,
 )
 
@@ -204,6 +209,15 @@ class TestActivation:
         assert state.task_activate(tid, now=ms(2)) == ms(5)
         assert state.task_activate(tid, now=ms(11)) == ms(11)
 
+    def test_restart_forgets_earlier_activations(self):
+        # each start() is a fresh run whose clock begins at 0 again
+        state, tid = self._running_state(TaskKind.SPORADIC)
+        assert state.task_activate(tid, now=ms(50)) == ms(50)
+        state.stop()
+        state.start()
+        assert state.pending_activations == []
+        assert state.task_activate(tid, now=ms(1)) == ms(1)
+
     def test_aperiodic_immediate(self):
         state, tid = self._running_state(TaskKind.APERIODIC)
         assert state.task_activate(tid, now=ms(3)) == ms(3)
@@ -290,6 +304,30 @@ class TestLifecycle:
         state.cleanup()
         with pytest.raises(PhaseError):
             state.start()
+
+    @pytest.mark.parametrize("clock", list(ClockSource))
+    def test_graph_analysed_once_per_run(self, monkeypatch, clock):
+        # count calls under every name the function is bound to
+        calls = []
+        for name, mod in list(sys.modules.items()):
+            bound = getattr(mod, "analyze_graph", None)
+            if name.startswith("rtsched") and bound is analyze_graph:
+                monkeypatch.setattr(
+                    mod, "analyze_graph", lambda s: calls.append(s) or analyze_graph(s)
+                )
+        state = init(PolicyConfig(clock_source=clock))
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(tid, wcet_estimate=1)
+        runs = 0
+        if clock is ClockSource.VIRTUAL:
+            run_simulation(state)
+            runs += 1
+            assert len(calls) == runs
+        for _ in range(2):
+            state.start()
+            state.stop()
+            runs += 1
+            assert len(calls) == runs
 
     def test_restart_after_stop(self):
         state = self._simple()

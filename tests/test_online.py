@@ -22,7 +22,7 @@ from rtsched import (
     scheduler_tick_period,
     us,
 )
-from rtsched.graph import ChannelState
+from rtsched.graph import ChannelState, analyze_graph
 from rtsched.online import Job, ReadyQueue, SchedulerCore
 
 from .oracles import ReadyQueueOracle, gcd_oracle, lcm_oracle
@@ -40,6 +40,7 @@ def _periodic_state(periods, offsets=None, config=None, wcet=us(10)):
 def _core(state, restrict=None):
     return SchedulerCore(
         state,
+        analyze_graph(state),
         AcceleratorRegistry(len(state.accelerators)),
         SelectionContext(),
         restrict=restrict,

@@ -21,7 +21,12 @@ from rtsched import (
     PolicyConfig,
     ScheduleTable,
     TaskKind,
+    UsageError,
     VersionSelection,
+    channel_connect,
+    channel_decl,
+    channel_pop,
+    channel_push,
     init,
     ms,
     processor_preflight,
@@ -225,6 +230,46 @@ class TestRealtimeRuns:
         assert report.completed == sum(done.values())
         assert report.released >= report.completed + len(abandoned)
 
+    def test_raising_body_counts_unfinished(self, many_cpus):
+        # the 3rd job's body raises while it holds the accelerator; the
+        # worker must survive, free the accelerator and count the job
+        state = init(_rt_config(worker_count=1))
+        gpu = state.hwaccel_decl("gpu")
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(10))
+
+        def body(ctx, args):
+            if ctx.job.seq == 2:
+                raise ValueError("boom")
+
+        state.version_decl(tid, entry=body, wcet_estimate=ms(1))
+        state.hwaccel_use(tid, 0, gpu)
+        trace, report = run_realtime(state, ms(100))
+        assert "job t#2 raised ValueError: boom" in report.warnings
+        assert "run ended with unfinished jobs: t#2" in report.warnings
+        assert report.truncated
+        stats = report.tasks["t"]
+        assert stats.released == stats.completed + 1
+        assert stats.misses == 1 + sum(e.kind == "deadline_miss" for e in trace)
+        done = [e.job_seq for e in trace if e.kind == "job_complete"]
+        assert 2 not in done and max(done) > 2
+        kinds = Counter(e.kind for e in trace)
+        assert kinds["accel_acquire"] == kinds["accel_release"] == stats.released
+
+    def test_restart_is_a_fresh_run(self, many_cpus):
+        # a task declared between stop() and start() takes part in the
+        # second run, whose clock and trace start again at 0
+        state = init(_rt_config(worker_count=1))
+        a = state.task_decl("a", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(a, entry=lambda ctx, args: None, wcet_estimate=1000)
+        run_realtime(state, ms(60))
+        b = state.task_decl("b", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(b, entry=lambda ctx, args: None, wcet_estimate=1000)
+        trace, report = run_realtime(state, ms(100))
+        assert report.tasks["a"].released >= 5
+        assert report.tasks["b"].released >= 5
+        first = next(e for e in trace if e.kind == "release_effective")
+        assert first.job_seq == 0 and first.timestamp_ns < ms(30)
+
     def test_offline_table_on_threads(self, many_cpus):
         cfg = _rt_config(
             mapping_scheme=MappingScheme.OFFLINE,
@@ -299,6 +344,38 @@ class TestRealtimeRuns:
         assert done["a"] > 8
         assert report.tasks["a"].completed == report.tasks["a"].response.count == done["a"]
         assert report.tasks["a"].released == released["a"]
+
+
+class TestChannelApi:
+    def test_value_travels_between_bodies(self, many_cpus):
+        state = init(_rt_config(worker_count=2))
+        prod = state.task_decl("prod", TaskKind.PERIODIC, period=ms(20))
+        cons = state.task_decl("cons", TaskKind.GRAPH_NODE,
+                               relative_deadline=ms(20))
+        ch = channel_decl(state, "c", element_size=8, capacity=1)
+        channel_connect(state, ch, prod, cons)
+        got = []
+        state.version_decl(
+            prod, entry=lambda ctx, args: channel_push(state, ch, ctx.job.seq),
+            wcet_estimate=ms(1),
+        )
+        state.version_decl(
+            cons, entry=lambda ctx, args: got.append(channel_pop(state, ch)),
+            wcet_estimate=ms(1),
+        )
+        _, report = run_realtime(state, ms(70))
+        assert got and got == list(range(len(got)))
+        assert report.tasks["cons"].completed == len(got)
+
+    @pytest.mark.parametrize("call", [
+        lambda state: channel_push(state, 0, "x"),
+        lambda state: channel_pop(state, 0),
+    ], ids=["push", "pop"])
+    def test_outside_a_body_is_refused(self, call):
+        state = init(_rt_config(worker_count=1))
+        channel_decl(state, "c", element_size=8, capacity=1)
+        with pytest.raises(UsageError, match="outside a running job"):
+            call(state)
 
 
 class TestLatencyProbe:
