@@ -15,40 +15,27 @@ therefore cannot be expressed in a document.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 from .errors import ConfigurationError
 from .graph import SdfEdge, SdfGraph, channel_connect, channel_decl, expand_sdf
 from .model import (
     BitmaskSelect,
-    ClockSource,
     EnergySelect,
     EnergyTimeSelect,
-    LockingStrategy,
-    MappingScheme,
     MiddlewareState,
     ModeSelect,
     PolicyConfig,
-    PriorityAssignment,
     TaskKind,
     VersionSelection,
-    WaitingStrategy,
     init,
 )
 from .offline import ScheduleTable
 from .simulator import SimJobModel
 
-_CONFIG_KEYS = {
-    "mapping_scheme",
-    "priority_assignment",
-    "preemptive",
-    "version_selection",
-    "waiting_strategy",
-    "locking_strategy",
-    "worker_count",
-    "clock_source",
-}
+_CONFIG_KEYS = {f.name for f in fields(PolicyConfig)}
 _TASK_KEYS = {
     "name",
     "kind",
@@ -65,20 +52,15 @@ _SDF_KEYS = {"period", "wcets", "edges", "relative_deadline", "release_offset", 
 _SDF_EDGE_KEYS = {"src", "dst", "produce", "consume", "initial_tokens"}
 _TABLE_KEYS = {"period", "entries"}
 _TABLE_ENTRY_KEYS = {"core", "task", "version", "offset"}
-_SIM_KEYS = {
-    "exec_time",
-    "get_task_cost",
-    "sched_scan_cost_per_task",
-    "sort_cost_per_element",
-    "context_switch_cost",
-    "activations",
-    "mode_schedule",
-    "execution_mode",
-    "permission_mask",
-    "battery_level",
-    "alpha",
-    "pip_enabled",
-    "body_ops",
+_SIM_KEYS = {f.name for f in fields(SimJobModel)}
+# sim_model fields whose structure the type of their default cannot convey
+_SIM_CONVERTERS = {
+    "activations": lambda v: [(int(t), str(n)) for t, n in v],
+    "mode_schedule": lambda v: [(int(t), frozenset(m)) for t, m in v],
+    "body_ops": lambda v: {
+        task: [(int(o), str(op), str(ch), int(n)) for o, op, ch, n in ops]
+        for task, ops in v.items()
+    },
 }
 _TOP_KEYS = {
     "config",
@@ -103,6 +85,40 @@ def _require(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigurationError(f"{where} is missing required key {key!r}")
     return d[key]
+
+
+def _default(f):
+    return f.default_factory() if f.default is MISSING else f.default
+
+
+def _from_fields(cls, d: dict, converters: dict):
+    """An instance of dataclass `cls` from the keys `d` gives.  Each value
+    takes the type of its field's default (an enum by value, int, float,
+    bool, frozenset); other fields keep the value as written unless
+    `converters` names them."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            default = _default(f)
+            conv = converters.get(f.name)
+            if conv is None and isinstance(default, (Enum, int, float, frozenset)):
+                conv = type(default)
+            kwargs[f.name] = d[f.name] if conv is None else conv(d[f.name])
+    return cls(**kwargs)
+
+
+def _jsonable(value):
+    """A field value as JSON: enum -> value, frozenset -> sorted list,
+    tuple -> list, recursively through lists and dicts."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
 
 
 @dataclass
@@ -173,22 +189,8 @@ class TaskSetDocument:
     # ----------------------------------------------------------- build
 
     def config(self) -> PolicyConfig:
-        cfg = self.data.get("config", {})
         try:
-            return PolicyConfig(
-                mapping_scheme=MappingScheme(cfg.get("mapping_scheme", "GLOBAL")),
-                priority_assignment=PriorityAssignment(
-                    cfg.get("priority_assignment", "EDF")
-                ),
-                preemptive=bool(cfg.get("preemptive", True)),
-                version_selection=VersionSelection(
-                    cfg.get("version_selection", "PRESELECTED")
-                ),
-                waiting_strategy=WaitingStrategy(cfg.get("waiting_strategy", "sleep")),
-                locking_strategy=LockingStrategy(cfg.get("locking_strategy", "os_lock")),
-                worker_count=int(cfg.get("worker_count", 2)),
-                clock_source=ClockSource(cfg.get("clock_source", "virtual")),
-            )
+            return _from_fields(PolicyConfig, self.data.get("config", {}), {})
         except ValueError as e:
             raise ConfigurationError(f"bad config value: {e}") from None
 
@@ -309,27 +311,7 @@ class TaskSetDocument:
         return state
 
     def sim_model(self) -> SimJobModel:
-        s = self.data.get("sim_model", {})
-        return SimJobModel(
-            exec_time=s.get("exec_time", {}),
-            get_task_cost=int(s.get("get_task_cost", 0)),
-            sched_scan_cost_per_task=int(s.get("sched_scan_cost_per_task", 0)),
-            sort_cost_per_element=int(s.get("sort_cost_per_element", 0)),
-            context_switch_cost=int(s.get("context_switch_cost", 0)),
-            activations=[(int(t), str(n)) for t, n in s.get("activations", [])],
-            mode_schedule=[
-                (int(t), frozenset(m)) for t, m in s.get("mode_schedule", [])
-            ],
-            execution_mode=frozenset(s.get("execution_mode", [])),
-            permission_mask=frozenset(s.get("permission_mask", [])),
-            battery_level=s.get("battery_level"),
-            alpha=float(s.get("alpha", 0.5)),
-            pip_enabled=bool(s.get("pip_enabled", True)),
-            body_ops={
-                task: [(int(o), str(op), str(ch), int(n)) for o, op, ch, n in ops]
-                for task, ops in s.get("body_ops", {}).items()
-            },
-        )
+        return _from_fields(SimJobModel, self.data.get("sim_model", {}), _SIM_CONVERTERS)
 
     # ------------------------------------------------------- serialize
 
@@ -390,17 +372,10 @@ def document_from_state(
 
     Round trip: build_state() on the result reproduces an equivalent state.
     Entry callables are dropped (documents describe timing, not code)."""
-    cfg = state.config
     data: dict = {
         "config": {
-            "mapping_scheme": cfg.mapping_scheme.value,
-            "priority_assignment": cfg.priority_assignment.value,
-            "preemptive": cfg.preemptive,
-            "version_selection": cfg.version_selection.value,
-            "waiting_strategy": cfg.waiting_strategy.value,
-            "locking_strategy": cfg.locking_strategy.value,
-            "worker_count": cfg.worker_count,
-            "clock_source": cfg.clock_source.value,
+            f.name: _jsonable(getattr(state.config, f.name))
+            for f in fields(PolicyConfig)
         }
     }
     if state.accelerators:
@@ -478,36 +453,11 @@ def document_from_state(
                 )
         data["table"] = {"period": state.table.table_period, "entries": entries}
     if model is not None:
-        sim: dict = {}
-        if model.exec_time:
-            sim["exec_time"] = model.exec_time
-        for k in (
-            "get_task_cost",
-            "sched_scan_cost_per_task",
-            "sort_cost_per_element",
-            "context_switch_cost",
-        ):
-            if getattr(model, k):
-                sim[k] = getattr(model, k)
-        if model.activations:
-            sim["activations"] = [[t, n] for t, n in model.activations]
-        if model.mode_schedule:
-            sim["mode_schedule"] = [[t, sorted(m)] for t, m in model.mode_schedule]
-        if model.execution_mode:
-            sim["execution_mode"] = sorted(model.execution_mode)
-        if model.permission_mask:
-            sim["permission_mask"] = sorted(model.permission_mask)
-        if model.battery_level is not None:
-            sim["battery_level"] = model.battery_level
-        if model.alpha != 0.5:
-            sim["alpha"] = model.alpha
-        if not model.pip_enabled:
-            sim["pip_enabled"] = False
-        if model.body_ops:
-            sim["body_ops"] = {
-                task: [[o, op, ch, n] for o, op, ch, n in ops]
-                for task, ops in model.body_ops.items()
-            }
+        sim = {
+            f.name: _jsonable(getattr(model, f.name))
+            for f in fields(SimJobModel)
+            if getattr(model, f.name) != _default(f)
+        }
         if sim:
             data["sim_model"] = sim
     return TaskSetDocument.from_dict(data)

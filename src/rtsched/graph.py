@@ -40,6 +40,12 @@ class ChannelDescriptor:
     dst: int | None = None
     initial_tokens: int = 0
 
+    @property
+    def room(self) -> int:
+        """Tokens the channel holds at run time; capacity 0 holds one
+        virtual token."""
+        return max(self.capacity, 1)
+
 
 def channel_decl(
     state: MiddlewareState, name: str, element_size: int, capacity: int
@@ -148,7 +154,7 @@ class ChannelState:
 
     def __init__(self, desc: ChannelDescriptor):
         self.channel_id = desc.channel_id
-        self.capacity = max(desc.capacity, 1)  # capacity 0: one virtual token
+        self.capacity = desc.room
         self.items: deque = deque([None] * min(desc.initial_tokens, self.capacity))
         self.claimed = 0
         self.pushes = 0
@@ -262,11 +268,11 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
     edges: list[tuple[int, int, ChannelDescriptor]] = []
 
     for ch in state.channels:
-        room = max(ch.capacity, 1)  # as ChannelState holds it
-        if not 0 <= ch.initial_tokens <= room:
+        if not 0 <= ch.initial_tokens <= ch.room:
             diags.append(Diagnostic(
                 "error", "bad-initial-tokens",
-                f"channel {ch.name!r} starts with {ch.initial_tokens} tokens; it holds 0 to {room}",
+                f"channel {ch.name!r} starts with {ch.initial_tokens} tokens;"
+                f" it holds 0 to {ch.room}",
             ))
         if ch.src is None or ch.dst is None:
             diags.append(

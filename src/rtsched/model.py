@@ -180,21 +180,6 @@ class TaskDescriptor:
             ) from None
 
 
-def activation_release(task: TaskDescriptor, now: int, last: dict[int, int]) -> int:
-    """Release instant of an activation request for `task` at `now`.
-
-    A sporadic release is deferred to max(now, last release + period) to
-    honour the minimum inter-arrival spacing; `last` maps task ids to their
-    latest sporadic release and is updated.  Aperiodic tasks release now.
-    """
-    if task.kind is not TaskKind.SPORADIC:
-        return now
-    prev = last.get(task.task_id)
-    release = now if prev is None else max(now, prev + task.period)
-    last[task.task_id] = release
-    return release
-
-
 @dataclass
 class AcceleratorDescriptor:
     """A single-unit hardware resource."""
@@ -257,8 +242,6 @@ class MiddlewareState:
         self.activation_overrides: dict[tuple[int, int], int] = {}
         self.push_counts: dict[tuple[int, int], int] = {}
         self.table = None  # ScheduleTable under OFFLINE
-        self.pending_activations: list[tuple[int, int]] = []  # (release, task)
-        self._last_sporadic_release: dict[int, int] = {}
         self._backend = None
         self._names: set[str] = set()
 
@@ -388,11 +371,13 @@ class MiddlewareState:
     # ------------------------------------------------------ activation
 
     def task_activate(self, task_id: int, *, now: int | None = None) -> int:
-        """Request a job of a sporadic or aperiodic task.
+        """Request a job of a sporadic or aperiodic task in a running
+        thread-backend run (MONOTONIC_OS); `now` defaults to the run's clock.
 
         Returns the release instant.  Sporadic releases are deferred to
         max(now, last_release + period) to honour the minimum inter-arrival
-        spacing.
+        spacing.  Simulated runs script their requests in
+        SimJobModel.activations instead.
         """
         self._require_phase(Phase.RUNNING, op="task_activate")
         task = self.task(task_id)
@@ -401,11 +386,12 @@ class MiddlewareState:
                 f"task_activate on {task.kind.value} task {task.name!r}:"
                 " recurring tasks self-release"
             )
-        if now is None:
-            now = self._backend.now_ns() if self._backend is not None else 0
-        release = activation_release(task, now, self._last_sporadic_release)
-        self.pending_activations.append((release, task_id))
-        return release
+        if self._backend is None:
+            raise UsageError(
+                "task_activate needs a thread-backend run; simulated runs"
+                " script activations in SimJobModel.activations"
+            )
+        return self._backend.activate(task_id, now)
 
     # ------------------------------------------------------- lifecycle
 
@@ -414,8 +400,6 @@ class MiddlewareState:
         and report, with no activation request left from an earlier run."""
         self._require_phase(Phase.INITIALIZED, Phase.STOPPED, op="start")
         graph = self.check()
-        self.pending_activations.clear()
-        self._last_sporadic_release.clear()
         if self.config.clock_source is ClockSource.MONOTONIC_OS:
             from .realtime import RealtimeBackend
 

@@ -25,7 +25,6 @@ from .model import (
     TaskDescriptor,
     TaskKind,
     VersionDescriptor,
-    activation_release,
 )
 from .priority import PriorityKey, assign_priority
 from .versions import (
@@ -127,9 +126,6 @@ class ReadyQueue:
                 return job
         return None
 
-    def remove(self, job: Job) -> None:
-        self.items.remove(job)
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -225,15 +221,22 @@ class SchedulerCore:
     # ------------------------------------------------------ releases
 
     def activate(self, task_id: int, now: int) -> int:
-        """Sporadic/aperiodic activation request at instant `now`."""
-        release = activation_release(self.state.task(task_id), now, self._last_sporadic)
+        """Sporadic/aperiodic activation request at instant `now`; returns
+        its release instant.
+
+        A sporadic release is deferred to max(now, last release + period)
+        to honour the minimum inter-arrival spacing.  Aperiodic tasks
+        release now.
+        """
+        task = self.state.task(task_id)
+        release = now
+        if task.kind is TaskKind.SPORADIC:
+            prev = self._last_sporadic.get(task_id)
+            if prev is not None:
+                release = max(now, prev + task.period)
+            self._last_sporadic[task_id] = release
         self._pending.append((release, task_id))
         return release
-
-    def enqueue_release(self, release: int, task_id: int) -> None:
-        """Queue a precomputed activation (the state already applied the
-        sporadic min-gap arithmetic)."""
-        self._pending.append((release, task_id))
 
     def due_releases(self, now: int, horizon: int | None = None) -> list[Job]:
         """Jobs whose theoretical arrival is <= now, in task order.
@@ -372,6 +375,9 @@ class SchedulerCore:
             return 0
         assert job.task.virt_core_id is not None
         return job.task.virt_core_id
+
+    def queue_of_worker(self, w: int) -> int:
+        return 0 if self.global_mapping else w
 
     def workers_of_queue(self, qi: int) -> range:
         if self.global_mapping:

@@ -204,6 +204,13 @@ class RealtimeBackend:
     def now_ns(self) -> int:
         return time.monotonic_ns() - self.t0
 
+    def activate(self, task_id: int, now: int | None = None) -> int:
+        """Hand an activation request to the core; returns its release."""
+        if now is None:
+            now = self.now_ns()
+        with self.reg_mutex:
+            return self.core.activate(task_id, now)
+
     def _warn_once(self, key: str, message: str) -> None:
         with self.trace_lock:
             if key not in self._degraded:
@@ -305,13 +312,6 @@ class RealtimeBackend:
             self._sched_pass(now)
             k = now // self.tick + 1
 
-    def _consume_activations(self) -> None:
-        pend = self.state.pending_activations
-        items = pend[:]
-        del pend[: len(items)]
-        for release, task_id in items:
-            self.core.enqueue_release(release, task_id)
-
     def _collect_releases(self, now: int) -> list[Job]:
         with self.reg_mutex:
             jobs = self.core.due_releases(now)
@@ -330,7 +330,6 @@ class RealtimeBackend:
 
     def _sched_pass(self, now: int) -> None:
         """One tick: release what is due, then record the pass in one go."""
-        self._consume_activations()
         log = self.log
         if self.core.global_mapping:
             waited = self.queue_locks[0].acquire()
@@ -397,7 +396,7 @@ class RealtimeBackend:
     def _worker_loop(self, w: int) -> None:
         self._try_elevate()
         self._try_pin(w % max(1, available_cpus()))
-        qi = 0 if self.core.global_mapping else w
+        qi = self.core.queue_of_worker(w)
         cond = self.work_conds[qi]
         while True:
             action, job = self._locked_pick(w, qi, None)
@@ -412,7 +411,7 @@ class RealtimeBackend:
     def nested_dispatch(self, w: int, interrupted: Job) -> int:
         """Runs higher-priority jobs on top of `interrupted` (LIFO).
         Returns the ns consumed so the body can discount stolen time."""
-        qi = 0 if self.core.global_mapping else w
+        qi = self.core.queue_of_worker(w)
         t_in = time.monotonic_ns()
         first = True
         while True:

@@ -435,9 +435,6 @@ class _Engine:
 
     # -------------------------------------------------------- workers
 
-    def _queue_of_worker(self, w: int) -> int:
-        return 0 if self.core.global_mapping else w
-
     def _mk_pull(self, w: int, qi: int) -> Callable[[], None]:
         def fn() -> None:
             ws = self.workers[w]
@@ -538,7 +535,7 @@ class _Engine:
     def _notify_stale(self, w: int, job: Job) -> None:
         ws = self.workers[w]
         ws.in_cs = False
-        self.locks[self._queue_of_worker(w)].release(self.now)
+        self.locks[self.core.queue_of_worker(w)].release(self.now)
         self._advance(w, job)  # continue where the handler interrupted
 
     # ------------------------------------------------- job execution
@@ -658,7 +655,8 @@ class _Engine:
         elif ws.idle and not ws.pending_pull:
             # job sits preempted on the stack of an idle worker
             ws.pending_pull = True
-            self.push_event(self.now, _P_MISC, self._mk_pull(w, self._queue_of_worker(w)))
+            qi = self.core.queue_of_worker(w)
+            self.push_event(self.now, _P_MISC, self._mk_pull(w, qi))
 
     def _mk_continue(self, w: int, job: Job) -> Callable[[], None]:
         def fn() -> None:
@@ -682,7 +680,7 @@ class _Engine:
         if self.offline:
             self._next_entry(w)
         else:
-            self._request_pull(w, self._queue_of_worker(w))
+            self._request_pull(w, self.core.queue_of_worker(w))
 
     # --------------------------------------------------- table replay
 

@@ -56,9 +56,6 @@ class AcceleratorRegistry:
     def busy(self, accel_id: int) -> bool:
         return self.holders[accel_id] is not None
 
-    def holder(self, accel_id: int):
-        return self.holders[accel_id]
-
     def acquire(self, job, accel_ids) -> list[int]:
         """Atomically take all of accel_ids for `job` if every one is free.
 

@@ -20,11 +20,16 @@ from rtsched import (
     analyze_graph,
     channel_connect,
     channel_decl,
-    check_activation,
     init,
     ms,
 )
-from rtsched.graph import input_channels, output_channels, push_count, required_tokens
+from rtsched.graph import (
+    check_activation,
+    input_channels,
+    output_channels,
+    push_count,
+    required_tokens,
+)
 from rtsched.online import SchedulerCore
 
 from .oracles import activation_oracle

@@ -1,5 +1,6 @@
 """JSON documents: parsing, state building, round trips."""
 
+import dataclasses
 import io
 import json
 
@@ -19,7 +20,12 @@ from rtsched import (
     ms,
     run_simulation,
 )
-from rtsched.model import PolicyConfig
+from rtsched.model import (
+    ClockSource,
+    LockingStrategy,
+    PolicyConfig,
+    WaitingStrategy,
+)
 
 
 def _minimal():
@@ -309,3 +315,41 @@ class TestRoundTrip:
         assert back.get_task_cost == 500
         assert back.mode_schedule == [(ms(5), frozenset({"x"}))]
         assert back.pip_enabled is False
+
+    def test_every_field_round_trips(self):
+        cfg = PolicyConfig(
+            mapping_scheme=MappingScheme.PARTITIONED,
+            priority_assignment=PriorityAssignment.DM,
+            preemptive=False,
+            version_selection=VersionSelection.MODE,
+            waiting_strategy=WaitingStrategy.SPIN,
+            locking_strategy=LockingStrategy.LOCK_FREE,
+            worker_count=3,
+            clock_source=ClockSource.MONOTONIC_OS,
+        )
+        model = SimJobModel(
+            exec_time={"a": {"dist": "uniform", "low": 1, "high": ms(1)}},
+            get_task_cost=1,
+            sched_scan_cost_per_task=2,
+            sort_cost_per_element=3,
+            context_switch_cost=4,
+            activations=[(ms(5), "a"), (ms(7), "b")],
+            mode_schedule=[(ms(9), frozenset({"night", "low"}))],
+            execution_mode=frozenset({"day", "high"}),
+            permission_mask=frozenset({"cam"}),
+            battery_level=42.5,
+            alpha=0.25,
+            pip_enabled=False,
+            body_ops={"a": [(0, "pop", "c", 1), (ms(1), "push", "d", 2)]},
+        )
+        for obj in (cfg, model):  # every field differs from its default
+            assert all(
+                getattr(obj, f.name) != getattr(type(obj)(), f.name)
+                for f in dataclasses.fields(obj)
+            )
+        doc = document_from_state(init(cfg), model)
+        back = TaskSetDocument.load(doc.to_json())
+        assert back.config() == cfg
+        assert back.sim_model() == model
+        again = document_from_state(init(back.config()), back.sim_model())
+        assert again.to_json() == doc.to_json()

@@ -19,15 +19,14 @@ from rtsched import (
     analyze_graph,
     channel_connect,
     channel_decl,
-    check_activation,
     expand_sdf,
     init,
     ms,
     plan_expansion,
     repetition_vector,
-    reserve_activation,
 )
 from rtsched import ChannelDescriptor
+from rtsched.graph import check_activation, reserve_activation
 
 from .oracles import sdf_vector_brute
 

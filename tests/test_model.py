@@ -188,40 +188,63 @@ class TestAccelerators:
 
 
 class TestActivation:
-    def _running_state(self, kind):
-        state = init(PolicyConfig())
-        state.task_decl("base", TaskKind.PERIODIC, period=ms(10))
-        state.version_decl(0, wcet_estimate=1)
-        tid = state.task_decl(
-            "s",
-            kind,
-            period=ms(5) if kind is TaskKind.SPORADIC else None,
-            relative_deadline=ms(5),
-        )
-        state.version_decl(tid, wcet_estimate=1)
-        state.start()
-        return state, tid
+    @pytest.fixture
+    def running(self, many_cpus):
+        """Start a thread-backend run with one task of `kind`; stop it at
+        the end of the test."""
+        states = []
 
-    def test_sporadic_min_separation(self):
-        state, tid = self._running_state(TaskKind.SPORADIC)
+        def start(kind):
+            state = init(PolicyConfig(clock_source=ClockSource.MONOTONIC_OS,
+                                      worker_count=1))
+            state.task_decl("base", TaskKind.PERIODIC, period=ms(10))
+            state.version_decl(0, wcet_estimate=1)
+            tid = state.task_decl(
+                "s",
+                kind,
+                period=ms(5) if kind is TaskKind.SPORADIC else None,
+                relative_deadline=ms(5),
+            )
+            state.version_decl(tid, wcet_estimate=1)
+            state.start()
+            states.append(state)
+            return state, tid
+
+        yield start
+        for state in states:
+            if state.phase is Phase.RUNNING:
+                state.stop()
+
+    def test_sporadic_min_separation(self, running):
+        state, tid = running(TaskKind.SPORADIC)
         assert state.task_activate(tid, now=0) == 0
         # too soon: deferred to last release + period
         assert state.task_activate(tid, now=ms(2)) == ms(5)
         assert state.task_activate(tid, now=ms(11)) == ms(11)
 
-    def test_restart_forgets_earlier_activations(self):
+    def test_restart_forgets_earlier_activations(self, running):
         # each start() is a fresh run whose clock begins at 0 again
-        state, tid = self._running_state(TaskKind.SPORADIC)
+        state, tid = running(TaskKind.SPORADIC)
         assert state.task_activate(tid, now=ms(50)) == ms(50)
         state.stop()
         state.start()
-        assert state.pending_activations == []
         assert state.task_activate(tid, now=ms(1)) == ms(1)
 
-    def test_aperiodic_immediate(self):
-        state, tid = self._running_state(TaskKind.APERIODIC)
+    def test_aperiodic_immediate(self, running):
+        state, tid = running(TaskKind.APERIODIC)
         assert state.task_activate(tid, now=ms(3)) == ms(3)
         assert state.task_activate(tid, now=ms(3)) == ms(3)
+
+    def test_virtual_clock_rejects_activate(self):
+        # the simulator reads its activations from the job model only
+        state = init(PolicyConfig())
+        state.task_decl("base", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(0, wcet_estimate=1)
+        tid = state.task_decl("a", TaskKind.APERIODIC, relative_deadline=ms(5))
+        state.version_decl(tid, wcet_estimate=1)
+        state.start()
+        with pytest.raises(UsageError, match=r"SimJobModel\.activations"):
+            state.task_activate(tid, now=0)
 
     def test_periodic_rejects_activate(self):
         state = init(PolicyConfig())

@@ -121,26 +121,6 @@ class TestActivation:
         assert core.activate(aid, now=ms(3)) == ms(3)
         assert core.activate(aid, now=ms(3)) == ms(3)  # no separation rule
 
-    @pytest.mark.parametrize("kind", [TaskKind.SPORADIC, TaskKind.APERIODIC])
-    @pytest.mark.parametrize("instants", [
-        [0, ms(2), ms(11)],
-        [ms(1), ms(1), ms(1), ms(20)],
-        [ms(3), ms(4), ms(9), ms(9), ms(30), ms(31)],
-    ])
-    def test_state_and_core_release_alike(self, kind, instants):
-        state = init(PolicyConfig())
-        base = state.task_decl("base", TaskKind.PERIODIC, period=ms(10))
-        state.version_decl(base, wcet_estimate=us(10))
-        sporadic = kind is TaskKind.SPORADIC
-        tid = state.task_decl("s", kind, period=ms(5) if sporadic else None,
-                              relative_deadline=ms(5))
-        state.version_decl(tid, wcet_estimate=us(10))
-        core = _core(state)
-        state.start()
-        via_state = [state.task_activate(tid, now=t) for t in instants]
-        via_core = [core.activate(tid, now=t) for t in instants]
-        assert via_state == via_core
-
 
 class TestDueReleases:
     def test_periodic_schedule(self):
@@ -267,8 +247,6 @@ class TestReadyQueue:
         assert q.first_dispatchable() is b
         b.blocked_on = {1}
         assert q.first_dispatchable() is None
-        q.remove(a)
-        assert len(q) == 1
 
 
 def _accel_state():
@@ -287,7 +265,6 @@ _QUEUE_OPS = st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 3), st.integers(0, 30)),
     st.tuples(st.just("sort")),
     st.tuples(st.just("pick")),
-    st.tuples(st.just("remove"), st.integers(0, 63)),
     st.tuples(st.just("complete"), st.integers(0, 63)),
 )
 
@@ -319,10 +296,6 @@ class TestReadyQueueOracle:
                 if job is not None:
                     assert acquired == sorted(job.version.accelerators)
                     running.append(job)
-            elif op[0] == "remove" and oracle.live:
-                job = oracle.live[op[1] % len(oracle.live)]
-                queue.remove(job)
-                oracle.remove(job)
             elif op[0] == "complete" and running:
                 job = running.pop(op[1] % len(running))
                 freed = core.registry.release_all(job)

@@ -35,11 +35,6 @@ from rtsched import (
 from rtsched.realtime import FifoTicketLock, current_job_context, latency_probe
 
 
-@pytest.fixture
-def many_cpus(monkeypatch):
-    monkeypatch.setattr(rt, "available_cpus", lambda: 64)
-
-
 def _rt_config(**kw):
     kw.setdefault("clock_source", ClockSource.MONOTONIC_OS)
     return PolicyConfig(**kw)

@@ -71,7 +71,7 @@ class TestRegistry:
         job = FakeJob(0, _key(5))
         assert reg.acquire(job, {0, 1}) == []
         assert reg.busy(0) and reg.busy(1)
-        assert reg.holder(0) is job
+        assert reg.holders[0] is job
         assert reg.release_all(job) == [0, 1]
         assert not reg.busy(0) and not reg.busy(1)
 
