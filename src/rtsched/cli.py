@@ -14,6 +14,7 @@ runs when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -120,10 +121,8 @@ def _cmd_sweep(args) -> int:
     else:
         spec = SweepSpec()
     if args.reps is not None:
-        if args.reps < 1:
-            raise RtschedError("reps must be >= 1")
-        spec.reps = args.reps
-    rows = run_sweep(doc, spec)
+        spec = dataclasses.replace(spec, reps=args.reps)
+    rows = run_sweep(doc, spec, jobs=args.jobs)
     out = args.out
     if out:
         if os.path.isdir(out):
@@ -230,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("--spec", metavar="FILE", help="sweep axes (JSON)")
     p.add_argument("--reps", type=int, default=None, help="override repetitions")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: usable CPUs; 1 runs in-process)")
     p.add_argument("--out", metavar="PATH",
                    help="results CSV file or directory (default stdout)")
     p.set_defaults(fn=_cmd_sweep)

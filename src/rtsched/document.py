@@ -91,19 +91,43 @@ def _default(f):
     return f.default_factory() if f.default is MISSING else f.default
 
 
-def _from_fields(cls, d: dict, converters: dict):
-    """An instance of dataclass `cls` from the keys `d` gives.  Each value
-    takes the type of its field's default (an enum by value, int, float,
-    bool, frozenset); other fields keep the value as written unless
-    `converters` names them."""
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
+             frozenset: "a list of strings"}
+
+
+def _json_typed(value, default) -> bool:
+    """Whether a JSON value may fill a field whose default is `default`:
+    a bool only a bool, an int only a non-bool int, a float an int or a
+    float, a frozenset a list of strings; other fields take any value."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, (int, float)):
+        return isinstance(value, (int, type(default))) and not isinstance(value, bool)
+    if isinstance(default, frozenset):
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return True
+
+
+def _from_fields(cls, d: dict, converters: dict, where: str):
+    """An instance of dataclass `cls` from the keys `d` gives.  A value
+    must fit the type of its field's default (an enum takes one of its
+    values; see _json_typed for the rest) and is converted to it; other
+    fields keep the value as written unless `converters` names them.  A
+    value that does not fit is a ConfigurationError naming `where`."""
     kwargs = {}
     for f in fields(cls):
-        if f.name in d:
-            default = _default(f)
-            conv = converters.get(f.name)
+        if f.name not in d:
+            continue
+        value, default = d[f.name], _default(f)
+        conv = converters.get(f.name)
+        try:
             if conv is None and isinstance(default, (Enum, int, float, frozenset)):
+                if not _json_typed(value, default):
+                    raise ValueError(f"expected {_EXPECTED[type(default)]}, got {value!r}")
                 conv = type(default)
-            kwargs[f.name] = d[f.name] if conv is None else conv(d[f.name])
+            kwargs[f.name] = value if conv is None else conv(value)
+        except (TypeError, ValueError) as e:
+            raise ConfigurationError(f"bad {where} value: {f.name}: {e}") from None
     return cls(**kwargs)
 
 
@@ -189,10 +213,7 @@ class TaskSetDocument:
     # ----------------------------------------------------------- build
 
     def config(self) -> PolicyConfig:
-        try:
-            return _from_fields(PolicyConfig, self.data.get("config", {}), {})
-        except ValueError as e:
-            raise ConfigurationError(f"bad config value: {e}") from None
+        return _from_fields(PolicyConfig, self.data.get("config", {}), {}, "config")
 
     def sdf_graph(self) -> SdfGraph | None:
         """The graph of the `sdf` section, or None when there is none."""
@@ -311,7 +332,9 @@ class TaskSetDocument:
         return state
 
     def sim_model(self) -> SimJobModel:
-        return _from_fields(SimJobModel, self.data.get("sim_model", {}), _SIM_CONVERTERS)
+        return _from_fields(
+            SimJobModel, self.data.get("sim_model", {}), _SIM_CONVERTERS, "sim_model"
+        )
 
     # ------------------------------------------------------- serialize
 

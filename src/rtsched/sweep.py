@@ -9,10 +9,13 @@ version_mode, rep, seed, metric, value).
 from __future__ import annotations
 
 import csv
+import functools
+import threading
 from dataclasses import dataclass, field
 
 from .document import TaskSetDocument
 from .errors import ConfigurationError, RtschedError
+from .realtime import available_cpus
 from .simulator import policy_label, run_simulation
 
 SWEEP_COLUMNS = [
@@ -37,14 +40,34 @@ RUN_METRICS = [
     "truncated",
 ]
 
-_SPEC_KEYS = {
-    "mappings",
-    "priorities",
-    "preemptive",
-    "version_modes",
-    "reps",
-    "horizon",
-    "seed",
+
+def _strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# spec key -> (accepts a JSON value, what it expects)
+_SPEC_TYPES = {
+    "mappings": (_strings, "a list of strings"),
+    "priorities": (_strings, "a list of strings"),
+    "preemptive": (
+        lambda v: isinstance(v, list) and all(isinstance(x, bool) for x in v),
+        "a list of booleans",
+    ),
+    "version_modes": (
+        lambda v: isinstance(v, dict)
+        and all(x is None or _strings(x) for x in v.values()),
+        "an object of string lists or nulls",
+    ),
+    "reps": (_int, "an integer"),
+    "horizon": (
+        lambda v: v is None or isinstance(v, str) or _int(v),
+        "an integer, a string or null",
+    ),
+    "seed": (_int, "an integer"),
 }
 
 
@@ -68,37 +91,29 @@ class SweepSpec:
     horizon: int | str | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.reps < 1:
+            raise ConfigurationError("reps must be >= 1")
+        if not (self.mappings and self.priorities and self.preemptive
+                and self.version_modes):
+            raise ConfigurationError("sweep grid is empty")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
-        unknown = set(raw) - _SPEC_KEYS
+        """A spec from the keys `raw` gives, each of the JSON type its field
+        holds; a value of another type is a ConfigurationError."""
+        unknown = set(raw) - set(_SPEC_TYPES)
         if unknown:
             raise ConfigurationError(
                 f"unknown sweep keys: {', '.join(sorted(unknown))}"
             )
-        spec = cls()
-        if "mappings" in raw:
-            spec.mappings = [str(m) for m in raw["mappings"]]
-        if "priorities" in raw:
-            spec.priorities = [str(p) for p in raw["priorities"]]
-        if "preemptive" in raw:
-            spec.preemptive = [bool(p) for p in raw["preemptive"]]
-        if "version_modes" in raw:
-            spec.version_modes = {
-                str(k): (None if v is None else [str(x) for x in v])
-                for k, v in raw["version_modes"].items()
-            }
-        if "reps" in raw:
-            spec.reps = int(raw["reps"])
-            if spec.reps < 1:
-                raise ConfigurationError("reps must be >= 1")
-        if "horizon" in raw:
-            spec.horizon = raw["horizon"]
-        if "seed" in raw:
-            spec.seed = int(raw["seed"])
-        if not (spec.mappings and spec.priorities and spec.preemptive
-                and spec.version_modes):
-            raise ConfigurationError("sweep grid is empty")
-        return spec
+        for key, value in raw.items():
+            ok, expected = _SPEC_TYPES[key]
+            if not ok(value):
+                raise ConfigurationError(
+                    f"bad sweep value: {key}: expected {expected}, got {value!r}"
+                )
+        return cls(**raw)
 
     def points(self) -> int:
         return (
@@ -144,67 +159,126 @@ def _doc_with_policy(
     return TaskSetDocument.from_dict(raw)
 
 
-def run_sweep(doc: TaskSetDocument, spec: SweepSpec) -> list[dict]:
+def _sweep_run(
+    doc: TaskSetDocument,
+    spec: SweepSpec,
+    mapping: str,
+    priority: str,
+    preempt: bool,
+    label: str,
+    names: list[str] | None,
+    rep: int,
+) -> list[dict]:
+    """The rows of one grid point's repetition `rep`."""
+    seed = spec.seed + rep
+    point = f"{mapping}/{priority}/preemptive={preempt}/{label}"
+    try:
+        varied = _doc_with_policy(doc, mapping, priority, preempt)
+        state = varied.build_state()
+        trace, report = run_simulation(
+            state,
+            varied.sim_model(),
+            horizon=spec.horizon,
+            seed=seed,
+            restrict=make_restrict(state, names),
+        )
+    except RtschedError as e:
+        raise RtschedError(f"sweep point {point} rep {rep}: {e}") from e
+    resp_total = 0
+    resp_count = 0
+    resp_max = 0
+    for st in report.tasks.values():
+        resp_total += st.response.total
+        resp_count += st.response.count
+        resp_max = max(resp_max, st.response.max or 0)
+    values = {
+        "released": report.released,
+        "completed": report.completed,
+        "misses": report.misses,
+        "mean_response_ns": (
+            round(resp_total / resp_count, 3) if resp_count else 0
+        ),
+        "max_response_ns": resp_max,
+        "truncated": int(report.truncated),
+    }
+    return [
+        {
+            "policy": policy_label(state.config),
+            "mapping": mapping,
+            "priority": priority,
+            "preemptive": preempt,
+            "version_mode": label,
+            "rep": rep,
+            "seed": seed,
+            "metric": metric,
+            "value": values[metric],
+        }
+        for metric in RUN_METRICS
+    ]
+
+
+# (doc, spec) of the sweep a pool worker serves, set once per worker
+_pool_sweep: tuple = ()
+
+
+def _init_pool_worker(doc: TaskSetDocument, spec: SweepSpec) -> None:
+    global _pool_sweep
+    _pool_sweep = (doc, spec)
+
+
+def _pool_run(*run) -> list[dict]:
+    return _sweep_run(*_pool_sweep, *run)
+
+
+def run_sweep(
+    doc: TaskSetDocument, spec: SweepSpec, jobs: int | None = None
+) -> list[dict]:
     """Every grid point x repetition, deterministically ordered.
 
+    Runs are spread over `jobs` worker processes (default: the usable
+    CPUs) forked from this one, and the rows come back in grid order
+    whatever `jobs` is.  The sweep runs in this process instead when one
+    worker would do, when the platform cannot fork, or when this process
+    has other threads running, which a fork would copy in whatever state
+    they hold.
+
     A point that fails to build or validate aborts the whole sweep and
-    names the offending point; a clean grid with missed deadlines is a
-    result, not an error.
+    names the first such point in grid order; a clean grid with missed
+    deadlines is a result, not an error.
     """
-    rows: list[dict] = []
-    for mapping in spec.mappings:
-        for priority in spec.priorities:
-            for preempt in spec.preemptive:
-                for label, names in spec.version_modes.items():
-                    for rep in range(spec.reps):
-                        seed = spec.seed + rep
-                        point = f"{mapping}/{priority}/preemptive={preempt}/{label}"
-                        try:
-                            varied = _doc_with_policy(doc, mapping, priority, preempt)
-                            state = varied.build_state()
-                            trace, report = run_simulation(
-                                state,
-                                varied.sim_model(),
-                                horizon=spec.horizon,
-                                seed=seed,
-                                restrict=make_restrict(state, names),
-                            )
-                        except RtschedError as e:
-                            raise RtschedError(
-                                f"sweep point {point} rep {rep}: {e}"
-                            ) from e
-                        resp_total = 0
-                        resp_count = 0
-                        resp_max = 0
-                        for st in report.tasks.values():
-                            resp_total += st.response.total
-                            resp_count += st.response.count
-                            resp_max = max(resp_max, st.response.max or 0)
-                        values = {
-                            "released": report.released,
-                            "completed": report.completed,
-                            "misses": report.misses,
-                            "mean_response_ns": (
-                                round(resp_total / resp_count, 3) if resp_count else 0
-                            ),
-                            "max_response_ns": resp_max,
-                            "truncated": int(report.truncated),
-                        }
-                        for metric in RUN_METRICS:
-                            rows.append(
-                                {
-                                    "policy": policy_label(state.config),
-                                    "mapping": mapping,
-                                    "priority": priority,
-                                    "preemptive": preempt,
-                                    "version_mode": label,
-                                    "rep": rep,
-                                    "seed": seed,
-                                    "metric": metric,
-                                    "value": values[metric],
-                                }
-                            )
-    return rows
+    if jobs is None:
+        jobs = available_cpus()
+    if jobs < 1:
+        raise ConfigurationError("jobs must be >= 1")
+    runs = [
+        (mapping, priority, preempt, label, names, rep)
+        for mapping in spec.mappings
+        for priority in spec.priorities
+        for preempt in spec.preemptive
+        for label, names in spec.version_modes.items()
+        for rep in range(spec.reps)
+    ]
+    jobs = min(jobs, len(runs))
+    columns = zip(*runs)
+    serial = jobs <= 1 or threading.active_count() > 1
+    if not serial:
+        import multiprocessing
+
+        serial = "fork" not in multiprocessing.get_all_start_methods()
+    if serial:
+        groups = list(map(functools.partial(_sweep_run, doc, spec), *columns))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            jobs,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_pool_worker,
+            initargs=(doc, spec),
+        ) as pool:
+            chunk = max(1, len(runs) // (4 * jobs))
+            groups = list(pool.map(_pool_run, *columns, chunksize=chunk))
+    return [row for group in groups for row in group]
 
 
 def write_sweep_csv(rows: list[dict], fp) -> None:

@@ -94,6 +94,47 @@ class TestStrictKeys:
         with pytest.raises(ConfigurationError, match="bad config value"):
             TaskSetDocument.load(raw).config()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("config", "preemptive", "false"),  # bool("false") is True
+            ("config", "preemptive", 0),
+            ("config", "worker_count", 2.7),  # int(2.7) is 2
+            ("config", "worker_count", True),
+            ("config", "worker_count", "2"),
+            ("sim_model", "execution_mode", "day"),  # frozenset("day")
+            ("sim_model", "permission_mask", [1]),
+            ("sim_model", "alpha", True),
+            ("sim_model", "alpha", "0.5"),
+            ("sim_model", "pip_enabled", 1),
+            ("sim_model", "get_task_cost", 1.5),
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, section, key, value):
+        raw = _minimal()
+        raw[section] = {key: value}
+        doc = TaskSetDocument.load(raw)
+        read = doc.config if section == "config" else doc.sim_model
+        with pytest.raises(ConfigurationError, match=f"bad {section} value: {key}: expected"):
+            read()
+
+    def test_exactly_typed_values_accepted(self):
+        raw = _minimal()
+        raw["config"] = {"preemptive": False, "worker_count": 3}
+        raw["sim_model"] = {"alpha": 1, "execution_mode": ["day"], "pip_enabled": False}
+        doc = TaskSetDocument.load(raw)
+        assert doc.config() == PolicyConfig(preemptive=False, worker_count=3)
+        model = doc.sim_model()
+        assert model.alpha == 1.0 and isinstance(model.alpha, float)
+        assert model.execution_mode == frozenset({"day"})
+        assert model.pip_enabled is False
+
+    def test_bad_converted_value_names_the_field(self):
+        raw = _minimal()
+        raw["sim_model"] = {"activations": 5}
+        with pytest.raises(ConfigurationError, match="bad sim_model value: activations: "):
+            TaskSetDocument.load(raw).sim_model()
+
 
 class TestBuildState:
     def test_defaults(self):

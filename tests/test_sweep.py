@@ -1,6 +1,9 @@
 """Policy exploration over a document."""
 
+import concurrent.futures
+import dataclasses
 import io
+import threading
 
 import pytest
 
@@ -67,6 +70,33 @@ class TestSweepSpec:
     def test_empty_grid_rejected(self):
         with pytest.raises(RtschedError, match="grid is empty"):
             SweepSpec.from_dict({"priorities": []})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("preemptive", ["false"]),  # bool("false") is True
+            ("preemptive", [1]),
+            ("preemptive", True),
+            ("reps", 2.5),  # int(2.5) is 2
+            ("reps", True),
+            ("reps", "2"),
+            ("seed", "3"),
+            ("mappings", "GLOBAL"),  # would iterate its letters
+            ("priorities", ["EDF", 1]),
+            ("version_modes", ["cpu"]),
+            ("version_modes", {"cpu": "cpu"}),
+            ("horizon", 2.5),
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, key, value):
+        with pytest.raises(RtschedError, match=f"bad sweep value: {key}: expected"):
+            SweepSpec.from_dict({key: value})
+
+    def test_reps_checked_however_the_spec_is_made(self):
+        with pytest.raises(RtschedError, match="reps must be >= 1"):
+            SweepSpec(reps=0)
+        with pytest.raises(RtschedError, match="reps must be >= 1"):
+            dataclasses.replace(SweepSpec(), reps=-1)
 
 
 class TestMakeRestrict:
@@ -165,6 +195,117 @@ class TestRunSweep:
         }
         assert misses["default"] == 1  # preselected slow version overruns
         assert misses["fast"] == 0
+
+
+def _accel_doc():
+    """Two workers, two accelerators, and per task a cpu version and a
+    faster gpu version holding one of them, as in perfbench's sweep."""
+    tasks, versions, exec_time = [], [], {}
+    for i, (period, wcet) in enumerate([(10, 3), (20, 5), (25, 6), (40, 9)]):
+        name, gpu = f"t{i}", ms(wcet) // 2
+        tasks.append({"name": name, "kind": "periodic", "period": ms(period),
+                      "virt_core_id": i % 2})
+        versions.append({"task": name, "name": "cpu", "wcet_estimate": ms(wcet),
+                         "select": {"energy_cost": 5.0 + i, "exec_time": ms(wcet)}})
+        versions.append({"task": name, "name": "gpu", "wcet_estimate": gpu,
+                         "accelerators": [f"gpu{i % 2}"],
+                         "select": {"energy_cost": 20.0 + i, "exec_time": gpu}})
+        exec_time[name] = {
+            "cpu": {"dist": "uniform", "low": ms(wcet) // 2, "high": ms(wcet)},
+            "gpu": {"dist": "uniform", "low": gpu // 2, "high": gpu},
+        }
+    return TaskSetDocument.load({
+        "config": {"worker_count": 2, "version_selection": "ENERGY_TIME"},
+        "accelerators": ["gpu0", "gpu1"],
+        "tasks": tasks,
+        "versions": versions,
+        "sim_model": {"alpha": 0.7, "exec_time": exec_time},
+    })
+
+
+_GRID = {
+    "mappings": ["GLOBAL", "PARTITIONED"],
+    "priorities": ["RM", "EDF"],
+    "preemptive": [True, False],
+    "version_modes": {"cpu": ["cpu"], "gpu": ["gpu"], "both": None},
+    "horizon": "100ms",
+    "seed": 5,
+}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools run_sweep creates."""
+    created = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            created.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return created
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf)
+    return buf.getvalue()
+
+
+class TestParallelSweep:
+    def test_pool_matches_serial_byte_for_byte(self, pools):
+        doc, spec = _accel_doc(), SweepSpec.from_dict(_GRID)
+        serial = run_sweep(doc, spec, jobs=1)
+        assert pools == []
+        pooled = run_sweep(doc, spec, jobs=2)
+        assert pools == [2]
+        assert len(serial) == 24 * len(RUN_METRICS)
+        assert pooled == serial
+        assert _csv(pooled) == _csv(serial)
+        # the grid tells points apart, so equal output is not a degenerate case
+        assert len({r["value"] for r in serial if r["metric"] == "mean_response_ns"}) > 4
+
+    def test_jobs_capped_at_the_run_count(self, pools):
+        spec = SweepSpec.from_dict({"priorities": ["EDF"], "preemptive": [True], "reps": 2})
+        run_sweep(_doc(), spec, jobs=8)
+        assert pools == [2]
+
+    def test_first_failing_point_in_grid_order_raises(self, pools):
+        doc = TaskSetDocument.load(
+            {
+                # PARTITIONED points lack virt_core_id, OFFLINE ones forbid
+                # preemption: both fail, PARTITIONED first in grid order
+                "tasks": [{"name": "a", "kind": "periodic", "period": ms(10)}],
+                "versions": [{"task": "a", "wcet_estimate": ms(1)}],
+            }
+        )
+        spec = SweepSpec.from_dict(
+            {"mappings": ["GLOBAL", "PARTITIONED", "OFFLINE"], "priorities": ["EDF"],
+             "preemptive": [True], "reps": 4}
+        )
+        with pytest.raises(RtschedError, match=r"sweep point PARTITIONED/EDF/preemptive=True/any rep 0: "):
+            run_sweep(doc, spec, jobs=2)
+        assert pools == [2]
+
+    def test_live_thread_keeps_the_sweep_in_process(self, pools):
+        doc, spec = _accel_doc(), SweepSpec.from_dict(dict(_GRID, mappings=["GLOBAL"]))
+        serial = run_sweep(doc, spec, jobs=1)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10,))
+        waiter.start()
+        try:
+            rows = run_sweep(doc, spec, jobs=2)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert pools == []
+        assert rows == serial
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(RtschedError, match="jobs must be >= 1"):
+            run_sweep(_doc(), SweepSpec(), jobs=0)
 
 
 class TestCsvAndBest:
