@@ -122,7 +122,7 @@ def _cmd_sweep(args) -> int:
         spec = SweepSpec()
     if args.reps is not None:
         spec = dataclasses.replace(spec, reps=args.reps)
-    rows = run_sweep(doc, spec, jobs=args.jobs)
+    rows = run_sweep(doc, spec)
     out = args.out
     if out:
         if os.path.isdir(out):
@@ -229,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("--spec", metavar="FILE", help="sweep axes (JSON)")
     p.add_argument("--reps", type=int, default=None, help="override repetitions")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: usable CPUs; 1 runs in-process)")
     p.add_argument("--out", metavar="PATH",
                    help="results CSV file or directory (default stdout)")
     p.set_defaults(fn=_cmd_sweep)

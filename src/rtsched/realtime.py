@@ -52,7 +52,11 @@ def current_job_context():
 
 
 def available_cpus() -> int:
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def processor_preflight(required: int) -> None:

@@ -217,39 +217,20 @@ def _sweep_run(
     ]
 
 
-# (doc, spec) of the sweep a pool worker serves, set once per worker
-_pool_sweep: tuple = ()
-
-
-def _init_pool_worker(doc: TaskSetDocument, spec: SweepSpec) -> None:
-    global _pool_sweep
-    _pool_sweep = (doc, spec)
-
-
-def _pool_run(*run) -> list[dict]:
-    return _sweep_run(*_pool_sweep, *run)
-
-
-def run_sweep(
-    doc: TaskSetDocument, spec: SweepSpec, jobs: int | None = None
-) -> list[dict]:
+def run_sweep(doc: TaskSetDocument, spec: SweepSpec) -> list[dict]:
     """Every grid point x repetition, deterministically ordered.
 
-    Runs are spread over `jobs` worker processes (default: the usable
-    CPUs) forked from this one, and the rows come back in grid order
-    whatever `jobs` is.  The sweep runs in this process instead when one
-    worker would do, when the platform cannot fork, or when this process
-    has other threads running, which a fork would copy in whatever state
-    they hold.
+    Runs are spread over one worker process per usable CPU, forked from
+    this one, and the rows come back in grid order however many workers
+    ran them.  The sweep runs in this process instead when one worker
+    would do, when the platform cannot fork, or when this process has
+    other threads running, which a fork would copy in whatever state they
+    hold.
 
     A point that fails to build or validate aborts the whole sweep and
     names the first such point in grid order; a clean grid with missed
     deadlines is a result, not an error.
     """
-    if jobs is None:
-        jobs = available_cpus()
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
     runs = [
         (mapping, priority, preempt, label, names, rep)
         for mapping in spec.mappings
@@ -258,26 +239,24 @@ def run_sweep(
         for label, names in spec.version_modes.items()
         for rep in range(spec.reps)
     ]
-    jobs = min(jobs, len(runs))
+    workers = min(available_cpus(), len(runs))
+    run = functools.partial(_sweep_run, doc, spec)
     columns = zip(*runs)
-    serial = jobs <= 1 or threading.active_count() > 1
+    serial = workers <= 1 or threading.active_count() > 1
     if not serial:
         import multiprocessing
 
         serial = "fork" not in multiprocessing.get_all_start_methods()
     if serial:
-        groups = list(map(functools.partial(_sweep_run, doc, spec), *columns))
+        groups = list(map(run, *columns))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            jobs,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_pool_worker,
-            initargs=(doc, spec),
+            workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            chunk = max(1, len(runs) // (4 * jobs))
-            groups = list(pool.map(_pool_run, *columns, chunksize=chunk))
+            chunk = max(1, len(runs) // (4 * workers))
+            groups = list(pool.map(run, *columns, chunksize=chunk))
     return [row for group in groups for row in group]
 
 

@@ -9,6 +9,7 @@ import json
 import pytest
 
 import rtsched.realtime as rt
+import rtsched.sweep as sweep_mod
 from rtsched import ms
 from rtsched.cli import main
 from rtsched.tracing import CSV_COLUMNS
@@ -205,22 +206,18 @@ class TestSweep:
         assert main(["sweep", _minimal(tmp_path), "--reps", "0"]) == 1
         assert "reps must be >= 1" in capsys.readouterr().err
 
-    def test_jobs_do_not_change_the_csv(self, tmp_path, capsys):
+    def test_worker_count_does_not_change_the_csv(self, tmp_path, capsys, monkeypatch):
         doc = _overloaded(tmp_path)
         spec = tmp_path / "axes.json"
         spec.write_text(json.dumps({"priorities": ["RM", "DM", "EDF"], "reps": 2}))
         outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.csv"
-            assert main(["sweep", doc, "--spec", str(spec), "--jobs", jobs,
-                         "--out", str(out)]) == 0
+        for cpus in (1, 2):
+            monkeypatch.setattr(sweep_mod, "available_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert main(["sweep", doc, "--spec", str(spec), "--out", str(out)]) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 1 + 12 * 6
-
-    def test_bad_jobs(self, tmp_path, capsys):
-        assert main(["sweep", _minimal(tmp_path), "--jobs", "0"]) == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestExpandSdf:

@@ -20,7 +20,9 @@ from rtsched import (
     run_sweep,
     write_sweep_csv,
 )
+import rtsched.sweep as sweep_mod
 from rtsched.model import PolicyConfig, TaskKind
+from rtsched.realtime import available_cpus
 from rtsched.sweep import RUN_METRICS
 
 
@@ -253,12 +255,18 @@ def _csv(rows):
     return buf.getvalue()
 
 
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(sweep_mod, "available_cpus", lambda: n)
+
+
 class TestParallelSweep:
-    def test_pool_matches_serial_byte_for_byte(self, pools):
+    def test_pool_matches_serial_byte_for_byte(self, pools, monkeypatch):
         doc, spec = _accel_doc(), SweepSpec.from_dict(_GRID)
-        serial = run_sweep(doc, spec, jobs=1)
+        _cpus(monkeypatch, 1)
+        serial = run_sweep(doc, spec)
         assert pools == []
-        pooled = run_sweep(doc, spec, jobs=2)
+        _cpus(monkeypatch, 2)
+        pooled = run_sweep(doc, spec)
         assert pools == [2]
         assert len(serial) == 24 * len(RUN_METRICS)
         assert pooled == serial
@@ -266,12 +274,14 @@ class TestParallelSweep:
         # the grid tells points apart, so equal output is not a degenerate case
         assert len({r["value"] for r in serial if r["metric"] == "mean_response_ns"}) > 4
 
-    def test_jobs_capped_at_the_run_count(self, pools):
+    def test_workers_capped_at_the_run_count(self, pools, monkeypatch):
+        _cpus(monkeypatch, 8)
         spec = SweepSpec.from_dict({"priorities": ["EDF"], "preemptive": [True], "reps": 2})
-        run_sweep(_doc(), spec, jobs=8)
+        run_sweep(_doc(), spec)
         assert pools == [2]
 
-    def test_first_failing_point_in_grid_order_raises(self, pools):
+    def test_first_failing_point_in_grid_order_raises(self, pools, monkeypatch):
+        _cpus(monkeypatch, 2)
         doc = TaskSetDocument.load(
             {
                 # PARTITIONED points lack virt_core_id, OFFLINE ones forbid
@@ -285,17 +295,19 @@ class TestParallelSweep:
              "preemptive": [True], "reps": 4}
         )
         with pytest.raises(RtschedError, match=r"sweep point PARTITIONED/EDF/preemptive=True/any rep 0: "):
-            run_sweep(doc, spec, jobs=2)
+            run_sweep(doc, spec)
         assert pools == [2]
 
-    def test_live_thread_keeps_the_sweep_in_process(self, pools):
+    def test_live_thread_keeps_the_sweep_in_process(self, pools, monkeypatch):
         doc, spec = _accel_doc(), SweepSpec.from_dict(dict(_GRID, mappings=["GLOBAL"]))
-        serial = run_sweep(doc, spec, jobs=1)
+        _cpus(monkeypatch, 1)
+        serial = run_sweep(doc, spec)
+        _cpus(monkeypatch, 2)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(10,))
         waiter.start()
         try:
-            rows = run_sweep(doc, spec, jobs=2)
+            rows = run_sweep(doc, spec)
         finally:
             release.set()
             waiter.join(timeout=10)
@@ -303,9 +315,17 @@ class TestParallelSweep:
         assert pools == []
         assert rows == serial
 
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(RtschedError, match="jobs must be >= 1"):
-            run_sweep(_doc(), SweepSpec(), jobs=0)
+    def test_no_affinity_mask_counts_every_cpu(self, pools, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert available_cpus() == 1
+        doc, spec = _accel_doc(), SweepSpec.from_dict(dict(_GRID, mappings=["GLOBAL"]))
+        serial = run_sweep(doc, spec)
+        assert pools == []
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert available_cpus() == 2
+        assert run_sweep(doc, spec) == serial
+        assert pools == [2]
 
 
 class TestCsvAndBest:
