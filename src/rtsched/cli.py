@@ -7,8 +7,8 @@
     rtsched latency                       dispatch latency of the thread backend
 
 Exit status: 0 on success (deadline misses are results, not failures),
-1 on configuration or validation errors.  RT_YASMIN_SEED seeds simulated
-runs when --seed is not given.
+1 on configuration or validation errors and on files that cannot be
+read.  RT_YASMIN_SEED seeds simulated runs when --seed is not given.
 """
 
 from __future__ import annotations
@@ -253,10 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except RtschedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (RtschedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,21 +3,33 @@
 A document carries the policy config, the declarations (tasks, versions,
 accelerators, channels), an optional SDF section that expands into graph
 nodes, an optional dispatch table, and an optional synthetic job model for
-simulated runs.  Unknown keys are rejected everywhere: a typo in a policy
-knob must fail loudly, not silently explore the wrong design point.
+simulated runs.
 
-build_state() replays the document through the ordinary declaration API,
-so file-driven runs hit exactly the same validation as code-driven ones.
-USER priorities and USER version selection need Python callbacks and
-therefore cannot be expressed in a document.
+One reader, read_object, reads every section from a table that gives each
+key its JSON type and its default (a required key has none), and the sweep
+spec (rtsched.sweep) is read the same way.  The type rule is the same
+everywhere: a bool takes only true/false, an integer only an integer, a
+number an integer or a decimal, a string only a string, a set a list of
+strings, an enum one of its values, and a key whose default is null also
+takes null.  An unknown key, a missing required key or a value of the
+wrong JSON type is a ConfigurationError raised when the document loads,
+naming the entry and the key: `bad tasks[0] value: period: expected an
+integer or null, got '10'`.  The tables of `config` and `sim_model` are
+derived from the fields of PolicyConfig and SimJobModel.
+
+build_state() replays the checked values through the ordinary declaration
+API, so file-driven runs hit exactly the same validation as code-driven
+ones.  USER version selection needs a Python callback and therefore cannot
+be expressed in a document.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigurationError
 from .graph import SdfEdge, SdfGraph, channel_connect, channel_decl, expand_sdf
@@ -35,100 +47,244 @@ from .model import (
 from .offline import ScheduleTable
 from .simulator import SimJobModel
 
-_CONFIG_KEYS = {f.name for f in fields(PolicyConfig)}
-_TASK_KEYS = {
-    "name",
-    "kind",
-    "period",
-    "relative_deadline",
-    "release_offset",
-    "virt_core_id",
-    "user_priority",
-}
-_VERSION_KEYS = {"task", "name", "wcet_estimate", "accelerators", "select"}
-_CHANNEL_KEYS = {"name", "element_size", "capacity", "initial_tokens"}
-_CONNECTION_KEYS = {"channel", "src", "dst", "required_tokens", "push_count"}
-_SDF_KEYS = {"period", "wcets", "edges", "relative_deadline", "release_offset", "virt_core_id"}
-_SDF_EDGE_KEYS = {"src", "dst", "produce", "consume", "initial_tokens"}
-_TABLE_KEYS = {"period", "entries"}
-_TABLE_ENTRY_KEYS = {"core", "task", "version", "offset"}
-_SIM_KEYS = {f.name for f in fields(SimJobModel)}
-# sim_model fields whose structure the type of their default cannot convey
-_SIM_CONVERTERS = {
-    "activations": lambda v: [(int(t), str(n)) for t, n in v],
-    "mode_schedule": lambda v: [(int(t), frozenset(m)) for t, m in v],
-    "body_ops": lambda v: {
-        task: [(int(o), str(op), str(ch), int(n)) for o, op, ch, n in ops]
-        for task, ops in v.items()
-    },
-}
-_TOP_KEYS = {
-    "config",
-    "accelerators",
-    "tasks",
-    "versions",
-    "channels",
-    "connections",
-    "sdf",
-    "table",
-    "sim_model",
-}
+# ------------------------------------------------------------ the reader
+
+REQUIRED = object()  # the default of a key an object must give
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {', '.join(unknown)}")
+class JsonType(NamedTuple):
+    """A JSON value type: what it expects in words, whether a value is one,
+    and how an accepted value becomes the value the program uses."""
+
+    expected: str
+    ok: Callable[[Any], bool]
+    convert: Callable[[Any], Any] | None = None
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigurationError(f"{where} is missing required key {key!r}")
-    return d[key]
+def read_object(table: dict, d, where: str) -> dict:
+    """The values of JSON object `d`, one per key of `table` (key ->
+    (JsonType, default)): each given value checked and converted, each
+    absent one its default (a default may be a function that makes it)."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    if not table.keys() >= d.keys():
+        unknown = ", ".join(sorted(d.keys() - table.keys()))
+        raise ConfigurationError(f"unknown keys in {where}: {unknown}")
+    out = {}
+    for key, ((expected, ok, convert), default) in table.items():
+        if key in d:
+            value = d[key]
+            if not ok(value):
+                got = repr(value)  # cut short: a bad list may hold a whole task set
+                got = got if len(got) <= 80 else got[:76] + " ..."
+                raise ConfigurationError(
+                    f"bad {where} value: {key}: expected {expected}, got {got}"
+                )
+            out[key] = value if convert is None else convert(value)
+        elif default is REQUIRED:
+            raise ConfigurationError(f"{where} is missing required key {key!r}")
+        else:
+            out[key] = default() if callable(default) else default
+    return out
 
 
-def _default(f):
-    return f.default_factory() if f.default is MISSING else f.default
+def list_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, list) and all(ok(x) for x in v)
 
 
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
-             frozenset: "a list of strings"}
+def object_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, dict) and all(ok(x) for x in v.values())
 
 
-def _json_typed(value, default) -> bool:
-    """Whether a JSON value may fill a field whose default is `default`:
-    a bool only a bool, an int only a non-bool int, a float an int or a
-    float, a frozenset a list of strings; other fields take any value."""
-    if isinstance(default, bool):
-        return isinstance(value, bool)
-    if isinstance(default, (int, float)):
-        return isinstance(value, (int, type(default))) and not isinstance(value, bool)
-    if isinstance(default, frozenset):
-        return isinstance(value, list) and all(isinstance(x, str) for x in value)
-    return True
+def _rows(*cols: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    """A list of lists of len(cols) items, item i passing cols[i]."""
+    return list_of(
+        lambda r: isinstance(r, list) and len(r) == len(cols)
+        and all(ok(x) for ok, x in zip(cols, r))
+    )
 
 
-def _from_fields(cls, d: dict, converters: dict, where: str):
-    """An instance of dataclass `cls` from the keys `d` gives.  A value
-    must fit the type of its field's default (an enum takes one of its
-    values; see _json_typed for the rest) and is converted to it; other
-    fields keep the value as written unless `converters` names them.  A
-    value that does not fit is a ConfigurationError naming `where`."""
-    kwargs = {}
+STRING = JsonType("a string", lambda v: isinstance(v, str))
+INT = JsonType("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+NUMBER = JsonType("a number", lambda v: INT.ok(v) or isinstance(v, float), float)
+BOOL = JsonType("a boolean", lambda v: isinstance(v, bool))
+OBJECT = JsonType("an object", lambda v: isinstance(v, dict))
+STRINGS = JsonType("a list of strings", list_of(STRING.ok))
+STRING_SET = STRINGS._replace(convert=frozenset)
+
+
+def nullable(t: JsonType) -> JsonType:
+    convert = t.convert and (lambda v: None if v is None else t.convert(v))
+    return JsonType(f"{t.expected} or null", lambda v: v is None or t.ok(v), convert)
+
+
+def one_of(enum: type[Enum]) -> JsonType:
+    values = [e.value for e in enum]
+    return JsonType(
+        f"one of {', '.join(values)}", lambda v: isinstance(v, str) and v in values, enum
+    )
+
+
+def _section(table: dict, where: str, make: Callable | None = None) -> JsonType:
+    """An object read by `table`, made into make(**values) when given."""
+    def read(v):
+        values = read_object(table, v, where)
+        return values if make is None else make(**values)
+
+    return JsonType("an object", OBJECT.ok, read)
+
+
+def _sections(table: dict, where: str, make: Callable | None = None) -> JsonType:
+    """A list of objects, item i read by `table` as `where[i]`."""
+    def read(v):
+        items = [read_object(table, x, f"{where}[{i}]") for i, x in enumerate(v)]
+        return items if make is None else [make(**x) for x in items]
+
+    return JsonType("a list of objects", list_of(OBJECT.ok), read)
+
+
+_BY_DEFAULT = {bool: BOOL, int: INT, float: NUMBER, frozenset: STRING_SET}
+
+
+def field_table(cls, types: dict[str, JsonType]) -> dict:
+    """The table of dataclass `cls`: a key per field with the field's
+    default, typed by `types` or else by the type of that default."""
+    table = {}
     for f in fields(cls):
-        if f.name not in d:
-            continue
-        value, default = d[f.name], _default(f)
-        conv = converters.get(f.name)
-        try:
-            if conv is None and isinstance(default, (Enum, int, float, frozenset)):
-                if not _json_typed(value, default):
-                    raise ValueError(f"expected {_EXPECTED[type(default)]}, got {value!r}")
-                conv = type(default)
-            kwargs[f.name] = value if conv is None else conv(value)
-        except (TypeError, ValueError) as e:
-            raise ConfigurationError(f"bad {where} value: {f.name}: {e}") from None
-    return cls(**kwargs)
+        default = f.default_factory if f.default is MISSING else f.default
+        typ = types.get(f.name) or (
+            one_of(type(default)) if isinstance(default, Enum) else _BY_DEFAULT[type(default)]
+        )
+        table[f.name] = (typ, default)
+    return table
+
+
+# ------------------------------------------------------------ the tables
+
+_OPT_INT = nullable(INT)
+
+_CONFIG = field_table(PolicyConfig, {})
+_SIM = field_table(SimJobModel, {
+    "exec_time": OBJECT,
+    "activations": JsonType(
+        "a list of [time, task] pairs", _rows(INT.ok, STRING.ok),
+        lambda v: [tuple(p) for p in v],
+    ),
+    "mode_schedule": JsonType(
+        "a list of [time, modes] pairs", _rows(INT.ok, STRINGS.ok),
+        lambda v: [(t, frozenset(m)) for t, m in v],
+    ),
+    "battery_level": nullable(NUMBER),
+    "body_ops": JsonType(
+        "an object of [offset, op, channel, count] lists",
+        object_of(_rows(INT.ok, STRING.ok, STRING.ok, INT.ok)),
+        lambda v: {task: [tuple(op) for op in ops] for task, ops in v.items()},
+    ),
+})
+_TASK = {
+    "name": (STRING, REQUIRED),
+    "kind": (one_of(TaskKind), TaskKind.PERIODIC),
+    "period": (_OPT_INT, None),
+    "relative_deadline": (_OPT_INT, None),
+    "release_offset": (INT, 0),
+    "virt_core_id": (_OPT_INT, None),
+    "user_priority": (_OPT_INT, None),
+}
+_VERSION = {
+    "task": (STRING, REQUIRED),
+    "name": (STRING, ""),
+    "wcet_estimate": (INT, REQUIRED),
+    "accelerators": (STRINGS, ()),
+    "select": (nullable(OBJECT), None),  # read by _SELECT under the config's method
+}
+# select props class and table per version selection method
+_SELECT = {
+    VersionSelection.ENERGY: (EnergySelect, {"energy_budget": (NUMBER, REQUIRED)}),
+    VersionSelection.ENERGY_TIME: (
+        EnergyTimeSelect,
+        {"energy_cost": (NUMBER, REQUIRED), "exec_time": (INT, REQUIRED)},
+    ),
+    VersionSelection.MODE: (ModeSelect, {"mode_mask": (STRING_SET, REQUIRED)}),
+    VersionSelection.BITMASK: (BitmaskSelect, {"permission_mask": (STRING_SET, REQUIRED)}),
+}
+_CHANNEL = {
+    "name": (STRING, REQUIRED),
+    "element_size": (INT, 0),
+    "capacity": (INT, 0),
+    "initial_tokens": (INT, 0),
+}
+_CONNECTION = {
+    "channel": (STRING, REQUIRED),
+    "src": (STRING, REQUIRED),
+    "dst": (STRING, REQUIRED),
+    "required_tokens": (_OPT_INT, None),
+    "push_count": (_OPT_INT, None),
+}
+_SDF_EDGE = {
+    "src": (STRING, REQUIRED),
+    "dst": (STRING, REQUIRED),
+    "produce": (INT, 1),
+    "consume": (INT, 1),
+    "initial_tokens": (INT, 0),
+}
+# every key but edges is an expand_sdf argument
+_SDF = {
+    "period": (INT, REQUIRED),
+    "wcets": (JsonType("an object of integers", object_of(INT.ok)), REQUIRED),
+    "edges": (_sections(_SDF_EDGE, "sdf.edges", SdfEdge), ()),
+    "relative_deadline": (_OPT_INT, None),
+    "release_offset": (INT, 0),
+    "virt_core_id": (_OPT_INT, None),
+}
+_TABLE_ENTRY = {
+    "core": (INT, REQUIRED),
+    "task": (STRING, REQUIRED),
+    # a version name, or its id as an integer or a decimal string
+    "version": (
+        JsonType("a string or an integer", lambda v: STRING.ok(v) or INT.ok(v)), REQUIRED
+    ),
+    "offset": (INT, REQUIRED),
+}
+_TABLE = {
+    "period": (INT, REQUIRED),
+    "entries": (_sections(_TABLE_ENTRY, "table.entries"), ()),
+}
+_ROOT = {
+    "config": (_section(_CONFIG, "config", PolicyConfig), PolicyConfig),
+    "accelerators": (STRINGS, ()),
+    "tasks": (_sections(_TASK, "tasks"), ()),
+    "versions": (_sections(_VERSION, "versions"), ()),
+    "channels": (_sections(_CHANNEL, "channels"), ()),
+    "connections": (_sections(_CONNECTION, "connections"), ()),
+    "sdf": (_section(_SDF, "sdf"), None),
+    "table": (_section(_TABLE, "table"), None),
+    "sim_model": (_section(_SIM, "sim_model", SimJobModel), SimJobModel),
+}
+
+
+def _read_select(method: VersionSelection, block: dict | None, where: str):
+    """The select props of a version's `select` block under `method`."""
+    props_table = _SELECT.get(method)  # None under PRESELECTED and USER
+    if block is None:
+        if props_table is None:
+            return None  # build_state refuses USER before reading versions
+        raise ConfigurationError(
+            f"{where}: version selection {method.value} requires a select block"
+            " on every version"
+        )
+    if props_table is None:
+        raise ConfigurationError(
+            f"{where}: select block not allowed under {method.value} version selection"
+        )
+    props, table = props_table
+    return props(**read_object(table, block, f"{where}.select"))
+
+
+def _ref(ids: dict[str, int], name: str, what: str) -> int:
+    """The id `ids` gives `name`; `what` names the referrer and the kind."""
+    if name not in ids:
+        raise ConfigurationError(f"{what} {name!r}")
+    return ids[name]
 
 
 def _jsonable(value):
@@ -147,50 +303,21 @@ def _jsonable(value):
 
 @dataclass
 class TaskSetDocument:
-    """Parsed, key-checked document.  data holds the raw (valid) dict."""
+    """A document read and checked when made.  data holds it as written."""
 
     data: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        doc = read_object(_ROOT, self.data, "document root")
+        method = doc["config"].version_selection
+        for i, v in enumerate(doc["versions"]):
+            v["select"] = _read_select(method, v["select"], f"versions[{i}]")
+        self._doc = doc
 
     # ----------------------------------------------------------- parse
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TaskSetDocument":
-        if not isinstance(raw, dict):
-            raise ConfigurationError("document root must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "document root")
-        cfg = raw.get("config", {})
-        _reject_unknown(cfg, _CONFIG_KEYS, "config")
-        for i, t in enumerate(raw.get("tasks", [])):
-            _reject_unknown(t, _TASK_KEYS, f"tasks[{i}]")
-            _require(t, "name", f"tasks[{i}]")
-        for i, v in enumerate(raw.get("versions", [])):
-            _reject_unknown(v, _VERSION_KEYS, f"versions[{i}]")
-            _require(v, "task", f"versions[{i}]")
-            _require(v, "wcet_estimate", f"versions[{i}]")
-        for i, c in enumerate(raw.get("channels", [])):
-            _reject_unknown(c, _CHANNEL_KEYS, f"channels[{i}]")
-            _require(c, "name", f"channels[{i}]")
-        for i, c in enumerate(raw.get("connections", [])):
-            _reject_unknown(c, _CONNECTION_KEYS, f"connections[{i}]")
-            for k in ("channel", "src", "dst"):
-                _require(c, k, f"connections[{i}]")
-        if "sdf" in raw:
-            sdf = raw["sdf"]
-            _reject_unknown(sdf, _SDF_KEYS, "sdf")
-            _require(sdf, "period", "sdf")
-            _require(sdf, "wcets", "sdf")
-            for i, e in enumerate(sdf.get("edges", [])):
-                _reject_unknown(e, _SDF_EDGE_KEYS, f"sdf.edges[{i}]")
-        if "table" in raw:
-            table = raw["table"]
-            _reject_unknown(table, _TABLE_KEYS, "table")
-            _require(table, "period", "table")
-            for i, e in enumerate(table.get("entries", [])):
-                _reject_unknown(e, _TABLE_ENTRY_KEYS, f"table.entries[{i}]")
-                for k in ("core", "task", "version", "offset"):
-                    _require(e, k, f"table.entries[{i}]")
-        if "sim_model" in raw:
-            _reject_unknown(raw["sim_model"], _SIM_KEYS, "sim_model")
         return cls(data=raw)
 
     @classmethod
@@ -213,128 +340,74 @@ class TaskSetDocument:
     # ----------------------------------------------------------- build
 
     def config(self) -> PolicyConfig:
-        return _from_fields(PolicyConfig, self.data.get("config", {}), {}, "config")
+        return replace(self._doc["config"])
+
+    def sim_model(self) -> SimJobModel:
+        return replace(self._doc["sim_model"])
 
     def sdf_graph(self) -> SdfGraph | None:
         """The graph of the `sdf` section, or None when there is none."""
-        if "sdf" not in self.data:
+        s = self._doc["sdf"]
+        if s is None:
             return None
-        s = self.data["sdf"]
-        edges = [
-            SdfEdge(
-                src=e["src"],
-                dst=e["dst"],
-                produce=int(e.get("produce", 1)),
-                consume=int(e.get("consume", 1)),
-                initial_tokens=int(e.get("initial_tokens", 0)),
-            )
-            for e in s.get("edges", [])
-        ]
-        return SdfGraph(actors=sorted(s["wcets"]), edges=edges)
+        return SdfGraph(actors=sorted(s["wcets"]), edges=list(s["edges"]))
 
-    def build_state(self) -> MiddlewareState:
-        config = self.config()
+    def build_state(self, config: PolicyConfig | None = None) -> MiddlewareState:
+        """A new state declaring the document, under `config` when given
+        (a sweep point's policy) and the document's own otherwise."""
+        doc = self._doc
+        config = self.config() if config is None else config
         if config.version_selection is VersionSelection.USER:
             raise ConfigurationError(
                 "USER version selection needs a Python callback; build the state in code"
             )
         state = init(config)
-        accel_ids: dict[str, int] = {}
-        for name in self.data.get("accelerators", []):
-            accel_ids[name] = state.hwaccel_decl(name)
-        task_ids: dict[str, int] = {}
-        for t in self.data.get("tasks", []):
-            task_ids[t["name"]] = state.task_decl(
-                t["name"],
-                TaskKind(t.get("kind", "periodic")),
-                period=t.get("period"),
-                relative_deadline=t.get("relative_deadline"),
-                release_offset=t.get("release_offset", 0),
-                virt_core_id=t.get("virt_core_id"),
-                user_priority=t.get("user_priority"),
-            )
-        version_ids: dict[tuple[str, str], int] = {}
-        for v in self.data.get("versions", []):
-            tname = v["task"]
-            if tname not in task_ids:
-                raise ConfigurationError(f"version references unknown task {tname!r}")
+        accel_ids = {name: state.hwaccel_decl(name) for name in doc["accelerators"]}
+        task_ids = {t["name"]: state.task_decl(**t) for t in doc["tasks"]}
+        for v in doc["versions"]:
+            tid = _ref(task_ids, v["task"], "version references unknown task")
             vid = state.version_decl(
-                task_ids[tname],
-                wcet_estimate=int(v["wcet_estimate"]),
-                select=_select_from_dict(config.version_selection, v.get("select")),
-                name=v.get("name", ""),
+                tid, wcet_estimate=v["wcet_estimate"], select=v["select"], name=v["name"]
             )
-            version_ids[(tname, state.task(task_ids[tname]).versions[vid].name)] = vid
-            for aname in v.get("accelerators", []):
-                if aname not in accel_ids:
-                    raise ConfigurationError(
-                        f"version references unknown accelerator {aname!r}"
-                    )
-                state.hwaccel_use(task_ids[tname], vid, accel_ids[aname])
+            for aname in v["accelerators"]:
+                accel = _ref(accel_ids, aname, "version references unknown accelerator")
+                state.hwaccel_use(tid, vid, accel)
         chan_ids: dict[str, int] = {}
-        for c in self.data.get("channels", []):
-            cid = channel_decl(
-                state, c["name"], c.get("element_size", 0), c.get("capacity", 0)
-            )
-            state.channels[cid].initial_tokens = int(c.get("initial_tokens", 0))
+        for c in doc["channels"]:
+            cid = channel_decl(state, c["name"], c["element_size"], c["capacity"])
+            state.channels[cid].initial_tokens = c["initial_tokens"]
             chan_ids[c["name"]] = cid
-        for c in self.data.get("connections", []):
-            for k in ("src", "dst"):
-                if c[k] not in task_ids:
-                    raise ConfigurationError(
-                        f"connection references unknown task {c[k]!r}"
-                    )
-            if c["channel"] not in chan_ids:
-                raise ConfigurationError(
-                    f"connection references unknown channel {c['channel']!r}"
-                )
+        for c in doc["connections"]:
+            src, dst = (_ref(task_ids, c[k], "connection references unknown task")
+                        for k in ("src", "dst"))
             channel_connect(
                 state,
-                chan_ids[c["channel"]],
-                task_ids[c["src"]],
-                task_ids[c["dst"]],
-                required_tokens=c.get("required_tokens"),
-                push_count=c.get("push_count"),
+                _ref(chan_ids, c["channel"], "connection references unknown channel"),
+                src,
+                dst,
+                required_tokens=c["required_tokens"],
+                push_count=c["push_count"],
             )
-        sdf = self.sdf_graph()
-        if sdf is not None:
-            s = self.data["sdf"]
-            expand_sdf(
-                state,
-                sdf,
-                period=int(s["period"]),
-                wcets={a: int(w) for a, w in s["wcets"].items()},
-                relative_deadline=s.get("relative_deadline"),
-                release_offset=s.get("release_offset", 0),
-                virt_core_id=s.get("virt_core_id"),
-            )
-        if "table" in self.data:
-            t = self.data["table"]
-            table = ScheduleTable(table_period=int(t["period"]))
-            for e in t.get("entries", []):
-                if e["task"] not in task_ids:
-                    raise ConfigurationError(
-                        f"table entry references unknown task {e['task']!r}"
-                    )
-                task = state.task(task_ids[e["task"]])
-                vid = None
-                for v in task.versions:
-                    if v.name == e["version"] or str(v.version_id) == str(e["version"]):
-                        vid = v.version_id
-                        break
+        if doc["sdf"] is not None:
+            args = {k: v for k, v in doc["sdf"].items() if k != "edges"}
+            expand_sdf(state, self.sdf_graph(), **args)
+        if doc["table"] is not None:
+            table = ScheduleTable(table_period=doc["table"]["period"])
+            for e in doc["table"]["entries"]:
+                tid = _ref(task_ids, e["task"], "table entry references unknown task")
+                task = state.task(tid)
+                vid = next((
+                    v.version_id for v in task.versions
+                    if v.name == e["version"] or str(v.version_id) == str(e["version"])
+                ), None)
                 if vid is None:
                     raise ConfigurationError(
                         f"table entry references unknown version {e['version']!r}"
                         f" of task {e['task']!r}"
                     )
-                table.add(int(e["core"]), task.task_id, vid, int(e["offset"]))
+                table.add(e["core"], task.task_id, vid, e["offset"])
             state.table = table
         return state
-
-    def sim_model(self) -> SimJobModel:
-        return _from_fields(
-            SimJobModel, self.data.get("sim_model", {}), _SIM_CONVERTERS, "sim_model"
-        )
 
     # ------------------------------------------------------- serialize
 
@@ -345,46 +418,12 @@ class TaskSetDocument:
         Path(path).write_text(self.to_json())
 
 
-def _select_from_dict(method: VersionSelection, d: dict | None):
-    if d is None:
-        if method is VersionSelection.PRESELECTED:
-            return None
-        raise ConfigurationError(
-            f"version selection {method.value} requires a select block on every version"
-        )
-    if method is VersionSelection.ENERGY:
-        _reject_unknown(d, {"energy_budget"}, "select")
-        return EnergySelect(energy_budget=float(_require(d, "energy_budget", "select")))
-    if method is VersionSelection.ENERGY_TIME:
-        _reject_unknown(d, {"energy_cost", "exec_time"}, "select")
-        return EnergyTimeSelect(
-            energy_cost=float(_require(d, "energy_cost", "select")),
-            exec_time=int(_require(d, "exec_time", "select")),
-        )
-    if method is VersionSelection.MODE:
-        _reject_unknown(d, {"mode_mask"}, "select")
-        return ModeSelect(mode_mask=frozenset(_require(d, "mode_mask", "select")))
-    if method is VersionSelection.BITMASK:
-        _reject_unknown(d, {"permission_mask"}, "select")
-        return BitmaskSelect(
-            permission_mask=frozenset(_require(d, "permission_mask", "select"))
-        )
-    raise ConfigurationError(
-        f"select block not allowed under {method.value} version selection"
-    )
-
-
 def _select_to_dict(select) -> dict | None:
     if select is None:
         return None
-    if isinstance(select, EnergySelect):
-        return {"energy_budget": select.energy_budget}
-    if isinstance(select, EnergyTimeSelect):
-        return {"energy_cost": select.energy_cost, "exec_time": select.exec_time}
-    if isinstance(select, ModeSelect):
-        return {"mode_mask": sorted(select.mode_mask)}
-    if isinstance(select, BitmaskSelect):
-        return {"permission_mask": sorted(select.permission_mask)}
+    for props, table in _SELECT.values():
+        if isinstance(select, props):
+            return {key: _jsonable(getattr(select, key)) for key in table}
     raise ConfigurationError("user-select callbacks cannot be serialized")
 
 
@@ -396,28 +435,19 @@ def document_from_state(
     Round trip: build_state() on the result reproduces an equivalent state.
     Entry callables are dropped (documents describe timing, not code)."""
     data: dict = {
-        "config": {
-            f.name: _jsonable(getattr(state.config, f.name))
-            for f in fields(PolicyConfig)
-        }
+        "config": {key: _jsonable(getattr(state.config, key)) for key in _CONFIG}
     }
     if state.accelerators:
         data["accelerators"] = [a.name for a in state.accelerators]
     tasks = []
     versions = []
     for t in state.tasks:
-        entry: dict = {"name": t.name, "kind": t.kind.value}
-        if t.period is not None:
-            entry["period"] = t.period
-        if t.relative_deadline is not None:
-            entry["relative_deadline"] = t.relative_deadline
-        if t.release_offset:
-            entry["release_offset"] = t.release_offset
-        if t.virt_core_id is not None:
-            entry["virt_core_id"] = t.virt_core_id
-        if t.user_priority is not None:
-            entry["user_priority"] = t.user_priority
-        tasks.append(entry)
+        # every key that differs from its default, and the kind always
+        tasks.append({
+            key: _jsonable(getattr(t, key))
+            for key, (_, default) in _TASK.items()
+            if key == "kind" or getattr(t, key) != default
+        })
         for v in t.versions:
             ventry: dict = {
                 "task": t.name,
@@ -451,12 +481,10 @@ def document_from_state(
                     "src": state.tasks[c.src].name,
                     "dst": state.tasks[c.dst].name,
                 }
-                req = state.activation_overrides.get((c.dst, c.channel_id))
-                if req is not None:
-                    conn["required_tokens"] = req
-                pc = state.push_counts.get((c.src, c.channel_id))
-                if pc is not None:
-                    conn["push_count"] = pc
+                if c.required_tokens is not None:
+                    conn["required_tokens"] = c.required_tokens
+                if c.push_count is not None:
+                    conn["push_count"] = c.push_count
                 connections.append(conn)
         data["channels"] = channels
         if connections:
@@ -477,9 +505,9 @@ def document_from_state(
         data["table"] = {"period": state.table.table_period, "entries": entries}
     if model is not None:
         sim = {
-            f.name: _jsonable(getattr(model, f.name))
-            for f in fields(SimJobModel)
-            if getattr(model, f.name) != _default(f)
+            key: _jsonable(getattr(model, key))
+            for key, (_, default) in _SIM.items()
+            if getattr(model, key) != (default() if callable(default) else default)
         }
         if sim:
             data["sim_model"] = sim

@@ -44,10 +44,6 @@ class SdfDeadlockError(GraphError):
     """No actor can fire from the initial token state."""
 
 
-class TableError(RtschedError):
-    """Static dispatch table failed validation."""
-
-
 class TraceIntegrityError(RtschedError):
     """Trace violates event ordering or pairing rules."""
 

@@ -39,6 +39,9 @@ class ChannelDescriptor:
     src: int | None = None
     dst: int | None = None
     initial_tokens: int = 0
+    # tokens one consumer firing needs and one producer job pushes; None reads as 1
+    required_tokens: int | None = None
+    push_count: int | None = None
 
     @property
     def room(self) -> int:
@@ -87,30 +90,20 @@ def channel_connect(
         raise DeclarationError(f"channel {ch.name!r} is already connected")
     state.task(src_task)
     state.task(dst_task)
+    if required_tokens is not None and required_tokens < 1:
+        raise DeclarationError("required_tokens must be >= 1")
+    if push_count is not None and push_count < 1:
+        raise DeclarationError("push_count must be >= 1")
     ch.src = src_task
     ch.dst = dst_task
-    if required_tokens is not None:
-        if required_tokens < 1:
-            raise DeclarationError("required_tokens must be >= 1")
-        state.activation_overrides[(dst_task, channel_id)] = required_tokens
-    if push_count is not None:
-        if push_count < 1:
-            raise DeclarationError("push_count must be >= 1")
-        state.push_counts[(src_task, channel_id)] = push_count
+    ch.required_tokens = required_tokens
+    ch.push_count = push_count
 
 
 def channel(state: MiddlewareState, channel_id: int) -> ChannelDescriptor:
     if not 0 <= channel_id < len(state.channels):
         raise DeclarationError(f"unknown channel id {channel_id}")
     return state.channels[channel_id]
-
-
-def required_tokens(state: MiddlewareState, task_id: int, channel_id: int) -> int:
-    return state.activation_overrides.get((task_id, channel_id), 1)
-
-
-def push_count(state: MiddlewareState, task_id: int, channel_id: int) -> int:
-    return state.push_counts.get((task_id, channel_id), 1)
 
 
 def input_channels(state: MiddlewareState, task_id: int) -> list[ChannelDescriptor]:
@@ -210,10 +203,7 @@ def reserve_inputs(
 
 
 def _input_pairs(state: MiddlewareState, task_id: int) -> list[tuple[int, int]]:
-    return [
-        (c.channel_id, required_tokens(state, task_id, c.channel_id))
-        for c in input_channels(state, task_id)
-    ]
+    return [(c.channel_id, c.required_tokens or 1) for c in input_channels(state, task_id)]
 
 
 def check_activation(
@@ -257,7 +247,6 @@ class GraphInfo:
     node_rate: dict[int, int] = field(default_factory=dict)  # firings per iteration
     node_root: dict[int, int] = field(default_factory=dict)  # node -> root task
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    topo_order: list[int] = field(default_factory=list)
     inputs: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     outputs: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
@@ -285,12 +274,8 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
             continue
         edges.append((ch.src, ch.dst, ch))
         cid = ch.channel_id
-        info.inputs.setdefault(ch.dst, []).append(
-            (cid, required_tokens(state, ch.dst, cid))
-        )
-        info.outputs.setdefault(ch.src, []).append(
-            (cid, push_count(state, ch.src, cid))
-        )
+        info.inputs.setdefault(ch.dst, []).append((cid, ch.required_tokens or 1))
+        info.outputs.setdefault(ch.src, []).append((cid, ch.push_count or 1))
 
     # ---- acyclicity (Kahn) over tasks touched by channels
     touched = sorted({t for s, d, _ in edges for t in (s, d)})
@@ -314,7 +299,6 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
             Diagnostic("error", "graph-cycle", f"channel graph has a cycle through: {names}")
         )
         return info
-    info.topo_order = seen
 
     # ---- weakly-connected components containing graph nodes
     parent = {t: t for t in touched}
@@ -365,7 +349,7 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
 
     # ---- firing rates per iteration along topological order
     rate: dict[int, Fraction] = {}
-    for t in info.topo_order:
+    for t in seen:  # topological order
         task = state.tasks[t]
         if task.period is not None:
             rate[t] = Fraction(1)
@@ -387,8 +371,8 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
             continue
         firings: Fraction | None = None
         for cid, need in inputs:
-            src = state.channels[cid].src
-            arriving = rate.get(src, Fraction(0)) * push_count(state, src, cid)
+            ch = state.channels[cid]
+            arriving = rate.get(ch.src, Fraction(0)) * (ch.push_count or 1)
             f = arriving / need
             if firings is None:
                 firings = f

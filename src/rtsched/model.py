@@ -239,8 +239,6 @@ class MiddlewareState:
         self.accelerators: list[AcceleratorDescriptor] = []
         # channels/connections are populated by the task-graph module
         self.channels: list = []
-        self.activation_overrides: dict[tuple[int, int], int] = {}
-        self.push_counts: dict[tuple[int, int], int] = {}
         self.table = None  # ScheduleTable under OFFLINE
         self._backend = None
         self._names: set[str] = set()
@@ -440,11 +438,6 @@ class MiddlewareState:
             if t.name == name:
                 return t
         raise DeclarationError(f"unknown task {name!r}")
-
-    def accelerator(self, accel_id: int) -> AcceleratorDescriptor:
-        if not 0 <= accel_id < len(self.accelerators):
-            raise DeclarationError(f"unknown accelerator id {accel_id}")
-        return self.accelerators[accel_id]
 
     # ------------------------------------------------------ validation
 

@@ -146,7 +146,6 @@ class _FifoLock:
 
 class _WorkerSim:
     __slots__ = (
-        "idx",
         "current",
         "stack",
         "idle",
@@ -155,8 +154,7 @@ class _WorkerSim:
         "in_cs",
     )
 
-    def __init__(self, idx: int) -> None:
-        self.idx = idx
+    def __init__(self) -> None:
         self.current: Job | None = None
         self.stack: list[Job] = []
         self.idle = True
@@ -226,7 +224,7 @@ class _Engine:
         # (worker, job) parked per channel: ordered sets, woken FIFO
         self.chan_prod_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
         self.chan_cons_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
-        self.workers = [_WorkerSim(i) for i in range(state.config.worker_count)]
+        self.workers = [_WorkerSim() for _ in range(state.config.worker_count)]
         self.locks = [_FifoLock() for _ in self.core.queues]
         self.execs: dict[tuple[int, int], _JobExec] = {}
         self.live_jobs: set[tuple[int, int]] = set()

@@ -11,10 +11,23 @@ from __future__ import annotations
 import csv
 import functools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .document import TaskSetDocument
+from .document import (
+    BOOL,
+    INT,
+    STRINGS,
+    JsonType,
+    TaskSetDocument,
+    field_table,
+    list_of,
+    nullable,
+    object_of,
+    one_of,
+    read_object,
+)
 from .errors import ConfigurationError, RtschedError
+from .model import MappingScheme, PriorityAssignment
 from .realtime import available_cpus
 from .simulator import policy_label, run_simulation
 
@@ -41,36 +54,6 @@ RUN_METRICS = [
 ]
 
 
-def _strings(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-
-def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# spec key -> (accepts a JSON value, what it expects)
-_SPEC_TYPES = {
-    "mappings": (_strings, "a list of strings"),
-    "priorities": (_strings, "a list of strings"),
-    "preemptive": (
-        lambda v: isinstance(v, list) and all(isinstance(x, bool) for x in v),
-        "a list of booleans",
-    ),
-    "version_modes": (
-        lambda v: isinstance(v, dict)
-        and all(x is None or _strings(x) for x in v.values()),
-        "an object of string lists or nulls",
-    ),
-    "reps": (_int, "an integer"),
-    "horizon": (
-        lambda v: v is None or isinstance(v, str) or _int(v),
-        "an integer, a string or null",
-    ),
-    "seed": (_int, "an integer"),
-}
-
-
 @dataclass
 class SweepSpec:
     """Axes of the exploration grid.
@@ -92,6 +75,7 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        read_object(_SPEC, vars(self), "sweep")  # however the spec is made
         if self.reps < 1:
             raise ConfigurationError("reps must be >= 1")
         if not (self.mappings and self.priorities and self.preemptive
@@ -100,20 +84,8 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
-        """A spec from the keys `raw` gives, each of the JSON type its field
-        holds; a value of another type is a ConfigurationError."""
-        unknown = set(raw) - set(_SPEC_TYPES)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown sweep keys: {', '.join(sorted(unknown))}"
-            )
-        for key, value in raw.items():
-            ok, expected = _SPEC_TYPES[key]
-            if not ok(value):
-                raise ConfigurationError(
-                    f"bad sweep value: {key}: expected {expected}, got {value!r}"
-                )
-        return cls(**raw)
+        """A spec from the keys `raw` gives, read like a document section."""
+        return cls(**read_object(_SPEC, raw, "sweep"))
 
     def points(self) -> int:
         return (
@@ -122,6 +94,25 @@ class SweepSpec:
             * len(self.preemptive)
             * len(self.version_modes)
         )
+
+
+def _names(enum) -> JsonType:
+    names = ", ".join(e.value for e in enum)
+    return JsonType(f"a list of names among {names}", list_of(one_of(enum).ok))
+
+
+_SPEC = field_table(SweepSpec, {
+    "mappings": _names(MappingScheme),
+    "priorities": _names(PriorityAssignment),
+    "preemptive": JsonType("a list of booleans", list_of(BOOL.ok)),
+    "version_modes": JsonType(
+        "an object of string lists or nulls", object_of(nullable(STRINGS).ok)
+    ),
+    "horizon": JsonType(
+        "an integer, a string or null",
+        lambda v: v is None or isinstance(v, str) or INT.ok(v),
+    ),
+})
 
 
 def make_restrict(state, names: list[str] | None):
@@ -147,18 +138,6 @@ def make_restrict(state, names: list[str] | None):
     return restrict
 
 
-def _doc_with_policy(
-    doc: TaskSetDocument, mapping: str, priority: str, preemptive: bool
-) -> TaskSetDocument:
-    raw = dict(doc.data)
-    cfg = dict(raw.get("config", {}))
-    cfg["mapping_scheme"] = mapping
-    cfg["priority_assignment"] = priority
-    cfg["preemptive"] = preemptive
-    raw["config"] = cfg
-    return TaskSetDocument.from_dict(raw)
-
-
 def _sweep_run(
     doc: TaskSetDocument,
     spec: SweepSpec,
@@ -173,11 +152,16 @@ def _sweep_run(
     seed = spec.seed + rep
     point = f"{mapping}/{priority}/preemptive={preempt}/{label}"
     try:
-        varied = _doc_with_policy(doc, mapping, priority, preempt)
-        state = varied.build_state()
+        config = replace(
+            doc.config(),
+            mapping_scheme=MappingScheme(mapping),
+            priority_assignment=PriorityAssignment(priority),
+            preemptive=preempt,
+        )
+        state = doc.build_state(config)
         trace, report = run_simulation(
             state,
-            varied.sim_model(),
+            doc.sim_model(),
             horizon=spec.horizon,
             seed=seed,
             restrict=make_restrict(state, names),

@@ -23,13 +23,7 @@ from rtsched import (
     init,
     ms,
 )
-from rtsched.graph import (
-    check_activation,
-    input_channels,
-    output_channels,
-    push_count,
-    required_tokens,
-)
+from rtsched.graph import check_activation, input_channels, output_channels
 from rtsched.online import SchedulerCore
 
 from .oracles import activation_oracle
@@ -84,11 +78,11 @@ def test_index_matches_scans(g):
     info = analyze_graph(state)
     for t in range(len(state.tasks)):
         assert info.inputs.get(t, []) == [
-            (c.channel_id, required_tokens(state, t, c.channel_id))
+            (c.channel_id, c.required_tokens or 1)
             for c in input_channels(state, t)
         ]
         assert info.outputs.get(t, []) == [
-            (c.channel_id, push_count(state, t, c.channel_id))
+            (c.channel_id, c.push_count or 1)
             for c in output_channels(state, t)
         ]
 
@@ -121,7 +115,7 @@ def test_push_driven_matches_full_scan(g, steps):
     core = _core(state)
     channels = {c.channel_id: ChannelState(c) for c in state.channels}
     connections = [
-        (c.channel_id, c.dst, required_tokens(state, c.dst, c.channel_id))
+        (c.channel_id, c.dst, c.required_tokens or 1)
         for c in state.channels
         if c.dst is not None
     ]

@@ -14,6 +14,8 @@ from rtsched import ms
 from rtsched.cli import main
 from rtsched.tracing import CSV_COLUMNS
 
+from .test_document import WRONGLY_TYPED
+
 
 def _doc(tmp_path, data, name="set.json"):
     p = tmp_path / name
@@ -115,6 +117,23 @@ class TestValidate:
     def test_missing_file_reported(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBadDocuments:
+    def test_directory_path_reported(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("where, key, make", WRONGLY_TYPED)
+    def test_wrongly_typed_value_reported_at_load(self, tmp_path, capsys, where, key, make):
+        # expand-sdf looks for an sdf section before it builds anything, so
+        # it reports the value alike only when the value fails at load
+        path = _doc(tmp_path, make())
+        for command in ("simulate", "expand-sdf"):
+            assert main([command, path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad {where} value: {key}: expected")
+            assert err.count("\n") == 1  # one line, no traceback
 
 
 class TestSimulate:

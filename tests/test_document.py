@@ -1,8 +1,10 @@
 """JSON documents: parsing, state building, round trips."""
 
+import copy
 import dataclasses
 import io
 import json
+import re
 
 import pytest
 
@@ -33,6 +35,90 @@ def _minimal():
         "tasks": [{"name": "t", "kind": "periodic", "period": ms(10)}],
         "versions": [{"task": "t", "wcet_estimate": ms(2)}],
     }
+
+
+def _with(doc, value, *path):
+    """`doc` with the value at `path` (keys and list indices) replaced."""
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+def _selecting(method, select):
+    """A document whose one version carries `select` under `method`."""
+    raw = _minimal()
+    raw["config"] = {"version_selection": method}
+    raw["versions"][0]["select"] = select
+    return raw
+
+
+_GRAPH = {
+    "tasks": [
+        {"name": "src", "kind": "periodic", "period": ms(10)},
+        {"name": "snk", "kind": "graph_node"},
+    ],
+    "versions": [
+        {"task": "src", "wcet_estimate": ms(1)},
+        {"task": "snk", "wcet_estimate": ms(1)},
+    ],
+    "channels": [{"name": "c", "capacity": 2}],
+    "connections": [{"channel": "c", "src": "src", "dst": "snk"}],
+}
+_SDF = {
+    "sdf": {
+        "period": ms(40),
+        "wcets": {"a": ms(1), "b": ms(1)},
+        "edges": [{"src": "a", "dst": "b", "produce": 2, "consume": 3}],
+    },
+}
+_TABLE = {
+    "config": {"mapping_scheme": "OFFLINE", "preemptive": False, "worker_count": 1},
+    "tasks": [{"name": "t", "kind": "periodic", "period": ms(10), "virt_core_id": 0}],
+    "versions": [{"task": "t", "name": "main", "wcet_estimate": ms(2)}],
+    "table": {"period": ms(10),
+              "entries": [{"core": 0, "task": "t", "version": "main", "offset": 0}]},
+}
+
+
+def _variant(value, *path, base=_GRAPH):
+    """A maker of a copy of `base` with the value at `path` replaced."""
+    return lambda: _with(copy.deepcopy(base), value, *path)
+
+
+# (entry, key, document): a value of the wrong JSON type in each section
+# and each select block, first the ones that crashed or were coerced
+WRONGLY_TYPED = [
+    ("tasks[0]", "period", lambda: {"tasks": [{"name": "a", "period": "10"}]}),
+    ("channels[0]", "capacity", _variant("2", "channels", 0, "capacity")),
+    ("document root", "tasks", lambda: {"tasks": [5]}),
+    ("versions[0]", "wcet_estimate",
+     lambda: _with(_minimal(), "5", "versions", 0, "wcet_estimate")),
+    ("versions[0]", "wcet_estimate",
+     lambda: _with(_minimal(), 2.9, "versions", 0, "wcet_estimate")),
+    ("document root", "config", lambda: dict(_minimal(), config=[])),
+    ("document root", "accelerators", lambda: dict(_minimal(), accelerators="gpu")),
+    ("config", "worker_count", lambda: dict(_minimal(), config={"worker_count": "2"})),
+    ("tasks[0]", "kind", lambda: _with(_minimal(), "cyclic", "tasks", 0, "kind")),
+    ("tasks[0]", "release_offset", lambda: _with(_minimal(), None, "tasks", 0, "release_offset")),
+    ("versions[0]", "accelerators", lambda: _with(_minimal(), "gpu", "versions", 0, "accelerators")),
+    ("versions[0].select", "energy_budget",
+     lambda: _selecting("ENERGY", {"energy_budget": "1"})),
+    ("versions[0].select", "exec_time",
+     lambda: _selecting("ENERGY_TIME", {"energy_cost": 1.0, "exec_time": 1.5})),
+    ("versions[0].select", "mode_mask", lambda: _selecting("MODE", {"mode_mask": "day"})),
+    ("versions[0].select", "permission_mask",
+     lambda: _selecting("BITMASK", {"permission_mask": [1]})),
+    ("channels[0]", "initial_tokens", _variant(True, "channels", 0, "initial_tokens")),
+    ("connections[0]", "push_count", _variant("2", "connections", 0, "push_count")),
+    ("sdf", "period", _variant("40", "sdf", "period", base=_SDF)),
+    ("sdf", "wcets", _variant({"a": 1.5, "b": 1}, "sdf", "wcets", base=_SDF)),
+    ("sdf.edges[0]", "produce", _variant(2.0, "sdf", "edges", 0, "produce", base=_SDF)),
+    ("table", "period", _variant("10", "table", "period", base=_TABLE)),
+    ("table.entries[0]", "core", _variant("0", "table", "entries", 0, "core", base=_TABLE)),
+    ("sim_model", "activations", lambda: dict(_minimal(), sim_model={"activations": [[5]]})),
+]
 
 
 class TestLoad:
@@ -113,10 +199,8 @@ class TestStrictKeys:
     def test_wrongly_typed_value_rejected(self, section, key, value):
         raw = _minimal()
         raw[section] = {key: value}
-        doc = TaskSetDocument.load(raw)
-        read = doc.config if section == "config" else doc.sim_model
         with pytest.raises(ConfigurationError, match=f"bad {section} value: {key}: expected"):
-            read()
+            TaskSetDocument.load(raw)
 
     def test_exactly_typed_values_accepted(self):
         raw = _minimal()
@@ -128,6 +212,35 @@ class TestStrictKeys:
         assert model.alpha == 1.0 and isinstance(model.alpha, float)
         assert model.execution_mode == frozenset({"day"})
         assert model.pip_enabled is False
+
+    @pytest.mark.parametrize("where, key, make", WRONGLY_TYPED)
+    def test_wrongly_typed_value_fails_at_load(self, where, key, make):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"bad {where} value: {key}: expected")):
+            TaskSetDocument.load(make())
+
+    def test_long_bad_value_is_cut_short(self):
+        tasks = [{"name": f"t{i}", "period": ms(10)} for i in range(200)] + [5]
+        with pytest.raises(ConfigurationError) as err:
+            TaskSetDocument.load({"tasks": tasks})
+        message = str(err.value)
+        assert message.startswith("bad document root value: tasks: expected a list of objects")
+        assert len(message) < 200 and message.endswith(" ...")
+
+    def test_every_section_of_the_cases_loads_when_well_typed(self):
+        for raw in (_minimal(), _GRAPH, _SDF, _TABLE):
+            TaskSetDocument.load(copy.deepcopy(raw)).build_state()
+        for method, select in [("ENERGY", {"energy_budget": 1}),
+                               ("ENERGY_TIME", {"energy_cost": 2, "exec_time": 5}),
+                               ("MODE", {"mode_mask": ["day"]}),
+                               ("BITMASK", {"permission_mask": ["cam"]})]:
+            TaskSetDocument.load(_selecting(method, select)).build_state()
+
+    def test_table_version_is_a_name_or_an_id(self):
+        for version in ("main", "0", 0):
+            raw = _with(copy.deepcopy(_TABLE), version, "table", "entries", 0, "version")
+            [entry] = TaskSetDocument.load(raw).build_state().table.cores[0]
+            assert entry.version_id == 0
 
     def test_bad_converted_value_names_the_field(self):
         raw = _minimal()
@@ -219,8 +332,7 @@ class TestBuildState:
         state = TaskSetDocument.load(raw).build_state()
         ch = state.channels[0]
         assert (ch.src, ch.dst, ch.initial_tokens) == (0, 1, 1)
-        assert state.activation_overrides[(1, 0)] == 2
-        assert state.push_counts[(0, 0)] == 2
+        assert (ch.required_tokens, ch.push_count) == (2, 2)
 
     def test_sdf_section_expands(self):
         raw = {

@@ -29,6 +29,7 @@ from rtsched import (
     VersionSelection,
     channel_connect,
     channel_decl,
+    document_from_state,
     expand_sdf,
     init,
     load_document,
@@ -37,6 +38,7 @@ from rtsched import (
     trace_csv_text,
     us,
 )
+from rtsched.cli import main
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
@@ -268,3 +270,23 @@ def digests(build):
 def test_golden_digests(case):
     build, trace_sha, report_sha = GOLDEN[case]
     assert digests(build) == (trace_sha, report_sha)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The document writer: the standard output of `rtsched expand-sdf` and a
+# document written back from a built state must not move either.
+def test_expand_sdf_stdout(capsys):
+    assert main(["expand-sdf", os.path.join(DEMOS, "vision_pipeline.json")]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "663291fc8674f407154ee905cc4b7634c616186b00aab5c2cb6f01ce24a54ed1"
+    )
+
+
+def test_document_from_state():
+    state = load_document(os.path.join(DEMOS, "drone.json")).build_state()
+    assert _sha(document_from_state(state).to_json()) == (
+        "7085080ca001e123418fc4a9ae1b839e2e68e6f5b43ca819033e708b41e226e5"
+    )

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from rtsched import (
+    ConfigurationError,
     RtschedError,
     SWEEP_COLUMNS,
     SweepSpec,
@@ -62,7 +63,7 @@ class TestSweepSpec:
         assert spec.version_modes == {"fast": ["v0"], "any": None}
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(RtschedError, match="unknown sweep keys: reps_count"):
+        with pytest.raises(RtschedError, match="unknown keys in sweep: reps_count"):
             SweepSpec.from_dict({"reps_count": 2})
 
     def test_bad_reps(self):
@@ -93,6 +94,13 @@ class TestSweepSpec:
     def test_wrongly_typed_value_rejected(self, key, value):
         with pytest.raises(RtschedError, match=f"bad sweep value: {key}: expected"):
             SweepSpec.from_dict({key: value})
+
+    @pytest.mark.parametrize("key", ["mappings", "priorities"])
+    def test_unknown_policy_name_rejected_however_the_spec_is_made(self, key):
+        with pytest.raises(ConfigurationError, match=f"bad sweep value: {key}: expected"):
+            SweepSpec.from_dict({key: ["GLOBAL", "EDF", "FIFO"]})
+        with pytest.raises(ConfigurationError, match=f"bad sweep value: {key}: expected"):
+            SweepSpec(**{key: ["FIFO"]})
 
     def test_reps_checked_however_the_spec_is_made(self):
         with pytest.raises(RtschedError, match="reps must be >= 1"):
