@@ -100,7 +100,7 @@ def _cmd_simulate(args) -> int:
     state = doc.build_state()
     seed = args.seed if args.seed is not None else _env_seed()
     trace, report = run_simulation(
-        state, doc.sim_model(), horizon=args.horizon, seed=seed
+        state, doc.sim_model(), horizon=args.horizon, seed=seed, keep_trace=bool(args.trace)
     )
     if args.trace:
         with open(args.trace, "w") as fp:

@@ -620,7 +620,7 @@ def expand_sdf(
             node,
             TaskKind.GRAPH_NODE,
             period=period if is_root else None,
-            relative_deadline=(relative_deadline or period) if is_root else None,
+            relative_deadline=relative_deadline if is_root else None,
             release_offset=release_offset,
             virt_core_id=virt_core_id,
         )

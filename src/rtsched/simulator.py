@@ -189,6 +189,7 @@ class _Engine:
         horizon: int,
         seed: int,
         restrict: Callable[[TaskDescriptor], list[VersionDescriptor]] | None,
+        keep_trace: bool,
     ):
         self.state = state
         self.model = model
@@ -197,7 +198,7 @@ class _Engine:
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self.log = RunLog()
+        self.log = RunLog(keep_trace)
         self.events_done = 0
 
         self.registry = AcceleratorRegistry(
@@ -708,13 +709,16 @@ def run_simulation(
     horizon: int | str | None = None,
     seed: int = 0,
     restrict: Callable[[TaskDescriptor], list[VersionDescriptor]] | None = None,
+    keep_trace: bool = True,
 ) -> tuple[list[TraceEvent], RunReport]:
     """Simulate one run under virtual time.
 
     Pure: the input state is only read.  The default horizon is one
     hyperperiod (the table period under OFFLINE); runs whose hyperperiod
     overflows must pass an explicit horizon.  Releases stop at the horizon
-    and everything already released drains to completion.
+    and everything already released drains to completion.  With
+    `keep_trace=False` no trace is built and the one returned is empty;
+    the report is the same.
     """
     model = model or SimJobModel()
     graph = state.check()
@@ -730,7 +734,7 @@ def run_simulation(
     if horizon_ns <= 0:
         raise ConfigurationError("horizon must be > 0")
 
-    engine = _Engine(state, graph, model, horizon_ns, seed, restrict)
+    engine = _Engine(state, graph, model, horizon_ns, seed, restrict, keep_trace)
     engine.run()
     unfinished = [(state.tasks[t].name, s) for t, s in sorted(engine.live_jobs)]
     return engine.log.close(unfinished, {

@@ -159,12 +159,13 @@ def _sweep_run(
             preemptive=preempt,
         )
         state = doc.build_state(config)
-        trace, report = run_simulation(
+        _, report = run_simulation(
             state,
             doc.sim_model(),
             horizon=spec.horizon,
             seed=seed,
             restrict=make_restrict(state, names),
+            keep_trace=False,
         )
     except RtschedError as e:
         raise RtschedError(f"sweep point {point} rep {rep}: {e}") from e

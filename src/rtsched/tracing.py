@@ -4,7 +4,8 @@ A run produces an ordered list of TraceEvent.  The CSV export has a stable
 column order (timestamp_ns, kind, task, job_seq, worker, payload) and a
 deterministic payload encoding, so equal runs serialize byte-identically.
 
-Overheads are derived from the trace alone:
+Overheads are accumulated as a run records its events, kept or not;
+`compute_overheads` re-derives them from a trace read back, by the same rules:
 
   release overhead   release_effective - release_theoretical, per job
   get-task time      held duration of each worker queue-lock section
@@ -126,8 +127,10 @@ class Stat:
     def add(self, value: int) -> None:
         self.count += 1
         self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     @property
     def avg(self) -> float:
@@ -185,8 +188,7 @@ class Overheads:
 class RunReport:
     """Per-task counts of one run; the totals are sums over `tasks`.
 
-    Both backends count through the three `count_*` methods (releases and
-    completions by way of RunLog): a job is released when it becomes
+    RunLog counts them on both backends: a job is released when it becomes
     dispatchable (its release_effective event); it is completed, with its
     response time and a miss if it finished after its deadline, when it
     completes; a job still unfinished when the run ends is a miss and marks
@@ -216,27 +218,6 @@ class RunReport:
             self.tasks[name] = TaskStats()
         return self.tasks[name]
 
-    def count_release(self, task: str) -> None:
-        self.task(task).released += 1
-
-    def count_completion(self, task: str, release: int, deadline: int, now: int) -> int:
-        """Count a job of `task` completing at `now`.  Returns its lateness;
-        a positive value is a deadline miss."""
-        stats = self.task(task)
-        stats.completed += 1
-        stats.response.add(now - release)
-        late = now - deadline
-        if late > 0:
-            stats.misses += 1
-        return late
-
-    def count_unfinished(self, tasks: list[str]) -> None:
-        """Count jobs (by task name) that the run ended without finishing."""
-        if tasks:
-            self.truncated = True
-        for name in tasks:
-            self.task(name).misses += 1
-
     def to_dict(self) -> dict:
         return {
             "meta": dict(sorted(self.meta.items())),
@@ -252,32 +233,131 @@ class RunReport:
         }
 
 
+# per-job marks, in the order a job must pass them
+_MARKS = ("release_theoretical", "release_effective", "job_start", "job_complete")
+_THEORETICAL, _EFFECTIVE, _START, _COMPLETE = range(4)
+_MARK_INDEX = {kind: i for i, kind in enumerate(_MARKS)}
+
+
+class _Accounts:
+    """The overheads and integrity checks of one run, fed event by event:
+    by RunLog as the run records, and by compute_overheads from a trace.
+
+    Emission order gives what the sorted trace gives.  Every rule but tick
+    pairing is order-independent: job marks are checked in `finish`, and
+    sums and Stats commute.  Tick events come from one thread in time order
+    on both backends.  compute_overheads' per-worker time check cannot fire
+    on the stably sorted trace that RunLog.close returns.  The first fault
+    is kept and raised by `finish`, so one met on a thread-backend thread
+    still reaches whoever closes the run.
+    """
+
+    def __init__(self) -> None:
+        self.overheads = Overheads()
+        self.marks: dict[tuple[str, int | None], list[int | None]] = {}
+        self.open_tick: int | None = None
+        self.fault: str | None = None
+
+    def fail(self, message: str) -> None:
+        if self.fault is None:
+            self.fault = message
+
+    def mark(self, i: int, task: str, seq: int | None, t: int) -> None:
+        """Job `task#seq` passes mark `_MARKS[i]` at `t`."""
+        slot = self.marks.get((task, seq))
+        if slot is None:
+            slot = self.marks[(task, seq)] = [None, None, None, None]
+        elif slot[i] is not None:
+            self.fail(f"duplicate {_MARKS[i]} for {task}#{seq}")
+        slot[i] = t
+
+    def event(self, t: int, kind: str, worker: int | None, payload: dict) -> None:
+        """Account an event that is not a job mark."""
+        out = self.overheads
+        if kind == "lock_wait":
+            wait = int(payload.get("wait", 0))
+            if worker == SCHEDULER_WORKER:
+                out.scheduler_lock_wait.add(wait)
+            else:
+                out.worker_lock_wait.add(wait)
+                if payload.get("purpose") == "get_task":
+                    out.get_task.add(int(payload.get("held", 0)))
+        elif kind == "tick_begin":
+            if self.open_tick is not None:
+                self.fail("tick_begin while a tick is open")
+            self.open_tick = t
+        elif kind == "tick_end":
+            if self.open_tick is None:
+                self.fail("tick_end without tick_begin")
+            else:
+                out.scheduling.add(t - self.open_tick)
+                self.open_tick = None
+        elif kind == "preempt":
+            out.preemptions += 1
+            out.context_switch_total += int(payload.get("switch", 0))
+        elif kind == "resume":
+            out.context_switch_total += int(payload.get("switch", 0))
+
+    def finish(self, allow_truncated: bool) -> Overheads:
+        """Check what only the whole run shows and return the overheads."""
+        if self.open_tick is not None:
+            self.fail("trace ends inside a tick")
+        if self.fault is not None:
+            raise TraceIntegrityError(self.fault)
+        out = self.overheads
+        marks, self.marks = self.marks, {}  # a closed run keeps no per-job state
+        for (task, seq), slot in marks.items():
+            chain = [v for v in slot if v is not None]
+            if chain != sorted(chain):
+                named = sorted(((k, v) for k, v in zip(_MARKS, slot) if v is not None),
+                               key=lambda kv: kv[1])
+                raise TraceIntegrityError(f"ordering violation for job {task}#{seq}: {dict(named)}")
+            rt, re_, st, co = slot
+            if st is not None and co is None and not allow_truncated:
+                raise TraceIntegrityError(f"job {task}#{seq} started but never completed")
+            if rt is not None and re_ is not None:
+                out.release_overhead.add(re_ - rt)
+        return out
+
+
 class RunLog:
-    """The record of one run: its trace and its report.
+    """The record of one run: its report and, if `keep_trace`, its trace.
 
     Both backends record through it, one method per step of a job's life,
     so each step's events and the count that goes with them are written in
     one place, and end the run with `close`.  `t` is the instant of the
-    step.  Not thread-safe: the thread backend calls it under its own lock.
+    step.  Overheads are accounted as events are recorded, so a run that
+    keeps no trace builds no TraceEvent.  Not thread-safe: the thread
+    backend calls it under its own lock.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, keep_trace: bool = True) -> None:
+        self.keep_trace = keep_trace
         self.trace: list[TraceEvent] = []
         self.report = RunReport()
+        self._accounts = _Accounts()
+
+    def _keep(self, t: int, kind: str, job, worker: int | None, payload: dict) -> None:
+        if self.keep_trace:
+            task, seq = ("", None) if job is None else (job.task.name, job.seq)
+            self.trace.append(TraceEvent(t, kind, task, seq, worker, payload))
+
+    def _mark(self, t: int, i: int, job, worker: int | None = None, **payload) -> None:
+        self._accounts.mark(i, job.task.name, job.seq, t)
+        self._keep(t, _MARKS[i], job, worker, payload)
 
     def emit(self, t: int, kind: str, job=None, worker: int | None = None, **payload) -> None:
-        if job is None:
-            self.trace.append(TraceEvent(t, kind, "", None, worker, payload))
-        else:
-            self.trace.append(TraceEvent(t, kind, job.task.name, job.seq, worker, payload))
+        """Record an event other than a job mark (the step methods set those)."""
+        self._accounts.event(t, kind, worker, payload)
+        self._keep(t, kind, job, worker, payload)
 
     def theoretical(self, job) -> None:
-        self.emit(job.abs_release, "release_theoretical", job)
+        self._mark(job.abs_release, _THEORETICAL, job)
 
     def release(self, t: int, job, worker: int | None = None) -> None:
         """The job becomes dispatchable at `t`."""
-        self.report.count_release(job.task.name)
-        self.emit(t, "release_effective", job, worker)
+        self.report.task(job.task.name).released += 1
+        self._mark(t, _EFFECTIVE, job, worker)
 
     def table_release(self, t: int, job, worker: int) -> None:
         """A table entry enters its core at `t`, late if past its release."""
@@ -287,15 +367,19 @@ class RunLog:
             self.emit(t, "overrun", job, worker, late=t - job.abs_release)
 
     def start(self, t: int, job, worker: int) -> None:
-        self.emit(t, "job_start", job, worker, version=job.version.name)
+        self._mark(t, _START, job, worker, version=job.version.name)
 
     def complete(self, t: int, job, worker: int, body_ns: int) -> None:
         """The job completes at `t` after running `body_ns` of its own."""
-        self.emit(t, "job_complete", job, worker)
+        self._mark(t, _COMPLETE, job, worker)
         if body_ns > job.version.wcet_estimate:
             self.emit(t, "overrun", job, worker, over=body_ns - job.version.wcet_estimate)
-        late = self.report.count_completion(job.task.name, job.abs_release, job.abs_deadline, t)
+        stats = self.report.task(job.task.name)
+        stats.completed += 1
+        stats.response.add(t - job.abs_release)
+        late = t - job.abs_deadline
         if late > 0:
+            stats.misses += 1
             self.emit(t, "deadline_miss", job, worker, late=late)
 
     def accels(self, t: int, kind: str, job, worker: int, names: list[str]) -> None:
@@ -307,15 +391,17 @@ class RunLog:
         self, unfinished: list[tuple[str, int]], meta: dict
     ) -> tuple[list[TraceEvent], RunReport]:
         """End the run: count the `(task, seq)` jobs it left unfinished,
-        sort the trace by time (stable: same-instant order is kept), derive
-        the overheads and set `meta`.  Returns (trace, report)."""
+        sort the trace by time (stable: same-instant order is kept), check
+        and set the overheads and set `meta`.  Returns (trace, report)."""
         report = self.report
         if unfinished:
             names = ", ".join(f"{n}#{s}" for n, s in unfinished)
             report.warnings.append(f"run ended with unfinished jobs: {names}")
-            report.count_unfinished([n for n, _ in unfinished])
+            report.truncated = True
+            for name, _ in unfinished:
+                report.task(name).misses += 1
         self.trace.sort(key=lambda e: e.timestamp_ns)
-        report.overheads = compute_overheads(self.trace, allow_truncated=report.truncated)
+        report.overheads = self._accounts.finish(report.truncated)
         report.meta = meta
         return self.trace, report
 
@@ -329,68 +415,17 @@ def compute_overheads(events: list[TraceEvent], *, allow_truncated: bool = False
     Raises TraceIntegrityError on out-of-order per-worker timestamps,
     unpaired tick or job markers, or release/start/complete inversions.
     """
-    out = Overheads()
+    accounts = _Accounts()
     last_per_worker: dict[int, int] = {}
-    jobs: dict[tuple[str, int], dict[str, int]] = {}
-    open_tick: int | None = None
-
     for e in events:
         if e.worker is not None:
             prev = last_per_worker.get(e.worker)
             if prev is not None and e.timestamp_ns < prev:
-                raise TraceIntegrityError(
-                    f"worker {e.worker} timestamps go backwards at {e.timestamp_ns}"
-                )
+                accounts.fail(f"worker {e.worker} timestamps go backwards at {e.timestamp_ns}")
             last_per_worker[e.worker] = e.timestamp_ns
-
-        if e.kind in ("release_theoretical", "release_effective", "job_start", "job_complete"):
-            seq = -1 if e.job_seq is None else e.job_seq
-            slot = jobs.setdefault((e.task, seq), {})
-            if e.kind in slot:
-                raise TraceIntegrityError(
-                    f"duplicate {e.kind} for {e.task}#{e.job_seq}"
-                )
-            slot[e.kind] = e.timestamp_ns
-        elif e.kind == "tick_begin":
-            if open_tick is not None:
-                raise TraceIntegrityError("tick_begin while a tick is open")
-            open_tick = e.timestamp_ns
-        elif e.kind == "tick_end":
-            if open_tick is None:
-                raise TraceIntegrityError("tick_end without tick_begin")
-            out.scheduling.add(e.timestamp_ns - open_tick)
-            open_tick = None
-        elif e.kind == "lock_wait":
-            wait = int(e.payload.get("wait", 0))
-            if e.worker == SCHEDULER_WORKER:
-                out.scheduler_lock_wait.add(wait)
-            else:
-                out.worker_lock_wait.add(wait)
-                if e.payload.get("purpose") == "get_task":
-                    out.get_task.add(int(e.payload.get("held", 0)))
-        elif e.kind == "preempt":
-            out.preemptions += 1
-            out.context_switch_total += int(e.payload.get("switch", 0))
-        elif e.kind == "resume":
-            out.context_switch_total += int(e.payload.get("switch", 0))
-
-    if open_tick is not None:
-        raise TraceIntegrityError("trace ends inside a tick")
-
-    for (task, seq), marks in jobs.items():
-        rt = marks.get("release_theoretical")
-        re_ = marks.get("release_effective")
-        st = marks.get("job_start")
-        co = marks.get("job_complete")
-        chain = [v for v in (rt, re_, st, co) if v is not None]
-        if any(a > b for a, b in zip(chain, chain[1:])):
-            raise TraceIntegrityError(
-                f"ordering violation for job {task}#{seq}: {marks}"
-            )
-        if st is not None and co is None and not allow_truncated:
-            raise TraceIntegrityError(
-                f"job {task}#{seq} started but never completed"
-            )
-        if rt is not None and re_ is not None:
-            out.release_overhead.add(re_ - rt)
-    return out
+        i = _MARK_INDEX.get(e.kind)
+        if i is None:
+            accounts.event(e.timestamp_ns, e.kind, e.worker, e.payload)
+        else:
+            accounts.mark(i, e.task, e.job_seq, e.timestamp_ns)
+    return accounts.finish(allow_truncated)

@@ -1,0 +1,127 @@
+"""Overheads accounted while a run records its events match the ones
+compute_overheads derives from the finished trace, and a run that keeps no
+trace reports exactly what a run that keeps it reports."""
+
+import glob
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rtsched import (
+    ClockSource,
+    MappingScheme,
+    PolicyConfig,
+    ScheduleTable,
+    SimJobModel,
+    TaskKind,
+    compute_overheads,
+    init,
+    load_document,
+    ms,
+    run_realtime,
+    run_simulation,
+    us,
+)
+from rtsched.cli import main
+
+from .test_golden import GOLDEN
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+DOCUMENTS = sorted(p for p in glob.glob(os.path.join(DEMOS, "*.json"))
+                   if not p.endswith("_axes.json"))  # *_axes.json are sweep specs
+
+
+def _check(state, model, horizon, seed):
+    """Run with and without the trace; return the kept trace's report."""
+    trace, report = run_simulation(state, model, horizon=horizon, seed=seed)
+    assert report.overheads == compute_overheads(trace, allow_truncated=report.truncated)
+    bare, bare_report = run_simulation(state, model, horizon=horizon, seed=seed,
+                                       keep_trace=False)
+    assert bare == []
+    assert bare_report.to_dict() == report.to_dict()
+    return report
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=os.path.basename)
+def test_demo_documents(path):
+    doc = load_document(path)
+    report = _check(doc.build_state(), doc.sim_model(), "2hp", 1)
+    assert report.completed > 0
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_inputs(case):
+    _check(*GOLDEN[case][0]())
+
+
+_PERIODS = (ms(2), ms(4), ms(5), ms(10))
+
+
+@st.composite
+def _runs(draw, mapping, preemptive, pip_enabled):
+    offline = mapping is MappingScheme.OFFLINE
+    workers = draw(st.integers(1, 2))
+    state = init(PolicyConfig(mapping_scheme=mapping, worker_count=workers,
+                              preemptive=preemptive))
+    accels = [state.hwaccel_decl(f"acc{i}") for i in range(draw(st.integers(1, 2)))]
+    table = ScheduleTable(ms(10))
+    for i in range(draw(st.integers(2, 5))):
+        period = ms(10) if offline else draw(st.sampled_from(_PERIODS))
+        core = None if mapping is MappingScheme.GLOBAL else i % workers
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period, virt_core_id=core)
+        vid = state.version_decl(tid, wcet_estimate=draw(st.integers(us(50), period // 2)))
+        if draw(st.booleans()):
+            state.hwaccel_use(tid, vid, draw(st.sampled_from(accels)))
+        if offline:
+            table.add(core, tid, vid, draw(st.integers(0, ms(9))))
+    if offline:
+        for entries in table.cores.values():
+            entries.sort(key=lambda e: e.release_offset)
+        state.table = table
+    knob = st.integers(1, us(20))
+    model = SimJobModel(
+        exec_time={t.name: {"dist": "uniform", "low": 0, "high": t.versions[0].wcet_estimate}
+                   for t in state.tasks},
+        get_task_cost=draw(knob),
+        sched_scan_cost_per_task=draw(knob),
+        sort_cost_per_element=draw(knob),
+        context_switch_cost=draw(knob),
+        pip_enabled=pip_enabled,
+    )
+    return state, model, ms(40), draw(st.integers(0, 99))
+
+
+@pytest.mark.parametrize("mapping, preemptive", [
+    (MappingScheme.GLOBAL, True), (MappingScheme.GLOBAL, False),
+    (MappingScheme.PARTITIONED, True), (MappingScheme.OFFLINE, False),
+])
+@pytest.mark.parametrize("pip_enabled", [True, False])
+def test_random_runs(mapping, preemptive, pip_enabled):
+    @settings(max_examples=10, deadline=None)
+    @given(_runs(mapping, preemptive, pip_enabled))
+    def check(run):
+        _check(*run)
+
+    check()
+
+
+def test_realtime_run(many_cpus):
+    state = init(PolicyConfig(worker_count=2, clock_source=ClockSource.MONOTONIC_OS))
+    for i in range(2):
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=ms(5))
+        state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000)
+    trace, report = run_realtime(state, ms(40))
+    assert trace and report.completed > 0
+    assert report.overheads == compute_overheads(trace, allow_truncated=report.truncated)
+
+
+def test_cli_report_does_not_depend_on_the_trace(tmp_path):
+    doc = os.path.join(DEMOS, "vision_pipeline.json")
+    with_trace, without = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["simulate", doc, "--report", str(with_trace),
+                 "--trace", str(tmp_path / "a.csv")]) == 0
+    assert main(["simulate", doc, "--report", str(without)]) == 0
+    assert with_trace.read_bytes() == without.read_bytes()
+    assert (tmp_path / "a.csv").stat().st_size > 0

@@ -21,6 +21,7 @@ from rtsched import (
     channel_decl,
     expand_sdf,
     init,
+    load_document,
     ms,
     plan_expansion,
     repetition_vector,
@@ -345,3 +346,16 @@ class TestExpansion:
         )
         with pytest.raises(DeclarationError, match="missing wcet"):
             expand_sdf(state, sdf, period=ms(10), wcets={"a": 1})
+
+    def test_expand_zero_deadline_rejected(self):
+        # an explicit 0 is refused by task_decl, not replaced by the period
+        sdf = SdfGraph(actors=["a", "b"], edges=[SdfEdge("a", "b", produce=1, consume=1)])
+        with pytest.raises(DeclarationError, match="relative_deadline must be > 0"):
+            expand_sdf(init(PolicyConfig()), sdf, period=ms(40), relative_deadline=0,
+                       wcets={"a": 1, "b": 1})
+        doc = load_document({"sdf": {
+            "period": ms(40), "relative_deadline": 0, "wcets": {"a": 1, "b": 1},
+            "edges": [{"src": "a", "dst": "b", "produce": 1, "consume": 1}],
+        }})
+        with pytest.raises(DeclarationError, match="relative_deadline must be > 0"):
+            doc.build_state()

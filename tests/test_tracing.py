@@ -206,3 +206,79 @@ class TestComputeOverheads:
         with pytest.raises(TraceIntegrityError, match="never completed"):
             compute_overheads(trace)
         compute_overheads(trace, allow_truncated=True)  # tolerated
+
+
+def _tick(log, t, kind):
+    log.emit(t, kind, worker=SCHEDULER_WORKER)
+
+
+_J = _job(0, 9, wcet=1)
+
+
+# each fault as a run records it, and the message compute_overheads gives
+# for the sorted trace of the same events
+INTEGRITY_FAULTS = {
+    "duplicate job_start": (
+        lambda log: (log.start(5, _J, 0), log.start(6, _J, 1)),
+        "duplicate job_start for t#0",
+    ),
+    "nested tick_begin": (
+        lambda log: (_tick(log, 0, "tick_begin"), _tick(log, 1, "tick_begin"),
+                     _tick(log, 2, "tick_end")),
+        "tick_begin while a tick is open",
+    ),
+    "tick_end without tick_begin": (
+        lambda log: _tick(log, 3, "tick_end"),
+        "tick_end without tick_begin",
+    ),
+    "unclosed tick": (
+        lambda log: _tick(log, 0, "tick_begin"),
+        "trace ends inside a tick",
+    ),
+    "start after complete": (
+        lambda log: (log.theoretical(_J), log.release(0, _J),
+                     log.complete(5, _J, 0, 1), log.start(9, _J, 0)),
+        "ordering violation for job t#0: {'release_theoretical': 0,"
+        " 'release_effective': 0, 'job_complete': 5, 'job_start': 9}",
+    ),
+    "started, never completed": (
+        lambda log: (log.theoretical(_J), log.release(0, _J),
+                     log.start(1, _J, 0)),
+        "job t#0 started but never completed",
+    ),
+}
+
+
+class TestRunLogIntegrity:
+    """The trace-integrity checks hold for a run that keeps no trace."""
+
+    @pytest.mark.parametrize("fault", sorted(INTEGRITY_FAULTS))
+    def test_fault_raised_at_close(self, fault):
+        record, message = INTEGRITY_FAULTS[fault]
+        for keep_trace in (False, True):
+            log = RunLog(keep_trace=keep_trace)
+            record(log)
+            trace = sorted(log.trace, key=lambda e: e.timestamp_ns)
+            with pytest.raises(TraceIntegrityError) as err:
+                log.close([], {})
+            assert str(err.value) == message
+            if keep_trace:
+                with pytest.raises(TraceIntegrityError) as err:
+                    compute_overheads(trace)
+                assert str(err.value) == message
+            else:
+                assert log.trace == []
+
+    def test_unfinished_job_tolerated_in_a_truncated_run(self):
+        log = RunLog(keep_trace=False)
+        log.start(1, _J, 0)
+        _, report = log.close([("t", 0)], {})
+        assert report.truncated
+
+    def test_first_fault_wins(self):
+        log = RunLog(keep_trace=False)
+        _tick(log, 0, "tick_end")
+        log.start(5, _J, 0)
+        log.start(6, _J, 1)
+        with pytest.raises(TraceIntegrityError, match="tick_end without tick_begin"):
+            log.close([], {})
