@@ -204,6 +204,41 @@ def _scripted_modes():
     return state, model, ms(100), 13
 
 
+def _body_ops_preempt():
+    # prod and cons trade three tokens through a one-slot channel at
+    # explicit mid-body offsets, so each parks on it in turn; hi preempts
+    # them inside their exec segments, sometimes while prod is parked, and
+    # the second preemption notice of each hi release finds the head gone
+    state = init(PolicyConfig(
+        worker_count=2, priority_assignment=PriorityAssignment.EDF
+    ))
+    exec_time, tids = {}, {}
+    for name, period, wcet, low, offset, deadline in [
+        ("prod", ms(10), ms(4), ms(3), 0, None),
+        ("cons", ms(10), ms(4), ms(3), 0, None),
+        ("hi", ms(5), ms(1), us(250), ms(2), ms(2)),
+    ]:
+        tids[name] = state.task_decl(name, TaskKind.PERIODIC, period=period,
+                                     release_offset=offset, relative_deadline=deadline)
+        state.version_decl(tids[name], wcet_estimate=wcet)
+        exec_time[name] = {"dist": "uniform", "low": low, "high": wcet}
+    channel_connect(state, channel_decl(state, "x", 8, 1), tids["prod"], tids["cons"])
+    model = SimJobModel(
+        exec_time=exec_time,
+        get_task_cost=us(4),
+        sched_scan_cost_per_task=us(1),
+        sort_cost_per_element=100,
+        context_switch_cost=us(2),
+        body_ops={
+            "prod": [(us(300), "push", "x", 1), (us(600), "push", "x", 1),
+                     (us(900), "push", "x", 1)],
+            "cons": [(us(200), "pop", "x", 1), (us(2500), "pop", "x", 1),
+                     (ms(3), "pop", "x", 1)],
+        },
+    )
+    return state, model, ms(100), 17
+
+
 # case -> (build function, trace sha256, report sha256)
 GOLDEN = {
     "fanout-k8": (
@@ -250,6 +285,11 @@ GOLDEN = {
         _scripted_modes,
         "be92b5a0ef9123c42b1da54a137efc396eba7af492c6a82f7ac74fa451104e5e",
         "dc9fdbc8dafae5537e95b0b2bf2317433cf573dd8d0fa65a8a0dc62a68537738",
+    ),
+    "body-ops-preempt": (
+        _body_ops_preempt,
+        "7b3eaf797ca00f2a609fbaeef43677dcd888d446093fe002d26f755fe30db8c8",
+        "90631c21ec6252987c33fbc910d21dcd22cf5271af4e38ef3c461ec66fa6b6b6",
     ),
 }
 
