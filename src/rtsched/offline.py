@@ -8,6 +8,9 @@ selection at run time, and cores proceed independently.
 Validation rejects dangling references and ordering violations outright;
 a worst-case execution overlap between consecutive entries is only a
 warning, because the table author may know better than the estimates.
+OFFLINE does not arbitrate accelerators at run time: an entry starts at its
+instant whoever holds its version's accelerators, so entries on different
+cores whose worst-case windows meet on one accelerator are a warning too.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import Diagnostic, MiddlewareState
+from .model import Diagnostic, MiddlewareState, VersionDescriptor
 from .online import Job
 
 
@@ -73,6 +76,7 @@ def validate_table(state: MiddlewareState, table: ScheduleTable) -> list[Diagnos
         err("table-period", "table period must be > 0")
         return out
 
+    bound: list[tuple[int, TableEntry, VersionDescriptor]] = []  # uses accelerators
     for core in sorted(table.cores):
         entries = table.cores[core]
         if not 0 <= core < state.config.worker_count:
@@ -91,6 +95,9 @@ def validate_table(state: MiddlewareState, table: ScheduleTable) -> list[Diagnos
                     f" {e.version_id}",
                 )
                 continue
+            version = task.versions[e.version_id]
+            if version.accelerators:
+                bound.append((core, e, version))
             if not 0 <= e.release_offset < table.table_period:
                 err(
                     "table-offset",
@@ -130,4 +137,23 @@ def validate_table(state: MiddlewareState, table: ScheduleTable) -> list[Diagnos
                         f"core {core}: last entry may run into the next table"
                         " iteration",
                     )
+    for (c1, e1, v1), (c2, e2, v2) in itertools.combinations(bound, 2):
+        shared = v1.accelerators & v2.accelerators
+        if c1 != c2 and shared and _windows_meet(
+            e1.release_offset, v1.wcet_estimate, e2.release_offset, v2.wcet_estimate,
+            table.table_period,
+        ):
+            names = ", ".join(state.accelerators[a].name for a in sorted(shared))
+            warn(
+                "table-accelerator",
+                f"core {c1} entry at {e1.release_offset} and core {c2} entry at"
+                f" {e2.release_offset} may use {names} at once; OFFLINE does not"
+                " arbitrate accelerators",
+            )
     return out
+
+
+def _windows_meet(a: int, len_a: int, b: int, len_b: int, period: int) -> bool:
+    """Whether [a, a + len_a) and [b, b + len_b) intersect modulo period;
+    both lengths are > 0 (version_decl rejects a zero wcet)."""
+    return (b - a) % period < len_a or (a - b) % period < len_b

@@ -46,7 +46,6 @@ class Job:
         "abs_deadline",
         "key",
         "boost",
-        "worker",
         "blocked_on",
         "channel_blocked",
     )
@@ -67,7 +66,6 @@ class Job:
         self.abs_deadline = abs_deadline
         self.key = key
         self.boost: PriorityKey | None = None
-        self.worker: int | None = None  # fixed at first dispatch, never migrates
         self.blocked_on: set[int] = set()
         self.channel_blocked = False
 
@@ -198,10 +196,12 @@ class SchedulerCore:
         self.queues = [ReadyQueue() for _ in range(self.queue_count)]
         self.graph = graph
         self._seq = {t.task_id: 0 for t in state.tasks}
+        # next arrival of each clock-released task, in task order; sporadic
+        # tasks release only through activate()
         self._next_periodic = {
             t.task_id: t.release_offset
             for t in state.tasks
-            if t.period is not None
+            if t.period is not None and t.kind is not TaskKind.SPORADIC
         }
         self._pending: list[tuple[int, int]] = []  # (release, task_id)
         self._last_sporadic: dict[int, int] = {}
@@ -245,18 +245,12 @@ class SchedulerCore:
         releases nothing beyond its end.
         """
         jobs: list[Job] = []
-        for task in self.state.tasks:
-            tid = task.task_id
-            if tid not in self._next_periodic:
-                continue
-            if task.kind is TaskKind.SPORADIC:
-                continue  # sporadic tasks release via activate()
-            while self._next_periodic[tid] <= now:
-                release = self._next_periodic[tid]
-                if horizon is not None and release >= horizon:
-                    break
-                self._next_periodic[tid] += task.period
+        for tid, release in self._next_periodic.items():
+            task = self.state.tasks[tid]
+            while release <= now and (horizon is None or release < horizon):
                 jobs.append(self.make_job(task, release))
+                release += task.period
+            self._next_periodic[tid] = release
         if self._pending:
             due = [p for p in self._pending if p[0] <= now]
             if due:
@@ -285,11 +279,8 @@ class SchedulerCore:
         """True while a future scheduler pass could still release something:
         a periodic arrival or queued activation before the horizon, or graph
         tokens already sufficient for a firing.  Drives drain-phase ticks."""
-        for tid, nxt in self._next_periodic.items():
-            if self.state.task(tid).kind is TaskKind.SPORADIC:
-                continue
-            if nxt < horizon:
-                return True
+        if any(nxt < horizon for nxt in self._next_periodic.values()):
+            return True
         if any(release < horizon for release, _ in self._pending):
             return True
         return any(

@@ -433,7 +433,6 @@ class RealtimeBackend:
         return time.monotonic_ns() - t_in
 
     def _run_job(self, w: int, job: Job) -> None:
-        job.worker = w
         ctx = JobContext(self, job, w)
         prev = getattr(_tls, "ctx", None)
         _tls.ctx = ctx

@@ -15,9 +15,12 @@ pulling from a ready queue, and there is no scheduler tick.  A table entry
 otherwise runs through the same execution path as an on-line job: the same
 segments, channel parking and waking, completion accounting and event loop.
 
-Same-instant ordering is fixed: control events (scripted activations, mode
-switches), then the scheduler tick, then job completions, then everything
-else in scheduling order.  This is part of the deterministic contract.
+Every event and every virtual-lock grant is a named engine method, queued
+with its arguments and called as fn(*args).  Events run in (time, ordering
+class, push order) order: at one instant, control events (scripted
+activations, mode switches), then the scheduler tick, then job completions,
+then everything else in scheduling order.  This is part of the
+deterministic contract.
 """
 
 from __future__ import annotations
@@ -120,28 +123,29 @@ def parse_horizon(text: str | int | None, base: int | None) -> int | None:
 
 
 class _FifoLock:
-    """Virtual FIFO lock: grants strictly in request order."""
+    """Virtual FIFO lock: grants strictly in request order, each grant
+    called as grant(now, waited, *args)."""
 
-    __slots__ = ("holder", "waiters")
+    __slots__ = ("held", "waiters")
 
     def __init__(self) -> None:
-        self.holder: str | None = None
-        self.waiters: deque[tuple[str, int, Callable]] = deque()  # (actor, t_req, fn)
+        self.held = False
+        self.waiters: deque[tuple[int, Callable, tuple]] = deque()  # (t_req, grant, args)
 
-    def request(self, now: int, actor: str, grant: Callable[[int, int], None]) -> None:
-        if self.holder is None:
-            self.holder = actor
-            grant(now, 0)
+    def request(self, now: int, grant: Callable, *args) -> None:
+        if self.held:
+            self.waiters.append((now, grant, args))
         else:
-            self.waiters.append((actor, now, grant))
+            self.held = True
+            grant(now, 0, *args)
 
     def release(self, now: int) -> None:
-        assert self.holder is not None
-        self.holder = None
+        assert self.held
         if self.waiters:
-            actor, t_req, grant = self.waiters.popleft()
-            self.holder = actor
-            grant(now, now - t_req)
+            t_req, grant, args = self.waiters.popleft()
+            grant(now, now - t_req, *args)
+        else:
+            self.held = False
 
 
 class _WorkerSim:
@@ -248,9 +252,9 @@ class _Engine:
 
     # ------------------------------------------------------- plumbing
 
-    def push_event(self, t: int, prio: int, fn: Callable[[], None]) -> None:
+    def push_event(self, t: int, prio: int, fn: Callable, *args) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (t, prio, self._seq, fn))
+        heapq.heappush(self._heap, (t, prio, self._seq, fn, args))
 
     def _accel_names(self, ids: list[int]) -> list[str]:
         return [self.state.accelerators[a].name for a in ids]
@@ -261,36 +265,29 @@ class _Engine:
                 self._next_entry(core)
         else:
             for t, mask in sorted(self.model.mode_schedule):
-                self.push_event(t, _P_CONTROL, self._mk_mode(frozenset(mask)))
+                self.push_event(t, _P_CONTROL, self._set_mode, frozenset(mask))
             for t, name in sorted(self.model.activations):
-                self.push_event(t, _P_CONTROL, self._mk_activation(name, t))
+                self.push_event(t, _P_CONTROL, self._activate, name)
             self._arm_tick(0)
 
         while self._heap:
-            t, prio, _, fn = heapq.heappop(self._heap)
+            t, _, _, fn, args = heapq.heappop(self._heap)
             assert t >= self.now, "virtual time must be monotonic"
             self.now = t
             self.ctx.now = t
-            fn()
+            fn(*args)
             self.events_done += 1
             if self.events_done > _EVENT_CAP:
                 self.log.report.truncated = True
                 self.log.report.warnings.append("event cap reached; run truncated")
                 break
 
-    def _mk_mode(self, mask: frozenset) -> Callable[[], None]:
-        def fn() -> None:
-            self.ctx.execution_mode = mask
+    def _set_mode(self, mask: frozenset) -> None:
+        self.ctx.execution_mode = mask
 
-        return fn
-
-    def _mk_activation(self, name: str, t: int) -> Callable[[], None]:
-        def fn() -> None:
-            task = self.state.task_by_name(name)
-            self.core.activate(task.task_id, t)
-            self._maybe_rearm_tick()
-
-        return fn
+    def _activate(self, name: str) -> None:
+        self.core.activate(self.state.task_by_name(name).task_id, self.now)
+        self._maybe_rearm_tick()
 
     # ------------------------------------------------------ scheduler
 
@@ -322,7 +319,7 @@ class _Engine:
     def _sched_pass(self) -> None:
         self._sched_active = True
         if self.core.global_mapping:
-            self.locks[0].request(self.now, "sched", self._mk_tick_cs(0))
+            self.locks[0].request(self.now, self._tick_cs)
         else:
             # scan happens outside any lock under partitioned mapping
             scan = self.model.sched_scan_cost_per_task * len(self.state.tasks)
@@ -331,9 +328,8 @@ class _Engine:
             by_queue: dict[int, list[Job]] = {}
             for job in jobs:
                 by_queue.setdefault(self.core.queue_for(job), []).append(job)
-            self.push_event(
-                self.now + scan, _P_MISC, lambda: self._part_insert(sorted(by_queue), by_queue)
-            )
+            self.push_event(self.now + scan, _P_MISC, self._part_insert,
+                            sorted(by_queue.items()), 0)
 
     def _sched_done(self) -> None:
         self._sched_active = False
@@ -349,60 +345,54 @@ class _Engine:
             self.live_jobs.add(job.job_id)
         return jobs
 
-    def _mk_tick_cs(self, qi: int) -> Callable[[int, int], None]:
-        def grant(now: int, waited: int) -> None:
-            self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
-                          purpose="tick", queue=qi)
-            self.log.emit(now, "tick_begin", worker=SCHEDULER_WORKER)
-            jobs = self._collect_releases()
-            queue = self.core.queues[qi]
-            for job in jobs:
-                queue.insert(job)
-            queue.sort()
-            cost = self.model.sched_scan_cost_per_task * len(self.state.tasks)
-            cost += self.model.sort_cost_per_element * len(queue)
-            self.push_event(now + cost, _P_MISC, lambda: self._tick_cs_end(qi, jobs))
+    def _tick_cs(self, now: int, waited: int) -> None:
+        # global mapping: scan, release and insert under the one queue's lock
+        self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
+                      purpose="tick", queue=0)
+        self.log.emit(now, "tick_begin", worker=SCHEDULER_WORKER)
+        jobs = self._collect_releases()
+        queue = self.core.queues[0]
+        for job in jobs:
+            queue.insert(job)
+        queue.sort()
+        cost = self.model.sched_scan_cost_per_task * len(self.state.tasks)
+        cost += self.model.sort_cost_per_element * len(queue)
+        self.push_event(now + cost, _P_MISC, self._tick_cs_end, jobs)
 
-        return grant
-
-    def _tick_cs_end(self, qi: int, jobs: list[Job]) -> None:
+    def _tick_cs_end(self, jobs: list[Job]) -> None:
         for job in jobs:
             self.log.release(self.now, job)
         self.log.emit(self.now, "tick_end", worker=SCHEDULER_WORKER)
-        self.locks[qi].release(self.now)
-        self._after_insert(qi)
+        self.locks[0].release(self.now)
+        self._after_insert(0)
         self._sched_done()
 
-    def _part_insert(self, order: list[int], by_queue: dict[int, list[Job]]) -> None:
-        # lock each touched per-core queue in turn, then close the tick
-        def step(idx: int) -> None:
-            if idx == len(order):
-                self.log.emit(self.now, "tick_end", worker=SCHEDULER_WORKER)
-                self._sched_done()
-                return
-            qi = order[idx]
+    def _part_insert(self, batches: list[tuple[int, list[Job]]], idx: int) -> None:
+        """Lock each touched per-core queue in turn, then close the tick."""
+        if idx == len(batches):
+            self.log.emit(self.now, "tick_end", worker=SCHEDULER_WORKER)
+            self._sched_done()
+            return
+        self.locks[batches[idx][0]].request(self.now, self._part_cs, batches, idx)
 
-            def grant(now: int, waited: int) -> None:
-                self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
-                              purpose="tick", queue=qi)
-                queue = self.core.queues[qi]
-                for job in by_queue[qi]:
-                    queue.insert(job)
-                queue.sort()
-                cost = self.model.sort_cost_per_element * len(queue)
+    def _part_cs(self, now: int, waited: int, batches: list, idx: int) -> None:
+        qi, jobs = batches[idx]
+        self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
+                      purpose="tick", queue=qi)
+        queue = self.core.queues[qi]
+        for job in jobs:
+            queue.insert(job)
+        queue.sort()
+        cost = self.model.sort_cost_per_element * len(queue)
+        self.push_event(now + cost, _P_MISC, self._part_cs_end, batches, idx)
 
-                def cs_end() -> None:
-                    for job in by_queue[qi]:
-                        self.log.release(self.now, job)
-                    self.locks[qi].release(self.now)
-                    self._after_insert(qi)
-                    step(idx + 1)
-
-                self.push_event(now + cost, _P_MISC, cs_end)
-
-            self.locks[qi].request(self.now, "sched", grant)
-
-        step(0)
+    def _part_cs_end(self, batches: list, idx: int) -> None:
+        qi, jobs = batches[idx]
+        for job in jobs:
+            self.log.release(self.now, job)
+        self.locks[qi].release(self.now)
+        self._after_insert(qi)
+        self._part_insert(batches, idx + 1)
 
     def _after_insert(self, qi: int) -> None:
         """Wake idle workers and notify preemption targets of queue qi."""
@@ -421,7 +411,7 @@ class _Engine:
                         break
             for w in idle[:dispatchable]:
                 self.workers[w].pending_pull = True
-                self.push_event(self.now, _P_MISC, self._mk_pull(w, qi))
+                self.push_event(self.now, _P_MISC, self._pull, w, qi)
         if self.state.config.preemptive:
             running = [
                 w.current if (w.current is not None and not w.in_cs) else None
@@ -430,36 +420,30 @@ class _Engine:
             for w in self.core.preemption_targets(qi, running):
                 if not self.workers[w].pending_notify:
                     self.workers[w].pending_notify = True
-                    self.push_event(self.now, _P_MISC, self._mk_notify(w, qi))
+                    self.push_event(self.now, _P_MISC, self._notify, w, qi)
 
     # -------------------------------------------------------- workers
 
-    def _mk_pull(self, w: int, qi: int) -> Callable[[], None]:
-        def fn() -> None:
-            ws = self.workers[w]
-            ws.pending_pull = False
-            if not ws.idle:
-                return
+    def _pull(self, w: int, qi: int) -> None:
+        ws = self.workers[w]
+        ws.pending_pull = False
+        if ws.idle:
             self._request_pull(w, qi)
 
-        return fn
-
     def _request_pull(self, w: int, qi: int) -> None:
+        self.workers[w].idle = False
+        self.locks[qi].request(self.now, self._pull_cs, w, qi)
+
+    def _pull_cs(self, now: int, waited: int, w: int, qi: int) -> None:
         ws = self.workers[w]
-        ws.idle = False
-        t_req = self.now
-
-        def grant(now: int, waited: int) -> None:
-            ws.in_cs = True
-            stack_top = ws.stack[-1] if ws.stack else None
-            action, job, acquired = self.core.pick_next(qi, stack_top)
-            cost = self.model.get_task_cost
-            self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
-                          purpose="get_task", got=action)
-            self.log.accels(now, "accel_acquire", job, w, self._accel_names(acquired))
-            self.push_event(now + cost, _P_MISC, lambda: self._pull_cs_end(w, qi, action, job))
-
-        self.locks[qi].request(t_req, "worker", grant)
+        ws.in_cs = True
+        stack_top = ws.stack[-1] if ws.stack else None
+        action, job, acquired = self.core.pick_next(qi, stack_top)
+        cost = self.model.get_task_cost
+        self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
+                      purpose="get_task", got=action)
+        self.log.accels(now, "accel_acquire", job, w, self._accel_names(acquired))
+        self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, job)
 
     def _pull_cs_end(self, w: int, qi: int, action: str, job: Job | None) -> None:
         ws = self.workers[w]
@@ -472,14 +456,12 @@ class _Engine:
             assert job is ws.stack[-1]
             ws.stack.pop()
             cost = self.model.context_switch_cost
-            self.push_event(self.now + cost, _P_MISC, lambda: self._do_resume(w, job, cost))
+            self.push_event(self.now + cost, _P_MISC, self._do_resume, w, job, cost)
             return
         # fresh start
-        assert job is not None and job.worker is None
-        job.worker = w
         ws.current = job
         cost = self.model.context_switch_cost if ws.stack else 0
-        self.push_event(self.now + cost, _P_MISC, lambda: self._do_start(w, job))
+        self.push_event(self.now + cost, _P_MISC, self._do_start, w, job)
 
     def _do_start(self, w: int, job: Job) -> None:
         self.log.start(self.now, job, w)
@@ -492,49 +474,42 @@ class _Engine:
         self.log.emit(self.now, "resume", job, w, switch=switch)
         self._advance(w, job)
 
-    def _mk_notify(self, w: int, qi: int) -> Callable[[], None]:
-        def fn() -> None:
-            ws = self.workers[w]
-            ws.pending_notify = False
-            if ws.idle:
-                if not ws.pending_pull:
-                    self._request_pull(w, qi)
-                return
-            if ws.current is None or ws.in_cs:
-                return  # a pull is in flight; it will see the head anyway
-            job = ws.current
-            self._pause_exec(job)
-
-            def grant(now: int, waited: int) -> None:
-                ws.in_cs = True
-                cost = self.model.get_task_cost
-                head = self.core.queues[qi].first_dispatchable()
-                if head is not None and head.effective_key() < job.effective_key():
-                    switch = self.model.context_switch_cost
-                    self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
-                                  purpose="get_task", got="preempt")
-                    self.log.emit(now, "preempt", job, w, switch=switch, by=head.task.name)
-                    ws.stack.append(job)
-                    ws.current = None
-                    action, nxt, acquired = self.core.pick_next(qi, ws.stack[-1])
-                    self.log.accels(now, "accel_acquire", nxt, w, self._accel_names(acquired))
-                    self.push_event(
-                        now + cost, _P_MISC,
-                        lambda: self._pull_cs_end(w, qi, action, nxt),
-                    )
-                else:
-                    self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
-                                  purpose="get_task", got="none")
-                    self.push_event(now + cost, _P_MISC, lambda: self._notify_stale(w, job))
-
-            self.locks[qi].request(self.now, "worker", grant)
-
-        return fn
-
-    def _notify_stale(self, w: int, job: Job) -> None:
+    def _notify(self, w: int, qi: int) -> None:
         ws = self.workers[w]
-        ws.in_cs = False
-        self.locks[self.core.queue_of_worker(w)].release(self.now)
+        ws.pending_notify = False
+        if ws.idle:
+            if not ws.pending_pull:
+                self._request_pull(w, qi)
+            return
+        if ws.current is None or ws.in_cs:
+            return  # a pull is in flight; it will see the head anyway
+        job = ws.current
+        self._pause_exec(job)
+        self.locks[qi].request(self.now, self._notify_cs, w, qi, job)
+
+    def _notify_cs(self, now: int, waited: int, w: int, qi: int, job: Job) -> None:
+        ws = self.workers[w]
+        ws.in_cs = True
+        cost = self.model.get_task_cost
+        head = self.core.queues[qi].first_dispatchable()
+        if head is not None and head.effective_key() < job.effective_key():
+            switch = self.model.context_switch_cost
+            self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
+                          purpose="get_task", got="preempt")
+            self.log.emit(now, "preempt", job, w, switch=switch, by=head.task.name)
+            ws.stack.append(job)
+            ws.current = None
+            action, nxt, acquired = self.core.pick_next(qi, job)
+            self.log.accels(now, "accel_acquire", nxt, w, self._accel_names(acquired))
+            self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, nxt)
+        else:
+            self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
+                          purpose="get_task", got="none")
+            self.push_event(now + cost, _P_MISC, self._notify_stale, w, qi, job)
+
+    def _notify_stale(self, w: int, qi: int, job: Job) -> None:
+        self.workers[w].in_cs = False
+        self.locks[qi].release(self.now)
         self._advance(w, job)  # continue where the handler interrupted
 
     # ------------------------------------------------- job execution
@@ -588,8 +563,7 @@ class _Engine:
                 ex.left = dur
                 ex.seg_end = self.now + dur
                 ex.gen += 1
-                gen = ex.gen
-                self.push_event(ex.seg_end, _P_DONE, self._mk_seg_done(w, job, gen))
+                self.push_event(ex.seg_end, _P_DONE, self._seg_done, w, job, ex.gen)
                 return
             _, cid, count = ex.program[ex.step]
             if ex.left == 0:
@@ -621,18 +595,15 @@ class _Engine:
         job.channel_blocked = True
         waiters[(w, job)] = None
 
-    def _mk_seg_done(self, w: int, job: Job, gen: int) -> Callable[[], None]:
-        def fn() -> None:
-            ex = self.execs.get(job.job_id)
-            if ex is None or ex.gen != gen:
-                return  # segment was paused or rescheduled
-            if self.workers[w].current is not job:
-                return
-            ex.left = 0
-            ex.step += 1
-            self._advance(w, job)
-
-        return fn
+    def _seg_done(self, w: int, job: Job, gen: int) -> None:
+        ex = self.execs.get(job.job_id)
+        if ex is None or ex.gen != gen:
+            return  # segment was paused or rescheduled
+        if self.workers[w].current is not job:
+            return
+        ex.left = 0
+        ex.step += 1
+        self._advance(w, job)
 
     def _pause_exec(self, job: Job) -> None:
         """Freeze the current execution segment (handler or preemption)."""
@@ -650,20 +621,16 @@ class _Engine:
         job.channel_blocked = False
         ws = self.workers[w]
         if ws.current is job and not ws.in_cs:
-            self.push_event(self.now, _P_MISC, self._mk_continue(w, job))
+            self.push_event(self.now, _P_MISC, self._continue, w, job)
         elif ws.idle and not ws.pending_pull:
             # job sits preempted on the stack of an idle worker
             ws.pending_pull = True
-            qi = self.core.queue_of_worker(w)
-            self.push_event(self.now, _P_MISC, self._mk_pull(w, qi))
+            self.push_event(self.now, _P_MISC, self._pull, w, self.core.queue_of_worker(w))
 
-    def _mk_continue(self, w: int, job: Job) -> Callable[[], None]:
-        def fn() -> None:
-            ws = self.workers[w]
-            if ws.current is job and not ws.in_cs and not job.channel_blocked:
-                self._advance(w, job)
-
-        return fn
+    def _continue(self, w: int, job: Job) -> None:
+        ws = self.workers[w]
+        if ws.current is job and not ws.in_cs and not job.channel_blocked:
+            self._advance(w, job)
 
     def _complete(self, w: int, job: Job) -> None:
         ws = self.workers[w]
@@ -688,13 +655,11 @@ class _Engine:
         as soon as the core frees up if the previous entry ran late."""
         release, job = next(self.tables[core], (None, None))
         if job is not None and release < self.horizon:
-            self.push_event(max(release, self.now), _P_MISC,
-                            lambda: self._run_entry(core, job))
+            self.push_event(max(release, self.now), _P_MISC, self._run_entry, core, job)
 
     def _run_entry(self, core: int, job: Job) -> None:
         self.live_jobs.add(job.job_id)
         self.log.table_release(self.now, job, core)
-        job.worker = core
         self.workers[core].current = job
         self._do_start(core, job)
 

@@ -6,10 +6,12 @@ from rtsched import (
     ScheduleTable,
     TaskKind,
     VersionSelection,
+    document_from_state,
     init,
     ms,
     validate_table,
 )
+from rtsched.cli import main
 
 
 def _offline_state(worker_count=2):
@@ -105,3 +107,52 @@ class TestValidateTable:
         table.add(0, 9, 0, 0)  # unknown task on core 0
         codes = _codes(validate_table(state, table))
         assert codes == ["table-task", "table-placement"]
+
+
+class TestTableAccelerators:
+    """OFFLINE starts entries without arbitrating accelerators, so entries on
+    different cores whose worst-case windows meet on one are a warning."""
+
+    def _state(self, table):
+        state = _offline_state()
+        gpu = state.hwaccel_decl("gpu")
+        for tid in range(2):
+            state.hwaccel_use(tid, 0, gpu)
+        state.table = table
+        return state
+
+    def _table(self, *placed):
+        table = ScheduleTable(ms(20))
+        for core, tid, offset in placed:
+            table.add(core, tid, 0, offset)
+        return table
+
+    def test_simultaneous_entries_on_two_cores_warn(self):
+        state = self._state(self._table((0, 0, 0), (1, 1, 0)))
+        diags = state.validate()
+        assert _codes(diags, "warning") == ["table-accelerator"]
+        assert _codes(diags, "error") == []
+        assert "gpu" in diags[0].message
+
+    def test_windows_meet_across_the_period_boundary(self):
+        # core 0 holds gpu over [19, 21) ms, i.e. into [0, 1) of the next period
+        state = self._state(self._table((0, 0, ms(19)), (1, 1, 0)))
+        assert "table-accelerator" in _codes(state.validate(), "warning")
+
+    def test_disjoint_windows_do_not_warn(self):
+        state = self._state(self._table((0, 0, 0), (1, 1, ms(2))))
+        assert state.validate() == []
+
+    def test_same_core_entries_do_not_warn(self):
+        # t0 twice on core 0: the windows meet, but one core runs one at a time
+        state = self._state(self._table((0, 0, 0), (0, 0, ms(1))))
+        assert _codes(state.validate(), "warning") == ["table-overlap"]
+
+    def test_cli_validate_reports_it(self, tmp_path, capsys):
+        state = self._state(self._table((0, 0, 0), (1, 1, 0)))
+        path = tmp_path / "table.json"
+        path.write_text(document_from_state(state).to_json())
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "[table-accelerator]" in out
+        assert "OK, 2 tasks" in out
