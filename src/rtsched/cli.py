@@ -24,7 +24,7 @@ from .errors import RtschedError
 from .graph import plan_expansion
 from .simulator import policy_label, run_simulation
 from .sweep import SweepSpec, best_policy, run_sweep, write_sweep_csv
-from .tracing import write_trace_csv
+from .tracing import CSV_COLUMNS
 
 
 def _env_seed() -> int:
@@ -99,12 +99,12 @@ def _cmd_simulate(args) -> int:
     doc = load_document(args.document)
     state = doc.build_state()
     seed = args.seed if args.seed is not None else _env_seed()
-    trace, report = run_simulation(
-        state, doc.sim_model(), horizon=args.horizon, seed=seed, keep_trace=bool(args.trace)
-    )
+    rows, report = run_simulation(state, doc.sim_model(), horizon=args.horizon, seed=seed,
+                                  keep_trace="csv" if args.trace else False)
     if args.trace:
         with open(args.trace, "w") as fp:
-            write_trace_csv(trace, fp)
+            fp.write(",".join(CSV_COLUMNS) + "\n")
+            fp.writelines(rows)
     if args.report:
         with open(args.report, "w") as fp:
             json.dump(report.to_dict(), fp, indent=2, sort_keys=True)

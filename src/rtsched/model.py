@@ -224,6 +224,11 @@ class Diagnostic:
 # ------------------------------------------------------------- the state
 
 
+def _check_name(what: str, name: str) -> None:  # names reach `k=v;...` trace payloads
+    if ";" in name or "=" in name:
+        raise DeclarationError(f"{what} name {name!r} may not contain ';' or '='")
+
+
 class MiddlewareState:
     """Everything declared plus the lifecycle phase.
 
@@ -271,6 +276,7 @@ class MiddlewareState:
         kind = TaskKind(kind)
         if not name or name in self._names:
             raise DeclarationError(f"task name {name!r} missing or already used")
+        _check_name("task", name)
         if kind in (TaskKind.PERIODIC, TaskKind.SPORADIC):
             if period is None or period <= 0:
                 raise DeclarationError(f"{kind.value} task {name!r} needs period > 0")
@@ -324,6 +330,7 @@ class MiddlewareState:
         task = self.task(task_id)
         if wcet_estimate <= 0:
             raise DeclarationError("wcet_estimate must be > 0")
+        _check_name("version", name)
         method = self.config.version_selection
         if method is not VersionSelection.PRESELECTED:
             expected = _VARIANT_FOR_METHOD[method]
@@ -352,6 +359,7 @@ class MiddlewareState:
     def hwaccel_decl(self, name: str) -> int:
         """Register a single-unit accelerator and return its id."""
         self._require_mutable("hwaccel_decl")
+        _check_name("accelerator", name)
         if any(a.name == name for a in self.accelerators):
             raise DeclarationError(f"accelerator {name!r} already declared")
         accel = AcceleratorDescriptor(accel_id=len(self.accelerators), name=name)

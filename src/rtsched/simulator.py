@@ -193,7 +193,7 @@ class _Engine:
         horizon: int,
         seed: int,
         restrict: Callable[[TaskDescriptor], list[VersionDescriptor]] | None,
-        keep_trace: bool,
+        keep_trace: bool | str,
     ):
         self.state = state
         self.model = model
@@ -674,16 +674,16 @@ def run_simulation(
     horizon: int | str | None = None,
     seed: int = 0,
     restrict: Callable[[TaskDescriptor], list[VersionDescriptor]] | None = None,
-    keep_trace: bool = True,
-) -> tuple[list[TraceEvent], RunReport]:
+    keep_trace: bool | str = True,
+) -> tuple[list[TraceEvent] | list[str], RunReport]:
     """Simulate one run under virtual time.
 
     Pure: the input state is only read.  The default horizon is one
     hyperperiod (the table period under OFFLINE); runs whose hyperperiod
     overflows must pass an explicit horizon.  Releases stop at the horizon
-    and everything already released drains to completion.  With
-    `keep_trace=False` no trace is built and the one returned is empty;
-    the report is the same.
+    and everything already released drains to completion.  With `keep_trace=False` no
+    trace is built and the one returned is empty; with "csv" it is the CSV lines (no
+    header), formatted as events are recorded.  The report is the same.
     """
     model = model or SimJobModel()
     graph = state.check()

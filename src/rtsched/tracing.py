@@ -2,7 +2,9 @@
 
 A run produces an ordered list of TraceEvent.  The CSV export has a stable
 column order (timestamp_ns, kind, task, job_seq, worker, payload) and a
-deterministic payload encoding, so equal runs serialize byte-identically.
+deterministic payload encoding, so equal runs serialize byte-identically;
+`csv_row` is the one line encoder.  RunLog keeps no trace, TraceEvents, or CSV
+rows formatted as events are recorded, sorted only if some stamp came late.
 
 Overheads are accumulated as a run records its events, kept or not;
 `compute_overheads` re-derives them from a trace read back, by the same rules:
@@ -43,7 +45,7 @@ SCHEDULER_WORKER = -1  # worker column value for scheduler-side events
 CSV_COLUMNS = ("timestamp_ns", "kind", "task", "job_seq", "worker", "payload")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     timestamp_ns: int
     kind: str
@@ -53,7 +55,23 @@ class TraceEvent:
     payload: dict = field(default_factory=dict)
 
     def encode_payload(self) -> str:
-        return ";".join(f"{k}={v}" for k, v in self.payload.items())
+        return _encode_payload(self.payload)
+
+
+def _encode_payload(payload: dict) -> str:
+    return ";".join([f"{k}={v}" for k, v in payload.items()]) if payload else ""
+
+
+def csv_row(t: int, kind: str, task: str, seq, worker, payload: dict) -> str:
+    """One event's trace line (fields as in TraceEvent), as csv.writer(fp,
+    lineterminator="\n") writes it; formatted directly unless text may need quoting."""
+    text = _encode_payload(payload)
+    row = (t, kind, task, "" if seq is None else seq, "" if worker is None else worker, text)
+    s = f"{kind}{task}{text}"
+    if "," in s or '"' in s or "\r" in s or "\n" in s:
+        csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(row)
+        return buf.getvalue()
+    return "%s,%s,%s,%s,%s,%s\n" % row
 
 
 def _decode_payload(text: str) -> dict:
@@ -70,19 +88,9 @@ def _decode_payload(text: str) -> dict:
 
 
 def write_trace_csv(events: list[TraceEvent], fp) -> None:
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
+    fp.write(",".join(CSV_COLUMNS) + "\n")
     for e in events:
-        w.writerow(
-            (
-                e.timestamp_ns,
-                e.kind,
-                e.task,
-                "" if e.job_seq is None else e.job_seq,
-                "" if e.worker is None else e.worker,
-                e.encode_payload(),
-            )
-        )
+        fp.write(csv_row(e.timestamp_ns, e.kind, e.task, e.job_seq, e.worker, e.payload))
 
 
 def trace_csv_text(events: list[TraceEvent]) -> str:
@@ -321,7 +329,7 @@ class _Accounts:
 
 
 class RunLog:
-    """The record of one run: its report and, if `keep_trace`, its trace.
+    """The record of one run: its report and no trace, TraceEvents or CSV rows.
 
     Both backends record through it, one method per step of a job's life,
     so each step's events and the count that goes with them are written in
@@ -331,25 +339,35 @@ class RunLog:
     backend calls it under its own lock.
     """
 
-    def __init__(self, keep_trace: bool = True) -> None:
-        self.keep_trace = keep_trace
-        self.trace: list[TraceEvent] = []
+    def __init__(self, keep_trace: bool | str = True) -> None:
+        self.trace: list = []
         self.report = RunReport()
         self._accounts = _Accounts()
+        self._rows = keep_trace == "csv"
+        self._late = False  # some CSV row was stamped below the one before it: sort
+        # picked once; kept unbound, as a bound method would make the log a cycle
+        self._keep = RunLog._row if self._rows else RunLog._event if keep_trace else RunLog._skip
 
-    def _keep(self, t: int, kind: str, job, worker: int | None, payload: dict) -> None:
-        if self.keep_trace:
-            task, seq = ("", None) if job is None else (job.task.name, job.seq)
-            self.trace.append(TraceEvent(t, kind, task, seq, worker, payload))
+    _skip = staticmethod(lambda log, t, kind, job, worker, payload: None)
+
+    def _event(self, t: int, kind: str, job, worker: int | None, payload: dict) -> None:
+        task, seq = ("", None) if job is None else (job.task.name, job.seq)
+        self.trace.append(TraceEvent(t, kind, task, seq, worker, payload))
+
+    def _row(self, t: int, kind: str, job, worker: int | None, payload: dict) -> None:
+        task, seq = ("", None) if job is None else (job.task.name, job.seq)
+        if self.trace and t < self.trace[-1][0]:
+            self._late = True
+        self.trace.append((t, csv_row(t, kind, task, seq, worker, payload)))
 
     def _mark(self, t: int, i: int, job, worker: int | None = None, **payload) -> None:
         self._accounts.mark(i, job.task.name, job.seq, t)
-        self._keep(t, _MARKS[i], job, worker, payload)
+        self._keep(self, t, _MARKS[i], job, worker, payload)
 
     def emit(self, t: int, kind: str, job=None, worker: int | None = None, **payload) -> None:
         """Record an event other than a job mark (the step methods set those)."""
         self._accounts.event(t, kind, worker, payload)
-        self._keep(t, kind, job, worker, payload)
+        self._keep(self, t, kind, job, worker, payload)
 
     def theoretical(self, job) -> None:
         self._mark(job.abs_release, _THEORETICAL, job)
@@ -389,7 +407,7 @@ class RunLog:
 
     def close(
         self, unfinished: list[tuple[str, int]], meta: dict
-    ) -> tuple[list[TraceEvent], RunReport]:
+    ) -> tuple[list, RunReport]:
         """End the run: count the `(task, seq)` jobs it left unfinished,
         sort the trace by time (stable: same-instant order is kept), check
         and set the overheads and set `meta`.  Returns (trace, report)."""
@@ -400,7 +418,11 @@ class RunLog:
             report.truncated = True
             for name, _ in unfinished:
                 report.task(name).misses += 1
-        self.trace.sort(key=lambda e: e.timestamp_ns)
+        if self._rows:
+            pairs = sorted(self.trace, key=lambda p: p[0]) if self._late else self.trace
+            self.trace = [row for _, row in pairs]
+        else:
+            self.trace.sort(key=lambda e: e.timestamp_ns)
         report.overheads = self._accounts.finish(report.truncated)
         report.meta = meta
         return self.trace, report

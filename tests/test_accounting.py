@@ -3,16 +3,21 @@ compute_overheads derives from the finished trace, and a run that keeps no
 trace reports exactly what a run that keeps it reports."""
 
 import glob
+import io
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtsched import (
+    CSV_COLUMNS,
     ClockSource,
+    DeclarationError,
     MappingScheme,
     PolicyConfig,
+    PriorityAssignment,
     ScheduleTable,
     SimJobModel,
     TaskKind,
@@ -20,8 +25,10 @@ from rtsched import (
     init,
     load_document,
     ms,
+    read_trace_csv,
     run_realtime,
     run_simulation,
+    trace_csv_text,
     us,
 )
 from rtsched.cli import main
@@ -54,6 +61,37 @@ def test_demo_documents(path):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_inputs(case):
     _check(*GOLDEN[case][0]())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_inputs_as_csv_rows(case):
+    """The rows a run formats as it records equal the export of its
+    TraceEvents, late stamps (offline-table, scripted-modes) included."""
+    state, model, horizon, seed = GOLDEN[case][0]()
+    trace, report = run_simulation(state, model, horizon=horizon, seed=seed)
+    rows, rows_report = run_simulation(state, model, horizon=horizon, seed=seed,
+                                       keep_trace="csv")
+    assert ",".join(CSV_COLUMNS) + "\n" + "".join(rows) == trace_csv_text(trace)
+    assert len(rows) == len(trace)
+    assert rows_report.to_dict() == report.to_dict()
+
+
+def test_payload_separators_in_names_rejected():
+    """`hi;switch=5` preempting `lo` wrote `by=hi;switch=5` payloads, which
+    read back as 10 ns of context switching the report never had."""
+    def run(name):
+        state = init(PolicyConfig(worker_count=1, priority_assignment=PriorityAssignment.RM))
+        lo = state.task_decl("lo", TaskKind.PERIODIC, period=ms(20))
+        state.version_decl(lo, wcet_estimate=ms(8))
+        hi = state.task_decl(name, TaskKind.PERIODIC, period=ms(5), release_offset=ms(1))
+        state.version_decl(hi, wcet_estimate=ms(1))
+        return run_simulation(state, horizon=ms(20))
+
+    trace, report = run("hi")
+    assert report.overheads.preemptions > 0
+    assert compute_overheads(read_trace_csv(io.StringIO(trace_csv_text(trace)))) == report.overheads
+    with pytest.raises(DeclarationError, match=re.escape("'hi;switch=5'")):
+        run("hi;switch=5")
 
 
 _PERIODS = (ms(2), ms(4), ms(5), ms(10))
@@ -125,3 +163,12 @@ def test_cli_report_does_not_depend_on_the_trace(tmp_path):
     assert main(["simulate", doc, "--report", str(without)]) == 0
     assert with_trace.read_bytes() == without.read_bytes()
     assert (tmp_path / "a.csv").stat().st_size > 0
+
+
+def test_cli_trace_equals_the_api_export(tmp_path):
+    doc = os.path.join(DEMOS, "drone.json")
+    out = tmp_path / "t.csv"
+    assert main(["simulate", doc, "--seed", "3", "--trace", str(out)]) == 0
+    loaded = load_document(doc)
+    trace, _ = run_simulation(loaded.build_state(), loaded.sim_model(), seed=3)
+    assert out.read_bytes() == trace_csv_text(trace).encode()

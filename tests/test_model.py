@@ -1,5 +1,6 @@
 """Declarations, config checks, lifecycle phases."""
 
+import re
 import sys
 
 import pytest
@@ -19,6 +20,7 @@ from rtsched import (
     PolicyConfig,
     PriorityAssignment,
     TaskKind,
+    TaskSetDocument,
     UsageError,
     ValidationError,
     VersionSelection,
@@ -185,6 +187,38 @@ class TestAccelerators:
         vid = state.version_decl(tid, wcet_estimate=1)
         with pytest.raises(DeclarationError, match="unknown accelerator"):
             state.hwaccel_use(tid, vid, 0)
+
+
+class TestPayloadSeparatorsInNames:
+    """Task, version and accelerator names reach trace payloads (`by=`,
+    `version=`, `accel=`), whose `key=value;...` encoding has no escape."""
+
+    @pytest.mark.parametrize("name", ["hi;switch=5", "a;b", "k=v"])
+    def test_task_name(self, name):
+        state = init(PolicyConfig())
+        with pytest.raises(DeclarationError, match=re.escape(repr(name))):
+            state.task_decl(name, TaskKind.PERIODIC, period=ms(10))
+
+    @pytest.mark.parametrize("name", ["fast;x=1", "a;b", "k=v"])
+    def test_version_name(self, name):
+        state = init(PolicyConfig())
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(10))
+        with pytest.raises(DeclarationError, match=re.escape(repr(name))):
+            state.version_decl(tid, wcet_estimate=1, name=name)
+
+    @pytest.mark.parametrize("name", ["gpu;x=1", "a;b", "k=v"])
+    def test_accelerator_name(self, name):
+        state = init(PolicyConfig())
+        with pytest.raises(DeclarationError, match=re.escape(repr(name))):
+            state.hwaccel_decl(name)
+
+    def test_document_fails_at_build(self):
+        doc = TaskSetDocument.from_dict({
+            "tasks": [{"name": "t;x=1", "kind": "periodic", "period": ms(10)}],
+            "versions": [{"task": "t;x=1", "wcet_estimate": ms(1)}],
+        })
+        with pytest.raises(DeclarationError, match=re.escape("'t;x=1'")):
+            doc.build_state()
 
 
 class TestActivation:

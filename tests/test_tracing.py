@@ -1,5 +1,6 @@
 """Trace serialization and overhead accounting."""
 
+import csv
 import io
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from rtsched import (
     trace_csv_text,
     write_trace_csv,
 )
-from rtsched.tracing import RunLog
+from rtsched.tracing import RunLog, csv_row
 
 
 def _ev(t, kind, task="", seq=None, worker=None, **payload):
@@ -282,3 +283,27 @@ class TestRunLogIntegrity:
         log.start(6, _J, 1)
         with pytest.raises(TraceIntegrityError, match="tick_end without tick_begin"):
             log.close([], {})
+
+
+# any text, with the characters CSV quoting turns on drawn often
+_TEXT = st.text(st.sampled_from(',"\r\n é') | st.characters(exclude_categories=("Cs",)),
+                max_size=8)
+
+
+class TestCsvRow:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.integers(0, 2**63),
+        kind=_TEXT,
+        task=_TEXT,
+        seq=st.none() | st.integers(0, 10**6),
+        worker=st.none() | st.integers(-1, 64),
+        payload=st.dictionaries(_TEXT, _TEXT | st.integers(), max_size=3),
+    )
+    def test_equals_csv_writer(self, t, kind, task, seq, worker, payload):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(
+            (t, kind, task, "" if seq is None else seq, "" if worker is None else worker,
+             TraceEvent(t, kind, task, seq, worker, payload).encode_payload())
+        )
+        assert csv_row(t, kind, task, seq, worker, payload) == buf.getvalue()
