@@ -239,6 +239,43 @@ def _body_ops_preempt():
     return state, model, ms(100), 17
 
 
+def _drawn_durations():
+    # normal draws (one clamped at zero, one with decimal arguments) and
+    # per-version distribution maps; a mode switch moves cam and log
+    # between their versions, and log's "b" is unmapped, so it runs for
+    # its wcet
+    state = init(PolicyConfig(
+        worker_count=2,
+        priority_assignment=PriorityAssignment.EDF,
+        version_selection=VersionSelection.MODE,
+    ))
+    lo, hi = ModeSelect(frozenset({"lo"})), ModeSelect(frozenset({"hi"}))
+    both = ModeSelect(frozenset({"lo", "hi"}))
+    for name, period, versions in [
+        ("cam", ms(10), [("fast", hi, ms(2)), ("slow", lo, ms(4))]),
+        ("ctl", ms(5), [("cpu", both, ms(1))]),
+        ("log", ms(20), [("a", lo, ms(3)), ("b", hi, ms(3))]),
+    ]:
+        tid = state.task_decl(name, TaskKind.PERIODIC, period=period)
+        for vname, select, wcet in versions:
+            state.version_decl(tid, wcet_estimate=wcet, select=select, name=vname)
+    model = SimJobModel(
+        exec_time={
+            "cam": {"fast": {"dist": "normal", "mean": 1.5e6, "std": 4e5},
+                    "slow": {"dist": "uniform", "low": ms(2), "high": ms(4)}},
+            "ctl": {"dist": "normal", "mean": us(300), "std": us(400)},
+            "log": {"a": {"dist": "normal", "mean": ms(2), "std": us(500)}},
+        },
+        get_task_cost=us(3),
+        sched_scan_cost_per_task=us(1),
+        sort_cost_per_element=100,
+        context_switch_cost=us(2),
+        mode_schedule=[(ms(30), frozenset({"hi"})), (ms(70), frozenset({"lo"}))],
+        execution_mode=frozenset({"lo"}),
+    )
+    return state, model, ms(100), 19
+
+
 # case -> (build function, trace sha256, report sha256)
 GOLDEN = {
     "fanout-k8": (
@@ -290,6 +327,11 @@ GOLDEN = {
         _body_ops_preempt,
         "7b3eaf797ca00f2a609fbaeef43677dcd888d446093fe002d26f755fe30db8c8",
         "90631c21ec6252987c33fbc910d21dcd22cf5271af4e38ef3c461ec66fa6b6b6",
+    ),
+    "drawn-durations": (
+        _drawn_durations,
+        "fc850cd4417185e0ae1d2e2a230d6589d8ca18aae0941dda89c8bf0d7b70fef1",
+        "6e055aaad7ae475e897a70fc6b1f1c19d18d632f7343dfa422c4c6748d409e80",
     ),
 }
 
