@@ -428,6 +428,8 @@ class SchedulerCore:
         busy accelerator.  None means the job was parked (and the holder
         possibly boosted)."""
         version = job.version
+        if not version.accelerators:
+            return (version, [])
         busy = self.registry.acquire(job, version.accelerators)
         if not busy:
             return (version, sorted(version.accelerators))
@@ -456,6 +458,8 @@ class SchedulerCore:
         """After `job` completes: free its accelerators and unpark their
         waiters.  Returns the freed ids and the sorted ids of the queues
         whose jobs became dispatchable."""
+        if not job.version.accelerators:
+            return [], []  # held none, so was never boosted either
         freed = self.registry.release_all(job)
         woken = self.unblock_accel_waiters(freed) if freed else []
         return freed, sorted({self.queue_for(j) for j in woken})

@@ -26,6 +26,7 @@ deterministic contract.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -67,11 +68,12 @@ class SimJobModel:
     """Synthetic execution model for simulated runs.
 
     exec_time maps a task name to either a duration, a distribution, or a
-    per-version-name mapping of those.  A distribution is a dict like
-    {"dist": "uniform", "low": a, "high": b} or
-    {"dist": "normal", "mean": m, "std": s}; samples are drawn from the
-    run's seeded generator and clamped to >= 0.  Unmapped versions execute
-    for exactly their wcet_estimate.
+    per-version-name mapping of those.  A duration is a number >= 0 (ns); a
+    distribution is exactly {"dist": "uniform", "low": a, "high": b} with
+    a <= b or {"dist": "normal", "mean": m, "std": s} with s >= 0, of finite
+    numbers, sampled from the run's seeded generator and clamped to >= 0.
+    Unmapped versions execute for exactly their wcet_estimate.  Anything
+    else, unknown names included, fails when the run starts.
 
     The four cost knobs inject scheduling overheads.  body_ops overrides
     the derived channel behaviour of a task (pops at start, pushes at the
@@ -120,6 +122,31 @@ def parse_horizon(text: str | int | None, base: int | None) -> int | None:
 
 
 # --------------------------------------------------------------- helpers
+
+def _finite(*xs) -> bool:
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+               for x in xs)
+
+
+def _duration_draw(spec, rng: random.Random, where: str) -> Callable[[], int]:
+    """One exec_time spec (see SimJobModel) as a function drawing a job's
+    duration from `rng`; raises a ConfigurationError naming `where`."""
+    match spec:
+        case int() | float() if _finite(spec) and spec >= 0:
+            fixed = int(spec)
+            return lambda: fixed
+        case {"dist": "uniform", "low": a, "high": b} if (
+                len(spec) == 3 and _finite(a, b) and int(a) <= int(b)):
+            low, high = int(a), int(b)
+            return lambda: max(0, rng.randint(low, high))
+        case {"dist": "normal", "mean": a, "std": b} if (
+                len(spec) == 3 and _finite(a, b) and b >= 0):
+            mean, std = float(a), float(b)
+            return lambda: max(0, round(rng.gauss(mean, std)))
+    raise ConfigurationError(
+        f"exec_time of {where} is not a duration >= 0 or a uniform (low <= high)"
+        f" or normal (std >= 0) distribution: {spec!r}"
+    )
 
 
 class _FifoLock:
@@ -231,7 +258,7 @@ class _Engine:
         self.chan_cons_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
         self.workers = [_WorkerSim() for _ in range(state.config.worker_count)]
         self.locks = [_FifoLock() for _ in self.core.queues]
-        self.execs: dict[tuple[int, int], _JobExec] = {}
+        self.execs: dict[Job, _JobExec] = {}
         self.live_jobs: set[tuple[int, int]] = set()
         self._sched_active = False
         self._sched_missed = False
@@ -244,6 +271,7 @@ class _Engine:
                     " mapping: cores replay their table only"
                 )
         self.tick = scheduler_tick_period(state)
+        self.plans = self._plans(graph)
         # per-core table replay under the off-line mapping
         self.tables: dict[int, Iterator[tuple[int, Job]]] = (
             {c: table_jobs(state, c) for c in sorted(state.table.cores)}
@@ -256,8 +284,37 @@ class _Engine:
         self._seq += 1
         heapq.heappush(self._heap, (t, prio, self._seq, fn, args))
 
-    def _accel_names(self, ids: list[int]) -> list[str]:
-        return [self.state.accelerators[a].name for a in ids]
+    def _log_accels(self, t: int, kind: str, job: Job, w: int, ids: list[int]) -> None:
+        if ids:
+            self.log.accels(t, kind, job, w, [self.state.accelerators[a].name for a in ids])
+
+    def _plans(self, graph: GraphInfo) -> list[list[tuple]]:
+        """plans[task_id][version_id] = (draw, head, body_ops as sorted (offset, step), tail)."""
+        exec_time = self.model.exec_time
+        if unknown := exec_time.keys() - {t.name for t in self.state.tasks}:
+            raise ConfigurationError(f"exec_time names unknown tasks: {sorted(map(str, unknown))}")
+        plans = []
+        for task in self.state.tasks:
+            spec, where = exec_time.get(task.name), f"task {task.name!r}"
+            head = tuple(("pop", cid, n) for cid, n in graph.inputs.get(task.task_id, ()))
+            tail = tuple(("push", cid, n) for cid, n in graph.outputs.get(task.task_id, ()))
+            if (ops := self.model.body_ops.get(task.name)) is not None:
+                head = tail = ()
+                ops = [(off, (op, self.channel_ids[ch], count))
+                       for off, op, ch, count in sorted(ops, key=lambda o: o[0])]
+            names = [v.name for v in task.versions]
+            per_version = isinstance(spec, dict) and "dist" not in spec
+            if per_version and (not spec or spec.keys() - set(names)):
+                raise ConfigurationError(f"exec_time of {where} must map one or more of"
+                                         f" its versions {names}, got {sorted(map(str, spec))}")
+            plan = []
+            for v in task.versions:
+                vspec = spec.get(v.name) if per_version else spec
+                at = f"{where} version {v.name!r}" if per_version else where
+                vspec = v.wcet_estimate if vspec is None else vspec
+                plan.append((_duration_draw(vspec, self.rng, at), head, ops, tail))
+            plans.append(plan)
+        return plans
 
     def run(self) -> None:
         if self.offline:
@@ -442,7 +499,7 @@ class _Engine:
         cost = self.model.get_task_cost
         self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
                       purpose="get_task", got=action)
-        self.log.accels(now, "accel_acquire", job, w, self._accel_names(acquired))
+        self._log_accels(now, "accel_acquire", job, w, acquired)
         self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, job)
 
     def _pull_cs_end(self, w: int, qi: int, action: str, job: Job | None) -> None:
@@ -465,7 +522,7 @@ class _Engine:
 
     def _do_start(self, w: int, job: Job) -> None:
         self.log.start(self.now, job, w)
-        self.execs[job.job_id] = self._build_exec(job)
+        self.execs[job] = self._build_exec(job)
         self._advance(w, job)
 
     def _do_resume(self, w: int, job: Job, switch: int) -> None:
@@ -500,7 +557,7 @@ class _Engine:
             ws.stack.append(job)
             ws.current = None
             action, nxt, acquired = self.core.pick_next(qi, job)
-            self.log.accels(now, "accel_acquire", nxt, w, self._accel_names(acquired))
+            self._log_accels(now, "accel_acquire", nxt, w, acquired)
             self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, nxt)
         else:
             self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
@@ -514,47 +571,28 @@ class _Engine:
 
     # ------------------------------------------------- job execution
 
-    def _exec_duration(self, job: Job) -> int:
-        spec = self.model.exec_time.get(job.task.name)
-        if isinstance(spec, dict) and "dist" not in spec:
-            spec = spec.get(job.version.name)
-        if spec is None:
-            return job.version.wcet_estimate
-        if isinstance(spec, dict):
-            if spec["dist"] == "uniform":
-                return max(0, int(self.rng.randint(int(spec["low"]), int(spec["high"]))))
-            if spec["dist"] == "normal":
-                return max(0, int(round(self.rng.gauss(float(spec["mean"]), float(spec["std"])))))
-            raise ConfigurationError(f"unknown distribution {spec['dist']!r}")
-        return int(spec)
-
     def _build_exec(self, job: Job) -> _JobExec:
-        duration = self._exec_duration(job)
-        tid = job.task.task_id
-        ops = self.model.body_ops.get(job.task.name)
+        draw, head, ops, tail = self.plans[job.task.task_id][job.version.version_id]
+        duration = draw()
+        if ops is None:
+            return _JobExec(head + (("exec", duration),) + tail, duration)
         program: list[tuple] = []
-        if ops is not None:
-            cursor = 0
-            for off, op, chname, count in sorted(ops, key=lambda o: o[0]):
-                off = min(off, duration)
-                if off > cursor:
-                    program.append(("exec", off - cursor))
-                    cursor = off
-                program.append((op, self.channel_ids[chname], count))
-            if cursor < duration:
-                program.append(("exec", duration - cursor))
-        else:
-            graph = self.core.graph
-            program.extend(("pop", cid, n) for cid, n in graph.inputs.get(tid, ()))
-            program.append(("exec", duration))
-            program.extend(("push", cid, n) for cid, n in graph.outputs.get(tid, ()))
+        cursor = 0
+        for off, step in ops:
+            off = min(off, duration)
+            if off > cursor:
+                program.append(("exec", off - cursor))
+                cursor = off
+            program.append(step)
+        if cursor < duration:
+            program.append(("exec", duration - cursor))
         return _JobExec(program, duration)
 
     def _advance(self, w: int, job: Job) -> None:
         """Run the job's program until it blocks, sleeps, or completes."""
         ws = self.workers[w]
         assert ws.current is job
-        ex = self.execs[job.job_id]
+        ex = self.execs[job]
         job.channel_blocked = False
         while ex.step < len(ex.program):
             kind = ex.program[ex.step][0]
@@ -596,7 +634,7 @@ class _Engine:
         waiters[(w, job)] = None
 
     def _seg_done(self, w: int, job: Job, gen: int) -> None:
-        ex = self.execs.get(job.job_id)
+        ex = self.execs.get(job)
         if ex is None or ex.gen != gen:
             return  # segment was paused or rescheduled
         if self.workers[w].current is not job:
@@ -607,7 +645,7 @@ class _Engine:
 
     def _pause_exec(self, job: Job) -> None:
         """Freeze the current execution segment (handler or preemption)."""
-        ex = self.execs.get(job.job_id)
+        ex = self.execs.get(job)
         if ex is None:
             return
         if ex.step < len(ex.program) and ex.program[ex.step][0] == "exec" and not job.channel_blocked:
@@ -634,11 +672,11 @@ class _Engine:
 
     def _complete(self, w: int, job: Job) -> None:
         ws = self.workers[w]
-        ex = self.execs.pop(job.job_id)
+        ex = self.execs.pop(job)
         self.live_jobs.discard(job.job_id)
         self.log.complete(self.now, job, w, ex.duration)
         freed, notify = self.core.free_accelerators(job)
-        self.log.accels(self.now, "accel_release", job, w, self._accel_names(freed))
+        self._log_accels(self.now, "accel_release", job, w, freed)
         ws.current = None
         # unparked waiters may be pullable by idle workers of any queue
         for qi in notify:

@@ -105,7 +105,8 @@ def eligible_versions(
     versions: list[VersionDescriptor], registry: AcceleratorRegistry
 ) -> list[VersionDescriptor]:
     """The versions whose accelerators are all free, in the given order."""
-    return [v for v in versions if not any(registry.busy(a) for a in v.accelerators)]
+    busy = registry.busy
+    return [v for v in versions if not v.accelerators or not any(map(busy, v.accelerators))]
 
 
 def select_version(
@@ -122,9 +123,10 @@ def select_version(
     full declared set.  When every considered version touches a busy
     accelerator the choice falls back to the pool itself (under MODE and
     BITMASK: to the matching versions in it); the dispatch path then waits
-    on (or inherits into) the resource.
+    on (or inherits into) the resource.  Only a USER selector receives a
+    list it may keep or change, so only it is handed a copy.
     """
-    pool = list(pool) if pool is not None else list(task.versions)
+    pool = task.versions if pool is None else pool
     if not pool:
         raise SelectionError(f"task {task.name!r} has no versions")
     candidates = eligible_versions(pool, registry) or pool
@@ -155,7 +157,7 @@ def select_version(
     if method is VersionSelection.USER:
         props = task.versions[0].select_props
         assert isinstance(props, UserSelect)
-        chosen = props.selector(task, candidates, ctx)
+        chosen = props.selector(task, list(candidates), ctx)
         for v in candidates:
             if v.version_id == chosen:
                 return v

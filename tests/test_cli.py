@@ -15,6 +15,7 @@ from rtsched.cli import main
 from rtsched.tracing import CSV_COLUMNS
 
 from .test_document import WRONGLY_TYPED
+from .test_simulator import MALFORMED_EXEC_TIME
 
 
 def _doc(tmp_path, data, name="set.json"):
@@ -187,6 +188,19 @@ class TestSimulate:
     def test_bad_horizon(self, tmp_path, capsys):
         assert main(["simulate", _minimal(tmp_path), "--horizon", "soon"]) == 1
         assert "cannot parse" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("spec", MALFORMED_EXEC_TIME)
+    def test_malformed_exec_time_is_one_error_line(self, tmp_path, capsys, spec):
+        path = _doc(tmp_path, {
+            "config": {"worker_count": 1},
+            "tasks": [{"name": "a", "kind": "periodic", "period": ms(10)}],
+            "versions": [{"task": "a", "wcet_estimate": ms(2)}],
+            "sim_model": {"exec_time": {"a": spec}},
+        })
+        assert main(["simulate", path, "--horizon", "20ms"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: exec_time of task 'a'") and err.count("\n") == 1
 
 
 class TestSweep:

@@ -314,6 +314,74 @@ class TestExecutionModel:
         assert report.tasks["t"].completed == 5 and not report.truncated
 
 
+
+def _task_a():
+    # the malformed-exec_time repros: task a every 10 ms on one worker
+    state = init(PolicyConfig(worker_count=1))
+    tid = state.task_decl("a", TaskKind.PERIODIC, period=ms(10))
+    state.version_decl(tid, wcet_estimate=ms(2))
+    return state
+
+
+# exec_time["a"] values that each crashed a run, moved virtual time back or
+# were silently ignored; each now fails before the first event
+MALFORMED_EXEC_TIME = [
+    pytest.param(-5, id="negative-duration"),
+    pytest.param({"dist": "uniform", "low": 5, "high": 1}, id="low-above-high"),
+    pytest.param("abc", id="string"),
+    pytest.param([1, 2], id="list"),
+    pytest.param({"dist": "uniform", "low": "x", "high": ms(1)}, id="string-low"),
+    pytest.param({"dist": "uniform", "low": 1}, id="missing-high"),
+    pytest.param({"typo": ms(5)}, id="unknown-key"),
+    pytest.param({"v9": ms(1)}, id="map-naming-no-version"),
+]
+
+
+class TestMalformedExecTime:
+    @pytest.mark.parametrize("spec", MALFORMED_EXEC_TIME)
+    def test_repro_rejected_naming_the_task(self, spec):
+        model = SimJobModel(exec_time={"a": spec})
+        with pytest.raises(ConfigurationError, match="exec_time of task 'a'"):
+            run_simulation(_task_a(), model, horizon=ms(20))
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param({"dist": "normal", "mean": ms(1), "std": -1}, id="negative-std"),
+        pytest.param({"dist": "normal", "mean": float("inf"), "std": 1}, id="infinite-mean"),
+        pytest.param({"dist": "uniform", "low": 1, "high": 2, "mean": 3}, id="extra-key"),
+        pytest.param({"dist": "uniform", "low": True, "high": 2}, id="bool-low"),
+        pytest.param(True, id="bool-duration"),
+        pytest.param({}, id="empty-map"),
+    ])
+    def test_other_malformed_specs_rejected(self, spec):
+        model = SimJobModel(exec_time={"a": spec})
+        with pytest.raises(ConfigurationError, match="exec_time of task 'a'"):
+            run_simulation(_task_a(), model, horizon=ms(20))
+
+    def test_version_named_in_error(self):
+        model = SimJobModel(exec_time={"a": {"v0": {"dist": "normal", "mean": 1}}})
+        with pytest.raises(ConfigurationError, match="task 'a' version 'v0'"):
+            run_simulation(_task_a(), model, horizon=ms(20))
+
+    def test_unknown_task_rejected(self):
+        model = SimJobModel(exec_time={"a": ms(1), "nosuch": ms(1)})
+        with pytest.raises(ConfigurationError, match=r"unknown tasks: \['nosuch'\]"):
+            run_simulation(_task_a(), model, horizon=ms(20))
+
+    def test_checked_before_first_event(self):
+        # b is first due after the horizon, so none of its jobs ever starts
+        state = _task_a()
+        late = state.task_decl("b", TaskKind.PERIODIC, period=ms(10), release_offset=ms(30))
+        state.version_decl(late, wcet_estimate=ms(1))
+        model = SimJobModel(exec_time={"b": -5})
+        with pytest.raises(ConfigurationError, match="exec_time of task 'b'"):
+            run_simulation(state, model, horizon=ms(20))
+
+    def test_decimal_arguments_accepted(self):
+        model = SimJobModel(exec_time={"a": 1.5e6})
+        trace, _ = run_simulation(_task_a(), model, horizon=ms(20))
+        assert _times(trace, "job_complete") == [ms(1.5), ms(11.5)]
+
+
 class TestOffline:
     def _offline_state(self):
         cfg = PolicyConfig(
