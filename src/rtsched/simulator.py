@@ -123,6 +123,7 @@ def parse_horizon(text: str | int | None, base: int | None) -> int | None:
 
 # --------------------------------------------------------------- helpers
 
+
 def _finite(*xs) -> bool:
     return all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
                for x in xs)
@@ -199,7 +200,7 @@ class _JobExec:
 
     __slots__ = ("program", "step", "left", "seg_end", "gen", "duration")
 
-    def __init__(self, program: list, duration: int):
+    def __init__(self, program: tuple | list, duration: int):
         self.program = program
         self.step = 0
         self.left = 0  # tokens or ns remaining within the current step

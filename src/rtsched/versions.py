@@ -123,8 +123,7 @@ def select_version(
     full declared set.  When every considered version touches a busy
     accelerator the choice falls back to the pool itself (under MODE and
     BITMASK: to the matching versions in it); the dispatch path then waits
-    on (or inherits into) the resource.  Only a USER selector receives a
-    list it may keep or change, so only it is handed a copy.
+    on (or inherits into) the resource.  A USER selector gets its own copy.
     """
     pool = task.versions if pool is None else pool
     if not pool:

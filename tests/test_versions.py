@@ -301,6 +301,29 @@ class TestSelection:
         assert v.version_id == 1
         assert seen == [[0, 1]]
 
+    def test_user_selector_gets_its_own_list(self):
+        # every version needs the busy gpu, so the candidates fall back to
+        # the pool; a selector that empties its list changes nothing else
+        def pick(task, versions, ctx):
+            chosen = versions[0].version_id
+            versions.clear()
+            return chosen
+
+        state = init(PolicyConfig(version_selection=VersionSelection.USER))
+        gpu = state.hwaccel_decl("gpu")
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(100))
+        for wcet in (1, 2):
+            vid = state.version_decl(tid, wcet_estimate=wcet, select=UserSelect(selector=pick))
+            state.hwaccel_use(tid, vid, gpu)
+        task = state.task(tid)
+        reg = AcceleratorRegistry(1)
+        assert reg.acquire(FakeJob((9, 0), _key(0)), [gpu]) == []
+        pool = list(task.versions)
+        for given in (None, pool):
+            v = select_version(VersionSelection.USER, task, _ctx(), reg, pool=given)
+            assert v.version_id == 0
+        assert len(task.versions) == 2 and len(pool) == 2
+
     def test_user_callback_bogus_id_rejected(self):
         def pick(task, versions, ctx):
             return 42
