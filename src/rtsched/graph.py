@@ -13,7 +13,7 @@ deadline of the root iteration its tokens belong to.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -492,36 +492,6 @@ def repetition_vector(sdf: SdfGraph) -> dict[str, int]:
     return {a: v // g for a, v in ints.items()}
 
 
-def _check_deadlock(sdf: SdfGraph, q: dict[str, int]) -> None:
-    tokens = {i: e.initial_tokens for i, e in enumerate(sdf.edges)}
-    remaining = dict(q)
-    ins: dict[str, list[int]] = {a: [] for a in sdf.actors}
-    outs: dict[str, list[int]] = {a: [] for a in sdf.actors}
-    for i, e in enumerate(sdf.edges):
-        ins[e.dst].append(i)
-        outs[e.src].append(i)
-
-    progressed = True
-    while progressed and any(remaining.values()):
-        progressed = False
-        for a in sdf.actors:
-            if remaining[a] == 0:
-                continue
-            if all(tokens[i] >= sdf.edges[i].consume for i in ins[a]):
-                for i in ins[a]:
-                    tokens[i] -= sdf.edges[i].consume
-                for i in outs[a]:
-                    tokens[i] += sdf.edges[i].produce
-                remaining[a] -= 1
-                progressed = True
-    if any(remaining.values()):
-        stuck = sorted(a for a, r in remaining.items() if r)
-        raise SdfDeadlockError(
-            "deadlock: no fireable actor with the given initial tokens"
-            f" (stuck: {', '.join(stuck)})"
-        )
-
-
 @dataclass
 class ExpansionPlan:
     """One-iteration DAG derived from an SDF graph.
@@ -537,53 +507,58 @@ class ExpansionPlan:
 
 
 def plan_expansion(sdf: SdfGraph) -> ExpansionPlan:
+    """Fire one iteration in rounds over sdf.actors, each actor once per
+    round while every input edge holds its consume count.  An edge is a FIFO
+    of (producer firing, count) runs, initial tokens first with no producer.
+    A firing depends on the producer firings whose tokens it takes, always
+    earlier ones, so the plan is acyclic; parallel edges sum into one dep.
+    """
     q = repetition_vector(sdf)
-    _check_deadlock(sdf, q)
+    edges = sdf.edges
+    ins = {a: [i for i, e in enumerate(edges) if e.dst == a] for a in sdf.actors}
+    outs = {a: [i for i, e in enumerate(edges) if e.src == a] for a in sdf.actors}
+    held = [e.initial_tokens for e in edges]
+    fifos = [deque([(None, e.initial_tokens)] if e.initial_tokens else []) for e in edges]
+    taken: list[list[tuple[int, int, int]]] = [[] for _ in edges]  # (producer, consumer, count)
+    fired = dict.fromkeys(sdf.actors, 0)
+    while remaining := [a for a in sdf.actors if fired[a] < q[a]]:
+        progressed = False
+        for a in remaining:
+            if any(held[i] < edges[i].consume for i in ins[a]):
+                continue
+            k = fired[a]
+            for i in ins[a]:
+                need = edges[i].consume
+                held[i] -= need
+                while need:
+                    src, count = fifos[i].popleft()
+                    if count > need:
+                        fifos[i].appendleft((src, count - need))
+                        count = need
+                    need -= count
+                    if src is not None and edges[i].src != a:  # the chain orders self-loops
+                        taken[i].append((src, k, count))
+            for i in outs[a]:
+                fifos[i].append((k, edges[i].produce))
+                held[i] += edges[i].produce
+            fired[a] = k + 1
+            progressed = True
+        if not progressed:
+            raise SdfDeadlockError("deadlock: no fireable actor with the given initial"
+                                   f" tokens (stuck: {', '.join(sorted(remaining))})")
 
-    nodes = [f"{a}#{k}" for a in sdf.actors for k in range(q[a])]
-    deps: list[tuple[str, str, int]] = []
-
-    # successive firings of one actor are sequential
+    # firing chains of each actor, then token deps by (edge, consumer, producer)
+    deps: Counter[tuple[str, str]] = Counter()
     for a in sdf.actors:
         for k in range(q[a] - 1):
-            deps.append((f"{a}#{k}", f"{a}#{k + 1}", 1))
-
-    for e in sdf.edges:
-        if e.src == e.dst:
-            continue  # self-loop ordering is covered by the firing chain
-        for j in range(q[e.dst]):
-            lo = j * e.consume + 1 - e.initial_tokens
-            hi = (j + 1) * e.consume - e.initial_tokens
-            if hi < 1:
-                continue  # fully served by initial tokens
-            lo = max(lo, 1)
-            for i in range(q[e.src]):
-                plo, phi = i * e.produce + 1, (i + 1) * e.produce
-                overlap = min(hi, phi) - max(lo, plo) + 1
-                if overlap > 0:
-                    deps.append((f"{e.src}#{i}", f"{e.dst}#{j}", overlap))
-
-    has_input = {d for _, d, _ in deps}
-    sources = [n for n in nodes if n not in has_input]
-
-    # sanity: the plan must admit a topological order
-    indeg: dict[str, int] = {n: 0 for n in nodes}
-    for _, d, _ in deps:
-        indeg[d] += 1
-    ordered: list[str] = [n for n in nodes if indeg[n] == 0]
-    i = 0
-    while i < len(ordered):
-        n = ordered[i]
-        i += 1
-        for s, d, _ in deps:
-            if s == n:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    ordered.append(d)
-    if len(ordered) != len(nodes):
-        raise SdfDeadlockError("expansion produced a cyclic dependency structure")
-
-    return ExpansionPlan(repetition=q, nodes=nodes, deps=deps, sources=sources)
+            deps[f"{a}#{k}", f"{a}#{k + 1}"] = 1
+    for e, runs in zip(edges, taken):
+        for src, dst, count in runs:
+            deps[f"{e.src}#{src}", f"{e.dst}#{dst}"] += count
+    nodes = [f"{a}#{k}" for a in sdf.actors for k in range(q[a])]
+    has_input = {d for _, d in deps}
+    return ExpansionPlan(q, nodes, [(s, d, n) for (s, d), n in deps.items()],
+                         [n for n in nodes if n not in has_input])
 
 
 def expand_sdf(

@@ -318,6 +318,7 @@ class RealtimeBackend:
 
     def _collect_releases(self, now: int) -> list[Job]:
         with self.reg_mutex:
+            self.select_ctx.now = now
             jobs = self.core.due_releases(now)
             with self.channels_lock:
                 jobs.extend(self.core.graph_activations(self.channels, now))
@@ -386,6 +387,7 @@ class RealtimeBackend:
         t_grant = self.now_ns()
         try:
             with self.reg_mutex:
+                self.select_ctx.now = t_grant
                 action, job, acquired = self.core.pick_next(qi, stack_top)
         finally:
             t = self.now_ns()

@@ -40,6 +40,7 @@ from .model import (
     MiddlewareState,
     PolicyConfig,
     TaskDescriptor,
+    TaskKind,
     VersionDescriptor,
 )
 from .offline import table_jobs
@@ -77,8 +78,11 @@ class SimJobModel:
 
     The four cost knobs inject scheduling overheads.  body_ops overrides
     the derived channel behaviour of a task (pops at start, pushes at the
-    end) with explicit (offset_ns, "push"|"pop", channel_name, count)
-    tuples splitting the execution body.
+    end) with explicit (offset_ns >= 0, "push"|"pop", channel_name,
+    count >= 1) tuples splitting the execution body; its keys and channel
+    names must be declared.  Each activations entry (t, name) names a
+    sporadic or aperiodic task at t >= 0, and each mode_schedule instant is
+    >= 0.  Like exec_time, these fail when the run starts.
     """
 
     exec_time: dict = field(default_factory=dict)
@@ -117,7 +121,7 @@ def parse_horizon(text: str | int | None, base: int | None) -> int | None:
         if t.endswith("s"):
             return int(round(float(t[:-1]) * 1_000_000_000))
         return int(t)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigurationError(f"cannot parse horizon {text!r}") from None
 
 
@@ -247,13 +251,6 @@ class _Engine:
         )
         self.core = SchedulerCore(state, graph, self.registry, self.ctx, restrict=restrict)
         self.channels = {c.channel_id: ChannelState(c) for c in state.channels}
-        self.channel_ids = {c.name: c.channel_id for c in state.channels}  # body_ops names
-        unknown = {op[2] for ops in model.body_ops.values() for op in ops}
-        unknown -= self.channel_ids.keys()
-        if unknown:
-            raise ConfigurationError(
-                f"body_ops name unknown channels: {', '.join(sorted(unknown))}"
-            )
         # (worker, job) parked per channel: ordered sets, woken FIFO
         self.chan_prod_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
         self.chan_cons_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
@@ -271,6 +268,17 @@ class _Engine:
                     f"SimJobModel.{name} is not supported under the off-line"
                     " mapping: cores replay their table only"
                 )
+        tasks = {t.name: t for t in state.tasks}
+        for t, name in model.activations:
+            task = tasks.get(name)
+            if t < 0 or task is None or task.kind not in (TaskKind.SPORADIC, TaskKind.APERIODIC):
+                raise ConfigurationError(f"SimJobModel.activations entry {(t, name)!r} must"
+                                         " name a sporadic or aperiodic task at an instant >= 0")
+        self.activations = [(t, tasks[name].task_id) for t, name in sorted(model.activations)]
+        for t, mask in model.mode_schedule:
+            if t < 0:
+                raise ConfigurationError(f"SimJobModel.mode_schedule entry {(t, mask)!r}"
+                                         " must be at an instant >= 0")
         self.tick = scheduler_tick_period(state)
         self.plans = self._plans(graph)
         # per-core table replay under the off-line mapping
@@ -291,17 +299,27 @@ class _Engine:
 
     def _plans(self, graph: GraphInfo) -> list[list[tuple]]:
         """plans[task_id][version_id] = (draw, head, body_ops as sorted (offset, step), tail)."""
-        exec_time = self.model.exec_time
-        if unknown := exec_time.keys() - {t.name for t in self.state.tasks}:
+        exec_time, body_ops = self.model.exec_time, self.model.body_ops
+        task_names = {t.name for t in self.state.tasks}
+        if unknown := exec_time.keys() - task_names:
             raise ConfigurationError(f"exec_time names unknown tasks: {sorted(map(str, unknown))}")
+        if unknown := body_ops.keys() - task_names:
+            raise ConfigurationError(f"body_ops names unknown tasks: {sorted(map(str, unknown))}")
+        channel_ids = {c.name: c.channel_id for c in self.state.channels}
+        if unknown := {op[2] for ops in body_ops.values() for op in ops} - channel_ids.keys():
+            raise ConfigurationError(f"body_ops name unknown channels: {', '.join(sorted(unknown))}")
         plans = []
         for task in self.state.tasks:
             spec, where = exec_time.get(task.name), f"task {task.name!r}"
             head = tuple(("pop", cid, n) for cid, n in graph.inputs.get(task.task_id, ()))
             tail = tuple(("push", cid, n) for cid, n in graph.outputs.get(task.task_id, ()))
-            if (ops := self.model.body_ops.get(task.name)) is not None:
+            if (ops := body_ops.get(task.name)) is not None:
                 head = tail = ()
-                ops = [(off, (op, self.channel_ids[ch], count))
+                for off, op, ch, count in ops:
+                    if off < 0 or op not in ("push", "pop") or count < 1:
+                        raise ConfigurationError(f"body_ops of {where}: {(off, op, ch, count)!r} is"
+                                                 " not (offset >= 0, push|pop, channel, count >= 1)")
+                ops = [(off, (op, channel_ids[ch], count))
                        for off, op, ch, count in sorted(ops, key=lambda o: o[0])]
             names = [v.name for v in task.versions]
             per_version = isinstance(spec, dict) and "dist" not in spec
@@ -324,8 +342,8 @@ class _Engine:
         else:
             for t, mask in sorted(self.model.mode_schedule):
                 self.push_event(t, _P_CONTROL, self._set_mode, frozenset(mask))
-            for t, name in sorted(self.model.activations):
-                self.push_event(t, _P_CONTROL, self._activate, name)
+            for t, task_id in self.activations:
+                self.push_event(t, _P_CONTROL, self._activate, task_id)
             self._arm_tick(0)
 
         while self._heap:
@@ -343,8 +361,8 @@ class _Engine:
     def _set_mode(self, mask: frozenset) -> None:
         self.ctx.execution_mode = mask
 
-    def _activate(self, name: str) -> None:
-        self.core.activate(self.state.task_by_name(name).task_id, self.now)
+    def _activate(self, task_id: int) -> None:
+        self.core.activate(task_id, self.now)
         self._maybe_rearm_tick()
 
     # ------------------------------------------------------ scheduler

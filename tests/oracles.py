@@ -3,7 +3,8 @@
 Nothing here imports rtsched.  The timeline oracle is a straightforward
 single-core scheduler over (release, deadline, remaining) triples; the SDF
 oracle searches for the repetition vector instead of normalizing fractions;
-the gcd/lcm oracles use trial division and prime factorisation; the ready
+the SDF plan oracle counts tokens per edge and numbers them, where the
+package keeps FIFOs of producer firings; the gcd/lcm oracles use trial division and prime factorisation; the ready
 queue oracle fully re-sorts its live jobs on every read.  Keeping the
 algorithms structurally different from the package is the point.
 """
@@ -229,6 +230,72 @@ def sdf_vector_brute(
         if ok:
             return r
     return None
+
+
+class SdfPlanDeadlock(Exception):
+    """sdf_plan_reference found no fireable actor; the message is the one
+    the package's SdfDeadlockError carries."""
+
+
+def sdf_plan_reference(
+    actors: list[str],
+    edges: list[tuple[str, str, int, int, int]],
+    q: dict[str, int],
+) -> tuple[list[str], list[tuple[str, str, int]], list[str]]:
+    """(nodes, deps, sources) of one iteration of an SDF graph, by interval
+    arithmetic over numbered tokens.
+
+    edges are (src, dst, produce, consume, initial_tokens) and q is the
+    repetition vector.  A deadlock check first fires the iteration on token
+    counts alone, in rounds over `actors`.  Then the tokens of each edge
+    are numbered from 1: the initial ones first, and producer firing i
+    makes init + i*produce + 1 .. init + (i + 1)*produce.  Consumer firing
+    j takes j*consume + 1 .. (j + 1)*consume, so it depends on each
+    producer firing whose range overlaps, by the overlap.  Self-loops add no
+    deps, successive firings of an actor are chained, and the deps of
+    parallel edges with the same (src, dst) are summed at the first one.
+    """
+    tokens = [e[4] for e in edges]
+    remaining = dict(q)
+    progressed = True
+    while progressed and any(remaining.values()):
+        progressed = False
+        for a in actors:
+            ins = [i for i, e in enumerate(edges) if e[1] == a]
+            if remaining[a] == 0 or any(tokens[i] < edges[i][3] for i in ins):
+                continue
+            for i in ins:
+                tokens[i] -= edges[i][3]
+            for i, e in enumerate(edges):
+                if e[0] == a:
+                    tokens[i] += e[2]
+            remaining[a] -= 1
+            progressed = True
+    if any(remaining.values()):
+        stuck = sorted(a for a, r in remaining.items() if r)
+        raise SdfPlanDeadlock(
+            "deadlock: no fireable actor with the given initial tokens"
+            f" (stuck: {', '.join(stuck)})"
+        )
+
+    nodes = [f"{a}#{k}" for a in actors for k in range(q[a])]
+    deps: dict[tuple[str, str], int] = {}
+    for a in actors:
+        for k in range(q[a] - 1):
+            deps[(f"{a}#{k}", f"{a}#{k + 1}")] = 1
+    for src, dst, produce, consume, init in edges:
+        if src == dst:
+            continue
+        for j in range(q[dst]):
+            lo = max(j * consume + 1 - init, 1)
+            hi = (j + 1) * consume - init
+            for i in range(q[src]):
+                overlap = min(hi, (i + 1) * produce) - max(lo, i * produce + 1) + 1
+                if overlap > 0:
+                    key = (f"{src}#{i}", f"{dst}#{j}")
+                    deps[key] = deps.get(key, 0) + overlap
+    has_input = {d for _, d in deps}
+    return nodes, [(s, d, n) for (s, d), n in deps.items()], [n for n in nodes if n not in has_input]
 
 
 # ------------------------------------------------------ activation oracle

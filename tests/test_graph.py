@@ -1,9 +1,10 @@
 """Channels, graph analysis, SDF expansion."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsched import (
@@ -25,11 +26,12 @@ from rtsched import (
     ms,
     plan_expansion,
     repetition_vector,
+    run_simulation,
 )
 from rtsched import ChannelDescriptor
 from rtsched.graph import check_activation, reserve_activation
 
-from .oracles import sdf_vector_brute
+from .oracles import SdfPlanDeadlock, sdf_plan_reference, sdf_vector_brute
 
 
 def _desc(capacity, initial=0):
@@ -295,7 +297,62 @@ class TestRepetitionVector:
         assert plan.repetition == {"A": 1, "B": 1}
 
 
+@st.composite
+def _sdf_graphs(draw):
+    """1-5 actors in any name order and 0-6 edges, self-loops allowed,
+    rates 1-4 and 0-5 initial tokens.  Half the draws derive every edge's
+    rates from one hidden firing vector, so most of those graphs are
+    consistent."""
+    actors = draw(st.permutations(["a", "b", "c", "d", "e"]))[:draw(st.integers(1, 5))]
+    actor, rate = st.sampled_from(actors), st.integers(1, 4)
+    edges = draw(st.lists(st.tuples(actor, actor, rate, rate, st.integers(0, 5)), max_size=6))
+    if draw(st.booleans()):
+        w = {a: draw(rate) for a in actors}
+        edges = [(s, d, w[d] // math.gcd(w[s], w[d]), w[s] // math.gcd(w[s], w[d]), init)
+                 for s, d, _, _, init in edges]
+    return actors, edges
+
+
 class TestExpansion:
+    @settings(max_examples=150, deadline=None)
+    @given(_sdf_graphs())
+    @example((["b", "a"], [("b", "a", 1, 1, 0), ("a", "b", 1, 1, 0)]))  # stuck: a, b
+    def test_plan_matches_reference(self, graph):
+        actors, edges = graph
+        sdf = SdfGraph(actors=actors, edges=[SdfEdge(*e) for e in edges])
+        try:
+            q = repetition_vector(sdf)
+        except SdfInconsistentError as exc:
+            with pytest.raises(SdfInconsistentError) as got:
+                plan_expansion(sdf)
+            assert str(got.value) == str(exc)
+            return
+        try:
+            nodes, deps, sources = sdf_plan_reference(actors, edges, q)
+        except SdfPlanDeadlock as exc:
+            with pytest.raises(SdfDeadlockError) as got:
+                plan_expansion(sdf)
+            assert str(got.value) == str(exc)
+            return
+        plan = plan_expansion(sdf)
+        assert (plan.repetition, plan.nodes, plan.deps, plan.sources) == (q, nodes, deps, sources)
+
+    def test_parallel_edges_merge_and_run(self):
+        # two A->B edges feed the same firings; their deps merge into one
+        # channel per firing pair with the summed token count
+        sdf = SdfGraph(actors=["A", "B"], edges=[
+            SdfEdge("A", "B", produce=2, consume=1),
+            SdfEdge("A", "B", produce=4, consume=2, initial_tokens=2),
+        ])
+        assert plan_expansion(sdf).deps == [
+            ("B#0", "B#1", 1), ("A#0", "B#0", 1), ("A#0", "B#1", 3),
+        ]
+        state = init(PolicyConfig())
+        expand_sdf(state, sdf, period=ms(10), wcets={"A": ms(1), "B": ms(1)})
+        assert [c.name for c in state.channels] == ["B#0->B#1", "A#0->B#0", "A#0->B#1"]
+        _, report = run_simulation(state, horizon=ms(50))
+        assert report.released == report.completed == 15
+
     def test_mismatched_source_expands_successor(self):
         # source pushes 2, successor consumes 1: two successor copies
         sdf = SdfGraph(

@@ -22,6 +22,7 @@ from rtsched import (
     ScheduleTable,
     TaskKind,
     UsageError,
+    UserSelect,
     VersionSelection,
     channel_connect,
     channel_decl,
@@ -140,6 +141,22 @@ class TestRealtimeRuns:
         run_realtime(state, ms(60))
         assert seen and all(ok and args == "payload" for ok, args in seen)
         assert current_job_context() is None  # outside any body
+
+    def test_user_selector_reads_run_time(self, many_cpus):
+        # SelectionContext.now is the release pass's instant, as in simulation
+        seen = []
+
+        def pick(task, versions, ctx):
+            seen.append(ctx.now)
+            return versions[0].version_id
+
+        state = init(_rt_config(worker_count=1, version_selection=VersionSelection.USER))
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(20))
+        state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000,
+                           select=UserSelect(selector=pick))
+        _, report = run_realtime(state, ms(70))
+        assert len(seen) == report.released >= 2
+        assert seen == sorted(seen) and seen[-1] >= ms(20)
 
     def test_cooperative_preemption(self, many_cpus):
         state = init(_rt_config(worker_count=1))

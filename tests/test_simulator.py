@@ -134,6 +134,37 @@ class TestSameInstantOrdering:
         assert at_tick.index("tick_begin") < at_tick.index("job_complete")
 
 
+class TestScriptedInputs:
+    """Activations and mode switches are checked when the run starts."""
+
+    def _state(self):
+        state = _one_task()
+        aid = state.task_decl("a", TaskKind.APERIODIC, relative_deadline=ms(5))
+        state.version_decl(aid, wcet_estimate=ms(1))
+        return state
+
+    def test_activation_of_periodic_task_rejected(self):
+        # t releases on its own clock; an activation would add jobs
+        model = SimJobModel(activations=[(ms(3), "t")])
+        with pytest.raises(ConfigurationError, match=r"activations entry \(3000000, 't'\)"):
+            run_simulation(self._state(), model, horizon=ms(10))
+
+    def test_activation_of_unknown_task_rejected(self):
+        model = SimJobModel(activations=[(ms(3), "nosuch")])
+        with pytest.raises(ConfigurationError, match="'nosuch'.*sporadic or aperiodic"):
+            run_simulation(self._state(), model, horizon=ms(10))
+
+    def test_activation_before_zero_rejected(self):
+        model = SimJobModel(activations=[(-1, "a")])
+        with pytest.raises(ConfigurationError, match=r"\(-1, 'a'\).*instant >= 0"):
+            run_simulation(self._state(), model, horizon=ms(10))
+
+    def test_mode_switch_before_zero_rejected(self):
+        model = SimJobModel(mode_schedule=[(-1, frozenset({"night"}))])
+        with pytest.raises(ConfigurationError, match="mode_schedule entry.*instant >= 0"):
+            run_simulation(self._state(), model, horizon=ms(10))
+
+
 class TestCostKnobs:
     def test_get_task_cost_delays_start(self):
         model = SimJobModel(get_task_cost=us(2))
@@ -237,6 +268,19 @@ class TestChannels:
         model = SimJobModel(body_ops={"t": [(0, "pop", "nosuch", 1)]})
         with pytest.raises(ConfigurationError, match="nosuch"):
             run_simulation(_one_task(), model)
+
+    @pytest.mark.parametrize("body_ops, match", [
+        pytest.param({"prod": [(0, "pull", "c", 1)]}, "'pull'", id="unknown-op"),
+        pytest.param({"nosuch": [(0, "pop", "c", 1)]}, r"unknown tasks: \['nosuch'\]",
+                     id="unknown-task"),
+        pytest.param({"prod": [(0, "push", "c", 0)]}, r"\(0, 'push', 'c', 0\)", id="zero-count"),
+        pytest.param({"prod": [(-1, "push", "c", 1)]}, r"\(-1, 'push', 'c', 1\)",
+                     id="negative-offset"),
+    ])
+    def test_malformed_body_ops_rejected(self, body_ops, match):
+        model = SimJobModel(body_ops=body_ops)
+        with pytest.raises(ConfigurationError, match=match):
+            run_simulation(self._pipeline(capacity=4), model, horizon=ms(20))
 
 
 class TestExecutionModel:
@@ -475,8 +519,9 @@ class TestParseHorizon:
             parse_horizon("2hp", None)
 
     def test_garbage_rejected(self):
-        with pytest.raises(ConfigurationError, match="cannot parse"):
-            parse_horizon("soon", None)
+        for text in ("soon", "infs", "1e999ms"):
+            with pytest.raises(ConfigurationError, match="cannot parse"):
+                parse_horizon(text, None)
 
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ConfigurationError, match="> 0"):
