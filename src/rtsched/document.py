@@ -17,6 +17,11 @@ naming the entry and the key: `bad tasks[0] value: period: expected an
 integer or null, got '10'`.  The tables of `config` and `sim_model` are
 derived from the fields of PolicyConfig and SimJobModel.
 
+document_from_state writes a state back through the same tables.  A key
+is written when its value differs from the key's default; all of
+`config`, a task's kind, a version's name and a channel's element_size
+and capacity are always written, and an empty section is left out.
+
 build_state() replays the checked values through the ordinary declaration
 API, so file-driven runs hit exactly the same validation as code-driven
 ones.  USER version selection needs a Python callback and therefore cannot
@@ -418,12 +423,28 @@ class TaskSetDocument:
         Path(path).write_text(self.to_json())
 
 
+# ------------------------------------------------------------ the writer
+
+
+def _write(table: dict, obj=None, always=(), **given) -> dict:
+    """The JSON object that `table` reads back as `obj`: each key's value is
+    given[key], else obj's attribute of that name, and is written when its
+    JSON differs from the JSON of the key's default or the key is in
+    `always`."""
+    out = {}
+    for key, (_, default) in table.items():
+        value = _jsonable(given[key] if key in given else getattr(obj, key))
+        if key in always or value != _jsonable(default() if callable(default) else default):
+            out[key] = value
+    return out
+
+
 def _select_to_dict(select) -> dict | None:
     if select is None:
         return None
     for props, table in _SELECT.values():
         if isinstance(select, props):
-            return {key: _jsonable(getattr(select, key)) for key in table}
+            return _write(table, select)
     raise ConfigurationError("user-select callbacks cannot be serialized")
 
 
@@ -434,84 +455,35 @@ def document_from_state(
 
     Round trip: build_state() on the result reproduces an equivalent state.
     Entry callables are dropped (documents describe timing, not code)."""
-    data: dict = {
-        "config": {key: _jsonable(getattr(state.config, key)) for key in _CONFIG}
+    tasks, table = state.tasks, state.table
+    root = {
+        "config": _write(_CONFIG, state.config, always=_CONFIG),
+        "accelerators": [a.name for a in state.accelerators],
+        "tasks": [_write(_TASK, t, always=("kind",)) for t in tasks],
+        "versions": [
+            _write(_VERSION, v, always=("name",), task=t.name,
+                   accelerators=sorted(state.accelerators[a].name for a in v.accelerators),
+                   select=_select_to_dict(v.select_props))
+            for t in tasks for v in t.versions
+        ],
+        "channels": [
+            _write(_CHANNEL, c, always=("element_size", "capacity")) for c in state.channels
+        ],
+        "connections": [
+            _write(_CONNECTION, c, channel=c.name, src=tasks[c.src].name, dst=tasks[c.dst].name)
+            for c in state.channels if c.src is not None
+        ],
+        "table": None if table is None else _write(
+            _TABLE, always=_TABLE, period=table.table_period, entries=[
+                _write(_TABLE_ENTRY, core=core, task=tasks[e.task_id].name,
+                       version=tasks[e.task_id].versions[e.version_id].name,
+                       offset=e.release_offset)
+                for core in sorted(table.cores) for e in table.cores[core]
+            ]),
+        "sim_model": {} if model is None else _write(_SIM, model),
     }
-    if state.accelerators:
-        data["accelerators"] = [a.name for a in state.accelerators]
-    tasks = []
-    versions = []
-    for t in state.tasks:
-        # every key that differs from its default, and the kind always
-        tasks.append({
-            key: _jsonable(getattr(t, key))
-            for key, (_, default) in _TASK.items()
-            if key == "kind" or getattr(t, key) != default
-        })
-        for v in t.versions:
-            ventry: dict = {
-                "task": t.name,
-                "name": v.name,
-                "wcet_estimate": v.wcet_estimate,
-            }
-            if v.accelerators:
-                ventry["accelerators"] = sorted(
-                    state.accelerators[a].name for a in v.accelerators
-                )
-            sel = _select_to_dict(v.select_props)
-            if sel is not None:
-                ventry["select"] = sel
-            versions.append(ventry)
-    if tasks:
-        data["tasks"] = tasks
-    if versions:
-        data["versions"] = versions
-    if state.channels:
-        channels = []
-        connections = []
-        for c in state.channels:
-            centry: dict = {"name": c.name, "element_size": c.element_size,
-                            "capacity": c.capacity}
-            if c.initial_tokens:
-                centry["initial_tokens"] = c.initial_tokens
-            channels.append(centry)
-            if c.src is not None:
-                conn: dict = {
-                    "channel": c.name,
-                    "src": state.tasks[c.src].name,
-                    "dst": state.tasks[c.dst].name,
-                }
-                if c.required_tokens is not None:
-                    conn["required_tokens"] = c.required_tokens
-                if c.push_count is not None:
-                    conn["push_count"] = c.push_count
-                connections.append(conn)
-        data["channels"] = channels
-        if connections:
-            data["connections"] = connections
-    if state.table is not None:
-        entries = []
-        for core in sorted(state.table.cores):
-            for e in state.table.cores[core]:
-                task = state.tasks[e.task_id]
-                entries.append(
-                    {
-                        "core": core,
-                        "task": task.name,
-                        "version": task.versions[e.version_id].name,
-                        "offset": e.release_offset,
-                    }
-                )
-        data["table"] = {"period": state.table.table_period, "entries": entries}
-    if model is not None:
-        sim = {
-            key: _jsonable(getattr(model, key))
-            for key, (_, default) in _SIM.items()
-            if getattr(model, key) != (default() if callable(default) else default)
-        }
-        if sim:
-            data["sim_model"] = sim
-    return TaskSetDocument.from_dict(data)
+    # a section is left out when empty, as the reader's default for it
+    return TaskSetDocument.from_dict({key: value for key, value in root.items() if value})
 
 
 def load_document(source) -> TaskSetDocument:

@@ -344,6 +344,9 @@ class MiddlewareState:
                 raise DeclarationError("mode_mask must be non-empty")
             if isinstance(select, BitmaskSelect) and not select.permission_mask:
                 raise DeclarationError("permission_mask must be non-empty")
+        name = name or f"v{len(task.versions)}"
+        if any(v.name == name for v in task.versions):
+            raise DeclarationError(f"task {task.name!r} already has a version named {name!r}")
         version = VersionDescriptor(
             version_id=len(task.versions),
             task_id=task_id,
@@ -351,7 +354,7 @@ class MiddlewareState:
             static_args=static_args,
             wcet_estimate=wcet_estimate,
             select_props=select,
-            name=name or f"v{len(task.versions)}",
+            name=name,
         )
         task.versions.append(version)
         return version.version_id

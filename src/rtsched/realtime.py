@@ -488,8 +488,8 @@ class RealtimeBackend:
 def run_realtime(
     state: MiddlewareState, duration_ns: int
 ) -> tuple[list[TraceEvent], RunReport]:
-    """Start the thread backend, run for duration_ns of wall time, stop,
-    and return (trace, report).  The state is left STOPPED.
+    """Start the thread backend, run for duration_ns > 0 of wall time,
+    stop, and return (trace, report).  The state is left STOPPED.
 
     Each call is one run with its own clock, trace and report.  stop() lets
     the jobs already released finish, so the call returns after duration_ns
@@ -497,6 +497,8 @@ def run_realtime(
     channel at stop, is counted unfinished with a warning naming it."""
     if state.config.clock_source is not ClockSource.MONOTONIC_OS:
         raise ConfigurationError("run_realtime requires clock_source=MONOTONIC_OS")
+    if duration_ns <= 0:
+        raise ConfigurationError("duration_ns must be > 0")
     processor_preflight(state.config.worker_count + 1)
     state.start()
     try:

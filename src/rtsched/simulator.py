@@ -10,6 +10,12 @@ critical sections take no time.  With non-zero knobs the FIFO queue lock
 serialises the scheduler and the workers, making the classic blocking
 bounds observable in the trace.
 
+There is one scheduler: a tick that falls inside a pass is coalesced
+into one pass that starts when the running one ends.  Past the horizon
+that pass runs only while it could still release something, so a pass
+longer than the tick cannot keep a drained run alive.  A run cut at the
+event cap ends as a truncated report with a warning, even inside a pass.
+
 Under the off-line mapping each core replays its table entries instead of
 pulling from a ready queue, and there is no scheduler tick.  A table entry
 otherwise runs through the same execution path as an on-line job: the same
@@ -379,10 +385,12 @@ class _Engine:
         if self._tick_armed or self.offline:
             return
         grid = (self.now // self.tick + 1) * self.tick
-        if grid < self.horizon or self._sched_active or self.core.work_pending(
-            self.channels, self.horizon
-        ):
+        if self._sched_active or self._may_release(grid):
             self._arm_tick(grid)
+
+    def _may_release(self, t: int) -> bool:
+        """Whether a pass at `t` could still release something."""
+        return t < self.horizon or self.core.work_pending(self.channels, self.horizon)
 
     def _tick_fn(self) -> None:
         self._tick_armed = False
@@ -411,7 +419,8 @@ class _Engine:
         self._sched_active = False
         if self._sched_missed:
             self._sched_missed = False
-            self._sched_pass()
+            if self._may_release(self.now):
+                self._sched_pass()
 
     def _collect_releases(self) -> list[Job]:
         jobs = self.core.due_releases(self.now, self.horizon)

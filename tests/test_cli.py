@@ -185,6 +185,20 @@ class TestSimulate:
         assert blob["totals"]["released"] == 1
         assert blob["totals"]["misses"] == 0
 
+    def test_unfinished_job_warning_printed(self, tmp_path, capsys):
+        # t pops a channel whose producer never fires
+        path = _doc(tmp_path, {
+            "tasks": [{"name": "t", "kind": "periodic", "period": ms(10)},
+                      {"name": "never", "kind": "graph_node"}],
+            "versions": [{"task": "t", "wcet_estimate": ms(1)},
+                         {"task": "never", "wcet_estimate": ms(1)}],
+            "channels": [{"name": "c", "element_size": 8, "capacity": 1}],
+            "connections": [{"channel": "c", "src": "never", "dst": "t"}],
+            "sim_model": {"body_ops": {"t": [[0, "pop", "c", 1]]}},
+        })
+        assert main(["simulate", path, "--horizon", "10ms"]) == 0
+        assert "  warning: run ended with unfinished jobs: t#0" in capsys.readouterr().out
+
     def test_bad_horizon(self, tmp_path, capsys):
         assert main(["simulate", _minimal(tmp_path), "--horizon", "soon"]) == 1
         assert "cannot parse" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import pytest
 
 from rtsched import (
     ConfigurationError,
+    DeclarationError,
     MappingScheme,
     PriorityAssignment,
     SimJobModel,
@@ -382,6 +383,22 @@ class TestBuildState:
                                    "offset": 0}]},
         }
         with pytest.raises(ConfigurationError, match="unknown version 'fast'"):
+            TaskSetDocument.load(raw).build_state()
+
+
+    def test_duplicate_version_name_rejected(self):
+        # table entries name versions, so a second "x" would be ambiguous
+        raw = {
+            "config": {"mapping_scheme": "OFFLINE", "preemptive": False,
+                       "worker_count": 1},
+            "tasks": [{"name": "a", "kind": "periodic", "period": ms(10),
+                       "virt_core_id": 0}],
+            "versions": [{"task": "a", "name": "x", "wcet_estimate": ms(2)},
+                         {"task": "a", "name": "x", "wcet_estimate": ms(3)}],
+            "table": {"period": ms(10),
+                      "entries": [{"core": 0, "task": "a", "version": 1, "offset": 0}]},
+        }
+        with pytest.raises(DeclarationError, match="task 'a' already has a version named 'x'"):
             TaskSetDocument.load(raw).build_state()
 
 

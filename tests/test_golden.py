@@ -17,6 +17,9 @@ import os
 import pytest
 
 from rtsched import (
+    BitmaskSelect,
+    EnergySelect,
+    EnergyTimeSelect,
     MappingScheme,
     ModeSelect,
     PolicyConfig,
@@ -372,3 +375,97 @@ def test_document_from_state():
     assert _sha(document_from_state(state).to_json()) == (
         "7085080ca001e123418fc4a9ae1b839e2e68e6f5b43ca819033e708b41e226e5"
     )
+
+
+# Every sim-model field away from its default, so the writer emits each key.
+_WRITER_MODEL = SimJobModel(
+    exec_time={"a": {"dist": "uniform", "low": us(100), "high": us(200)},
+               "b": {"fast": us(50), "slow": {"dist": "normal", "mean": 3e5, "std": 2e4}}},
+    get_task_cost=us(2),
+    sched_scan_cost_per_task=100,
+    sort_cost_per_element=50,
+    context_switch_cost=us(1),
+    activations=[(ms(3), "b"), (ms(9), "b")],
+    mode_schedule=[(ms(20), frozenset({"lo", "hi"})), (ms(60), frozenset({"lo"}))],
+    execution_mode=frozenset({"lo", "hi"}),
+    permission_mask=frozenset({"net", "cam"}),
+    battery_level=0.75,
+    alpha=0.25,
+    pip_enabled=False,
+    body_ops={"a": [(us(10), "pop", "x", 1), (us(90), "push", "y", 2)]},
+)
+
+
+def _writer_offline():
+    # accelerators, a dispatch table, channels with initial tokens and
+    # connections with required_tokens and push_count
+    state = init(PolicyConfig(
+        worker_count=3,
+        mapping_scheme=MappingScheme.OFFLINE,
+        priority_assignment=PriorityAssignment.DM,
+        preemptive=False,
+    ))
+    gpu, dma = state.hwaccel_decl("gpu"), state.hwaccel_decl("dma")
+    a = state.task_decl("a", TaskKind.PERIODIC, period=ms(10), relative_deadline=ms(8),
+                        release_offset=ms(1), virt_core_id=0, user_priority=3)
+    b = state.task_decl("b", TaskKind.SPORADIC, period=ms(20), virt_core_id=1)
+    c = state.task_decl("c", TaskKind.APERIODIC, relative_deadline=ms(5), virt_core_id=1)
+    a0 = state.version_decl(a, wcet_estimate=ms(2))
+    a1 = state.version_decl(a, wcet_estimate=ms(1), name="accel")
+    state.hwaccel_use(a, a1, gpu)
+    state.hwaccel_use(a, a1, dma)
+    b0 = state.version_decl(b, wcet_estimate=ms(3), name="fast")
+    state.hwaccel_use(b, b0, dma)
+    state.version_decl(b, wcet_estimate=ms(4), name="slow")
+    state.version_decl(c, wcet_estimate=us(500))
+    x = channel_decl(state, "x", 8, 4)
+    state.channels[x].initial_tokens = 2
+    channel_connect(state, x, a, b, required_tokens=2, push_count=3)
+    channel_connect(state, channel_decl(state, "y", 0, 0), b, c)
+    channel_decl(state, "idle", 16, 1)
+    table = ScheduleTable(ms(20))
+    table.add(1, b, b0, ms(2))
+    table.add(0, a, a1, 0)
+    table.add(0, a, a0, ms(10))
+    state.table = table
+    return state
+
+
+def _writer_select(method, selects):
+    # two tasks, each version carrying its select block
+    state = init(PolicyConfig(version_selection=method))
+    for name, props in zip("ab", selects):
+        tid = state.task_decl(name, TaskKind.PERIODIC, period=ms(10))
+        for i, p in enumerate(props):
+            state.version_decl(tid, wcet_estimate=ms(1 + i), select=p)
+    return state
+
+
+WRITER_STATES = {
+    "offline": _writer_offline,
+    "energy": lambda: _writer_select(VersionSelection.ENERGY, [
+        [EnergySelect(0.5), EnergySelect(2)], [EnergySelect(1.25)],
+    ]),
+    "energy-time": lambda: _writer_select(VersionSelection.ENERGY_TIME, [
+        [EnergyTimeSelect(0.5, ms(1)), EnergyTimeSelect(3, ms(2))],
+        [EnergyTimeSelect(1.5, us(700))],
+    ]),
+    "mode": lambda: _writer_select(VersionSelection.MODE, [
+        [ModeSelect(frozenset({"lo"})), ModeSelect(frozenset({"hi", "lo"}))],
+        [ModeSelect(frozenset({"hi"}))],
+    ]),
+    "bitmask": lambda: _writer_select(VersionSelection.BITMASK, [
+        [BitmaskSelect(frozenset({"net", "cam"}))], [BitmaskSelect(frozenset({"gps"}))],
+    ]),
+}
+
+
+def test_writer_golden():
+    docs = [document_from_state(WRITER_STATES[name](), _WRITER_MODEL)
+            for name in sorted(WRITER_STATES)]
+    assert _sha("".join(doc.to_json() for doc in docs)) == (
+        "fdde3aff6c19f50b4d31d300331b11a836bacfaf3fa19439f58a5aaa69f9814f"
+    )
+    for doc in docs:  # a written document reads back to equal values (2 as 2.0)
+        again = document_from_state(doc.build_state(), doc.sim_model())
+        assert json.loads(again.to_json()) == json.loads(doc.to_json())

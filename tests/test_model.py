@@ -165,6 +165,20 @@ class TestVersionDecl:
         assert task.version(vid).wcet_estimate == 2
 
 
+    def test_version_names_unique_within_a_task(self):
+        state = init(PolicyConfig())
+        a = state.task_decl("a", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(a, wcet_estimate=1, name="x")
+        with pytest.raises(DeclarationError, match="task 'a' already has a version named 'x'"):
+            state.version_decl(a, wcet_estimate=2, name="x")
+        state.version_decl(a, wcet_estimate=2, name="v2")
+        with pytest.raises(DeclarationError, match="named 'v2'"):
+            state.version_decl(a, wcet_estimate=3)  # the default name of version 2
+        b = state.task_decl("b", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(b, wcet_estimate=1, name="x")  # another task may reuse it
+        assert [v.name for v in state.task(a).versions] == ["x", "v2"]
+
+
 class TestAccelerators:
     def test_decl_and_use(self):
         state = init(PolicyConfig())

@@ -59,6 +59,17 @@ class TestPreflight:
             run_realtime(state, ms(1))
 
 
+    @pytest.mark.parametrize("duration", [-5, 0])
+    def test_run_realtime_refuses_nonpositive_duration(self, duration):
+        # refused before any processor check or thread start
+        state = init(_rt_config())
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000)
+        with pytest.raises(ConfigurationError, match="duration_ns must be > 0"):
+            run_realtime(state, duration)
+        assert state._backend is None
+
+
 class TestFifoTicketLock:
     def _grant_order(self, spin):
         lock = FifoTicketLock(spin=spin)
@@ -300,6 +311,36 @@ class TestRealtimeRuns:
         assert report.completed >= 2
         assert report.meta["tick_ns"] == ms(50)
         assert report.misses == 0
+
+    def test_partitioned_scheduler_pass(self, many_cpus):
+        state = init(_rt_config(mapping_scheme=MappingScheme.PARTITIONED, worker_count=1))
+        for name, period in [("a", ms(10)), ("b", ms(20))]:
+            tid = state.task_decl(name, TaskKind.PERIODIC, period=period, virt_core_id=0)
+            state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000)
+        trace, report = run_realtime(state, ms(60))
+        assert report.released == report.completed > 0
+        kinds = Counter(e.kind for e in trace)
+        assert report.overheads.scheduling.count == kinds["tick_begin"] > 0
+        ticks = [e for e in trace if e.kind == "lock_wait" and e.payload["purpose"] == "tick"]
+        assert ticks and all(e.payload["queue"] == 0 for e in ticks)
+
+    def test_body_blocks_on_pop_until_the_producer_pushes(self, many_cpus):
+        # cons is released 5 ms before prod each period and waits in pop
+        state = init(_rt_config(worker_count=2))
+        cons = state.task_decl("cons", TaskKind.PERIODIC, period=ms(40))
+        prod = state.task_decl("prod", TaskKind.PERIODIC, period=ms(40),
+                               release_offset=ms(5))
+        ch = channel_decl(state, "c", element_size=8, capacity=1)
+        channel_connect(state, ch, prod, cons)
+        got = []
+        state.version_decl(cons, entry=lambda ctx, args: got.append(ctx.pop(ch)),
+                           wcet_estimate=ms(1))
+        state.version_decl(prod, entry=lambda ctx, args: ctx.push(ch, ctx.job.seq),
+                           wcet_estimate=ms(1))
+        trace, report = run_realtime(state, ms(60))
+        assert not report.truncated
+        assert report.released == report.completed == 4
+        assert got == [0, 1]
 
     def test_report_counts_match_trace(self, many_cpus):
         # one worker; "late" misses its 1 ms deadline on every job

@@ -2,6 +2,7 @@
 
 import pytest
 
+import rtsched.simulator as sim
 from rtsched import (
     ConfigurationError,
     MappingScheme,
@@ -218,6 +219,36 @@ class TestCostKnobs:
         assert _events(trace, "preempt") == []
         assert _times(trace, "job_start", task="hi")[0] == ms(8)
         assert report.misses == 0  # hi still makes its 12 ms deadline
+
+
+def _three_periodic():
+    # 1, 2 and 5 ms periods: the scheduler tick is 1 ms
+    state = init(PolicyConfig(worker_count=2, priority_assignment=PriorityAssignment.EDF))
+    for i, (period, wcet) in enumerate([(ms(1), us(200)), (ms(2), us(500)), (ms(5), ms(1))]):
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period)
+        state.version_decl(tid, wcet_estimate=wcet)
+    return state
+
+
+class TestLongPasses:
+    def test_pass_longer_than_the_tick_ends_with_the_work(self):
+        # three tasks scanned at 340 us each: a 1.02 ms pass against a 1 ms
+        # tick, so every missed tick is coalesced into the next pass
+        model = SimJobModel(sched_scan_cost_per_task=us(340))
+        trace, report = run_simulation(_three_periodic(), model, horizon=ms(20), seed=3)
+        assert not report.truncated
+        assert report.released == report.completed == 34
+        begins = _times(trace, "tick_begin")
+        assert len(begins) < begins[-1] // ms(1) + 1  # fewer passes than grid ticks
+        assert any(t % ms(1) for t in begins)  # a coalesced pass starts off the grid
+
+    def test_event_cap_inside_a_pass_truncates(self, monkeypatch):
+        # some of these caps cut the run between a tick_begin and its tick_end
+        for cap in range(990, 1011):
+            monkeypatch.setattr(sim, "_EVENT_CAP", cap)
+            _, report = run_simulation(_three_periodic(), horizon=ms(100), seed=3)
+            assert report.truncated
+            assert "event cap reached; run truncated" in report.warnings
 
 
 class TestChannels:
