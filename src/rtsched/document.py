@@ -401,10 +401,10 @@ class TaskSetDocument:
             for e in doc["table"]["entries"]:
                 tid = _ref(task_ids, e["task"], "table entry references unknown task")
                 task = state.task(tid)
-                vid = next((
-                    v.version_id for v in task.versions
-                    if v.name == e["version"] or str(v.version_id) == str(e["version"])
-                ), None)
+                # a name wins over an id: version "0" may be another one's name
+                by_name = {v.name: v.version_id for v in task.versions}
+                by_id = {str(v.version_id): v.version_id for v in task.versions}
+                vid = by_name.get(e["version"], by_id.get(str(e["version"])))
                 if vid is None:
                     raise ConfigurationError(
                         f"table entry references unknown version {e['version']!r}"

@@ -11,10 +11,17 @@ serialises the scheduler and the workers, making the classic blocking
 bounds observable in the trace.
 
 There is one scheduler: a tick that falls inside a pass is coalesced
-into one pass that starts when the running one ends.  Past the horizon
-that pass runs only while it could still release something, so a pass
-longer than the tick cannot keep a drained run alive.  A run cut at the
-event cap ends as a truncated report with a warning, even inside a pass.
+into one pass that starts when the running one ends.  Past the horizon a
+tick is armed, and a coalesced pass runs, only while a pass could still
+release something, so a pass longer than the tick cannot keep a drained
+run alive.  A run cut at the event cap ends as a truncated report with a
+warning, even inside a pass.
+
+A worker wakes through one event: it pulls if idle, and checks the queue
+head for preemption if it runs a job outside a lock section.  A job is
+its worker's current job from the end of its context switch (instant
+with no preempted jobs), and work that came to outrank it meanwhile
+preempts it then.
 
 Under the off-line mapping each core replays its table entries instead of
 pulling from a ready queue, and there is no scheduler tick.  A table entry
@@ -187,21 +194,13 @@ class _FifoLock:
 
 
 class _WorkerSim:
-    __slots__ = (
-        "current",
-        "stack",
-        "idle",
-        "pending_pull",
-        "pending_notify",
-        "in_cs",
-    )
+    __slots__ = ("current", "stack", "idle", "pending", "in_cs")
 
     def __init__(self) -> None:
-        self.current: Job | None = None
+        self.current: Job | None = None  # from the end of its context switch
         self.stack: list[Job] = []
         self.idle = True
-        self.pending_pull = False  # a pull is queued on the lock
-        self.pending_notify = False
+        self.pending = False  # a wake-up event is queued
         self.in_cs = False
 
 
@@ -385,7 +384,7 @@ class _Engine:
         if self._tick_armed or self.offline:
             return
         grid = (self.now // self.tick + 1) * self.tick
-        if self._sched_active or self._may_release(grid):
+        if self._may_release(grid):
             self._arm_tick(grid)
 
     def _may_release(self, t: int) -> bool:
@@ -480,11 +479,11 @@ class _Engine:
         self._part_insert(batches, idx + 1)
 
     def _after_insert(self, qi: int) -> None:
-        """Wake idle workers and notify preemption targets of queue qi."""
+        """Wake idle workers and preemption targets of queue qi."""
         idle = [
             w
             for w in self.core.workers_of_queue(qi)
-            if self.workers[w].idle and not self.workers[w].pending_pull
+            if self.workers[w].idle and not self.workers[w].pending
         ]
         if idle:
             # one pull per dispatchable job, counted no further than needed
@@ -495,25 +494,32 @@ class _Engine:
                     if dispatchable == len(idle):
                         break
             for w in idle[:dispatchable]:
-                self.workers[w].pending_pull = True
-                self.push_event(self.now, _P_MISC, self._pull, w, qi)
+                self._queue_wake(w, qi)
         if self.state.config.preemptive:
             running = [
                 w.current if (w.current is not None and not w.in_cs) else None
                 for w in self.workers
             ]
             for w in self.core.preemption_targets(qi, running):
-                if not self.workers[w].pending_notify:
-                    self.workers[w].pending_notify = True
-                    self.push_event(self.now, _P_MISC, self._notify, w, qi)
+                self._queue_wake(w, qi)
 
     # -------------------------------------------------------- workers
 
-    def _pull(self, w: int, qi: int) -> None:
+    def _queue_wake(self, w: int, qi: int) -> None:
         ws = self.workers[w]
-        ws.pending_pull = False
+        if not ws.pending:
+            ws.pending = True
+            self.push_event(self.now, _P_MISC, self._wake, w, qi)
+
+    def _wake(self, w: int, qi: int) -> None:
+        """Pull, or check for preemption; a pull or switch in flight sees the head itself."""
+        ws = self.workers[w]
+        ws.pending = False
         if ws.idle:
             self._request_pull(w, qi)
+        elif ws.current is not None and not ws.in_cs:
+            self._pause_exec(ws.current)
+            self.locks[qi].request(self.now, self._notify_cs, w, qi, ws.current)
 
     def _request_pull(self, w: int, qi: int) -> None:
         self.workers[w].idle = False
@@ -537,40 +543,27 @@ class _Engine:
         if action == "idle":
             ws.idle = True
             return
+        # a worker with preempted jobs switches context, to a fresh job or back
+        switch = self.model.context_switch_cost if ws.stack else 0
         if action == "resume":
             assert job is ws.stack[-1]
             ws.stack.pop()
-            cost = self.model.context_switch_cost
-            self.push_event(self.now + cost, _P_MISC, self._do_resume, w, job, cost)
-            return
-        # fresh start
-        ws.current = job
-        cost = self.model.context_switch_cost if ws.stack else 0
-        self.push_event(self.now + cost, _P_MISC, self._do_start, w, job)
+        self.push_event(self.now + switch, _P_MISC, self._switch_end, w, qi, job, switch)
 
-    def _do_start(self, w: int, job: Job) -> None:
-        self.log.start(self.now, job, w)
-        self.execs[job] = self._build_exec(job)
+    def _switch_end(self, w: int, qi: int, job: Job, switch: int) -> None:
+        """The job becomes the worker's current one: it starts, or resumes
+        its execution.  Work that came to outrank it meanwhile preempts it."""
+        self.workers[w].current = job
+        if job in self.execs:
+            self.log.emit(self.now, "resume", job, w, switch=switch)
+        else:
+            self.log.start(self.now, job, w)
+            self.execs[job] = self._build_exec(job)
+        if self.state.config.preemptive:
+            head = self.core.queues[qi].first_dispatchable()
+            if head is not None and head.effective_key() < job.effective_key():
+                self._queue_wake(w, qi)
         self._advance(w, job)
-
-    def _do_resume(self, w: int, job: Job, switch: int) -> None:
-        ws = self.workers[w]
-        ws.current = job
-        self.log.emit(self.now, "resume", job, w, switch=switch)
-        self._advance(w, job)
-
-    def _notify(self, w: int, qi: int) -> None:
-        ws = self.workers[w]
-        ws.pending_notify = False
-        if ws.idle:
-            if not ws.pending_pull:
-                self._request_pull(w, qi)
-            return
-        if ws.current is None or ws.in_cs:
-            return  # a pull is in flight; it will see the head anyway
-        job = ws.current
-        self._pause_exec(job)
-        self.locks[qi].request(self.now, self._notify_cs, w, qi, job)
 
     def _notify_cs(self, now: int, waited: int, w: int, qi: int, job: Job) -> None:
         ws = self.workers[w]
@@ -673,9 +666,7 @@ class _Engine:
 
     def _pause_exec(self, job: Job) -> None:
         """Freeze the current execution segment (handler or preemption)."""
-        ex = self.execs.get(job)
-        if ex is None:
-            return
+        ex = self.execs[job]
         if ex.step < len(ex.program) and ex.program[ex.step][0] == "exec" and not job.channel_blocked:
             ex.left = max(0, ex.seg_end - self.now)
             ex.gen += 1  # cancels the pending segment event
@@ -688,10 +679,9 @@ class _Engine:
         ws = self.workers[w]
         if ws.current is job and not ws.in_cs:
             self.push_event(self.now, _P_MISC, self._continue, w, job)
-        elif ws.idle and not ws.pending_pull:
+        elif ws.idle:
             # job sits preempted on the stack of an idle worker
-            ws.pending_pull = True
-            self.push_event(self.now, _P_MISC, self._pull, w, self.core.queue_of_worker(w))
+            self._queue_wake(w, self.core.queue_of_worker(w))
 
     def _continue(self, w: int, job: Job) -> None:
         ws = self.workers[w]
@@ -726,8 +716,7 @@ class _Engine:
     def _run_entry(self, core: int, job: Job) -> None:
         self.live_jobs.add(job.job_id)
         self.log.table_release(self.now, job, core)
-        self.workers[core].current = job
-        self._do_start(core, job)
+        self._switch_end(core, core, job, 0)
 
 
 # ----------------------------------------------------------- entry point
@@ -757,8 +746,8 @@ def run_simulation(
     offline = state.config.mapping_scheme is MappingScheme.OFFLINE
     try:
         base = state.table.table_period if offline else hyperperiod(state)
-    except ConfigurationError:
-        if horizon is None:
+    except ConfigurationError:  # say why there is no hyperperiod to count in
+        if horizon is None or str(horizon).strip().lower().endswith("hp"):
             raise
         base = None
     horizon_ns = base if horizon is None else parse_horizon(horizon, base)

@@ -108,7 +108,10 @@ def _runs(draw, mapping, preemptive, pip_enabled):
     for i in range(draw(st.integers(2, 5))):
         period = ms(10) if offline else draw(st.sampled_from(_PERIODS))
         core = None if mapping is MappingScheme.GLOBAL else i % workers
-        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period, virt_core_id=core)
+        # offsets on a 50 us grid land releases inside lock sections and switches
+        offset = 0 if offline else draw(st.integers(0, period // us(50) - 1)) * us(50)
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period, release_offset=offset,
+                              virt_core_id=core)
         vid = state.version_decl(tid, wcet_estimate=draw(st.integers(us(50), period // 2)))
         if draw(st.booleans()):
             state.hwaccel_use(tid, vid, draw(st.sampled_from(accels)))

@@ -13,6 +13,7 @@ from rtsched import (
     DeclarationError,
     MappingScheme,
     PriorityAssignment,
+    ScheduleTable,
     SimJobModel,
     TaskKind,
     TaskSetDocument,
@@ -459,6 +460,24 @@ class TestRoundTrip:
         doc2 = document_from_state(rebuilt)
         assert doc.data == doc2.data
         assert doc.to_json() == doc2.to_json()
+
+    def test_table_version_named_like_another_id(self):
+        # version "0" is id 1; a name wins over an id, so the entry stays on it
+        state = init(PolicyConfig(mapping_scheme=MappingScheme.OFFLINE, worker_count=1,
+                                  preemptive=False))
+        a = state.task_decl("a", TaskKind.PERIODIC, period=ms(10), virt_core_id=0)
+        state.version_decl(a, wcet_estimate=ms(1), name="v0")
+        one = state.version_decl(a, wcet_estimate=ms(2), name="0")
+        state.table = ScheduleTable(ms(10))
+        state.table.add(0, a, one, 0)
+        doc = document_from_state(state)
+        [entry] = doc.data["table"]["entries"]
+        assert entry["version"] == "0"
+        [back] = doc.build_state().table.cores[0]
+        assert back.version_id == one == 1
+        raw = _with(copy.deepcopy(doc.data), 0, "table", "entries", 0, "version")
+        [by_id] = TaskSetDocument.load(raw).build_state().table.cores[0]
+        assert by_id.version_id == 0  # an integer is an id
 
     def test_json_is_stable_and_sorted(self):
         doc = document_from_state(self._rich_state())

@@ -221,6 +221,42 @@ class TestCostKnobs:
         assert report.misses == 0  # hi still makes its 12 ms deadline
 
 
+class TestSwitchWindow:
+    """Work that comes to outrank a job during its context switch preempts
+    it when the switch ends: 1 worker, EDF, 100 us switches."""
+
+    @staticmethod
+    def _run(mapping, c_offset, c_deadline, c_wcet):
+        state = init(PolicyConfig(mapping_scheme=mapping, worker_count=1,
+                                  priority_assignment=PriorityAssignment.EDF))
+        core = None if mapping is MappingScheme.GLOBAL else 0
+        for name, offset, deadline, wcet in [("a", 0, ms(10), ms(5)),
+                                             ("b", ms(1), ms(5), ms(1)),
+                                             ("c", c_offset, c_deadline, c_wcet)]:
+            tid = state.task_decl(name, TaskKind.PERIODIC, period=ms(10), release_offset=offset,
+                                  relative_deadline=deadline, virt_core_id=core)
+            state.version_decl(tid, wcet_estimate=wcet)
+        return run_simulation(state, SimJobModel(context_switch_cost=us(100)), horizon=ms(10))
+
+    def test_release_during_a_start_switch(self):
+        # c arrives while the worker switches from a to b
+        trace, report = self._run(MappingScheme.GLOBAL, us(1050), ms(2), us(500))
+        assert (report.released, report.completed, report.misses) == (3, 3, 0)
+        assert _times(trace, "job_start", task="b") == [us(1100)]
+        assert [(e.timestamp_ns, e.payload["by"]) for e in _events(trace, "preempt", "b")] == [
+            (us(1100), "c")]
+        assert _times(trace, "job_start", task="c") == [us(1200)]
+
+    def test_release_during_a_resume_switch(self):
+        # c arrives while the worker switches back from b to a (2.1 to 2.2 ms)
+        trace, report = self._run(MappingScheme.PARTITIONED, us(2150), ms(1), us(300))
+        assert (report.released, report.completed, report.misses) == (3, 3, 0)
+        assert _times(trace, "resume", task="a")[0] == us(2200)
+        assert [(e.timestamp_ns, e.payload["by"]) for e in _events(trace, "preempt", "a")] == [
+            (ms(1), "b"), (us(2200), "c")]
+        assert _times(trace, "job_start", task="c") == [us(2300)]
+
+
 def _three_periodic():
     # 1, 2 and 5 ms periods: the scheduler tick is 1 ms
     state = init(PolicyConfig(worker_count=2, priority_assignment=PriorityAssignment.EDF))
@@ -239,7 +275,8 @@ class TestLongPasses:
         assert not report.truncated
         assert report.released == report.completed == 34
         begins = _times(trace, "tick_begin")
-        assert len(begins) < begins[-1] // ms(1) + 1  # fewer passes than grid ticks
+        assert all(t < ms(20) for t in begins)  # no empty pass past the horizon
+        assert len(begins) == 20  # one per grid tick before the horizon
         assert any(t % ms(1) for t in begins)  # a coalesced pass starts off the grid
 
     def test_event_cap_inside_a_pass_truncates(self, monkeypatch):
@@ -548,6 +585,19 @@ class TestParseHorizon:
     def test_hyperperiod_form_needs_base(self):
         with pytest.raises(ConfigurationError, match="recurring"):
             parse_horizon("2hp", None)
+
+    def test_overflowing_hyperperiod_is_named(self):
+        # coprime periods of 971 to 997 ms: their LCM overflows, the 1 ms tick does not
+        state = init(PolicyConfig())
+        for period in (997, 991, 983, 977, 971):
+            tid = state.task_decl(f"t{period}", TaskKind.PERIODIC, period=ms(period))
+            state.version_decl(tid, wcet_estimate=ms(1))
+        for horizon in (None, "2hp"):
+            with pytest.raises(ConfigurationError, match="hyperperiod overflows"):
+                run_simulation(state, horizon=horizon)
+        _, report = run_simulation(state, horizon="5ms")
+        assert report.meta["horizon_ns"] == ms(5)
+        assert (report.released, report.completed) == (5, 5)
 
     def test_garbage_rejected(self):
         for text in ("soon", "infs", "1e999ms"):
