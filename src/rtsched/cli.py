@@ -196,12 +196,11 @@ def _cmd_latency(args) -> int:
 def _parse_policy(name: str):
     from .model import PriorityAssignment
 
-    try:
+    # USER ranks tasks by their user_priority, which the latency probe's
+    # tasks do not carry
+    if name.upper() in ("RM", "DM", "EDF"):
         return PriorityAssignment(name.upper())
-    except ValueError:
-        raise RtschedError(
-            f"unknown policy {name!r}; choose from RM, DM, EDF"
-        ) from None
+    raise RtschedError(f"unknown policy {name!r}; choose from RM, DM, EDF")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,14 +25,18 @@ from .model import (
     TaskDescriptor,
     TaskKind,
     VersionDescriptor,
+    VersionSelection,
 )
-from .priority import PriorityKey, assign_priority
+from .priority import PriorityKey, key_rule
 from .versions import (
     AcceleratorRegistry,
     SelectionContext,
     eligible_versions,
     select_version,
 )
+
+
+_UNBLOCKED: frozenset[int] = frozenset()
 
 
 class Job:
@@ -66,7 +70,9 @@ class Job:
         self.abs_deadline = abs_deadline
         self.key = key
         self.boost: PriorityKey | None = None
-        self.blocked_on: set[int] = set()
+        # accelerators the job is parked on; `_resolve_accelerators` gives a
+        # parking job a set of its own, so the unparked share one empty one
+        self.blocked_on: set[int] | frozenset[int] = _UNBLOCKED
         self.channel_blocked = False
 
     @property
@@ -175,6 +181,11 @@ class SchedulerCore:
     Owns nothing timing-related.  `graph` is the analysis the run was
     validated with (MiddlewareState.check).  `select_ctx` is read at each
     decision so backends can vary execution mode or battery level over time.
+
+    Each task's release plan is made once, when the core is built: its key
+    rule (priority.key_rule, with a graph node's root's timing) and, when
+    selection cannot vary, its version, so `make_job` calls
+    select_version only for jobs whose version can differ.
     """
 
     def __init__(
@@ -205,8 +216,11 @@ class SchedulerCore:
         }
         self._pending: list[tuple[int, int]] = []  # (release, task_id)
         self._last_sporadic: dict[int, int] = {}
-        self._root_releases: dict[int, list[int]] = {}
-        self._root_ids = set(self.graph.node_root.values())
+        # release instants of each periodic graph root, for its nodes' deadlines
+        self._root_releases: dict[int, list[int]] = {
+            r: [] for r in set(self.graph.node_root.values())
+            if state.tasks[r].period is not None
+        }
         self._node_fired: dict[int, int] = {t: 0 for t in self.graph.node_rate}
         # token-driven nodes with their indexed inputs, in topological order;
         # roots release on the clock even if they have inputs
@@ -217,6 +231,7 @@ class SchedulerCore:
         ]
         # node -> (short channel, its push count) at the node's last failed check
         self._short: dict[int, tuple[ChannelState, int]] = {}
+        self._plans = self._release_plans()
 
     # ------------------------------------------------------ releases
 
@@ -308,51 +323,67 @@ class SchedulerCore:
         return False
 
     def make_job(self, task: TaskDescriptor, abs_release: int) -> Job:
-        seq = self._seq[task.task_id]
-        self._seq[task.task_id] = seq + 1
-
-        period = task.period
-        rel_deadline = task.relative_deadline
-        abs_deadline = None
-        if task.task_id in self.graph.node_root and task.period is None:
-            root = self.state.task(self.graph.node_root[task.task_id])
-            period = root.period
-            rate = self.graph.node_rate.get(task.task_id, 1) or 1
-            iteration = self._node_fired[task.task_id] // rate
-            self._node_fired[task.task_id] += 1
-            if task.relative_deadline is not None:
-                # node-local deadline, measured from its own activation
-                rel_deadline = task.relative_deadline
-                abs_deadline = abs_release + rel_deadline
-            else:
-                # inherit the end-to-end deadline of the root release that
-                # spawned this iteration of the graph
-                rel_deadline = root.relative_deadline
-                series = self._root_releases.get(root.task_id, [])
-                base = series[iteration] if iteration < len(series) else abs_release
-                abs_deadline = base + root.relative_deadline
-        if abs_deadline is None:
-            abs_deadline = abs_release + (rel_deadline or 0)
-        if task.period is not None and task.task_id in self._root_ids:
-            self._root_releases.setdefault(task.task_id, []).append(abs_release)
-
-        version = select_version(
-            self.state.config.version_selection,
-            task,
-            self.select_ctx,
-            self.registry,
-            pool=self._pool(task),
-        )
-        key = assign_priority(
-            self.state.config.priority_assignment,
-            task,
-            seq=seq,
-            abs_release=abs_release,
-            abs_deadline=abs_deadline,
-            period=period,
-            relative_deadline=rel_deadline,
-        )
+        """The next job of `task`, released at `abs_release`, by the task's
+        release plan: its key rule, and its version when that cannot vary."""
+        tid = task.task_id
+        seq = self._seq[tid]
+        self._seq[tid] = seq + 1
+        key_of, version, root = self._plans[tid]
+        if root is None:
+            abs_deadline = abs_release + (task.relative_deadline or 0)
+            series = self._root_releases.get(tid)
+            if series is not None:
+                series.append(abs_release)
+        elif task.relative_deadline is not None:
+            # node-local deadline, measured from its own activation
+            abs_deadline = abs_release + task.relative_deadline
+        else:
+            # inherit the end-to-end deadline of the root release that
+            # spawned this iteration of the graph
+            iteration = self._node_fired[tid] // (self.graph.node_rate.get(tid, 1) or 1)
+            self._node_fired[tid] += 1
+            series = self._root_releases.get(root.task_id, ())
+            base = series[iteration] if iteration < len(series) else abs_release
+            abs_deadline = base + root.relative_deadline
+        if version is None:
+            version = select_version(
+                self.state.config.version_selection,
+                task,
+                self.select_ctx,
+                self.registry,
+                pool=self._pool(task),
+            )
+        key = key_of(seq, abs_release, abs_deadline)
         return Job(task, seq, version, abs_release, abs_deadline, key)
+
+    def _release_plans(self) -> list[tuple]:
+        """plans[task_id] = (key rule, static version or None, graph root or None).
+
+        The root is set for a periodless graph node, whose jobs take the
+        root's period and, without a deadline of their own, its deadline.
+        The version is fixed when selection could only ever pick it: the
+        first declared version under PRESELECTED with no restriction, when
+        it holds no accelerator and so is always eligible.
+        """
+        cfg = self.state.config
+        plans = []
+        for task in self.state.tasks:
+            root = None
+            period, rel_deadline = task.period, task.relative_deadline
+            if task.period is None and task.task_id in self.graph.node_root:
+                root = self.state.task(self.graph.node_root[task.task_id])
+                period = root.period
+                if rel_deadline is None:
+                    rel_deadline = root.relative_deadline
+            version = None
+            if (cfg.version_selection is VersionSelection.PRESELECTED
+                    and self.restrict is None and task.versions
+                    and not task.versions[0].accelerators):
+                version = task.versions[0]
+            rule = key_rule(cfg.priority_assignment, task,
+                            period=period, relative_deadline=rel_deadline)
+            plans.append((rule, version, root))
+        return plans
 
     def _pool(self, task: TaskDescriptor) -> list[VersionDescriptor] | None:
         if self.restrict is None:

@@ -12,11 +12,16 @@ deadline for DM, absolute deadline for EDF, the user ordinal for USER.
 Aperiodic jobs use their activation instant as primary regardless of the
 assignment, which makes them FIFO among themselves.  The trailing pair is
 the deterministic tie-break.
+
+`key_rule` is the one rule: it fixes a task's class and primary once, and
+the scheduler builds each task's rule when a run starts.  `assign_priority`
+applies it to a single job.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 from .model import PriorityAssignment, TaskDescriptor, TaskKind
@@ -32,6 +37,49 @@ class PriorityKey(NamedTuple):
     seq: int
 
 
+_key = partial(tuple.__new__, PriorityKey)  # PriorityKey from a 4-tuple, without a Python frame
+
+
+def key_rule(
+    assignment: PriorityAssignment,
+    task: TaskDescriptor,
+    *,
+    period: int | None = None,
+    relative_deadline: int | None = None,
+) -> Callable[[int, int, int], PriorityKey]:
+    """The key of every job of `task`, as `rule(seq, abs_release, abs_deadline)`.
+
+    period/relative_deadline override the task's own fields; the scheduler
+    passes the root's values for graph-node jobs, whose timing is described
+    at graph level.  Everything but the job's own instants and seq is fixed
+    here, once.  A task the assignment cannot rank gets a rule that raises
+    ValidationError when called, so only a task that releases a job fails:
+    a graph node that never activates needs no period under RM.
+    """
+    tid = task.task_id
+    if task.kind is TaskKind.APERIODIC:
+        return lambda seq, abs_release, abs_deadline: _key(
+            (CLASS_APERIODIC, abs_release, tid, seq))
+    if assignment is PriorityAssignment.EDF:
+        return lambda seq, abs_release, abs_deadline: _key(
+            (CLASS_RECURRING, abs_deadline, tid, seq))
+    if assignment is PriorityAssignment.RM:
+        primary = period if period is not None else task.period
+        missing = f"RM needs a period on task {task.name!r}"
+    elif assignment is PriorityAssignment.DM:
+        primary = relative_deadline if relative_deadline is not None else task.relative_deadline
+        missing = f"DM needs a relative deadline on task {task.name!r}"
+    else:  # USER
+        primary = task.user_priority
+        missing = f"USER priority missing on task {task.name!r}"
+    if primary is None:
+        def unranked(seq: int, abs_release: int, abs_deadline: int) -> PriorityKey:
+            raise ValidationError(missing)
+
+        return unranked
+    return lambda seq, abs_release, abs_deadline: _key((CLASS_RECURRING, primary, tid, seq))
+
+
 def assign_priority(
     assignment: PriorityAssignment,
     task: TaskDescriptor,
@@ -42,32 +90,6 @@ def assign_priority(
     period: int | None = None,
     relative_deadline: int | None = None,
 ) -> PriorityKey:
-    """Build the key for one job.
-
-    period/relative_deadline override the task's own fields; the scheduler
-    passes the root's values for graph-node jobs, whose timing is described
-    at graph level.
-    """
-    if task.kind is TaskKind.APERIODIC:
-        return PriorityKey(CLASS_APERIODIC, abs_release, task.task_id, seq)
-
-    period = period if period is not None else task.period
-    relative_deadline = (
-        relative_deadline if relative_deadline is not None else task.relative_deadline
-    )
-    if assignment is PriorityAssignment.RM:
-        if period is None:
-            raise ValidationError(f"RM needs a period on task {task.name!r}")
-        primary = period
-    elif assignment is PriorityAssignment.DM:
-        if relative_deadline is None:
-            raise ValidationError(f"DM needs a relative deadline on task {task.name!r}")
-        primary = relative_deadline
-    elif assignment is PriorityAssignment.EDF:
-        primary = abs_deadline
-    else:  # USER
-        if task.user_priority is None:
-            raise ValidationError(f"USER priority missing on task {task.name!r}")
-        primary = task.user_priority
-    return PriorityKey(CLASS_RECURRING, primary, task.task_id, seq)
-
+    """Build the key for one job: `key_rule`'s rule applied to it."""
+    rule = key_rule(assignment, task, period=period, relative_deadline=relative_deadline)
+    return rule(seq, abs_release, abs_deadline)

@@ -38,7 +38,7 @@ from .model import (
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, scheduler_tick_period
-from .tracing import SCHEDULER_WORKER, RunLog, RunReport, Stat, TraceEvent
+from .tracing import RunLog, RunReport, Stat, TraceEvent
 from .versions import AcceleratorRegistry, SelectionContext
 
 _POLL_S = 50e-6  # channel wait slice
@@ -344,13 +344,12 @@ class RealtimeBackend:
             self.queue_locks[0].release()
             self._post_insert(0)
             with self.trace_lock:
-                log.emit(t_begin, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
-                         purpose="tick", queue=0)
-                log.emit(t_begin, "tick_begin", worker=SCHEDULER_WORKER)
+                log.tick_wait(t_begin, waited, 0)
+                log.tick_begin(t_begin)
                 for job in jobs:
                     log.theoretical(job)
                     log.release(t_end, job)
-                log.emit(t_end, "tick_end", worker=SCHEDULER_WORKER)
+                log.tick_end(t_end)
             return
         t_begin = self.now_ns()
         by_queue: dict[int, list[Job]] = {}
@@ -364,14 +363,13 @@ class RealtimeBackend:
             self._post_insert(qi)
         t_end = self.now_ns()
         with self.trace_lock:
-            log.emit(t_begin, "tick_begin", worker=SCHEDULER_WORKER)
+            log.tick_begin(t_begin)
             for qi, waited, t in fills:
-                log.emit(t, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
-                         purpose="tick", queue=qi)
+                log.tick_wait(t, waited, qi)
                 for job in by_queue[qi]:
                     log.theoretical(job)
                     log.release(t, job)
-            log.emit(t_end, "tick_end", worker=SCHEDULER_WORKER)
+            log.tick_end(t_end)
 
     def _post_insert(self, qi: int) -> None:
         with self.work_conds[qi]:
@@ -394,8 +392,7 @@ class RealtimeBackend:
             self.queue_locks[qi].release()
         names = [self.state.accelerators[a].name for a in acquired]
         with self.trace_lock:
-            self.log.emit(t, "lock_wait", worker=w, wait=waited, held=t - t_grant,
-                          purpose="get_task", got=action)
+            self.log.get_task_wait(t, w, waited, t - t_grant, action)
             self.log.accels(t, "accel_acquire", job, w, names)
         return action, job
 
@@ -427,11 +424,11 @@ class RealtimeBackend:
             if first:
                 first = False
                 with self.trace_lock:
-                    self.log.emit(self.now_ns(), "preempt", interrupted, w, by=job.task.name)
+                    self.log.preempt(self.now_ns(), interrupted, w, job.task.name)
             self._run_job(w, job)
         if not first:
             with self.trace_lock:
-                self.log.emit(self.now_ns(), "resume", interrupted, w)
+                self.log.resume(self.now_ns(), interrupted, w)
         return time.monotonic_ns() - t_in
 
     def _run_job(self, w: int, job: Job) -> None:

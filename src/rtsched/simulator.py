@@ -58,7 +58,7 @@ from .model import (
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, hyperperiod, scheduler_tick_period
-from .tracing import SCHEDULER_WORKER, RunLog, RunReport, TraceEvent
+from .tracing import RunLog, RunReport, TraceEvent
 from .versions import AcceleratorRegistry, SelectionContext
 
 # event ordering classes at equal timestamps
@@ -406,7 +406,7 @@ class _Engine:
         else:
             # scan happens outside any lock under partitioned mapping
             scan = self.model.sched_scan_cost_per_task * len(self.state.tasks)
-            self.log.emit(self.now, "tick_begin", worker=SCHEDULER_WORKER)
+            self.log.tick_begin(self.now)
             jobs = self._collect_releases()
             by_queue: dict[int, list[Job]] = {}
             for job in jobs:
@@ -431,9 +431,8 @@ class _Engine:
 
     def _tick_cs(self, now: int, waited: int) -> None:
         # global mapping: scan, release and insert under the one queue's lock
-        self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
-                      purpose="tick", queue=0)
-        self.log.emit(now, "tick_begin", worker=SCHEDULER_WORKER)
+        self.log.tick_wait(now, waited, 0)
+        self.log.tick_begin(now)
         jobs = self._collect_releases()
         queue = self.core.queues[0]
         for job in jobs:
@@ -446,7 +445,7 @@ class _Engine:
     def _tick_cs_end(self, jobs: list[Job]) -> None:
         for job in jobs:
             self.log.release(self.now, job)
-        self.log.emit(self.now, "tick_end", worker=SCHEDULER_WORKER)
+        self.log.tick_end(self.now)
         self.locks[0].release(self.now)
         self._after_insert(0)
         self._sched_done()
@@ -454,15 +453,14 @@ class _Engine:
     def _part_insert(self, batches: list[tuple[int, list[Job]]], idx: int) -> None:
         """Lock each touched per-core queue in turn, then close the tick."""
         if idx == len(batches):
-            self.log.emit(self.now, "tick_end", worker=SCHEDULER_WORKER)
+            self.log.tick_end(self.now)
             self._sched_done()
             return
         self.locks[batches[idx][0]].request(self.now, self._part_cs, batches, idx)
 
     def _part_cs(self, now: int, waited: int, batches: list, idx: int) -> None:
         qi, jobs = batches[idx]
-        self.log.emit(now, "lock_wait", worker=SCHEDULER_WORKER, wait=waited,
-                      purpose="tick", queue=qi)
+        self.log.tick_wait(now, waited, qi)
         queue = self.core.queues[qi]
         for job in jobs:
             queue.insert(job)
@@ -531,8 +529,7 @@ class _Engine:
         stack_top = ws.stack[-1] if ws.stack else None
         action, job, acquired = self.core.pick_next(qi, stack_top)
         cost = self.model.get_task_cost
-        self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
-                      purpose="get_task", got=action)
+        self.log.get_task_wait(now, w, waited, cost, action)
         self._log_accels(now, "accel_acquire", job, w, acquired)
         self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, job)
 
@@ -555,7 +552,7 @@ class _Engine:
         its execution.  Work that came to outrank it meanwhile preempts it."""
         self.workers[w].current = job
         if job in self.execs:
-            self.log.emit(self.now, "resume", job, w, switch=switch)
+            self.log.resume(self.now, job, w, switch)
         else:
             self.log.start(self.now, job, w)
             self.execs[job] = self._build_exec(job)
@@ -572,17 +569,15 @@ class _Engine:
         head = self.core.queues[qi].first_dispatchable()
         if head is not None and head.effective_key() < job.effective_key():
             switch = self.model.context_switch_cost
-            self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
-                          purpose="get_task", got="preempt")
-            self.log.emit(now, "preempt", job, w, switch=switch, by=head.task.name)
+            self.log.get_task_wait(now, w, waited, cost, "preempt")
+            self.log.preempt(now, job, w, head.task.name, switch)
             ws.stack.append(job)
             ws.current = None
             action, nxt, acquired = self.core.pick_next(qi, job)
             self._log_accels(now, "accel_acquire", nxt, w, acquired)
             self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, nxt)
         else:
-            self.log.emit(now, "lock_wait", worker=w, wait=waited, held=cost,
-                          purpose="get_task", got="none")
+            self.log.get_task_wait(now, w, waited, cost, "none")
             self.push_event(now + cost, _P_MISC, self._notify_stale, w, qi, job)
 
     def _notify_stale(self, w: int, qi: int, job: Job) -> None:

@@ -5,9 +5,12 @@ column order (timestamp_ns, kind, task, job_seq, worker, payload) and a
 deterministic payload encoding, so equal runs serialize byte-identically;
 `csv_row` is the one line encoder.  RunLog keeps no trace, TraceEvents, or CSV
 rows formatted as events are recorded, sorted only if some stamp came late.
+It records through one step per event kind, and a step builds a payload
+only when the run keeps a trace.
 
-Overheads are accumulated as a run records its events, kept or not;
-`compute_overheads` re-derives them from a trace read back, by the same rules:
+Overheads are accumulated as a run records its events, kept or not, in
+accounts that hold only unfinished jobs; `compute_overheads` re-derives
+them from a trace read back, by the same rules:
 
   release overhead   release_effective - release_theoretical, per job
   get-task time      held duration of each worker queue-lock section
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import TraceIntegrityError
@@ -249,20 +253,30 @@ _MARK_INDEX = {kind: i for i, kind in enumerate(_MARKS)}
 
 class _Accounts:
     """The overheads and integrity checks of one run, fed event by event:
-    by RunLog as the run records, and by compute_overheads from a trace.
+    by RunLog's steps as the run records, and by compute_overheads from a
+    trace, through one typed entry point per kind of event.
 
     Emission order gives what the sorted trace gives.  Every rule but tick
-    pairing is order-independent: job marks are checked in `finish`, and
-    sums and Stats commute.  Tick events come from one thread in time order
-    on both backends.  compute_overheads' per-worker time check cannot fire
-    on the stably sorted trace that RunLog.close returns.  The first fault
-    is kept and raised by `finish`, so one met on a thread-backend thread
+    pairing is order-independent: a job's marks are checked, and its
+    release overhead added, when its last missing mark arrives (or in
+    `finish`, for a job that never gets all four), and sums and Stats
+    commute.  Tick events come from one thread in time order on
+    both backends.  compute_overheads' per-worker time check cannot fire on
+    the stably sorted trace that RunLog.close returns.  The first fault is
+    kept and raised by `finish`, so one met on a thread-backend thread
     still reaches whoever closes the run.
+
+    Only unfinished jobs hold a slot in `marks`.  A finished job leaves its
+    seq in its task's `done` bounds, a sorted flat list [lo, hi, lo, hi, ...]
+    of the half-open seq intervals finished so far, so a mark that comes
+    after the job's chain is full is still a duplicate.  Marks with no seq
+    stay in `marks` until `finish`.
     """
 
     def __init__(self) -> None:
         self.overheads = Overheads()
         self.marks: dict[tuple[str, int | None], list[int | None]] = {}
+        self.done: dict[str, list[int]] = {}
         self.open_tick: int | None = None
         self.fault: str | None = None
 
@@ -272,39 +286,93 @@ class _Accounts:
 
     def mark(self, i: int, task: str, seq: int | None, t: int) -> None:
         """Job `task#seq` passes mark `_MARKS[i]` at `t`."""
-        slot = self.marks.get((task, seq))
+        job = (task, seq)
+        slot = self.marks.get(job)
         if slot is None:
-            slot = self.marks[(task, seq)] = [None, None, None, None]
+            bounds = self.done.get(task)
+            if bounds and seq is not None and bisect_right(bounds, seq) & 1:
+                self.fail(f"duplicate {_MARKS[i]} for {task}#{seq}")
+                return
+            slot = self.marks[job] = [None, None, None, None]
         elif slot[i] is not None:
             self.fail(f"duplicate {_MARKS[i]} for {task}#{seq}")
         slot[i] = t
+        if None not in slot and seq is not None:
+            del self.marks[job]
+            rt, re_, st, co = slot
+            if rt <= re_ <= st <= co:
+                self.overheads.release_overhead.add(re_ - rt)
+            else:
+                self.fail(_disorder(task, seq, slot))
+            self._finished(task, seq)
+
+    def _finished(self, task: str, seq: int) -> None:
+        """Add `seq` to the task's finished intervals, merging neighbours."""
+        bounds = self.done.setdefault(task, [])
+        if bounds and bounds[-1] == seq:  # the usual case: the next seq in order
+            bounds[-1] = seq + 1
+            return
+        k = bisect_right(bounds, seq)  # even: seq lies in no interval
+        joins_left = k > 0 and bounds[k - 1] == seq
+        joins_right = k < len(bounds) and bounds[k] == seq + 1
+        if joins_left and joins_right:
+            del bounds[k - 1:k + 1]
+        elif joins_left:
+            bounds[k - 1] = seq + 1
+        elif joins_right:
+            bounds[k] = seq
+        else:
+            bounds[k:k] = [seq, seq + 1]
+
+    def scheduler_wait(self, wait: int) -> None:
+        """The scheduler waited `wait` for a queue lock."""
+        self.overheads.scheduler_lock_wait.add(wait)
+
+    def worker_wait(self, wait: int, held: int | None) -> None:
+        """A worker waited `wait` for a queue lock and, picking its next
+        job, held it for `held`."""
+        out = self.overheads
+        out.worker_lock_wait.add(wait)
+        if held is not None:
+            out.get_task.add(held)
+
+    def tick_begin(self, t: int) -> None:
+        if self.open_tick is not None:
+            self.fail("tick_begin while a tick is open")
+        self.open_tick = t
+
+    def tick_end(self, t: int) -> None:
+        if self.open_tick is None:
+            self.fail("tick_end without tick_begin")
+        else:
+            self.overheads.scheduling.add(t - self.open_tick)
+            self.open_tick = None
+
+    def preempt(self, switch: int) -> None:
+        out = self.overheads
+        out.preemptions += 1
+        out.context_switch_total += switch
+
+    def resume(self, switch: int) -> None:
+        self.overheads.context_switch_total += switch
 
     def event(self, t: int, kind: str, worker: int | None, payload: dict) -> None:
-        """Account an event that is not a job mark."""
-        out = self.overheads
+        """Account an event read back from a trace that is not a job mark."""
         if kind == "lock_wait":
             wait = int(payload.get("wait", 0))
             if worker == SCHEDULER_WORKER:
-                out.scheduler_lock_wait.add(wait)
+                self.scheduler_wait(wait)
             else:
-                out.worker_lock_wait.add(wait)
-                if payload.get("purpose") == "get_task":
-                    out.get_task.add(int(payload.get("held", 0)))
+                get_task = payload.get("purpose") == "get_task"
+                self.worker_wait(wait, int(payload.get("held", 0)) if get_task else None)
         elif kind == "tick_begin":
-            if self.open_tick is not None:
-                self.fail("tick_begin while a tick is open")
-            self.open_tick = t
+            self.tick_begin(t)
         elif kind == "tick_end":
-            if self.open_tick is None:
-                self.fail("tick_end without tick_begin")
-            else:
-                out.scheduling.add(t - self.open_tick)
-                self.open_tick = None
+            self.tick_end(t)
         elif kind == "preempt":
-            out.preemptions += 1
-            out.context_switch_total += int(payload.get("switch", 0))
+            self.preempt(int(payload.get("switch", 0)))
         elif kind == "resume":
-            out.context_switch_total += int(payload.get("switch", 0))
+            self.resume(int(payload.get("switch", 0)))
 
     def finish(self, allow_truncated: bool) -> Overheads:
         """Check what only the whole run shows and return the overheads."""
@@ -312,14 +380,12 @@ class _Accounts:
             self.fail("trace ends inside a tick")
         if self.fault is not None:
             raise TraceIntegrityError(self.fault)
+        marks, self.marks, self.done = self.marks, {}, {}  # a closed run keeps no per-job state
         out = self.overheads
-        marks, self.marks = self.marks, {}  # a closed run keeps no per-job state
         for (task, seq), slot in marks.items():
-            chain = [v for v in slot if v is not None]
-            if chain != sorted(chain):
-                named = sorted(((k, v) for k, v in zip(_MARKS, slot) if v is not None),
-                               key=lambda kv: kv[1])
-                raise TraceIntegrityError(f"ordering violation for job {task}#{seq}: {dict(named)}")
+            disorder = _disorder(task, seq, slot)
+            if disorder is not None:
+                raise TraceIntegrityError(disorder)
             rt, re_, st, co = slot
             if st is not None and co is None and not allow_truncated:
                 raise TraceIntegrityError(f"job {task}#{seq} started but never completed")
@@ -328,15 +394,25 @@ class _Accounts:
         return out
 
 
+def _disorder(task: str, seq: int | None, slot: list[int | None]) -> str | None:
+    """The fault of a job whose marks go back in time, if they do."""
+    chain = [v for v in slot if v is not None]
+    if chain == sorted(chain):
+        return None
+    named = sorted(((k, v) for k, v in zip(_MARKS, slot) if v is not None), key=lambda kv: kv[1])
+    return f"ordering violation for job {task}#{seq}: {dict(named)}"
+
+
 class RunLog:
     """The record of one run: its report and no trace, TraceEvents or CSV rows.
 
-    Both backends record through it, one method per step of a job's life,
-    so each step's events and the count that goes with them are written in
-    one place, and end the run with `close`.  `t` is the instant of the
-    step.  Overheads are accounted as events are recorded, so a run that
-    keeps no trace builds no TraceEvent.  Not thread-safe: the thread
-    backend calls it under its own lock.
+    Both backends record through it, one step per event kind, so each
+    step's events and the count that goes with them are written in one
+    place, and end the run with `close`.  `t` is the instant of the step.
+    Each step accounts its overheads through `_Accounts` as it records,
+    and builds the event's payload, TraceEvent or CSV row only when the
+    run keeps a trace, so a report-only run builds none of them.  Not
+    thread-safe: the thread backend calls it under its own lock.
     """
 
     def __init__(self, keep_trace: bool | str = True) -> None:
@@ -345,10 +421,9 @@ class RunLog:
         self._accounts = _Accounts()
         self._rows = keep_trace == "csv"
         self._late = False  # some CSV row was stamped below the one before it: sort
-        # picked once; kept unbound, as a bound method would make the log a cycle
-        self._keep = RunLog._row if self._rows else RunLog._event if keep_trace else RunLog._skip
-
-    _skip = staticmethod(lambda log, t, kind, job, worker, payload: None)
+        # picked once, None when nothing is kept; kept unbound, as a bound
+        # method would make the log a cycle
+        self._keep = RunLog._row if self._rows else RunLog._event if keep_trace else None
 
     def _event(self, t: int, kind: str, job, worker: int | None, payload: dict) -> None:
         task, seq = ("", None) if job is None else (job.task.name, job.seq)
@@ -360,50 +435,94 @@ class RunLog:
             self._late = True
         self.trace.append((t, csv_row(t, kind, task, seq, worker, payload)))
 
-    def _mark(self, t: int, i: int, job, worker: int | None = None, **payload) -> None:
-        self._accounts.mark(i, job.task.name, job.seq, t)
-        self._keep(self, t, _MARKS[i], job, worker, payload)
-
-    def emit(self, t: int, kind: str, job=None, worker: int | None = None, **payload) -> None:
-        """Record an event other than a job mark (the step methods set those)."""
-        self._accounts.event(t, kind, worker, payload)
-        self._keep(self, t, kind, job, worker, payload)
-
     def theoretical(self, job) -> None:
-        self._mark(job.abs_release, _THEORETICAL, job)
+        self._accounts.mark(_THEORETICAL, job.task.name, job.seq, job.abs_release)
+        if self._keep:
+            self._keep(self, job.abs_release, "release_theoretical", job, None, {})
 
     def release(self, t: int, job, worker: int | None = None) -> None:
         """The job becomes dispatchable at `t`."""
         self.report.task(job.task.name).released += 1
-        self._mark(t, _EFFECTIVE, job, worker)
+        self._accounts.mark(_EFFECTIVE, job.task.name, job.seq, t)
+        if self._keep:
+            self._keep(self, t, "release_effective", job, worker, {})
 
     def table_release(self, t: int, job, worker: int) -> None:
         """A table entry enters its core at `t`, late if past its release."""
         self.theoretical(job)
         self.release(t, job, worker)
-        if t > job.abs_release:
-            self.emit(t, "overrun", job, worker, late=t - job.abs_release)
+        if t > job.abs_release and self._keep:
+            self._keep(self, t, "overrun", job, worker, {"late": t - job.abs_release})
 
     def start(self, t: int, job, worker: int) -> None:
-        self._mark(t, _START, job, worker, version=job.version.name)
+        self._accounts.mark(_START, job.task.name, job.seq, t)
+        if self._keep:
+            self._keep(self, t, "job_start", job, worker, {"version": job.version.name})
 
     def complete(self, t: int, job, worker: int, body_ns: int) -> None:
-        """The job completes at `t` after running `body_ns` of its own."""
-        self._mark(t, _COMPLETE, job, worker)
-        if body_ns > job.version.wcet_estimate:
-            self.emit(t, "overrun", job, worker, over=body_ns - job.version.wcet_estimate)
-        stats = self.report.task(job.task.name)
+        """The job completes at `t` after running `body_ns` of its own;
+        an overrun and a deadline miss are recorded with it."""
+        name = job.task.name
+        self._accounts.mark(_COMPLETE, name, job.seq, t)
+        keep = self._keep
+        if keep:
+            keep(self, t, "job_complete", job, worker, {})
+            over = body_ns - job.version.wcet_estimate
+            if over > 0:
+                keep(self, t, "overrun", job, worker, {"over": over})
+        stats = self.report.task(name)
         stats.completed += 1
         stats.response.add(t - job.abs_release)
         late = t - job.abs_deadline
         if late > 0:
             stats.misses += 1
-            self.emit(t, "deadline_miss", job, worker, late=late)
+            if keep:
+                keep(self, t, "deadline_miss", job, worker, {"late": late})
+
+    def get_task_wait(self, t: int, worker: int, wait: int, held: int, got: str) -> None:
+        """A worker held its queue's lock from `t` for `held`, after waiting
+        `wait` for it, and picked `got`."""
+        self._accounts.worker_wait(wait, held)
+        if self._keep:
+            self._keep(self, t, "lock_wait", None, worker,
+                       {"wait": wait, "held": held, "purpose": "get_task", "got": got})
+
+    def tick_wait(self, t: int, wait: int, queue: int) -> None:
+        """The scheduler got queue `queue`'s lock at `t` after waiting `wait`."""
+        self._accounts.scheduler_wait(wait)
+        if self._keep:
+            self._keep(self, t, "lock_wait", None, SCHEDULER_WORKER,
+                       {"wait": wait, "purpose": "tick", "queue": queue})
+
+    def tick_begin(self, t: int) -> None:
+        self._accounts.tick_begin(t)
+        if self._keep:
+            self._keep(self, t, "tick_begin", None, SCHEDULER_WORKER, {})
+
+    def tick_end(self, t: int) -> None:
+        self._accounts.tick_end(t)
+        if self._keep:
+            self._keep(self, t, "tick_end", None, SCHEDULER_WORKER, {})
+
+    def preempt(self, t: int, job, worker: int, by: str, switch: int | None = None) -> None:
+        """`by` preempts the job; a backend that models no context switch
+        passes no `switch`, and its event carries none."""
+        self._accounts.preempt(switch or 0)
+        if self._keep:
+            payload = {"by": by} if switch is None else {"switch": switch, "by": by}
+            self._keep(self, t, "preempt", job, worker, payload)
+
+    def resume(self, t: int, job, worker: int, switch: int | None = None) -> None:
+        self._accounts.resume(switch or 0)
+        if self._keep:
+            payload = {} if switch is None else {"switch": switch}
+            self._keep(self, t, "resume", job, worker, payload)
 
     def accels(self, t: int, kind: str, job, worker: int, names: list[str]) -> None:
         """One accel_acquire or accel_release event per accelerator name."""
-        for name in names:
-            self.emit(t, kind, job, worker, accel=name)
+        if self._keep:
+            for name in names:
+                self._keep(self, t, kind, job, worker, {"accel": name})
 
     def close(
         self, unfinished: list[tuple[str, int]], meta: dict

@@ -298,6 +298,44 @@ def sdf_plan_reference(
     return nodes, [(s, d, n) for (s, d), n in deps.items()], [n for n in nodes if n not in has_input]
 
 
+# -------------------------------------------------------- priority oracle
+
+
+def priority_key_oracle(
+    assignment: str,
+    kind: str,
+    task_id: int,
+    name: str,
+    seq: int,
+    abs_release: int,
+    abs_deadline: int,
+    period: int | None,
+    relative_deadline: int | None,
+    user_priority: int | None,
+) -> tuple[int, int, int, int]:
+    """One job's key (class, primary, task id, seq) as the scheduler ranked
+    jobs before it planned a key rule per task: every field read for every
+    job.  `period`/`relative_deadline` are the values the job is ranked by
+    (a graph node's root's); `kind` and `assignment` are enum values.
+    Raises ValueError with the scheduler's message when the assignment
+    cannot rank the task."""
+    if kind == "APERIODIC":
+        return (1, abs_release, task_id, seq)
+    primary = {
+        "RM": period,
+        "DM": relative_deadline,
+        "EDF": abs_deadline,
+        "USER": user_priority,
+    }[assignment]
+    if primary is None:
+        raise ValueError({
+            "RM": f"RM needs a period on task {name!r}",
+            "DM": f"DM needs a relative deadline on task {name!r}",
+            "USER": f"USER priority missing on task {name!r}",
+        }[assignment])
+    return (0, primary, task_id, seq)
+
+
 # ------------------------------------------------------ activation oracle
 
 

@@ -15,6 +15,7 @@ from rtsched import (
     CSV_COLUMNS,
     ClockSource,
     DeclarationError,
+    EVENT_KINDS,
     MappingScheme,
     PolicyConfig,
     PriorityAssignment,
@@ -32,6 +33,7 @@ from rtsched import (
     us,
 )
 from rtsched.cli import main
+from rtsched.tracing import _Accounts
 
 from .test_golden import GOLDEN
 
@@ -92,6 +94,93 @@ def test_payload_separators_in_names_rejected():
     assert compute_overheads(read_trace_csv(io.StringIO(trace_csv_text(trace)))) == report.overheads
     with pytest.raises(DeclarationError, match=re.escape("'hi;switch=5'")):
         run("hi;switch=5")
+
+
+def _every_kind_online():
+    """One worker under G-EDF with switch costs: hi preempts lo, which
+    holds the accelerator; over runs past its wcet and its deadline."""
+    state = init(PolicyConfig(worker_count=1))
+    gpu = state.hwaccel_decl("gpu")
+    lo = state.task_decl("lo", TaskKind.PERIODIC, period=ms(20))
+    state.hwaccel_use(lo, state.version_decl(lo, wcet_estimate=ms(8)), gpu)
+    hi = state.task_decl("hi", TaskKind.PERIODIC, period=ms(5), release_offset=ms(1))
+    state.version_decl(hi, wcet_estimate=ms(1))
+    over = state.task_decl("over", TaskKind.PERIODIC, period=ms(10),
+                           relative_deadline=ms(1))
+    state.version_decl(over, wcet_estimate=ms(1))
+    model = SimJobModel(exec_time={"over": ms(2)}, get_task_cost=us(2),
+                        sched_scan_cost_per_task=us(1), sort_cost_per_element=us(1),
+                        context_switch_cost=us(5))
+    return state, model, ms(40), 3
+
+
+def _every_kind_table():
+    """An O-TABLE core whose second entry starts after its release."""
+    state = init(PolicyConfig(worker_count=1, mapping_scheme=MappingScheme.OFFLINE,
+                              preemptive=False))
+    table = ScheduleTable(ms(10))
+    for name, offset in (("a", 0), ("b", ms(1))):
+        tid = state.task_decl(name, TaskKind.PERIODIC, period=ms(10), virt_core_id=0)
+        table.add(0, tid, state.version_decl(tid, wcet_estimate=ms(3)), offset)
+    state.table = table
+    return state, SimJobModel(), ms(30), 0
+
+
+def test_every_event_kind_in_every_trace_form():
+    """Each event kind the simulator records, with each payload shape, is the
+    same report, the same CSV and the same overheads whatever the run keeps.
+    Two runs: a late table entry's overrun exists only under O-TABLE, which
+    takes no queue lock and has no tick."""
+    payloads = set()
+    for state, model, horizon, seed in (_every_kind_online(), _every_kind_table()):
+        runs = {keep: run_simulation(state, model, horizon=horizon, seed=seed, keep_trace=keep)
+                for keep in (False, True, "csv")}
+        (_, bare), (trace, report), (rows, rows_report) = runs.values()
+        assert bare.to_dict() == report.to_dict() == rows_report.to_dict()
+        text = ",".join(CSV_COLUMNS) + "\n" + "".join(rows)
+        assert text == trace_csv_text(trace)
+        reread = compute_overheads(read_trace_csv(io.StringIO(text)))
+        assert reread.to_dict() == report.to_dict()["run"]
+        payloads |= {(e.kind, tuple(e.payload)) for e in trace}
+        for e in trace:
+            if e.kind in ("preempt", "resume"):
+                assert e.payload["switch"] == us(5)
+    assert {kind for kind, _ in payloads} == set(EVENT_KINDS)
+    assert {("lock_wait", ("wait", "held", "purpose", "got")),
+            ("lock_wait", ("wait", "purpose", "queue")),
+            ("preempt", ("switch", "by")), ("resume", ("switch",)),
+            ("overrun", ("over",)), ("overrun", ("late",)),
+            ("deadline_miss", ("late",))} <= payloads
+
+
+def test_accounts_hold_only_live_jobs(monkeypatch):
+    """A report-only run's per-job accounts are bounded by its live jobs,
+    not by its length: a feasible G-EDF set peaks equally over 2 and 20
+    hyperperiods."""
+    state = init(PolicyConfig(worker_count=2))
+    for i, (period, wcet) in enumerate(((10, 4), (20, 6), (40, 10), (50, 5))):
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=ms(period))
+        state.version_decl(tid, wcet_estimate=ms(wcet))
+    peak = [0]
+    mark = _Accounts.mark
+
+    def counted(self, *args):
+        mark(self, *args)
+        peak[0] = max(peak[0], len(self.marks))
+
+    monkeypatch.setattr(_Accounts, "mark", counted)
+    peaks = {}
+    for horizon in (ms(400), ms(4000)):
+        peak[0] = 0
+        _, report = run_simulation(state, horizon=horizon, keep_trace=False)
+        assert report.misses == 0 and report.completed > 0
+        peaks[horizon] = peak[0]
+    trace, _ = run_simulation(state, horizon=ms(400))
+    live = peak_live = 0
+    for e in trace:
+        live += (e.kind == "release_theoretical") - (e.kind == "job_complete")
+        peak_live = max(peak_live, live)
+    assert 0 < peaks[ms(400)] == peaks[ms(4000)] <= peak_live
 
 
 _PERIODS = (ms(2), ms(4), ms(5), ms(10))

@@ -320,6 +320,17 @@ class TestLatency:
         assert main(["latency", "--policy", "LLF", "--loops", "1"]) == 1
         assert "unknown policy" in capsys.readouterr().err
 
+    def test_user_policy_rejected_before_the_probe(self, capsys, monkeypatch):
+        # the probe's tasks carry no user_priority, so a USER run could only fail
+        def probe(**_):
+            raise AssertionError("the probe ran")
+
+        monkeypatch.setattr(rt, "latency_probe", probe)
+        assert main(["latency", "--policy", "user", "--loops", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown policy 'user'; choose from RM, DM, EDF" in err
+        assert "no-user-priority" not in err
+
     def test_smoke(self, capsys, monkeypatch):
         monkeypatch.setattr(rt, "available_cpus", lambda: 64)
         rc = main(["latency", "--threads", "2", "--interval", "5000",

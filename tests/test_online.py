@@ -14,18 +14,22 @@ from rtsched import (
     PriorityAssignment,
     SelectionContext,
     TaskKind,
+    ValidationError,
+    assign_priority,
     channel_connect,
     channel_decl,
     hyperperiod,
     init,
     ms,
     scheduler_tick_period,
+    select_version,
     us,
 )
+import rtsched.online
 from rtsched.graph import ChannelState, analyze_graph
 from rtsched.online import Job, ReadyQueue, SchedulerCore
 
-from .oracles import ReadyQueueOracle, gcd_oracle, lcm_oracle
+from .oracles import ReadyQueueOracle, gcd_oracle, lcm_oracle, priority_key_oracle
 
 
 def _periodic_state(periods, offsets=None, config=None, wcet=us(10)):
@@ -227,6 +231,104 @@ class TestMakeJob:
         jr = core.make_job(state.task(root), 0)
         jn = core.make_job(state.task(node), 0)
         assert jn.key.primary == jr.key.primary == ms(10)
+
+
+class TestReleasePlan:
+    """make_job's planned key and version equal the per-job rule: what
+    assign_priority and select_version return for the arguments the core
+    passed them before it planned, and the oracle's key."""
+
+    CASES = ("preselected", "restricted", "accelerator-first")
+
+    def _state(self, assignment, case):
+        state = init(PolicyConfig(priority_assignment=assignment))
+        gpu = state.hwaccel_decl("gpu")
+        tasks = {
+            "p": state.task_decl("p", TaskKind.PERIODIC, period=ms(10),
+                                 relative_deadline=ms(7), user_priority=3),
+            "s": state.task_decl("s", TaskKind.SPORADIC, period=ms(5), user_priority=1),
+            "a": state.task_decl("a", TaskKind.APERIODIC, relative_deadline=ms(4),
+                                 user_priority=2),
+            "r": state.task_decl("r", TaskKind.PERIODIC, period=ms(20), user_priority=4),
+            "n": state.task_decl("n", TaskKind.GRAPH_NODE, user_priority=5),
+            "d": state.task_decl("d", TaskKind.GRAPH_NODE, relative_deadline=ms(3),
+                                 user_priority=6),
+        }
+        for tid in tasks.values():
+            v0 = state.version_decl(tid, wcet_estimate=us(10), name="v0")
+            state.version_decl(tid, wcet_estimate=us(20), name="v1")
+            if case == "accelerator-first":
+                state.hwaccel_use(tid, v0, gpu)
+        channel_connect(state, channel_decl(state, "rn", element_size=8, capacity=4),
+                        tasks["r"], tasks["n"])
+        channel_connect(state, channel_decl(state, "nd", element_size=8, capacity=4),
+                        tasks["n"], tasks["d"])
+        restrict = (lambda task: task.versions[1:]) if case == "restricted" else None
+        return state, tasks, restrict
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("assignment", list(PriorityAssignment), ids=lambda a: a.value)
+    def test_key_and_version_match_the_per_job_rule(self, assignment, case, monkeypatch):
+        state, tasks, restrict = self._state(assignment, case)
+        core = _core(state, restrict)
+        root = state.task(tasks["r"])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].name)
+            return select_version(*args, **kwargs)
+
+        monkeypatch.setattr(rtsched.online, "select_version", counted)
+        made = 0
+        for k in range(4):
+            # every other round the accelerator is taken, so selection moves
+            core.registry.holders[0] = object() if k % 2 else None
+            for name, offset in (("r", 0), ("p", 0), ("s", 1), ("a", 2), ("n", 3), ("d", 4)):
+                task = state.task(tasks[name])
+                job = core.make_job(task, ms(20) * k + ms(offset))
+                made += 1
+                node = task.kind is TaskKind.GRAPH_NODE
+                period = root.period if node else task.period
+                deadline = task.relative_deadline
+                if node and deadline is None:
+                    deadline = root.relative_deadline
+                want_key = assign_priority(
+                    assignment, task, seq=job.seq, abs_release=job.abs_release,
+                    abs_deadline=job.abs_deadline, period=period, relative_deadline=deadline,
+                )
+                assert job.key == want_key
+                assert tuple(job.key) == priority_key_oracle(
+                    assignment.value, task.kind.name, task.task_id, task.name, job.seq,
+                    job.abs_release, job.abs_deadline, period, deadline, task.user_priority,
+                )
+                want_version = select_version(
+                    state.config.version_selection, task, core.select_ctx, core.registry,
+                    pool=None if restrict is None else restrict(task),
+                )
+                assert job.version is want_version
+                assert job.blocked_on == set()
+        # the plan fixes the version only when selection cannot vary
+        assert len(calls) == (0 if case == "preselected" else made)
+
+    @pytest.mark.parametrize("assignment", ["RM", "DM", "USER"])
+    def test_unrankable_task_raises_at_its_first_job(self, assignment):
+        state = init(PolicyConfig(priority_assignment=PriorityAssignment(assignment)))
+        p = state.task_decl("p", TaskKind.PERIODIC, period=ms(10), user_priority=1)
+        state.version_decl(p, wcet_estimate=us(10))
+        dead = state.task_decl("x", TaskKind.GRAPH_NODE)  # no channel, period or deadline
+        state.version_decl(dead, wcet_estimate=us(10))
+        core = _core(state)  # not at run start: a node that never fires needs no rank
+        core.make_job(state.task(p), 0)
+        task = state.task(dead)
+        with pytest.raises(ValueError) as want:
+            priority_key_oracle(assignment, task.kind.name, dead, "x", 0, 0, 0,
+                                None, None, None)
+        with pytest.raises(ValidationError) as direct:
+            assign_priority(PriorityAssignment(assignment), task, seq=0, abs_release=0,
+                            abs_deadline=0)
+        with pytest.raises(ValidationError) as planned:
+            core.make_job(task, 0)
+        assert str(planned.value) == str(direct.value) == str(want.value)
 
 
 class TestReadyQueue:

@@ -183,6 +183,9 @@ class TestRealtimeRuns:
         assert "preempt" in kinds and "resume" in kinds
         [p] = [e for e in trace if e.kind == "preempt"][:1]
         assert p.task == "lo" and p.payload["by"] == "hi"
+        # this backend models no context switch, so its events carry no switch
+        assert all(e.payload == {"by": "hi"} for e in trace if e.kind == "preempt")
+        assert all(e.payload == {} for e in trace if e.kind == "resume")
         lo_done = [e for e in trace if e.kind == "job_complete" and e.task == "lo"]
         hi_done = [e for e in trace if e.kind == "job_complete" and e.task == "hi"]
         assert hi_done[0].timestamp_ns < lo_done[0].timestamp_ns

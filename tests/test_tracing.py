@@ -210,7 +210,7 @@ class TestComputeOverheads:
 
 
 def _tick(log, t, kind):
-    log.emit(t, kind, worker=SCHEDULER_WORKER)
+    getattr(log, kind)(t)  # the tick_begin or tick_end step
 
 
 _J = _job(0, 9, wcet=1)
@@ -242,6 +242,11 @@ INTEGRITY_FAULTS = {
         "ordering violation for job t#0: {'release_theoretical': 0,"
         " 'release_effective': 0, 'job_complete': 5, 'job_start': 9}",
     ),
+    "complete after a full chain": (
+        lambda log: (log.theoretical(_J), log.release(0, _J), log.start(1, _J, 0),
+                     log.complete(5, _J, 0, 1), log.complete(6, _J, 0, 1)),
+        "duplicate job_complete for t#0",
+    ),
     "started, never completed": (
         lambda log: (log.theoretical(_J), log.release(0, _J),
                      log.start(1, _J, 0)),
@@ -256,18 +261,19 @@ class TestRunLogIntegrity:
     @pytest.mark.parametrize("fault", sorted(INTEGRITY_FAULTS))
     def test_fault_raised_at_close(self, fault):
         record, message = INTEGRITY_FAULTS[fault]
-        for keep_trace in (False, True):
+        for keep_trace in (False, True, "csv"):
             log = RunLog(keep_trace=keep_trace)
             record(log)
-            trace = sorted(log.trace, key=lambda e: e.timestamp_ns)
+            stamp = (lambda e: e[0]) if keep_trace == "csv" else (lambda e: e.timestamp_ns)
+            trace = sorted(log.trace, key=stamp)
             with pytest.raises(TraceIntegrityError) as err:
                 log.close([], {})
             assert str(err.value) == message
-            if keep_trace:
+            if keep_trace is True:
                 with pytest.raises(TraceIntegrityError) as err:
                     compute_overheads(trace)
                 assert str(err.value) == message
-            else:
+            elif not keep_trace:
                 assert log.trace == []
 
     def test_unfinished_job_tolerated_in_a_truncated_run(self):
@@ -283,6 +289,62 @@ class TestRunLogIntegrity:
         log.start(6, _J, 1)
         with pytest.raises(TraceIntegrityError, match="tick_end without tick_begin"):
             log.close([], {})
+
+
+def _chain(t, task, seq):
+    """A job's four marks from `t` on, as a trace records them."""
+    return [_ev(t, "release_theoretical", task, seq), _ev(t + 1, "release_effective", task, seq),
+            _ev(t + 2, "job_start", task, seq, worker=0),
+            _ev(t + 3, "job_complete", task, seq, worker=0)]
+
+
+def _finish_in_order(seqs):
+    """Run every job of `seqs` through a report-only log, one after the
+    other; the log must end holding no slot, and the finished seqs as
+    merged half-open intervals."""
+    log = RunLog(keep_trace=False)
+    for seq in seqs:
+        job = _job(0, 9, wcet=1, seq=seq)
+        log.theoretical(job)
+        log.release(1, job)
+        log.start(2, job, 0)
+        log.complete(3, job, 0, 1)
+        assert not log._accounts.marks
+    bounds = []
+    for seq in sorted(seqs):
+        if bounds and bounds[-1] == seq:
+            bounds[-1] = seq + 1
+        else:
+            bounds += [seq, seq + 1]
+    assert log._accounts.done == {"t": bounds}
+    log.close([], {})
+
+
+class TestFinishedJobs:
+    """A job's slot goes when its chain is full, and what it leaves catches
+    a later mark as a duplicate, for any seqs, in any order of completion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seqs=st.lists(st.integers(-20, 20), min_size=1, max_size=12, unique=True),
+           data=st.data())
+    def test_any_seqs_in_any_order(self, seqs, data):
+        trace = [e for i, seq in enumerate(seqs) for e in _chain(10 * i, "t", seq)]
+        overheads = compute_overheads(trace)
+        assert overheads.release_overhead.count == len(seqs)
+        _finish_in_order(seqs)
+        # a mark for a finished seq is a duplicate; an unseen seq is a new job
+        again = data.draw(st.sampled_from(seqs))
+        kind = data.draw(st.sampled_from(["release_theoretical", "job_start", "job_complete"]))
+        with pytest.raises(TraceIntegrityError, match=f"^duplicate {kind} for t#{again}$"):
+            compute_overheads(trace + [_ev(10 * len(seqs), kind, "t", again, worker=0)])
+        fresh = data.draw(st.integers(-30, 30).filter(lambda s: s not in seqs))
+        compute_overheads(trace + _chain(10 * len(seqs), "t", fresh))
+
+    @pytest.mark.parametrize("seqs", [[5, 6, 7], [-3, -2, -1, 0, 1], [9, 4, 6, 5, 8, 7]])
+    def test_offset_and_negative_seqs(self, seqs):
+        trace = [e for i, seq in enumerate(seqs) for e in _chain(10 * i, "t", seq)]
+        assert compute_overheads(trace).release_overhead.count == len(seqs)
+        _finish_in_order(seqs)
 
 
 # any text, with the characters CSV quoting turns on drawn often
