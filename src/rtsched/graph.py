@@ -272,6 +272,12 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
                 )
             )
             continue
+        if (ch.required_tokens or 1) > ch.room:
+            diags.append(Diagnostic(
+                "error", "channel-room",
+                f"channel {ch.name!r} holds {ch.room} tokens but its consumer needs"
+                f" {ch.required_tokens} to fire, so it never fires",
+            ))
         edges.append((ch.src, ch.dst, ch))
         cid = ch.channel_id
         info.inputs.setdefault(ch.dst, []).append((cid, ch.required_tokens or 1))

@@ -6,14 +6,17 @@ due jobs, evaluates graph activations, inserts into the single shared queue
 job in key order, and notifies workers.  Workers pull under a FIFO lock; a
 preempted job goes on the preempting worker's stack and never migrates.
 
-This module holds the data structures and the decision logic only; time,
-locking and tracing belong to the backends.
+This module holds the data structures and the decision logic, and the
+per-run state both backends share: `SchedulerCore` owns the run's channel
+states, its tick and each task's version pool.  Time, locking and tracing
+belong to the backends.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import deque
 from operator import attrgetter
 from typing import Callable
 
@@ -178,12 +181,16 @@ def hyperperiod(state: MiddlewareState) -> int:
 class SchedulerCore:
     """Release bookkeeping and dispatch decisions for one run.
 
-    Owns nothing timing-related.  `graph` is the analysis the run was
-    validated with (MiddlewareState.check).  `select_ctx` is read at each
-    decision so backends can vary execution mode or battery level over time.
+    Owns the run's shared scheduling state: `channels` (a ChannelState per
+    declared channel, which both backends push and pop), `tick` (see
+    scheduler_tick_period) and each task's version pool, but no clock.
+    `graph` is the analysis the run was validated with
+    (MiddlewareState.check).  `select_ctx` is read at each decision so
+    backends can vary execution mode or battery level over time.
 
     Each task's release plan is made once, when the core is built: its key
-    rule (priority.key_rule, with a graph node's root's timing) and, when
+    rule (priority.key_rule, with a graph node's root's timing), its
+    version pool (`restrict` is called once per task, here) and, when
     selection cannot vary, its version, so `make_job` calls
     select_version only for jobs whose version can differ.
     """
@@ -200,7 +207,8 @@ class SchedulerCore:
         self.state = state
         self.registry = registry
         self.select_ctx = select_ctx
-        self.restrict = restrict
+        self.channels = {c.channel_id: ChannelState(c) for c in state.channels}
+        self.tick = scheduler_tick_period(state)
         cfg = state.config
         self.global_mapping = cfg.mapping_scheme is MappingScheme.GLOBAL
         self.queue_count = 1 if self.global_mapping else cfg.worker_count
@@ -216,12 +224,17 @@ class SchedulerCore:
         }
         self._pending: list[tuple[int, int]] = []  # (release, task_id)
         self._last_sporadic: dict[int, int] = {}
-        # release instants of each periodic graph root, for its nodes' deadlines
-        self._root_releases: dict[int, list[int]] = {
-            r: [] for r in set(self.graph.node_root.values())
-            if state.tasks[r].period is not None
-        }
         self._node_fired: dict[int, int] = {t: 0 for t in self.graph.node_rate}
+        # (node, firings per iteration) of each periodic graph root's nodes
+        # that inherit its deadline
+        self._inheritors: dict[int, list[tuple[int, int]]] = {}
+        for t, rate in self.graph.node_rate.items():
+            r = self.graph.node_root.get(t)
+            if r is not None and state.tasks[t].relative_deadline is None:
+                self._inheritors.setdefault(r, []).append((t, rate or 1))
+        # root -> [iteration of the first kept instant, its release instants
+        # from there]: only iterations some inheritor has yet to fire
+        self._root_releases: dict[int, list] = {r: [0, deque()] for r in self._inheritors}
         # token-driven nodes with their indexed inputs, in topological order;
         # roots release on the clock even if they have inputs
         self._token_nodes = [
@@ -231,7 +244,7 @@ class SchedulerCore:
         ]
         # node -> (short channel, its push count) at the node's last failed check
         self._short: dict[int, tuple[ChannelState, int]] = {}
-        self._plans = self._release_plans()
+        self._plans = self._release_plans(restrict)
 
     # ------------------------------------------------------ releases
 
@@ -276,7 +289,7 @@ class SchedulerCore:
                     jobs.append(self.make_job(self.state.task(tid), release))
         return jobs
 
-    def graph_activations(self, channels: dict[int, ChannelState], now: int) -> list[Job]:
+    def graph_activations(self, now: int) -> list[Job]:
         """Data-driven releases: nodes whose inputs hold enough tokens.
 
         Inputs come from the run's channel index (GraphInfo.inputs), and
@@ -285,12 +298,12 @@ class SchedulerCore:
         `_fireable`)."""
         jobs: list[Job] = []
         for task, inputs in self._token_nodes:
-            while self._fireable(channels, task.task_id, inputs):
-                reserve_inputs(channels, inputs)
+            while self._fireable(task.task_id, inputs):
+                reserve_inputs(self.channels, inputs)
                 jobs.append(self.make_job(task, now))
         return jobs
 
-    def work_pending(self, channels: dict[int, ChannelState], horizon: int) -> bool:
+    def work_pending(self, horizon: int) -> bool:
         """True while a future scheduler pass could still release something:
         a periodic arrival or queued activation before the horizon, or graph
         tokens already sufficient for a firing.  Drives drain-phase ticks."""
@@ -299,26 +312,21 @@ class SchedulerCore:
         if any(release < horizon for release, _ in self._pending):
             return True
         return any(
-            self._fireable(channels, task.task_id, inputs)
-            for task, inputs in self._token_nodes
+            self._fireable(task.task_id, inputs) for task, inputs in self._token_nodes
         )
 
-    def _fireable(
-        self, channels: dict[int, ChannelState], tid: int, inputs: list[tuple[int, int]]
-    ) -> bool:
+    def _fireable(self, tid: int, inputs: list[tuple[int, int]]) -> bool:
         """check_activation over indexed inputs, skipping a node whose last
         check found channel c short while c has not been pushed since.
         Only a push raises a channel's unclaimed count (pop and reserve
         never do), so the skipped check would fail again."""
         memo = self._short.get(tid)
-        if memo is not None:
-            ch, pushes = memo
-            if ch.pushes == pushes and channels.get(ch.channel_id) is ch:
-                return False
-        cid = short_input(channels, inputs)
+        if memo is not None and memo[0].pushes == memo[1]:
+            return False
+        cid = short_input(self.channels, inputs)
         if cid is None:
             return True
-        ch = channels[cid]
+        ch = self.channels[cid]
         self._short[tid] = (ch, ch.pushes)
         return False
 
@@ -328,12 +336,13 @@ class SchedulerCore:
         tid = task.task_id
         seq = self._seq[tid]
         self._seq[tid] = seq + 1
-        key_of, version, root = self._plans[tid]
+        key_of, version, root, pool = self._plans[tid]
         if root is None:
             abs_deadline = abs_release + (task.relative_deadline or 0)
-            series = self._root_releases.get(tid)
-            if series is not None:
-                series.append(abs_release)
+            kept = self._root_releases.get(tid)
+            if kept is not None:
+                kept[1].append(abs_release)
+                self._trim_root_releases(tid, kept)
         elif task.relative_deadline is not None:
             # node-local deadline, measured from its own activation
             abs_deadline = abs_release + task.relative_deadline
@@ -342,8 +351,9 @@ class SchedulerCore:
             # spawned this iteration of the graph
             iteration = self._node_fired[tid] // (self.graph.node_rate.get(tid, 1) or 1)
             self._node_fired[tid] += 1
-            series = self._root_releases.get(root.task_id, ())
-            base = series[iteration] if iteration < len(series) else abs_release
+            first, instants = self._root_releases[root.task_id]
+            i = iteration - first
+            base = instants[i] if i < len(instants) else abs_release
             abs_deadline = base + root.relative_deadline
         if version is None:
             version = select_version(
@@ -351,19 +361,29 @@ class SchedulerCore:
                 task,
                 self.select_ctx,
                 self.registry,
-                pool=self._pool(task),
+                pool=pool,
             )
         key = key_of(seq, abs_release, abs_deadline)
         return Job(task, seq, version, abs_release, abs_deadline, key)
 
-    def _release_plans(self) -> list[tuple]:
-        """plans[task_id] = (key rule, static version or None, graph root or None).
+    def _trim_root_releases(self, root: int, kept: list) -> None:
+        """Drop the root's instants of iterations every inheritor has fired."""
+        oldest = min(self._node_fired[t] // rate for t, rate in self._inheritors[root])
+        instants = kept[1]
+        while kept[0] < oldest and instants:
+            instants.popleft()
+            kept[0] += 1
+
+    def _release_plans(self, restrict) -> list[tuple]:
+        """plans[task_id] = (key rule, static version or None, graph root
+        or None, version pool or None).
 
         The root is set for a periodless graph node, whose jobs take the
         root's period and, without a deadline of their own, its deadline.
-        The version is fixed when selection could only ever pick it: the
-        first declared version under PRESELECTED with no restriction, when
-        it holds no accelerator and so is always eligible.
+        The pool is `restrict(task)`, None without a restriction.  The
+        version is fixed when selection could only ever pick it: the first
+        declared version under PRESELECTED with no restriction, when it
+        holds no accelerator and so is always eligible.
         """
         cfg = self.state.config
         plans = []
@@ -376,19 +396,15 @@ class SchedulerCore:
                 if rel_deadline is None:
                     rel_deadline = root.relative_deadline
             version = None
+            pool = None if restrict is None else restrict(task)
             if (cfg.version_selection is VersionSelection.PRESELECTED
-                    and self.restrict is None and task.versions
+                    and restrict is None and task.versions
                     and not task.versions[0].accelerators):
                 version = task.versions[0]
             rule = key_rule(cfg.priority_assignment, task,
                             period=period, relative_deadline=rel_deadline)
-            plans.append((rule, version, root))
+            plans.append((rule, version, root, pool))
         return plans
-
-    def _pool(self, task: TaskDescriptor) -> list[VersionDescriptor] | None:
-        if self.restrict is None:
-            return None
-        return self.restrict(task)
 
     # ------------------------------------------------------- routing
 
@@ -406,19 +422,17 @@ class SchedulerCore:
             return range(self.state.config.worker_count)
         return range(qi, qi + 1)
 
-    def preemption_targets(
-        self, qi: int, running: list[Job | None]
-    ) -> list[int]:
-        """Workers of queue qi whose running job ranks below the queue head."""
+    def preemptor(self, qi: int, job: Job) -> Job | None:
+        """The head of queue qi when it outranks `job`, else None."""
         head = self.queues[qi].first_dispatchable()
-        if head is None:
-            return []
-        hk = head.effective_key()
-        return [
-            w
-            for w in self.workers_of_queue(qi)
-            if running[w] is not None and hk < running[w].effective_key()
-        ]
+        if head is not None and head.effective_key() < job.effective_key():
+            return head
+        return None
+
+    def preemption_targets(self, qi: int, running: list[Job | None]) -> list[int]:
+        """Workers of queue qi whose running job ranks below the queue head."""
+        return [w for w in self.workers_of_queue(qi)
+                if running[w] is not None and self.preemptor(qi, running[w]) is not None]
 
     # ------------------------------------------------------- dispatch
 
@@ -464,7 +478,7 @@ class SchedulerCore:
         busy = self.registry.acquire(job, version.accelerators)
         if not busy:
             return (version, sorted(version.accelerators))
-        pool = self._pool(job.task) or job.task.versions
+        pool = self._plans[job.task.task_id][3] or job.task.versions
         free_pool = eligible_versions(pool, self.registry)
         if free_pool:
             try:

@@ -21,7 +21,7 @@ import threading
 import time
 
 from .errors import BackendError, ConfigurationError
-from .graph import ChannelState, GraphInfo
+from .graph import GraphInfo
 from .model import (
     ClockSource,
     MappingScheme,
@@ -37,7 +37,7 @@ from .model import (
     version_decl,
 )
 from .offline import table_jobs
-from .online import Job, SchedulerCore, scheduler_tick_period
+from .online import Job, SchedulerCore
 from .tracing import RunLog, RunReport, Stat, TraceEvent
 from .versions import AcceleratorRegistry, SelectionContext
 
@@ -132,36 +132,28 @@ class JobContext:
             self.stolen_ns += be.nested_dispatch(self.worker, self.job)
 
     def push(self, channel_id: int, value=None) -> None:
-        be = self.backend
-        st = be.channels[channel_id]
-        while True:
-            with be.channels_lock:
-                if st.can_push():
-                    st.push(value)
-                    self.job.channel_blocked = False
-                    return
-                self.job.channel_blocked = True
-            self._poll_blocked()
+        st = self.backend.core.channels[channel_id]
+        self._when(st.can_push, st.push, value)
 
     def pop(self, channel_id: int):
+        st = self.backend.core.channels[channel_id]
+        return self._when(st.can_pop, st.pop)
+
+    def _when(self, ready, op, *args):
+        """op(*args) under the channel lock once ready() holds, polling in
+        slices while the channel blocks.  Once the run stops no scheduler
+        pass will move the channel, so a blocked body is abandoned."""
         be = self.backend
-        st = be.channels[channel_id]
         while True:
             with be.channels_lock:
-                if st.can_pop():
-                    value = st.pop()
+                if ready():
                     self.job.channel_blocked = False
-                    return value
+                    return op(*args)
                 self.job.channel_blocked = True
-            self._poll_blocked()
-
-    def _poll_blocked(self) -> None:
-        """One slice of a channel wait.  Once the run stops no scheduler
-        pass will move the channel, so the body is abandoned."""
-        if self.backend._stopping.is_set():
-            raise _Abandoned
-        self.yield_point()
-        time.sleep(_POLL_S)
+            if be._stopping.is_set():
+                raise _Abandoned
+            self.yield_point()
+            time.sleep(_POLL_S)
 
     def sleep_ns(self, duration: int) -> None:
         """Busy portion stand-in: sleeps in slices, honouring preemption.
@@ -187,15 +179,13 @@ class RealtimeBackend:
         self.registry = AcceleratorRegistry(len(state.accelerators))
         self.select_ctx = SelectionContext()
         self.core = SchedulerCore(state, graph, self.registry, self.select_ctx)
-        self.tick = scheduler_tick_period(state)
-        self.channels = {c.channel_id: ChannelState(c) for c in state.channels}
         self.channels_lock = threading.Lock()
         spin = cfg.locking_strategy.name == "LOCK_FREE"
         self.queue_locks = [FifoTicketLock(spin=spin) for _ in self.core.queues]
         self.reg_mutex = threading.RLock()  # cross-queue accelerator state
         self.work_conds = [threading.Condition() for _ in self.core.queues]
         self.preempt_flags = [threading.Event() for _ in range(cfg.worker_count)]
-        self.log = RunLog()
+        self.log = RunLog(accel_names=[a.name for a in state.accelerators])
         self.trace_lock = threading.Lock()  # guards log, unfinished, _degraded
         self.unfinished: list[Job] = []  # released jobs whose body failed
         self.t0 = 0
@@ -289,7 +279,7 @@ class RealtimeBackend:
         return self.log.close([(j.task.name, j.seq) for j in left], {
             "backend": ClockSource.MONOTONIC_OS.value,
             "workers": self.state.config.worker_count,
-            "tick_ns": self.tick,
+            "tick_ns": self.core.tick,
         })
 
     # ------------------------------------------------------ scheduler
@@ -309,19 +299,19 @@ class RealtimeBackend:
         self._try_pin(available_cpus() - 1)  # after workers took 0..n-1
         k = 0
         while not self._stopping.is_set():
-            self._sleep_until(k * self.tick)
+            self._sleep_until(k * self.core.tick)
             if self._stopping.is_set():
                 return
             now = self.now_ns()
             self._sched_pass(now)
-            k = now // self.tick + 1
+            k = now // self.core.tick + 1
 
     def _collect_releases(self, now: int) -> list[Job]:
         with self.reg_mutex:
             self.select_ctx.now = now
             jobs = self.core.due_releases(now)
             with self.channels_lock:
-                jobs.extend(self.core.graph_activations(self.channels, now))
+                jobs.extend(self.core.graph_activations(now))
         return jobs
 
     def _fill(self, qi: int, jobs: list[Job]) -> int:
@@ -390,10 +380,9 @@ class RealtimeBackend:
         finally:
             t = self.now_ns()
             self.queue_locks[qi].release()
-        names = [self.state.accelerators[a].name for a in acquired]
         with self.trace_lock:
             self.log.get_task_wait(t, w, waited, t - t_grant, action)
-            self.log.accels(t, "accel_acquire", job, w, names)
+            self.log.accels(t, "accel_acquire", job, w, acquired)
         return action, job
 
     def _worker_loop(self, w: int) -> None:
@@ -456,14 +445,13 @@ class RealtimeBackend:
             freed, notify = self.core.free_accelerators(job)
         for qi in notify:
             self._post_insert(qi)
-        names = [self.state.accelerators[a].name for a in freed]
         with self.trace_lock:
             if failure:
                 self.log.report.warnings.append(f"job {job.task.name}#{job.seq} {failure}")
                 self.unfinished.append(job)
             else:
                 self.log.complete(t_done, job, w, t_done - t_start - ctx.stolen_ns)
-            self.log.accels(t_done, "accel_release", job, w, names)
+            self.log.accels(t_done, "accel_release", job, w, freed)
 
     # ------------------------------------------------------- offline
 

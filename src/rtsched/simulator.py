@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .errors import ConfigurationError, UsageError
-from .graph import ChannelState, GraphInfo
+from .graph import GraphInfo
 from .model import (
     ClockSource,
     MappingScheme,
@@ -57,7 +57,7 @@ from .model import (
     VersionDescriptor,
 )
 from .offline import table_jobs
-from .online import Job, SchedulerCore, hyperperiod, scheduler_tick_period
+from .online import Job, SchedulerCore, hyperperiod
 from .tracing import RunLog, RunReport, TraceEvent
 from .versions import AcceleratorRegistry, SelectionContext
 
@@ -239,7 +239,7 @@ class _Engine:
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self.log = RunLog(keep_trace)
+        self.log = RunLog(keep_trace, [a.name for a in state.accelerators])
         self.events_done = 0
 
         self.registry = AcceleratorRegistry(
@@ -255,10 +255,9 @@ class _Engine:
             alpha=model.alpha,
         )
         self.core = SchedulerCore(state, graph, self.registry, self.ctx, restrict=restrict)
-        self.channels = {c.channel_id: ChannelState(c) for c in state.channels}
         # (worker, job) parked per channel: ordered sets, woken FIFO
-        self.chan_prod_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
-        self.chan_cons_waiters: dict[int, OrderedDict] = {c: OrderedDict() for c in self.channels}
+        self.chan_prod_waiters = {c: OrderedDict() for c in self.core.channels}
+        self.chan_cons_waiters = {c: OrderedDict() for c in self.core.channels}
         self.workers = [_WorkerSim() for _ in range(state.config.worker_count)]
         self.locks = [_FifoLock() for _ in self.core.queues]
         self.execs: dict[Job, _JobExec] = {}
@@ -284,7 +283,6 @@ class _Engine:
             if t < 0:
                 raise ConfigurationError(f"SimJobModel.mode_schedule entry {(t, mask)!r}"
                                          " must be at an instant >= 0")
-        self.tick = scheduler_tick_period(state)
         self.plans = self._plans(graph)
         # per-core table replay under the off-line mapping
         self.tables: dict[int, Iterator[tuple[int, Job]]] = (
@@ -297,10 +295,6 @@ class _Engine:
     def push_event(self, t: int, prio: int, fn: Callable, *args) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (t, prio, self._seq, fn, args))
-
-    def _log_accels(self, t: int, kind: str, job: Job, w: int, ids: list[int]) -> None:
-        if ids:
-            self.log.accels(t, kind, job, w, [self.state.accelerators[a].name for a in ids])
 
     def _plans(self, graph: GraphInfo) -> list[list[tuple]]:
         """plans[task_id][version_id] = (draw, head, body_ops as sorted (offset, step), tail)."""
@@ -383,13 +377,13 @@ class _Engine:
         graph iterations need ticks to move tokens toward the sinks."""
         if self._tick_armed or self.offline:
             return
-        grid = (self.now // self.tick + 1) * self.tick
+        grid = (self.now // self.core.tick + 1) * self.core.tick
         if self._may_release(grid):
             self._arm_tick(grid)
 
     def _may_release(self, t: int) -> bool:
         """Whether a pass at `t` could still release something."""
-        return t < self.horizon or self.core.work_pending(self.channels, self.horizon)
+        return t < self.horizon or self.core.work_pending(self.horizon)
 
     def _tick_fn(self) -> None:
         self._tick_armed = False
@@ -423,7 +417,7 @@ class _Engine:
 
     def _collect_releases(self) -> list[Job]:
         jobs = self.core.due_releases(self.now, self.horizon)
-        jobs.extend(self.core.graph_activations(self.channels, self.now))
+        jobs.extend(self.core.graph_activations(self.now))
         for job in jobs:
             self.log.theoretical(job)
             self.live_jobs.add(job.job_id)
@@ -530,7 +524,7 @@ class _Engine:
         action, job, acquired = self.core.pick_next(qi, stack_top)
         cost = self.model.get_task_cost
         self.log.get_task_wait(now, w, waited, cost, action)
-        self._log_accels(now, "accel_acquire", job, w, acquired)
+        self.log.accels(now, "accel_acquire", job, w, acquired)
         self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, job)
 
     def _pull_cs_end(self, w: int, qi: int, action: str, job: Job | None) -> None:
@@ -556,25 +550,23 @@ class _Engine:
         else:
             self.log.start(self.now, job, w)
             self.execs[job] = self._build_exec(job)
-        if self.state.config.preemptive:
-            head = self.core.queues[qi].first_dispatchable()
-            if head is not None and head.effective_key() < job.effective_key():
-                self._queue_wake(w, qi)
+        if self.state.config.preemptive and self.core.preemptor(qi, job) is not None:
+            self._queue_wake(w, qi)
         self._advance(w, job)
 
     def _notify_cs(self, now: int, waited: int, w: int, qi: int, job: Job) -> None:
         ws = self.workers[w]
         ws.in_cs = True
         cost = self.model.get_task_cost
-        head = self.core.queues[qi].first_dispatchable()
-        if head is not None and head.effective_key() < job.effective_key():
+        head = self.core.preemptor(qi, job)
+        if head is not None:
             switch = self.model.context_switch_cost
             self.log.get_task_wait(now, w, waited, cost, "preempt")
             self.log.preempt(now, job, w, head.task.name, switch)
             ws.stack.append(job)
             ws.current = None
             action, nxt, acquired = self.core.pick_next(qi, job)
-            self._log_accels(now, "accel_acquire", nxt, w, acquired)
+            self.log.accels(now, "accel_acquire", nxt, w, acquired)
             self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, nxt)
         else:
             self.log.get_task_wait(now, w, waited, cost, "none")
@@ -622,7 +614,7 @@ class _Engine:
             _, cid, count = ex.program[ex.step]
             if ex.left == 0:
                 ex.left = count
-            ch = self.channels[cid]
+            ch = self.core.channels[cid]
             while ex.left > 0:
                 if kind == "pop":
                     if not ch.can_pop():
@@ -689,7 +681,7 @@ class _Engine:
         self.live_jobs.discard(job.job_id)
         self.log.complete(self.now, job, w, ex.duration)
         freed, notify = self.core.free_accelerators(job)
-        self._log_accels(self.now, "accel_release", job, w, freed)
+        self.log.accels(self.now, "accel_release", job, w, freed)
         ws.current = None
         # unparked waiters may be pullable by idle workers of any queue
         for qi in notify:
@@ -731,9 +723,12 @@ def run_simulation(
     Pure: the input state is only read.  The default horizon is one
     hyperperiod (the table period under OFFLINE); runs whose hyperperiod
     overflows must pass an explicit horizon.  Releases stop at the horizon
-    and everything already released drains to completion.  With `keep_trace=False` no
-    trace is built and the one returned is empty; with "csv" it is the CSV lines (no
-    header), formatted as events are recorded.  The report is the same.
+    and everything already released drains to completion.  `restrict`,
+    when given, is called once per task when the run starts, and the
+    versions it returns are the ones that task's jobs select from.  With
+    `keep_trace=False` no trace is built and the one returned is empty;
+    with "csv" it is the CSV lines (no header), formatted as events are
+    recorded.  The report is the same.
     """
     model = model or SimJobModel()
     graph = state.check()
@@ -757,6 +752,6 @@ def run_simulation(
         "policy": policy_label(state.config),
         "seed": seed,
         "horizon_ns": horizon_ns,
-        "tick_ns": engine.tick,
+        "tick_ns": engine.core.tick,
         "workers": state.config.worker_count,
     })

@@ -110,11 +110,9 @@ def read_trace_csv(fp) -> list[TraceEvent]:
         raise TraceIntegrityError(f"unexpected trace header: {header}")
     events = []
     for row in rows:
-        ts, kind, task, seq, worker, payload = row
-        if kind not in EVENT_KINDS:
-            raise TraceIntegrityError(f"unknown event kind {kind!r}")
-        events.append(
-            TraceEvent(
+        try:
+            ts, kind, task, seq, worker, payload = row
+            event = TraceEvent(
                 timestamp_ns=int(ts),
                 kind=kind,
                 task=task,
@@ -122,7 +120,12 @@ def read_trace_csv(fp) -> list[TraceEvent]:
                 worker=int(worker) if worker else None,
                 payload=_decode_payload(payload),
             )
-        )
+        except ValueError:
+            raise TraceIntegrityError(
+                f"malformed trace row at line {rows.line_num}: {row}") from None
+        if kind not in EVENT_KINDS:
+            raise TraceIntegrityError(f"unknown event kind {kind!r}")
+        events.append(event)
     return events
 
 
@@ -411,11 +414,13 @@ class RunLog:
     place, and end the run with `close`.  `t` is the instant of the step.
     Each step accounts its overheads through `_Accounts` as it records,
     and builds the event's payload, TraceEvent or CSV row only when the
-    run keeps a trace, so a report-only run builds none of them.  Not
+    run keeps a trace, so a report-only run builds none of them.
+    `accel_names` are the run's accelerator names, by id.  Not
     thread-safe: the thread backend calls it under its own lock.
     """
 
-    def __init__(self, keep_trace: bool | str = True) -> None:
+    def __init__(self, keep_trace: bool | str = True, accel_names: list | tuple = ()) -> None:
+        self.accel_names = accel_names
         self.trace: list = []
         self.report = RunReport()
         self._accounts = _Accounts()
@@ -518,11 +523,11 @@ class RunLog:
             payload = {} if switch is None else {"switch": switch}
             self._keep(self, t, "resume", job, worker, payload)
 
-    def accels(self, t: int, kind: str, job, worker: int, names: list[str]) -> None:
-        """One accel_acquire or accel_release event per accelerator name."""
+    def accels(self, t: int, kind: str, job, worker: int, ids: list[int]) -> None:
+        """One accel_acquire or accel_release event per accelerator id."""
         if self._keep:
-            for name in names:
-                self._keep(self, t, kind, job, worker, {"accel": name})
+            for a in ids:
+                self._keep(self, t, kind, job, worker, {"accel": self.accel_names[a]})
 
     def close(
         self, unfinished: list[tuple[str, int]], meta: dict

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from rtsched import (
     AcceleratorRegistry,
-    ChannelState,
     PolicyConfig,
     SelectionContext,
     TaskKind,
@@ -113,7 +112,7 @@ def test_push_driven_matches_full_scan(g, steps):
     n, roots, edges, _ = g
     state = _build(g)
     core = _core(state)
-    channels = {c.channel_id: ChannelState(c) for c in state.channels}
+    channels = core.channels
     connections = [
         (c.channel_id, c.dst, c.required_tokens or 1)
         for c in state.channels
@@ -137,12 +136,12 @@ def test_push_driven_matches_full_scan(g, steps):
         elif op == "activate":
             tokens = _snapshot(channels)
             want = activation_oracle(tokens, connections, nodes)
-            jobs = core.graph_activations(channels, now=0)
+            jobs = core.graph_activations(now=0)
             assert Counter(j.task.task_id for j in jobs) == Counter(want)
             assert _snapshot(channels) == tokens
         else:
             fireable = activation_oracle(_snapshot(channels), connections, nodes)
-            assert core.work_pending(channels, horizon=0) == bool(fireable)
+            assert core.work_pending(horizon=0) == bool(fireable)
             assert [check_activation(state, channels, t) for t in nodes] == [
                 t in fireable for t in nodes
             ]
@@ -165,37 +164,36 @@ class TestPushDrivenSkip:
     def test_push_on_short_channel_rechecks(self):
         state, a, b = _fan_in_state()
         core = _core(state)
-        channels = {c.channel_id: ChannelState(c) for c in state.channels}
+        channels = core.channels
         channels[a].push()
-        assert core.work_pending(channels, horizon=0) is False  # b is short
+        assert core.work_pending(horizon=0) is False  # b is short
         channels[b].push()
-        assert core.work_pending(channels, horizon=0) is False  # b still short
+        assert core.work_pending(horizon=0) is False  # b still short
         channels[b].push()
-        assert core.work_pending(channels, horizon=0) is True
-        assert [j.task.name for j in core.graph_activations(channels, now=0)] == ["node"]
-        assert core.graph_activations(channels, now=0) == []
+        assert core.work_pending(horizon=0) is True
+        assert [j.task.name for j in core.graph_activations(now=0)] == ["node"]
+        assert core.graph_activations(now=0) == []
 
     def test_pops_and_claims_never_revive_a_failed_check(self):
         state, a, b = _fan_in_state()
         core = _core(state)
-        channels = {c.channel_id: ChannelState(c) for c in state.channels}
+        channels = core.channels
         channels[b].push()
         channels[b].push()
-        assert core.graph_activations(channels, now=0) == []  # a is short
+        assert core.graph_activations(now=0) == []  # a is short
         channels[b].pop()  # pops a claimed-free token: b is short now too
         channels[a].push()
-        assert core.graph_activations(channels, now=0) == []  # b short
+        assert core.graph_activations(now=0) == []  # b short
         channels[b].push()
-        assert len(core.graph_activations(channels, now=0)) == 1
+        assert len(core.graph_activations(now=0)) == 1
 
-    def test_fresh_channel_map_is_checked_from_scratch(self):
+    def test_fresh_core_is_checked_from_scratch(self):
         state, a, b = _fan_in_state()
-        core = _core(state)
-        empty = {c.channel_id: ChannelState(c) for c in state.channels}
-        assert core.work_pending(empty, horizon=0) is False
-        # another map whose channels start full: no pushes, yet fireable
+        assert _core(state).work_pending(horizon=0) is False
+        # a core whose channels start full: no pushes, yet fireable
         state.channels[a].initial_tokens = 1
         state.channels[b].initial_tokens = 2
-        full = {c.channel_id: ChannelState(c) for c in state.channels}
-        assert full[a].pushes == full[b].pushes == 0
-        assert core.work_pending(full, horizon=0) is True
+        core = _core(state)
+        assert core.channels[a].pushes == core.channels[b].pushes == 0
+        assert core.work_pending(horizon=0) is True
+        assert [j.task.name for j in core.graph_activations(now=0)] == ["node"]

@@ -17,6 +17,7 @@ from rtsched import (
     SdfGraph,
     SdfInconsistentError,
     TaskKind,
+    ValidationError,
     analyze_graph,
     channel_connect,
     channel_decl,
@@ -203,6 +204,27 @@ class TestAnalyzeGraph:
         state.channels[cid].initial_tokens = initial
         errors = [d.code for d in analyze_graph(state).diagnostics if d.level == "error"]
         assert errors == ([] if ok else ["bad-initial-tokens"])
+
+    @pytest.mark.parametrize("capacity,required,push,ok", [
+        (1, 2, 2, False),
+        (0, 2, 2, False),  # capacity 0 holds one virtual token
+        (1, 1, 2, True),  # the consumer drains a burst token by token
+        (2, 2, 2, True),
+        (0, None, None, True),
+    ])
+    def test_required_tokens_must_fit_room(self, capacity, required, push, ok):
+        state = init(PolicyConfig(worker_count=1))
+        r = state.task_decl("r", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(r, wcet_estimate=100_000)
+        n = state.task_decl("n", TaskKind.GRAPH_NODE)
+        state.version_decl(n, wcet_estimate=100_000)
+        cid = channel_decl(state, "c", 8, capacity)
+        channel_connect(state, cid, r, n, required_tokens=required, push_count=push)
+        errors = [d.code for d in state.validate() if d.level == "error"]
+        assert errors == ([] if ok else ["channel-room"])
+        if not ok:  # before the check, this run released 10 jobs and completed none
+            with pytest.raises(ValidationError, match="channel-room"):
+                run_simulation(state, horizon="100ms")
 
     def test_root_and_rates(self):
         state = init(PolicyConfig())

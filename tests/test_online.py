@@ -1,6 +1,7 @@
 """Scheduler core: tick arithmetic, releases, routing, dispatch."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from rtsched import (
     us,
 )
 import rtsched.online
-from rtsched.graph import ChannelState, analyze_graph
+import rtsched.simulator as sim
+from rtsched.graph import analyze_graph
 from rtsched.online import Job, ReadyQueue, SchedulerCore
 
 from .oracles import ReadyQueueOracle, gcd_oracle, lcm_oracle, priority_key_oracle
@@ -216,6 +218,70 @@ class TestMakeJob:
         j1 = core.make_job(state.task(node), ms(12))
         assert j0.abs_deadline == ms(8)    # 0 + root deadline
         assert j1.abs_deadline == ms(18)   # 10 ms release + root deadline
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_node_deadlines_match_an_unbounded_series(self, seed):
+        """Root releases and node firings interleave at random, nodes
+        lagging their root or running ahead of it; every node deadline
+        equals the one read from the root's full release series, while the
+        core keeps only the instants of iterations still to fire."""
+        state = init(PolicyConfig())
+        root = state.task_decl("root", TaskKind.PERIODIC, period=ms(10),
+                               relative_deadline=ms(8))
+        state.version_decl(root, wcet_estimate=us(10))
+        nodes = {}
+        for name, deadline in (("w", None), ("z", None), ("own", ms(1))):
+            nodes[name] = state.task_decl(name, TaskKind.GRAPH_NODE,
+                                          relative_deadline=deadline)
+            state.version_decl(nodes[name], wcet_estimate=us(10))
+        for src, dst, push, need in (
+            (root, nodes["w"], 2, 1), (nodes["w"], nodes["z"], 1, 2), (root, nodes["own"], 1, 1),
+        ):
+            channel_connect(state, channel_decl(state, f"{src}{dst}", element_size=8, capacity=4),
+                            src, dst, required_tokens=need, push_count=push)
+        rate = {"w": 2, "z": 1, "own": 1}
+        core = _core(state)
+        rng = random.Random(seed)
+        releases, fired, now = [], dict.fromkeys(rate, 0), 0
+        for _ in range(300):
+            now += rng.randrange(ms(3))
+            pick = rng.choice(["root", "w", "w", "z", "own"])
+            if pick == "root":
+                job = core.make_job(state.task(root), ms(10) * len(releases))
+                releases.append(job.abs_release)
+                continue
+            job = core.make_job(state.task(nodes[pick]), now)
+            k = fired[pick] // rate[pick]
+            fired[pick] += 1
+            if pick == "own":
+                assert job.abs_deadline == now + ms(1)
+            else:
+                assert job.abs_deadline == (releases[k] if k < len(releases) else now) + ms(8)
+            first, kept = core._root_releases[root]
+            oldest = min(fired["w"] // 2, fired["z"])
+            assert first + len(kept) == len(releases)
+            assert first <= oldest
+
+    def test_root_releases_stay_bounded_over_a_long_run(self):
+        """A 1->8->1 fan-out keeps as many root instants at 20 s as at 2 s."""
+        state = init(PolicyConfig(worker_count=2))
+        src = state.task_decl("src", TaskKind.PERIODIC, period=ms(100))
+        w = state.task_decl("w", TaskKind.GRAPH_NODE)
+        snk = state.task_decl("snk", TaskKind.GRAPH_NODE)
+        for t in (src, w, snk):
+            state.version_decl(t, wcet_estimate=ms(1))
+        for a, b, push, need in ((src, w, 8, 1), (w, snk, 1, 8)):
+            channel_connect(state, channel_decl(state, f"{a}{b}", element_size=8, capacity=8),
+                            a, b, required_tokens=need, push_count=push)
+
+        def kept(horizon):
+            engine = sim._Engine(state, state.check(), sim.SimJobModel(), horizon, 7, None, False)
+            engine.run()
+            assert engine.log.report.completed == horizon // ms(100) * 10
+            assert not engine.live_jobs
+            return len(engine.core._root_releases[src][1])
+
+        assert kept(ms(20_000)) == kept(ms(2_000))
 
     def test_graph_node_local_deadline_wins(self):
         state, root, node = self._graph_state(node_deadline=ms(2))
@@ -593,18 +659,18 @@ class TestWorkPending:
     def test_periodic_before_horizon(self):
         state = _periodic_state([ms(10)])
         core = _core(state)
-        assert core.work_pending({}, horizon=ms(10)) is True
+        assert core.work_pending(horizon=ms(10)) is True
         core.due_releases(now=0, horizon=ms(10))
-        assert core.work_pending({}, horizon=ms(10)) is False
+        assert core.work_pending(horizon=ms(10)) is False
 
     def test_pending_activation_counts(self):
         core, tid, aid = TestActivation()._sporadic_core()
         # flush initial periodic arrivals out of the window
-        core.work_pending({}, horizon=0)
+        core.work_pending(horizon=0)
         core.activate(aid, now=ms(3))
-        assert core.work_pending({}, horizon=ms(5)) is True
+        assert core.work_pending(horizon=ms(5)) is True
         core.due_releases(now=ms(3))
-        assert core.work_pending({}, horizon=0) is False
+        assert core.work_pending(horizon=0) is False
 
     def test_graph_tokens_count(self):
         state = init(PolicyConfig())
@@ -616,11 +682,10 @@ class TestWorkPending:
         channel_connect(state, ch, root, node)
         core = _core(state)
         core.due_releases(now=ms(100), horizon=ms(100))  # drain periodic arrivals
-        channels = {ch: ChannelState(state.channels[ch])}
-        assert core.work_pending(channels, horizon=ms(100)) is False
-        channels[ch].push("frame")
-        assert core.work_pending(channels, horizon=ms(100)) is True
-        jobs = core.graph_activations(channels, now=ms(50))
+        assert core.work_pending(horizon=ms(100)) is False
+        core.channels[ch].push("frame")
+        assert core.work_pending(horizon=ms(100)) is True
+        jobs = core.graph_activations(now=ms(50))
         assert [j.task.name for j in jobs] == ["node"]
         # the reservation consumed the token: no double activation
-        assert core.graph_activations(channels, now=ms(50)) == []
+        assert core.graph_activations(now=ms(50)) == []

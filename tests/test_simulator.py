@@ -625,3 +625,30 @@ class TestPolicyLabel:
                 version_selection=VersionSelection.PRESELECTED,
             )
         ) == "O-TABLE"
+
+
+class TestRestrict:
+    def test_called_once_per_task_per_run(self):
+        """Both tasks prefer the one GPU, so jobs re-select at dispatch;
+        each task's pool is still resolved once, when the run starts."""
+        state = init(PolicyConfig(worker_count=2))
+        gpu = state.hwaccel_decl("gpu")
+        for name in ("a", "b", "c"):
+            tid = state.task_decl(name, TaskKind.PERIODIC, period=ms(10))
+            v = state.version_decl(tid, wcet_estimate=ms(4), name="fast")
+            state.hwaccel_use(tid, v, gpu)
+            state.version_decl(tid, wcet_estimate=ms(6), name="slow")
+        calls = []
+
+        def restrict(task):
+            calls.append(task.name)
+            return task.versions[1:] if task.name == "c" else list(task.versions)
+
+        for _ in range(2):
+            calls.clear()
+            trace, report = run_simulation(state, horizon=ms(100), restrict=restrict)
+            assert sorted(calls) == ["a", "b", "c"]
+            assert report.completed == 30
+            starts = _events(trace, "job_start")
+            assert {e.payload["version"] for e in starts if e.task == "c"} == {"slow"}
+            assert {e.payload["version"] for e in starts if e.task != "c"} == {"fast", "slow"}

@@ -66,6 +66,16 @@ class TestCsv:
         with pytest.raises(TraceIntegrityError, match="teleport"):
             read_trace_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("row", [
+        "5,job_start,t",  # too few fields
+        "x,job_start,t,0,0,",  # timestamp not an integer
+        "5,job_start,t,0.5,0,",  # seq not an integer
+    ])
+    def test_malformed_row_names_its_line(self, row):
+        text = "timestamp_ns,kind,task,job_seq,worker,payload\n1,job_start,t,0,0,\n" + row + "\n"
+        with pytest.raises(TraceIntegrityError, match="line 3"):
+            read_trace_csv(io.StringIO(text))
+
     def test_write_to_file(self, tmp_path):
         p = tmp_path / "trace.csv"
         events = [_ev(0, "job_start", "t", 0, worker=0)]
