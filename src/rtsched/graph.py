@@ -143,15 +143,13 @@ class ChannelState:
     the consumer, so one token burst cannot activate two jobs.
     """
 
-    __slots__ = ("channel_id", "capacity", "items", "claimed", "pushes", "pops")
+    __slots__ = ("channel_id", "capacity", "items", "claimed")
 
     def __init__(self, desc: ChannelDescriptor):
         self.channel_id = desc.channel_id
         self.capacity = desc.room
         self.items: deque = deque([None] * min(desc.initial_tokens, self.capacity))
         self.claimed = 0
-        self.pushes = 0
-        self.pops = 0
 
     @property
     def occupancy(self) -> int:
@@ -167,7 +165,6 @@ class ChannelState:
     def push(self, value=None) -> None:
         assert self.can_push(), "push on full channel must block at backend level"
         self.items.append(value)
-        self.pushes += 1
 
     def can_pop(self) -> bool:
         return bool(self.items)
@@ -176,7 +173,6 @@ class ChannelState:
         assert self.items, "pop on empty channel must block at backend level"
         if self.claimed > 0:
             self.claimed -= 1
-        self.pops += 1
         return self.items.popleft()
 
     def reserve(self, n: int) -> None:

@@ -1,10 +1,11 @@
 """On-line scheduling core shared by the simulator and the thread backend.
 
 The scheduler wakes every tick (the GCD of all recurring periods), releases
-due jobs, evaluates graph activations, inserts into the single shared queue
-(GLOBAL) or the per-core queues (PARTITIONED), each insert placing its
-job in key order, and notifies workers.  Workers pull under a FIFO lock; a
-preempted job goes on the preempting worker's stack and never migrates.
+due jobs, fires the graph nodes a channel push has fed since the last pass,
+inserts into the single shared queue (GLOBAL) or the per-core queues
+(PARTITIONED), each insert placing its job in key order, and notifies
+workers.  Workers pull under a FIFO lock; a preempted job goes on the
+preempting worker's stack and never migrates.
 
 This module holds the data structures and the decision logic, and the
 per-run state both backends share: `SchedulerCore` owns the run's channel
@@ -182,7 +183,8 @@ class SchedulerCore:
     """Release bookkeeping and dispatch decisions for one run.
 
     Owns the run's shared scheduling state: `channels` (a ChannelState per
-    declared channel, which both backends push and pop), `tick` (see
+    declared channel, which both backends pop, and push only through `push`
+    so each push marks its consumer for graph_activations), `tick` (see
     scheduler_tick_period) and each task's version pool, but no clock.
     `graph` is the analysis the run was validated with
     (MiddlewareState.check).  `select_ctx` is read at each decision so
@@ -242,8 +244,11 @@ class SchedulerCore:
             for t, rate in self.graph.node_rate.items()
             if rate > 0 and state.tasks[t].period is None
         ]
-        # node -> (short channel, its push count) at the node's last failed check
-        self._short: dict[int, tuple[ChannelState, int]] = {}
+        # channel -> index in _token_nodes of its consumer; the indices pushes
+        # fed since the last pass (all at first: channels may hold initial tokens)
+        self._consumer = {cid: i for i, (_, inputs) in enumerate(self._token_nodes)
+                          for cid, _ in inputs}
+        self._dirty = set(range(len(self._token_nodes)))
         self._plans = self._release_plans(restrict)
 
     # ------------------------------------------------------ releases
@@ -289,46 +294,40 @@ class SchedulerCore:
                     jobs.append(self.make_job(self.state.task(tid), release))
         return jobs
 
-    def graph_activations(self, now: int) -> list[Job]:
-        """Data-driven releases: nodes whose inputs hold enough tokens.
+    def push(self, channel_id: int, value=None) -> None:
+        """Push one token into a channel and mark its token-driven consumer
+        for the next pass.  Both backends push only through here."""
+        self.channels[channel_id].push(value)
+        i = self._consumer.get(channel_id)
+        if i is not None:
+            self._dirty.add(i)
 
-        Inputs come from the run's channel index (GraphInfo.inputs), and
-        checks are push-driven: a node is re-checked only once the input
-        channel that failed its last check has been pushed (see
-        `_fireable`)."""
+    def graph_activations(self, now: int) -> list[Job]:
+        """Data-driven releases: each marked node, in topological order,
+        fired while its inputs hold a firing's tokens; then no node is marked.
+
+        Only a push raises a channel's unclaimed count (pop and reserve
+        never do), so a node no push has marked since the last pass cannot
+        have become fireable."""
         jobs: list[Job] = []
-        for task, inputs in self._token_nodes:
-            while self._fireable(task.task_id, inputs):
+        for i in sorted(self._dirty):
+            task, inputs = self._token_nodes[i]
+            while short_input(self.channels, inputs) is None:
                 reserve_inputs(self.channels, inputs)
                 jobs.append(self.make_job(task, now))
+        self._dirty.clear()
         return jobs
 
     def work_pending(self, horizon: int) -> bool:
         """True while a future scheduler pass could still release something:
-        a periodic arrival or queued activation before the horizon, or graph
-        tokens already sufficient for a firing.  Drives drain-phase ticks."""
+        a periodic arrival or queued activation before the horizon, or a marked
+        graph node whose inputs hold a firing's tokens.  Drives drain-phase ticks."""
         if any(nxt < horizon for nxt in self._next_periodic.values()):
             return True
         if any(release < horizon for release, _ in self._pending):
             return True
-        return any(
-            self._fireable(task.task_id, inputs) for task, inputs in self._token_nodes
-        )
-
-    def _fireable(self, tid: int, inputs: list[tuple[int, int]]) -> bool:
-        """check_activation over indexed inputs, skipping a node whose last
-        check found channel c short while c has not been pushed since.
-        Only a push raises a channel's unclaimed count (pop and reserve
-        never do), so the skipped check would fail again."""
-        memo = self._short.get(tid)
-        if memo is not None and memo[0].pushes == memo[1]:
-            return False
-        cid = short_input(self.channels, inputs)
-        if cid is None:
-            return True
-        ch = self.channels[cid]
-        self._short[tid] = (ch, ch.pushes)
-        return False
+        return any(short_input(self.channels, self._token_nodes[i][1]) is None
+                   for i in self._dirty)
 
     def make_job(self, task: TaskDescriptor, abs_release: int) -> Job:
         """The next job of `task`, released at `abs_release`, by the task's

@@ -132,8 +132,8 @@ class JobContext:
             self.stolen_ns += be.nested_dispatch(self.worker, self.job)
 
     def push(self, channel_id: int, value=None) -> None:
-        st = self.backend.core.channels[channel_id]
-        self._when(st.can_push, st.push, value)
+        core = self.backend.core
+        self._when(core.channels[channel_id].can_push, core.push, channel_id, value)
 
     def pop(self, channel_id: int):
         st = self.backend.core.channels[channel_id]

@@ -200,7 +200,7 @@ class _WorkerSim:
         self.current: Job | None = None  # from the end of its context switch
         self.stack: list[Job] = []
         self.idle = True
-        self.pending = False  # a wake-up event is queued
+        self.pending = False  # a wake-up event or a preemption check is queued
         self.in_cs = False
 
 
@@ -504,12 +504,14 @@ class _Engine:
             self.push_event(self.now, _P_MISC, self._wake, w, qi)
 
     def _wake(self, w: int, qi: int) -> None:
-        """Pull, or check for preemption; a pull or switch in flight sees the head itself."""
+        """Pull, or check for preemption; a pull, switch or check in flight
+        sees the head itself, so one check at a time waits on the lock."""
         ws = self.workers[w]
         ws.pending = False
         if ws.idle:
             self._request_pull(w, qi)
         elif ws.current is not None and not ws.in_cs:
+            ws.pending = True  # until _notify_cs
             self._pause_exec(ws.current)
             self.locks[qi].request(self.now, self._notify_cs, w, qi, ws.current)
 
@@ -556,6 +558,7 @@ class _Engine:
 
     def _notify_cs(self, now: int, waited: int, w: int, qi: int, job: Job) -> None:
         ws = self.workers[w]
+        ws.pending = False
         ws.in_cs = True
         cost = self.model.get_task_cost
         head = self.core.preemptor(qi, job)
@@ -626,7 +629,7 @@ class _Engine:
                     if not ch.can_push():
                         self._park_on_channel(self.chan_prod_waiters[cid], w, job)
                         return
-                    ch.push()
+                    self.core.push(cid)
                     self._wake_channel(self.chan_cons_waiters[cid])
                     self._maybe_rearm_tick()  # tokens may trigger a firing
                 ex.left -= 1

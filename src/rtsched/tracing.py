@@ -124,7 +124,7 @@ def read_trace_csv(fp) -> list[TraceEvent]:
             raise TraceIntegrityError(
                 f"malformed trace row at line {rows.line_num}: {row}") from None
         if kind not in EVENT_KINDS:
-            raise TraceIntegrityError(f"unknown event kind {kind!r}")
+            raise TraceIntegrityError(f"unknown event kind {kind!r} at line {rows.line_num}")
         events.append(event)
     return events
 

@@ -1,9 +1,10 @@
-"""The per-run channel index and push-driven activation checks.
+"""The per-run channel index and push-marked activation checks.
 
 GraphInfo.inputs/outputs must list exactly what the scanning helpers
-return, and the scheduler core's index-based, push-driven graph_activations
-and work_pending must answer like a from-scratch scan (tests/oracles.py)
-over any interleaving of pushes, pops and reservations.
+return.  The scheduler core's graph_activations and work_pending look only
+at the nodes a SchedulerCore.push has marked since the last pass, and must
+answer like a from-scratch scan (tests/oracles.py) over any interleaving
+of pushes, pops and reservations.
 """
 
 from collections import Counter
@@ -121,11 +122,12 @@ def test_push_driven_matches_full_scan(g, steps):
     nodes = [t for t in range(n) if t not in roots]
     ids = sorted(channels)
     for op, pick, count in steps:
-        ch = channels[ids[pick % len(ids)]]
+        cid = ids[pick % len(ids)]
+        ch = channels[cid]
         if op == "push":
             for _ in range(count):
                 if ch.can_push():
-                    ch.push()
+                    core.push(cid)
         elif op == "pop":
             for _ in range(count):
                 if ch.can_pop():
@@ -164,12 +166,11 @@ class TestPushDrivenSkip:
     def test_push_on_short_channel_rechecks(self):
         state, a, b = _fan_in_state()
         core = _core(state)
-        channels = core.channels
-        channels[a].push()
+        core.push(a)
         assert core.work_pending(horizon=0) is False  # b is short
-        channels[b].push()
+        core.push(b)
         assert core.work_pending(horizon=0) is False  # b still short
-        channels[b].push()
+        core.push(b)
         assert core.work_pending(horizon=0) is True
         assert [j.task.name for j in core.graph_activations(now=0)] == ["node"]
         assert core.graph_activations(now=0) == []
@@ -178,13 +179,13 @@ class TestPushDrivenSkip:
         state, a, b = _fan_in_state()
         core = _core(state)
         channels = core.channels
-        channels[b].push()
-        channels[b].push()
+        core.push(b)
+        core.push(b)
         assert core.graph_activations(now=0) == []  # a is short
         channels[b].pop()  # pops a claimed-free token: b is short now too
-        channels[a].push()
+        core.push(a)
         assert core.graph_activations(now=0) == []  # b short
-        channels[b].push()
+        core.push(b)
         assert len(core.graph_activations(now=0)) == 1
 
     def test_fresh_core_is_checked_from_scratch(self):
@@ -194,6 +195,5 @@ class TestPushDrivenSkip:
         state.channels[a].initial_tokens = 1
         state.channels[b].initial_tokens = 2
         core = _core(state)
-        assert core.channels[a].pushes == core.channels[b].pushes == 0
         assert core.work_pending(horizon=0) is True
         assert [j.task.name for j in core.graph_activations(now=0)] == ["node"]

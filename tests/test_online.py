@@ -683,7 +683,7 @@ class TestWorkPending:
         core = _core(state)
         core.due_releases(now=ms(100), horizon=ms(100))  # drain periodic arrivals
         assert core.work_pending(horizon=ms(100)) is False
-        core.channels[ch].push("frame")
+        core.push(ch, "frame")
         assert core.work_pending(horizon=ms(100)) is True
         jobs = core.graph_activations(now=ms(50))
         assert [j.task.name for j in jobs] == ["node"]

@@ -279,6 +279,29 @@ class TestLongPasses:
         assert len(begins) == 20  # one per grid tick before the horizon
         assert any(t % ms(1) for t in begins)  # a coalesced pass starts off the grid
 
+    def test_back_to_back_passes_check_a_running_job_once(self):
+        # 50 us passes on a 50 us tick: t1 and t2 are released in the pass
+        # that ends at 5.2 ms, and the next pass still finds t0#1 running
+        # while its worker waits on the lock to check the head.  Only that
+        # one check may wait: a second would find t0#1 already preempted.
+        state = init(PolicyConfig(worker_count=2))
+        for name, period, offset, wcet in [("t0", ms(5), 0, us(110)),
+                                           ("t1", ms(2), us(1150), us(20)),
+                                           ("t2", ms(2), us(1150), us(20))]:
+            tid = state.task_decl(name, TaskKind.PERIODIC, period=period,
+                                  release_offset=offset)
+            state.version_decl(tid, wcet_estimate=wcet)
+        model = SimJobModel(get_task_cost=1, sched_scan_cost_per_task=16666,
+                            sort_cost_per_element=2, context_switch_cost=1)
+        trace, report = run_simulation(state, model, horizon=ms(10))
+        assert not report.truncated
+        assert report.released == report.completed == 12
+        assert [(e.timestamp_ns, e.payload["by"]) for e in _events(trace, "preempt", "t0")] == [
+            (5_250_005, "t2")]
+        # 100,001 ns run before the check paused it, 9,999 after it resumed
+        assert _times(trace, "resume", "t0") == [5_300_007]
+        assert _times(trace, "job_complete", "t0") == [210_001, 5_310_006]
+
     def test_event_cap_inside_a_pass_truncates(self, monkeypatch):
         # some of these caps cut the run between a tick_begin and its tick_end
         for cap in range(990, 1011):

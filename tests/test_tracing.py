@@ -63,7 +63,7 @@ class TestCsv:
 
     def test_unknown_kind_rejected(self):
         text = "timestamp_ns,kind,task,job_seq,worker,payload\n1,teleport,,,,\n"
-        with pytest.raises(TraceIntegrityError, match="teleport"):
+        with pytest.raises(TraceIntegrityError, match="'teleport' at line 2"):
             read_trace_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("row", [
