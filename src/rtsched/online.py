@@ -326,8 +326,11 @@ class SchedulerCore:
             return True
         if any(release < horizon for release, _ in self._pending):
             return True
-        return any(short_input(self.channels, self._token_nodes[i][1]) is None
-                   for i in self._dirty)
+        for i in list(self._dirty):
+            if short_input(self.channels, self._token_nodes[i][1]) is None:
+                return True
+            self._dirty.discard(i)  # short: only a push, which marks it again, can feed it
+        return False
 
     def make_job(self, task: TaskDescriptor, abs_release: int) -> Job:
         """The next job of `task`, released at `abs_release`, by the task's

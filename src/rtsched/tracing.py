@@ -2,11 +2,11 @@
 
 A run produces an ordered list of TraceEvent.  The CSV export has a stable
 column order (timestamp_ns, kind, task, job_seq, worker, payload) and a
-deterministic payload encoding, so equal runs serialize byte-identically;
-`csv_row` is the one line encoder.  RunLog keeps no trace, TraceEvents, or CSV
-rows formatted as events are recorded, sorted only if some stamp came late.
-It records through one step per event kind, and a step builds a payload
-only when the run keeps a trace.
+deterministic payload encoding, so equal runs serialize byte-identically.
+RunLog keeps no trace, TraceEvents, or CSV rows.  It records through one
+step per event kind, and each step formats its own row, with names encoded
+once per run; rows are sorted only if some stamp came late.  `csv_row`
+encodes `write_trace_csv`, and is the reference the rows are tested against.
 
 Overheads are accumulated as a run records its events, kept or not, in
 accounts that hold only unfinished jobs; `compute_overheads` re-derives
@@ -406,17 +406,26 @@ def _disorder(task: str, seq: int | None, slot: list[int | None]) -> str | None:
     return f"ordering violation for job {task}#{seq}: {dict(named)}"
 
 
+class _Fields(dict):
+    """Texts as CSV fields, each encoded by csv.writer (QUOTE_MINIMAL) on first use."""
+
+    def __missing__(self, text: str) -> str:
+        csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(("", text))
+        return self.setdefault(text, buf.getvalue()[1:-1])  # between the comma and the newline
+
+
 class RunLog:
     """The record of one run: its report and no trace, TraceEvents or CSV rows.
 
-    Both backends record through it, one step per event kind, so each
-    step's events and the count that goes with them are written in one
-    place, and end the run with `close`.  `t` is the instant of the step.
-    Each step accounts its overheads through `_Accounts` as it records,
-    and builds the event's payload, TraceEvent or CSV row only when the
-    run keeps a trace, so a report-only run builds none of them.
-    `accel_names` are the run's accelerator names, by id.  Not
-    thread-safe: the thread backend calls it under its own lock.
+    Both backends record through it, one step per event kind, so an event
+    and its count are written in one place, and end the run with `close`;
+    `t` is the instant of the step.  Each step accounts its overheads
+    through `_Accounts` and, only when the run keeps a trace, builds its
+    TraceEvent or formats its own CSV row: one f-string, no payload dict,
+    names and the payloads that carry one encoded once per run, equal to
+    `csv_row` of the TraceEvent.  `accel_names` are the run's accelerator
+    names, by id.  Not thread-safe: the thread backend calls it under its
+    own lock.
     """
 
     def __init__(self, keep_trace: bool | str = True, accel_names: list | tuple = ()) -> None:
@@ -424,110 +433,148 @@ class RunLog:
         self.trace: list = []
         self.report = RunReport()
         self._accounts = _Accounts()
+        self._keep = bool(keep_trace)
         self._rows = keep_trace == "csv"
-        self._late = False  # some CSV row was stamped below the one before it: sort
-        # picked once, None when nothing is kept; kept unbound, as a bound
-        # method would make the log a cycle
-        self._keep = RunLog._row if self._rows else RunLog._event if keep_trace else None
+        self._csv = _Fields()
+        self._last, self._late = 0, False  # the last row's stamp; a row came below it: sort
 
-    def _event(self, t: int, kind: str, job, worker: int | None, payload: dict) -> None:
+    def _event(self, t: int, kind: str, job, worker: int | None, **payload) -> None:
         task, seq = ("", None) if job is None else (job.task.name, job.seq)
         self.trace.append(TraceEvent(t, kind, task, seq, worker, payload))
 
-    def _row(self, t: int, kind: str, job, worker: int | None, payload: dict) -> None:
-        task, seq = ("", None) if job is None else (job.task.name, job.seq)
-        if self.trace and t < self.trace[-1][0]:
-            self._late = True
-        self.trace.append((t, csv_row(t, kind, task, seq, worker, payload)))
+    def _line(self, t: int, row: str) -> None:
+        self._late |= t < self._last
+        self._last = t
+        self.trace.append(row)
 
     def theoretical(self, job) -> None:
-        self._accounts.mark(_THEORETICAL, job.task.name, job.seq, job.abs_release)
+        t = job.abs_release
+        self._accounts.mark(_THEORETICAL, job.task.name, job.seq, t)
         if self._keep:
-            self._keep(self, job.abs_release, "release_theoretical", job, None, {})
+            if not self._rows:
+                return self._event(t, "release_theoretical", job, None)
+            self._line(t, f"{t},release_theoretical,{self._csv[job.task.name]},{job.seq},,\n")
 
     def release(self, t: int, job, worker: int | None = None) -> None:
         """The job becomes dispatchable at `t`."""
         self.report.task(job.task.name).released += 1
         self._accounts.mark(_EFFECTIVE, job.task.name, job.seq, t)
         if self._keep:
-            self._keep(self, t, "release_effective", job, worker, {})
+            if not self._rows:
+                return self._event(t, "release_effective", job, worker)
+            w = "" if worker is None else worker
+            self._line(t, f"{t},release_effective,{self._csv[job.task.name]},{job.seq},{w},\n")
 
     def table_release(self, t: int, job, worker: int) -> None:
         """A table entry enters its core at `t`, late if past its release."""
         self.theoretical(job)
         self.release(t, job, worker)
-        if t > job.abs_release and self._keep:
-            self._keep(self, t, "overrun", job, worker, {"late": t - job.abs_release})
+        late = t - job.abs_release
+        if late > 0 and self._keep:
+            if not self._rows:
+                return self._event(t, "overrun", job, worker, late=late)
+            at = f"{self._csv[job.task.name]},{job.seq},{worker}"
+            self._line(t, f"{t},overrun,{at},late={late}\n")
 
     def start(self, t: int, job, worker: int) -> None:
         self._accounts.mark(_START, job.task.name, job.seq, t)
         if self._keep:
-            self._keep(self, t, "job_start", job, worker, {"version": job.version.name})
+            if not self._rows:
+                return self._event(t, "job_start", job, worker, version=job.version.name)
+            text = self._csv["version=" + job.version.name]
+            self._line(t, f"{t},job_start,{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
     def complete(self, t: int, job, worker: int, body_ns: int) -> None:
         """The job completes at `t` after running `body_ns` of its own;
         an overrun and a deadline miss are recorded with it."""
         name = job.task.name
         self._accounts.mark(_COMPLETE, name, job.seq, t)
-        keep = self._keep
-        if keep:
-            keep(self, t, "job_complete", job, worker, {})
-            over = body_ns - job.version.wcet_estimate
-            if over > 0:
-                keep(self, t, "overrun", job, worker, {"over": over})
         stats = self.report.task(name)
         stats.completed += 1
         stats.response.add(t - job.abs_release)
         late = t - job.abs_deadline
         if late > 0:
             stats.misses += 1
-            if keep:
-                keep(self, t, "deadline_miss", job, worker, {"late": late})
+        if self._keep:
+            over = body_ns - job.version.wcet_estimate
+            if not self._rows:
+                self._event(t, "job_complete", job, worker)
+                if over > 0:
+                    self._event(t, "overrun", job, worker, over=over)
+                if late > 0:
+                    self._event(t, "deadline_miss", job, worker, late=late)
+                return
+            at = f"{self._csv[name]},{job.seq},{worker}"
+            self._line(t, f"{t},job_complete,{at},\n")
+            if over > 0:
+                self._line(t, f"{t},overrun,{at},over={over}\n")
+            if late > 0:
+                self._line(t, f"{t},deadline_miss,{at},late={late}\n")
 
     def get_task_wait(self, t: int, worker: int, wait: int, held: int, got: str) -> None:
         """A worker held its queue's lock from `t` for `held`, after waiting
         `wait` for it, and picked `got`."""
         self._accounts.worker_wait(wait, held)
         if self._keep:
-            self._keep(self, t, "lock_wait", None, worker,
-                       {"wait": wait, "held": held, "purpose": "get_task", "got": got})
+            if not self._rows:
+                return self._event(t, "lock_wait", None, worker,
+                                   wait=wait, held=held, purpose="get_task", got=got)
+            text = f"wait={wait};held={held};purpose=get_task;got={got}"
+            self._line(t, f"{t},lock_wait,,,{worker},{text}\n")
 
     def tick_wait(self, t: int, wait: int, queue: int) -> None:
         """The scheduler got queue `queue`'s lock at `t` after waiting `wait`."""
         self._accounts.scheduler_wait(wait)
         if self._keep:
-            self._keep(self, t, "lock_wait", None, SCHEDULER_WORKER,
-                       {"wait": wait, "purpose": "tick", "queue": queue})
+            if not self._rows:
+                return self._event(t, "lock_wait", None, SCHEDULER_WORKER,
+                                   wait=wait, purpose="tick", queue=queue)
+            text = f"wait={wait};purpose=tick;queue={queue}"
+            self._line(t, f"{t},lock_wait,,,{SCHEDULER_WORKER},{text}\n")
 
     def tick_begin(self, t: int) -> None:
         self._accounts.tick_begin(t)
         if self._keep:
-            self._keep(self, t, "tick_begin", None, SCHEDULER_WORKER, {})
+            if not self._rows:
+                return self._event(t, "tick_begin", None, SCHEDULER_WORKER)
+            self._line(t, f"{t},tick_begin,,,{SCHEDULER_WORKER},\n")
 
     def tick_end(self, t: int) -> None:
         self._accounts.tick_end(t)
         if self._keep:
-            self._keep(self, t, "tick_end", None, SCHEDULER_WORKER, {})
+            if not self._rows:
+                return self._event(t, "tick_end", None, SCHEDULER_WORKER)
+            self._line(t, f"{t},tick_end,,,{SCHEDULER_WORKER},\n")
 
     def preempt(self, t: int, job, worker: int, by: str, switch: int | None = None) -> None:
         """`by` preempts the job; a backend that models no context switch
         passes no `switch`, and its event carries none."""
         self._accounts.preempt(switch or 0)
         if self._keep:
-            payload = {"by": by} if switch is None else {"switch": switch, "by": by}
-            self._keep(self, t, "preempt", job, worker, payload)
+            if not self._rows:
+                payload = {"by": by} if switch is None else {"switch": switch, "by": by}
+                return self._event(t, "preempt", job, worker, **payload)
+            text = self._csv[f"by={by}" if switch is None else f"switch={switch};by={by}"]
+            self._line(t, f"{t},preempt,{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
     def resume(self, t: int, job, worker: int, switch: int | None = None) -> None:
         self._accounts.resume(switch or 0)
         if self._keep:
-            payload = {} if switch is None else {"switch": switch}
-            self._keep(self, t, "resume", job, worker, payload)
+            if not self._rows:
+                return self._event(t, "resume", job, worker,
+                                   **({} if switch is None else {"switch": switch}))
+            text = "" if switch is None else f"switch={switch}"
+            self._line(t, f"{t},resume,{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
     def accels(self, t: int, kind: str, job, worker: int, ids: list[int]) -> None:
         """One accel_acquire or accel_release event per accelerator id."""
         if self._keep:
             for a in ids:
-                self._keep(self, t, kind, job, worker, {"accel": self.accel_names[a]})
+                if not self._rows:
+                    self._event(t, kind, job, worker, accel=self.accel_names[a])
+                    continue
+                text = self._csv["accel=" + self.accel_names[a]]
+                self._line(t, f"{t},{kind},{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
     def close(
         self, unfinished: list[tuple[str, int]], meta: dict
@@ -542,11 +589,10 @@ class RunLog:
             report.truncated = True
             for name, _ in unfinished:
                 report.task(name).misses += 1
-        if self._rows:
-            pairs = sorted(self.trace, key=lambda p: p[0]) if self._late else self.trace
-            self.trace = [row for _, row in pairs]
-        else:
+        if not self._rows:
             self.trace.sort(key=lambda e: e.timestamp_ns)
+        elif self._late:  # by each row's leading stamp, as a number
+            self.trace.sort(key=lambda row: int(row[:row.index(",")]))
         report.overheads = self._accounts.finish(report.truncated)
         report.meta = meta
         return self.trace, report

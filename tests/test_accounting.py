@@ -78,6 +78,37 @@ def test_golden_inputs_as_csv_rows(case):
     assert rows_report.to_dict() == report.to_dict()
 
 
+# names rich in what CSV must quote; ';' and '=' are rejected by the model
+_CSV_NAMES = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "é", "a", "b"]),
+                     min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(workers=st.integers(1, 2),
+       names=st.lists(_CSV_NAMES, min_size=3, max_size=9, unique=True),
+       periods=st.lists(st.sampled_from([5, 10, 20, 40]), min_size=4, max_size=4),
+       wcets=st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_csv_rows_quote_names_as_the_export(workers, names, periods, wcets):
+    """Rows formatted with per-run encoded names equal the export of the
+    run's TraceEvents, whatever the task, version and accelerator names hold
+    (as `version=`, `accel=` and preemption `by=` payloads too); task 0's
+    version needs the accelerator, and later, shorter-period tasks can preempt."""
+    state = init(PolicyConfig(worker_count=workers, priority_assignment=PriorityAssignment.RM))
+    accel = state.hwaccel_decl(names[0])
+    tasks = names[1:][::2][:4]
+    for i, (task, version) in enumerate(zip(tasks, names[2:][::2])):
+        tid = state.task_decl(task, TaskKind.PERIODIC, period=ms(periods[i]),
+                              release_offset=ms(i))
+        vid = state.version_decl(tid, wcet_estimate=ms(wcets[i]), name=version)
+        if i == 0:
+            state.hwaccel_use(tid, vid, accel)
+    model = SimJobModel(context_switch_cost=us(5))
+    trace, report = run_simulation(state, model, horizon=ms(40))
+    rows, rows_report = run_simulation(state, model, horizon=ms(40), keep_trace="csv")
+    assert ",".join(CSV_COLUMNS) + "\n" + "".join(rows) == trace_csv_text(trace)
+    assert rows_report.to_dict() == report.to_dict()
+
+
 def test_payload_separators_in_names_rejected():
     """`hi;switch=5` preempting `lo` wrote `by=hi;switch=5` payloads, which
     read back as 10 ns of context switching the report never had."""

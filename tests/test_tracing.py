@@ -157,6 +157,33 @@ class TestRunLog:
         assert [e.kind for e in log.trace[3:]] == ["release_theoretical", "release_effective"]
 
 
+class TestRunLogRows:
+    def test_late_rows_sorted_by_stamp_as_a_number(self):
+        """A row stamped 9 recorded after one stamped 10 goes before it, and
+        rows of one instant keep the order they were recorded in."""
+        log = RunLog("csv")
+        log.theoretical(_job(10, 50, wcet=1, task="a"))
+        log.theoretical(_job(9, 50, wcet=1, task="b"))
+        log.tick_wait(9, 2, 0)
+        trace, _ = log.close([], {})
+        assert trace == ["9,release_theoretical,b,0,,\n",
+                         "9,lock_wait,,,-1,wait=2;purpose=tick;queue=0\n",
+                         "10,release_theoretical,a,0,,\n"]
+
+    def test_rows_in_time_order_kept_as_recorded(self):
+        log = RunLog("csv")
+        job = _job(0, 9, wcet=1)
+        log.theoretical(job)
+        log.release(1, job)
+        log.start(2, job, 0)
+        log.preempt(3, job, 0, by="h,i", switch=4)
+        trace, _ = log.close([("t", 0)], {})
+        assert trace == ["0,release_theoretical,t,0,,\n", "1,release_effective,t,0,,\n",
+                         "2,job_start,t,0,0,version=v0\n",
+                         '3,preempt,t,0,0,"switch=4;by=h,i"\n']
+        assert not log._late
+
+
 class TestComputeOverheads:
     def _good_trace(self):
         return [
@@ -274,7 +301,8 @@ class TestRunLogIntegrity:
         for keep_trace in (False, True, "csv"):
             log = RunLog(keep_trace=keep_trace)
             record(log)
-            stamp = (lambda e: e[0]) if keep_trace == "csv" else (lambda e: e.timestamp_ns)
+            stamp = ((lambda row: int(row.split(",")[0])) if keep_trace == "csv"
+                     else (lambda e: e.timestamp_ns))
             trace = sorted(log.trace, key=stamp)
             with pytest.raises(TraceIntegrityError) as err:
                 log.close([], {})
