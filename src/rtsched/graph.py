@@ -57,8 +57,9 @@ def channel_decl(
     state._require_mutable("channel_decl")
     if element_size < 0 or capacity < 0:
         raise DeclarationError("element_size and capacity must be >= 0")
-    if any(c.name == name for c in state.channels):
+    if name in state._channel_names:
         raise DeclarationError(f"channel {name!r} already declared")
+    state._channel_names.add(name)
     ch = ChannelDescriptor(
         channel_id=len(state.channels),
         name=name,

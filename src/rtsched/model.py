@@ -13,6 +13,7 @@ multi-mode operation (start, stop, modify, start again) possible.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -227,6 +228,8 @@ class Diagnostic:
 def _check_name(what: str, name: str) -> None:  # names reach `k=v;...` trace payloads
     if ";" in name or "=" in name:
         raise DeclarationError(f"{what} name {name!r} may not contain ';' or '='")
+    if "\r" in name or "\n" in name:  # csv.writer leaves a lone "\r" unquoted
+        raise DeclarationError(f"{what} name {name!r} may not contain a line break")
 
 
 class MiddlewareState:
@@ -244,6 +247,7 @@ class MiddlewareState:
         self.accelerators: list[AcceleratorDescriptor] = []
         # channels/connections are populated by the task-graph module
         self.channels: list = []
+        self._channel_names: set[str] = set()
         self.table = None  # ScheduleTable under OFFLINE
         self._backend = None
         self._names: set[str] = set()
@@ -344,6 +348,11 @@ class MiddlewareState:
                 raise DeclarationError("mode_mask must be non-empty")
             if isinstance(select, BitmaskSelect) and not select.permission_mask:
                 raise DeclarationError("permission_mask must be non-empty")
+            # NaN scores have no order, so no one ranking stands for every free subset
+            if isinstance(select, EnergyTimeSelect) and not (
+                    -math.inf < select.energy_cost < math.inf
+                    and -math.inf < select.exec_time < math.inf):
+                raise DeclarationError("energy_cost and exec_time must be finite")
         name = name or f"v{len(task.versions)}"
         if any(v.name == name for v in task.versions):
             raise DeclarationError(f"task {task.name!r} already has a version named {name!r}")

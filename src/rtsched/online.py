@@ -9,8 +9,8 @@ preempting worker's stack and never migrates.
 
 This module holds the data structures and the decision logic, and the
 per-run state both backends share: `SchedulerCore` owns the run's channel
-states, its tick and each task's version pool.  Time, locking and tracing
-belong to the backends.
+states, its tick and each task's version pool and ranking.  Time, locking
+and tracing belong to the backends.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ from .model import (
     TaskDescriptor,
     TaskKind,
     VersionDescriptor,
-    VersionSelection,
 )
 from .priority import PriorityKey, key_rule
 from .versions import (
     AcceleratorRegistry,
     SelectionContext,
     eligible_versions,
+    first_free,
     select_version,
+    version_ranking,
 )
 
 
@@ -192,9 +193,12 @@ class SchedulerCore:
 
     Each task's release plan is made once, when the core is built: its key
     rule (priority.key_rule, with a graph node's root's timing), its
-    version pool (`restrict` is called once per task, here) and, when
-    selection cannot vary, its version, so `make_job` calls
-    select_version only for jobs whose version can differ.
+    version pool (`restrict` is called once per task, here) and, under
+    PRESELECTED and ENERGY_TIME, its version ranking
+    (versions.version_ranking, with `select_ctx.alpha` as it is then).  A
+    job of a ranked task takes the first ranked version whose accelerators
+    are free, so `make_job` calls select_version only under ENERGY, MODE,
+    BITMASK and USER.
     """
 
     def __init__(
@@ -334,11 +338,11 @@ class SchedulerCore:
 
     def make_job(self, task: TaskDescriptor, abs_release: int) -> Job:
         """The next job of `task`, released at `abs_release`, by the task's
-        release plan: its key rule, and its version when that cannot vary."""
+        release plan: its key rule, and its version by the plan's ranking."""
         tid = task.task_id
         seq = self._seq[tid]
         self._seq[tid] = seq + 1
-        key_of, version, root, pool = self._plans[tid]
+        key_of, version, root, pool, ranking = self._plans[tid]
         if root is None:
             abs_deadline = abs_release + (task.relative_deadline or 0)
             kept = self._root_releases.get(tid)
@@ -358,13 +362,16 @@ class SchedulerCore:
             base = instants[i] if i < len(instants) else abs_release
             abs_deadline = base + root.relative_deadline
         if version is None:
-            version = select_version(
-                self.state.config.version_selection,
-                task,
-                self.select_ctx,
-                self.registry,
-                pool=pool,
-            )
+            if ranking:
+                version = first_free(ranking, self.registry) or ranking[0]
+            else:
+                version = select_version(
+                    self.state.config.version_selection,
+                    task,
+                    self.select_ctx,
+                    self.registry,
+                    pool=pool,
+                )
         key = key_of(seq, abs_release, abs_deadline)
         return Job(task, seq, version, abs_release, abs_deadline, key)
 
@@ -378,16 +385,18 @@ class SchedulerCore:
 
     def _release_plans(self, restrict) -> list[tuple]:
         """plans[task_id] = (key rule, static version or None, graph root
-        or None, version pool or None).
+        or None, version pool or None, version ranking or None).
 
         The root is set for a periodless graph node, whose jobs take the
         root's period and, without a deadline of their own, its deadline.
         The pool is `restrict(task)`, None without a restriction.  The
-        version is fixed when selection could only ever pick it: the first
-        declared version under PRESELECTED with no restriction, when it
-        holds no accelerator and so is always eligible.
+        ranking is the pool's (versions.version_ranking), None under a
+        method whose choice can vary.  The version is fixed when the
+        ranking's head is the only choice: it holds no accelerator, so is
+        always free, or it is the ranking's only version.
         """
         cfg = self.state.config
+        method = cfg.version_selection
         plans = []
         for task in self.state.tasks:
             root = None
@@ -399,13 +408,12 @@ class SchedulerCore:
                     rel_deadline = root.relative_deadline
             version = None
             pool = None if restrict is None else restrict(task)
-            if (cfg.version_selection is VersionSelection.PRESELECTED
-                    and restrict is None and task.versions
-                    and not task.versions[0].accelerators):
-                version = task.versions[0]
+            ranking = version_ranking(method, task, self.select_ctx, pool)
+            if ranking and (len(ranking) == 1 or not ranking[0].accelerators):
+                version = ranking[0]
             rule = key_rule(cfg.priority_assignment, task,
                             period=period, relative_deadline=rel_deadline)
-            plans.append((rule, version, root, pool))
+            plans.append((rule, version, root, pool, ranking))
         return plans
 
     # ------------------------------------------------------- routing
@@ -480,23 +488,27 @@ class SchedulerCore:
         busy = self.registry.acquire(job, version.accelerators)
         if not busy:
             return (version, sorted(version.accelerators))
-        pool = self._plans[job.task.task_id][3] or job.task.versions
-        free_pool = eligible_versions(pool, self.registry)
-        if free_pool:
-            try:
-                alt = select_version(
-                    self.state.config.version_selection,
-                    job.task,
-                    self.select_ctx,
-                    self.registry,
-                    pool=free_pool,
-                )
-            except SelectionError:
-                alt = None
-            if alt is not None:
-                taken = self.registry.acquire(job, alt.accelerators)
-                assert not taken
-                return (alt, sorted(alt.accelerators))
+        _, _, _, pool, ranking = self._plans[job.task.task_id]
+        if ranking:
+            alt = first_free(ranking, self.registry)
+        else:
+            alt = None
+            free_pool = eligible_versions(pool or job.task.versions, self.registry)
+            if free_pool:
+                try:
+                    alt = select_version(
+                        self.state.config.version_selection,
+                        job.task,
+                        self.select_ctx,
+                        self.registry,
+                        pool=free_pool,
+                    )
+                except SelectionError:
+                    pass
+        if alt is not None:
+            taken = self.registry.acquire(job, alt.accelerators)
+            assert not taken
+            return (alt, sorted(alt.accelerators))
         self.registry.apply_inheritance(job, busy)
         job.blocked_on = set(busy)
         return None

@@ -105,6 +105,13 @@ def trace_csv_text(events: list[TraceEvent]) -> str:
 
 def read_trace_csv(fp) -> list[TraceEvent]:
     rows = csv.reader(fp)
+    try:
+        return _read_rows(rows)
+    except csv.Error as e:  # e.g. a line break in an unquoted field
+        raise TraceIntegrityError(f"malformed trace CSV at line {rows.line_num}: {e}") from None
+
+
+def _read_rows(rows) -> list[TraceEvent]:
     header = next(rows, None)
     if tuple(header or ()) != CSV_COLUMNS:
         raise TraceIntegrityError(f"unexpected trace header: {header}")

@@ -6,19 +6,22 @@ by switching to another version is always preferred over waiting.  When no
 version can avoid the busy resource, the requester either boosts the holder
 (priority inheritance, when the requester outranks it) or simply waits.
 
+Under PRESELECTED and ENERGY_TIME a task's order of preference cannot change
+within a run, so `version_ranking` computes it once and a choice is the
+first ranked version whose accelerators are free (`first_free`).
+
 Accelerators are single-unit and are held from dispatch to job completion,
 across preemptions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import RtschedError, SelectionError, UsageError
 from .model import (
     EnergySelect,
-    EnergyTimeSelect,
     TaskDescriptor,
     UserSelect,
     VersionDescriptor,
@@ -109,6 +112,52 @@ def eligible_versions(
     return [v for v in versions if not v.accelerators or not any(map(busy, v.accelerators))]
 
 
+def first_free(
+    ranking: list[VersionDescriptor], registry: AcceleratorRegistry
+) -> VersionDescriptor | None:
+    """The first version of `ranking` whose accelerators are all free."""
+    holders = registry.holders
+    for v in ranking:
+        for a in v.accelerators:
+            if holders[a] is not None:
+                break
+        else:
+            return v
+    return None
+
+
+def version_ranking(
+    method: VersionSelection,
+    task: TaskDescriptor,
+    ctx: SelectionContext,
+    pool: list[VersionDescriptor] | None = None,
+) -> list[VersionDescriptor] | None:
+    """`pool` (default: the task's versions) in the order `method` prefers,
+    or None under a method whose choice can change within a run.
+
+    PRESELECTED keeps the pool order.  ENERGY_TIME orders by (score,
+    version_id); a score weighs execution time against energy cost by
+    `ctx.alpha`, each normalised by its maximum over all the task's versions
+    so both terms live on [0, 1].  The weight is read here, once.
+    """
+    pool = task.versions if pool is None else pool
+    if method is not VersionSelection.ENERGY_TIME:
+        return list(pool) if method is VersionSelection.PRESELECTED else None
+    if len(pool) < 2:
+        return list(pool)  # nothing to order
+    tmax = max([v.select_props.exec_time for v in task.versions])
+    emax = max([v.select_props.energy_cost for v in task.versions])
+    alpha = ctx.alpha
+
+    def score(v: VersionDescriptor) -> tuple[float, int]:
+        p = v.select_props
+        t = p.exec_time / tmax if tmax else 0.0
+        e = p.energy_cost / emax if emax else 0.0
+        return (alpha * t + (1.0 - alpha) * e, v.version_id)
+
+    return sorted(pool, key=score)
+
+
 def select_version(
     method: VersionSelection,
     task: TaskDescriptor,
@@ -122,21 +171,20 @@ def select_version(
     dispatch-time retry over accelerator-free versions); default is the
     full declared set.  When every considered version touches a busy
     accelerator the choice falls back to the pool itself (under MODE and
-    BITMASK: to the matching versions in it); the dispatch path then waits
-    on (or inherits into) the resource.  A USER selector gets its own copy.
+    BITMASK: to the matching versions in it; under a ranked method: to the
+    ranking's head); the dispatch path then waits on (or inherits into) the
+    resource.  A USER selector gets its own copy.
     """
     pool = task.versions if pool is None else pool
     if not pool:
         raise SelectionError(f"task {task.name!r} has no versions")
+    ranking = version_ranking(method, task, ctx, pool)
+    if ranking is not None:
+        return first_free(ranking, registry) or ranking[0]
     candidates = eligible_versions(pool, registry) or pool
-
-    if method is VersionSelection.PRESELECTED:
-        return candidates[0]
 
     if method is VersionSelection.ENERGY:
         return _select_energy(task, candidates, ctx)
-    if method is VersionSelection.ENERGY_TIME:
-        return _select_energy_time(task, candidates, ctx)
     if method is VersionSelection.MODE:
         matching = [v for v in pool if v.select_props.mode_mask & ctx.execution_mode]
         if matching:
@@ -185,19 +233,3 @@ def _select_energy(
         return min(fitting, key=lambda v: (v.wcet_estimate, v.version_id))
     # nothing affordable: degrade to the cheapest version
     return min(candidates, key=lambda v: (v.select_props.energy_budget, v.version_id))
-
-
-def _select_energy_time(
-    task: TaskDescriptor, candidates: list[VersionDescriptor], ctx: SelectionContext
-) -> VersionDescriptor:
-    # normalise against the task-wide maxima so both terms live on [0, 1]
-    tmax = max(v.select_props.exec_time for v in task.versions)
-    emax = max(v.select_props.energy_cost for v in task.versions)
-
-    def score(v: VersionDescriptor) -> float:
-        p = v.select_props
-        t = p.exec_time / tmax if tmax else 0.0
-        e = p.energy_cost / emax if emax else 0.0
-        return ctx.alpha * t + (1.0 - ctx.alpha) * e
-
-    return min(candidates, key=lambda v: (score(v), v.version_id))

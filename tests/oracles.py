@@ -336,6 +336,34 @@ def priority_key_oracle(
     return (0, primary, task_id, seq)
 
 
+# ------------------------------------------------------- selection oracle
+
+
+def energy_time_choice_oracle(
+    props: list[tuple[int, float]],
+    pool: list[int],
+    free: list[bool],
+    alpha: float,
+) -> int:
+    """The version id ENERGY_TIME picked per job before rankings were
+    planned: the lowest (score, id) among the pool's free versions, or among
+    the whole pool when none is free.  `props[i]` is version i's
+    (exec_time, energy_cost); the maxima run over every version of the
+    task, `pool` lists version ids and `free[i]` says whether version i's
+    accelerators are all free.  A linear scan, not a sort."""
+    tmax = max(t for t, _ in props)
+    emax = max(e for _, e in props)
+    candidates = [i for i in pool if free[i]] or pool
+    best = None
+    for i in candidates:
+        t = props[i][0] / tmax if tmax else 0.0
+        e = props[i][1] / emax if emax else 0.0
+        score = alpha * t + (1.0 - alpha) * e
+        if best is None or score < best[0] or (score == best[0] and i < best[1]):
+            best = (score, i)
+    return best[1]
+
+
 # ------------------------------------------------------ activation oracle
 
 

@@ -78,8 +78,8 @@ def test_golden_inputs_as_csv_rows(case):
     assert rows_report.to_dict() == report.to_dict()
 
 
-# names rich in what CSV must quote; ';' and '=' are rejected by the model
-_CSV_NAMES = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "é", "a", "b"]),
+# names rich in what CSV must quote; ';', '=' and line breaks are rejected by the model
+_CSV_NAMES = st.text(st.sampled_from([",", '"', " ", "é", "a", "b"]),
                      min_size=1, max_size=4)
 
 

@@ -11,6 +11,7 @@ The known SDF lost-wakeup scenario (a->b produce 3, b->c consume 3 over a
 """
 
 import hashlib
+import io
 import json
 import os
 
@@ -28,7 +29,9 @@ from rtsched import (
     SdfEdge,
     SdfGraph,
     SimJobModel,
+    SweepSpec,
     TaskKind,
+    TaskSetDocument,
     VersionSelection,
     channel_connect,
     channel_decl,
@@ -38,8 +41,10 @@ from rtsched import (
     load_document,
     ms,
     run_simulation,
+    run_sweep,
     trace_csv_text,
     us,
+    write_sweep_csv,
 )
 from rtsched.cli import main
 
@@ -359,6 +364,65 @@ def test_golden_digests(case):
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The sweep CSV: `rtsched sweep` over a grid must not move either.
+def _energy_time_doc():
+    # five tasks, each with a cpu version and a faster gpu version on one of
+    # two accelerators; at alpha 0.7 four rank the gpu version first, so in
+    # the unrestricted mode their jobs switch versions around busy units
+    tasks = [("cam", 10, 6, 2, "gpu0", 8.0, 24.0, 0), ("det", 20, 12, 4, "gpu0", 6.0, 30.0, 1),
+             ("nav", 25, 6, 3, "gpu1", 5.0, 22.0, 0), ("map", 40, 12, 5, "gpu1", 9.0, 26.0, 1),
+             ("log", 50, 8, 6, "gpu0", 2.0, 35.0, 0)]
+    versions, exec_time = [], {}
+    for name, _, cpu, gpu, accel, cpu_energy, gpu_energy, _ in tasks:
+        versions += [
+            {"task": name, "name": "cpu", "wcet_estimate": ms(cpu),
+             "select": {"energy_cost": cpu_energy, "exec_time": ms(cpu)}},
+            {"task": name, "name": "gpu", "wcet_estimate": ms(gpu), "accelerators": [accel],
+             "select": {"energy_cost": gpu_energy, "exec_time": ms(gpu)}},
+        ]
+        exec_time[name] = {v: {"dist": "uniform", "low": ms(w) // 2, "high": ms(w)}
+                           for v, w in (("cpu", cpu), ("gpu", gpu))}
+    doc = TaskSetDocument.load({
+        "config": {"worker_count": 2, "version_selection": "ENERGY_TIME"},
+        "accelerators": ["gpu0", "gpu1"],
+        "tasks": [{"name": name, "kind": "periodic", "period": ms(period), "virt_core_id": core}
+                  for name, period, *_, core in tasks],
+        "versions": versions,
+        "sim_model": {"alpha": 0.7, "exec_time": exec_time},
+    })
+    spec = SweepSpec(mappings=["GLOBAL", "PARTITIONED"], priorities=["RM", "EDF"],
+                     preemptive=[True, False],
+                     version_modes={"cpu": ["cpu"], "gpu": ["gpu"], "both": None},
+                     reps=2, horizon="200ms", seed=5)
+    return doc, spec
+
+
+def _drone_sweep():
+    with open(os.path.join(DEMOS, "drone_axes.json")) as fp:
+        spec = SweepSpec.from_dict(json.load(fp))
+    return load_document(os.path.join(DEMOS, "drone.json")), spec
+
+
+SWEEP_GOLDEN = {
+    "energy-time-grid": (
+        _energy_time_doc,
+        "91bed865f76eecf4487d8d4af8a5eed6a87aabbae3dc95a7c00d37784c40df77",
+    ),
+    "drone": (
+        _drone_sweep,
+        "f1c9730a6c75e82d0fff79c3511cdffb6959b751b2c2aed89bcc922791daae92",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_GOLDEN))
+def test_sweep_csv(case):
+    build, want = SWEEP_GOLDEN[case]
+    out = io.StringIO()
+    write_sweep_csv(run_sweep(*build()), out)
+    assert _sha(out.getvalue()) == want
 
 
 # The document writer: the standard output of `rtsched expand-sdf` and a

@@ -123,6 +123,15 @@ class TestDeclarations:
         with pytest.raises(DeclarationError):
             channel_decl(state, "c", 8, -1)
 
+    def test_duplicate_name_rejected(self):
+        state = init(PolicyConfig())
+        with pytest.raises(DeclarationError):
+            channel_decl(state, "c", 8, -1)
+        assert channel_decl(state, "c", 8, 1) == 0  # a refused declaration takes no name
+        assert channel_decl(state, "d", 8, 1) == 1
+        with pytest.raises(DeclarationError, match="^channel 'c' already declared$"):
+            channel_decl(state, "c", 8, 1)
+
 
 def _two_stage_state():
     state = init(PolicyConfig())

@@ -9,16 +9,23 @@ from hypothesis import strategies as st
 
 from rtsched import (
     AcceleratorRegistry,
+    BitmaskSelect,
     ConfigurationError,
+    EnergySelect,
+    EnergyTimeSelect,
     MappingScheme,
+    ModeSelect,
     PolicyConfig,
     PriorityAssignment,
     SelectionContext,
     TaskKind,
+    UserSelect,
     ValidationError,
+    VersionSelection,
     assign_priority,
     channel_connect,
     channel_decl,
+    eligible_versions,
     hyperperiod,
     init,
     ms,
@@ -31,7 +38,13 @@ import rtsched.simulator as sim
 from rtsched.graph import analyze_graph
 from rtsched.online import Job, ReadyQueue, SchedulerCore
 
-from .oracles import ReadyQueueOracle, gcd_oracle, lcm_oracle, priority_key_oracle
+from .oracles import (
+    ReadyQueueOracle,
+    energy_time_choice_oracle,
+    gcd_oracle,
+    lcm_oracle,
+    priority_key_oracle,
+)
 
 
 def _periodic_state(periods, offsets=None, config=None, wcet=us(10)):
@@ -373,8 +386,39 @@ class TestReleasePlan:
                 )
                 assert job.version is want_version
                 assert job.blocked_on == set()
-        # the plan fixes the version only when selection cannot vary
-        assert len(calls) == (0 if case == "preselected" else made)
+        # PRESELECTED is ranked once per run, so no job calls select_version
+        assert made == 24 and calls == []
+
+    PROPS = {
+        VersionSelection.PRESELECTED: None,
+        VersionSelection.ENERGY_TIME: EnergyTimeSelect(energy_cost=1.0, exec_time=ms(1)),
+        VersionSelection.ENERGY: EnergySelect(energy_budget=1.0),
+        VersionSelection.MODE: ModeSelect(frozenset({"m"})),
+        VersionSelection.BITMASK: BitmaskSelect(frozenset({"p"})),
+        VersionSelection.USER: UserSelect(lambda task, versions, ctx: versions[0].version_id),
+    }
+
+    @pytest.mark.parametrize("method", list(VersionSelection), ids=lambda m: m.value)
+    def test_select_version_runs_per_job_only_where_the_choice_varies(self, method, monkeypatch):
+        props = self.PROPS[method]
+        state = init(PolicyConfig(version_selection=method))
+        gpu = state.hwaccel_decl("gpu")
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(10))
+        state.hwaccel_use(tid, state.version_decl(tid, wcet_estimate=ms(1), select=props), gpu)
+        state.version_decl(tid, wcet_estimate=ms(2), select=props)
+        core = SchedulerCore(state, analyze_graph(state), AcceleratorRegistry(1),
+                             SelectionContext(execution_mode=frozenset({"m"}),
+                                              permission_mask=frozenset({"p"}),
+                                              battery_probe=lambda: 1.0))
+        calls = []
+        monkeypatch.setattr(rtsched.online, "select_version",
+                            lambda *args, **kwargs: calls.append(args) or select_version(
+                                *args, **kwargs))
+        for k in range(3):
+            core.registry.holders[0] = object() if k % 2 else None
+            assert core.make_job(state.task(tid), ms(10) * k).version.version_id == k % 2
+        ranked = method in (VersionSelection.PRESELECTED, VersionSelection.ENERGY_TIME)
+        assert len(calls) == (0 if ranked else 3)
 
     @pytest.mark.parametrize("assignment", ["RM", "DM", "USER"])
     def test_unrankable_task_raises_at_its_first_job(self, assignment):
@@ -395,6 +439,84 @@ class TestReleasePlan:
         with pytest.raises(ValidationError) as planned:
             core.make_job(task, 0)
         assert str(planned.value) == str(direct.value) == str(want.value)
+
+
+_HOLDER = object()  # an accelerator holder that is not one of the test's jobs
+_BUSY = st.lists(st.booleans(), min_size=3, max_size=3)  # per accelerator
+
+
+class TestRankedSelection:
+    """Under PRESELECTED and ENERGY_TIME the core plans each task's version
+    ranking once; the version a job gets from it, at release and at the
+    dispatch retry, is the one select_version and the per-job rule before
+    rankings (oracles.energy_time_choice_oracle) pick on the same registry."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from([VersionSelection.PRESELECTED, VersionSelection.ENERGY_TIME]),
+        props=st.lists(
+            st.tuples(st.integers(0, 4),
+                      st.sampled_from([0, 1, 2.5]) | st.floats(0, 50),
+                      st.sets(st.integers(0, 2), max_size=2)),
+            min_size=1, max_size=4),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+        restricted=st.none() | st.permutations(range(4)).flatmap(
+            lambda order: st.integers(1, 4).map(lambda k: order[:k])),
+        rounds=st.lists(st.tuples(_BUSY, _BUSY), min_size=1, max_size=4),
+    )
+    def test_planned_choice_equals_select_version(self, method, props, alpha,
+                                                  restricted, rounds):
+        state = init(PolicyConfig(version_selection=method))
+        for a in range(3):
+            state.hwaccel_decl(f"acc{a}")
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(10))
+        for exec_time, energy_cost, accels in props:
+            select = None
+            if method is VersionSelection.ENERGY_TIME:
+                select = EnergyTimeSelect(energy_cost=energy_cost, exec_time=exec_time)
+            vid = state.version_decl(tid, wcet_estimate=us(10), select=select)
+            for a in sorted(accels):
+                state.hwaccel_use(tid, vid, a)
+        task = state.task(tid)
+        ids = None if restricted is None else [i for i in restricted if i < len(props)]
+        pool = None if not ids else [task.versions[i] for i in ids]
+        ctx = SelectionContext(alpha=alpha)
+        registry = AcceleratorRegistry(3, pip_enabled=False)
+        core = SchedulerCore(state, analyze_graph(state), registry, ctx,
+                             restrict=None if pool is None else (lambda t: pool))
+        pool_ids = ids or list(range(len(props)))
+
+        def oracle():
+            free = [all(registry.holders[a] is None for a in v.accelerators)
+                    for v in task.versions]
+            if method is VersionSelection.PRESELECTED:
+                return next((i for i in pool_ids if free[i]), pool_ids[0])
+            return energy_time_choice_oracle(
+                [(t, e) for t, e, _ in props], pool_ids, free, alpha)
+
+        for k, (at_release, at_dispatch) in enumerate(rounds):
+            registry.holders[:] = [_HOLDER if b else None for b in at_release]
+            job = core.make_job(task, ms(10) * k)
+            assert job.version is select_version(method, task, ctx, registry, pool=pool)
+            assert job.version.version_id == oracle()
+
+            registry.holders[:] = [_HOLDER if b else None for b in at_dispatch]
+            busy = {a for a in job.version.accelerators if at_dispatch[a]}
+            free_pool = eligible_versions(pool or task.versions, registry)
+            want = job.version
+            if busy:  # the dispatch retry: a free version of the pool, else wait
+                want = free_pool and select_version(method, task, ctx, registry,
+                                                    pool=free_pool)
+                assert not want or want.version_id == oracle()
+            core.queues[0].insert(job)
+            action, got, acquired = core.pick_next(0, None)
+            if want:
+                assert (action, got, acquired) == ("start", job, sorted(want.accelerators))
+                assert job.version is want
+                registry.release_all(job)
+            else:
+                assert action == "idle" and job.blocked_on == busy
+                core.queues[0].items.remove(job)
 
 
 class TestReadyQueue:
@@ -585,8 +707,10 @@ class TestDispatch:
         core.queues[0].items[0] = lo
         assert core.preemption_targets(0, running) == []
 
-    def _accel_core(self):
-        """Two tasks sharing one accelerator; hi has a cpu fallback version."""
+    def _accel_core(self, cpu_fallback=False):
+        """Two tasks sharing one accelerator; with `cpu_fallback`, hi has a
+        second version without it, declared second so the gpu version is
+        the preselected favourite."""
         state = init(PolicyConfig())
         gpu = state.hwaccel_decl("gpu")
         lo = state.task_decl("lo", TaskKind.PERIODIC, period=ms(50))
@@ -595,6 +719,8 @@ class TestDispatch:
         hi = state.task_decl("hi", TaskKind.PERIODIC, period=ms(10))
         v_hi = state.version_decl(hi, wcet_estimate=ms(1))
         state.hwaccel_use(hi, v_hi, gpu)
+        if cpu_fallback:
+            state.version_decl(hi, wcet_estimate=ms(2))
         core = _core(state)
         return state, core, lo, hi
 
@@ -621,17 +747,13 @@ class TestDispatch:
         assert (action, job, acquired) == ("start", hi, [0])
 
     def test_accel_conflict_switches_to_free_version(self):
-        state, core, lo_id, hi_id = self._accel_core()
-        # cpu fallback for hi, declared second so the gpu version is the
-        # preselected favourite
-        v_cpu = state.version_decl(hi_id, wcet_estimate=ms(2))
-
+        state, core, lo_id, hi_id = self._accel_core(cpu_fallback=True)
         lo = core.make_job(state.task(lo_id), 0)
         core.queues[0].insert(lo)
         core.pick_next(0, None)
 
         hi = core.make_job(state.task(hi_id), 0)
-        assert hi.version.version_id == v_cpu  # avoided at creation already
+        assert hi.version.version_id == 1  # the cpu version: avoided at creation already
         core.queues[0].insert(hi)
         core.queues[0].sort()
         action, job, acquired = core.pick_next(0, None)

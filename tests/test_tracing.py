@@ -70,6 +70,7 @@ class TestCsv:
         "5,job_start,t",  # too few fields
         "x,job_start,t,0,0,",  # timestamp not an integer
         "5,job_start,t,0.5,0,",  # seq not an integer
+        "5,job_start,a\rb,0,0,",  # a line break in an unquoted field
     ])
     def test_malformed_row_names_its_line(self, row):
         text = "timestamp_ns,kind,task,job_seq,worker,payload\n1,job_start,t,0,0,\n" + row + "\n"
