@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .document import (
     BOOL,
@@ -202,13 +206,93 @@ def _sweep_run(
     ]
 
 
+def _run_share(run: Callable, share: list[tuple]) -> tuple[list, Exception | None]:
+    """run(*args) for each of `share` in order, up to the first that
+    raises: the results before it, and its exception or None."""
+    results = []
+    for args in share:
+        try:
+            results.append(run(*args))
+        except Exception as e:  # the caller ranks it against other shares'
+            return results, e
+    return results, None
+
+
+def _serve_share(run: Callable, share: list[tuple], out) -> None:
+    """In a forked child: write the pickled _run_share of `share` to
+    `out` and leave.  os._exit runs no atexit handler and flushes no stdio
+    buffer the child inherited, so those act once, in the parent; a child
+    that dies before writing shows as a nonzero status."""
+    status = 1
+    try:
+        out.write(pickle.dumps(_run_share(run, share)))
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_shares(run: Callable, runs: list[tuple], shares: int) -> list:
+    """run(*args) for every args of `runs`, the results in the order of
+    `runs`.  Share i is runs[i::shares]: this process runs share 0 and one
+    forked child runs each other share, so with one share nothing forks.
+
+    Each share stops at its first failing run, and the exception of the
+    failing run that comes first in `runs` is raised, so a failure in
+    share 0 still waits for the other shares.  Every child is reaped
+    before this returns or raises; one still running when an interrupt or
+    a dead child ends the wait is killed first.
+    """
+    children = {}  # pid -> read end of its pipe
+    try:
+        for i in range(1, shares):
+            r, w = os.pipe()
+            reader = open(r, "rb")
+            with open(w, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(run, runs[i::shares], writer)
+            children[pid] = reader
+        outcomes = [_run_share(run, runs[::shares])]
+        for pid in list(children):
+            with children[pid] as reader:
+                data = reader.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RtschedError(
+                    f"sweep worker exited with status {code} before sending its rows"
+                )
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pid, reader in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
+    # share i's k-th run is run i + k * shares
+    failures = [
+        (i + len(done) * shares, exc)
+        for i, (done, exc) in enumerate(outcomes)
+        if exc is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    merged: list = [None] * len(runs)
+    for i, (done, _) in enumerate(outcomes):
+        merged[i::shares] = done
+    return merged
+
+
 def run_sweep(doc: TaskSetDocument, spec: SweepSpec) -> list[dict]:
     """Every grid point x repetition, deterministically ordered.
 
-    Runs are spread over one worker process per usable CPU, forked from
-    this one, and the rows come back in grid order however many workers
-    ran them.  The sweep runs in this process instead when one worker
-    would do, when the platform cannot fork, or when this process has
+    The runs are split into one interleaved share per usable CPU: this
+    process runs the first share and a child forked from it runs each
+    other one, and the rows come back in grid order however many shares
+    ran them, so the CSV is the same for any CPU count.  Everything runs
+    in this process instead when one share would do (one usable CPU or a
+    single run), when the platform cannot fork, or when this process has
     other threads running, which a fork would copy in whatever state they
     hold.
 
@@ -224,24 +308,10 @@ def run_sweep(doc: TaskSetDocument, spec: SweepSpec) -> list[dict]:
         for label, names in spec.version_modes.items()
         for rep in range(spec.reps)
     ]
-    workers = min(available_cpus(), len(runs))
-    run = functools.partial(_sweep_run, doc, spec)
-    columns = zip(*runs)
-    serial = workers <= 1 or threading.active_count() > 1
-    if not serial:
-        import multiprocessing
-
-        serial = "fork" not in multiprocessing.get_all_start_methods()
-    if serial:
-        groups = list(map(run, *columns))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            chunk = max(1, len(runs) // (4 * workers))
-            groups = list(pool.map(run, *columns, chunksize=chunk))
+    shares = min(available_cpus(), len(runs))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        shares = 1
+    groups = _run_shares(functools.partial(_sweep_run, doc, spec), runs, shares)
     return [row for group in groups for row in group]
 
 

@@ -328,10 +328,11 @@ class TestRealtimeRuns:
         assert ticks and all(e.payload["queue"] == 0 for e in ticks)
 
     def test_body_blocks_on_pop_until_the_producer_pushes(self, many_cpus):
-        # cons is released 5 ms before prod each period and waits in pop
+        # cons is released 5 ms before prod each period and waits in pop;
+        # prod's last release, at 105 ms, leaves 55 ms to drain before stop
         state = init(_rt_config(worker_count=2))
-        cons = state.task_decl("cons", TaskKind.PERIODIC, period=ms(40))
-        prod = state.task_decl("prod", TaskKind.PERIODIC, period=ms(40),
+        cons = state.task_decl("cons", TaskKind.PERIODIC, period=ms(100))
+        prod = state.task_decl("prod", TaskKind.PERIODIC, period=ms(100),
                                release_offset=ms(5))
         ch = channel_decl(state, "c", element_size=8, capacity=1)
         channel_connect(state, ch, prod, cons)
@@ -340,7 +341,7 @@ class TestRealtimeRuns:
                            wcet_estimate=ms(1))
         state.version_decl(prod, entry=lambda ctx, args: ctx.push(ch, ctx.job.seq),
                            wcet_estimate=ms(1))
-        trace, report = run_realtime(state, ms(60))
+        trace, report = run_realtime(state, ms(160))
         assert not report.truncated
         assert report.released == report.completed == 4
         assert got == [0, 1]

@@ -1,9 +1,12 @@
 """Policy exploration over a document."""
 
-import concurrent.futures
 import dataclasses
 import io
+import os
+import pickle
+import signal
 import threading
+import time
 
 import pytest
 
@@ -244,17 +247,19 @@ _GRID = {
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the process pools run_sweep creates."""
-    created = []
+def splits(monkeypatch):
+    """The share counts of the sweeps that split their grid over forked
+    children; a sweep run wholly in this process adds nothing."""
+    counts = []
+    inner = sweep_mod._run_shares
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            created.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counted(run, runs, shares):
+        if shares > 1:
+            counts.append(shares)
+        return inner(run, runs, shares)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    return created
+    monkeypatch.setattr(sweep_mod, "_run_shares", counted)
+    return counts
 
 
 def _csv(rows):
@@ -268,27 +273,27 @@ def _cpus(monkeypatch, n):
 
 
 class TestParallelSweep:
-    def test_pool_matches_serial_byte_for_byte(self, pools, monkeypatch):
+    def test_pool_matches_serial_byte_for_byte(self, splits, monkeypatch):
         doc, spec = _accel_doc(), SweepSpec.from_dict(_GRID)
         _cpus(monkeypatch, 1)
         serial = run_sweep(doc, spec)
-        assert pools == []
+        assert splits == []
         _cpus(monkeypatch, 2)
         pooled = run_sweep(doc, spec)
-        assert pools == [2]
+        assert splits == [2]
         assert len(serial) == 24 * len(RUN_METRICS)
         assert pooled == serial
         assert _csv(pooled) == _csv(serial)
         # the grid tells points apart, so equal output is not a degenerate case
         assert len({r["value"] for r in serial if r["metric"] == "mean_response_ns"}) > 4
 
-    def test_workers_capped_at_the_run_count(self, pools, monkeypatch):
+    def test_workers_capped_at_the_run_count(self, splits, monkeypatch):
         _cpus(monkeypatch, 8)
         spec = SweepSpec.from_dict({"priorities": ["EDF"], "preemptive": [True], "reps": 2})
         run_sweep(_doc(), spec)
-        assert pools == [2]
+        assert splits == [2]
 
-    def test_first_failing_point_in_grid_order_raises(self, pools, monkeypatch):
+    def test_first_failing_point_in_grid_order_raises(self, splits, monkeypatch):
         _cpus(monkeypatch, 2)
         doc = TaskSetDocument.load(
             {
@@ -304,9 +309,9 @@ class TestParallelSweep:
         )
         with pytest.raises(RtschedError, match=r"sweep point PARTITIONED/EDF/preemptive=True/any rep 0: "):
             run_sweep(doc, spec)
-        assert pools == [2]
+        assert splits == [2]
 
-    def test_live_thread_keeps_the_sweep_in_process(self, pools, monkeypatch):
+    def test_live_thread_keeps_the_sweep_in_process(self, splits, monkeypatch):
         doc, spec = _accel_doc(), SweepSpec.from_dict(dict(_GRID, mappings=["GLOBAL"]))
         _cpus(monkeypatch, 1)
         serial = run_sweep(doc, spec)
@@ -320,20 +325,134 @@ class TestParallelSweep:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
-        assert pools == []
+        assert splits == []
         assert rows == serial
 
-    def test_no_affinity_mask_counts_every_cpu(self, pools, monkeypatch):
+    def test_no_affinity_mask_counts_every_cpu(self, splits, monkeypatch):
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert available_cpus() == 1
         doc, spec = _accel_doc(), SweepSpec.from_dict(dict(_GRID, mappings=["GLOBAL"]))
         serial = run_sweep(doc, spec)
-        assert pools == []
+        assert splits == []
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert available_cpus() == 2
         assert run_sweep(doc, spec) == serial
-        assert pools == [2]
+        assert splits == [2]
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _act_first(monkeypatch, in_parent=lambda: None, in_child=lambda: None):
+    """Make each sweep run call in_parent() or in_child() first, by the
+    process it runs in."""
+    parent, inner = os.getpid(), sweep_mod._sweep_run
+
+    def run(*args):
+        (in_parent if os.getpid() == parent else in_child)()
+        return inner(*args)
+
+    monkeypatch.setattr(sweep_mod, "_sweep_run", run)
+
+
+def _four_runs():
+    return SweepSpec.from_dict({"priorities": ["EDF"], "preemptive": [True], "reps": 4})
+
+
+class TestShares:
+    """Share 0 runs in the calling process, each other share in a child."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A sweep that hangs on a child fails the test instead."""
+
+        def expire(signum, frame):
+            raise TimeoutError("the sweep did not finish in 20 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    def test_first_failure_in_a_child_share_beats_a_later_one_in_share_0(
+        self, splits, monkeypatch
+    ):
+        # with 3 reps the PARTITIONED runs are 3, 4 and 5: run 3 is the
+        # child's, run 4 fails later in share 0 (the other way round is
+        # test_first_failing_point_in_grid_order_raises, with 4 reps)
+        _cpus(monkeypatch, 2)
+        doc = TaskSetDocument.load({
+            "tasks": [{"name": "a", "kind": "periodic", "period": ms(10)}],
+            "versions": [{"task": "a", "wcet_estimate": ms(1)}],
+        })
+        spec = SweepSpec.from_dict(
+            {"mappings": ["GLOBAL", "PARTITIONED"], "priorities": ["EDF"],
+             "preemptive": [True], "reps": 3}
+        )
+        with pytest.raises(RtschedError, match=r"PARTITIONED/EDF/preemptive=True/any rep 0: "):
+            run_sweep(doc, spec)
+        assert splits == [2]
+        _no_children_left()
+
+    def test_no_child_outlives_a_sweep(self, splits, monkeypatch):
+        _cpus(monkeypatch, 2)
+        spec = _four_runs()
+        run_sweep(_doc(), spec)
+        _no_children_left()
+        with pytest.raises(RtschedError):
+            run_sweep(_doc(), dataclasses.replace(spec, mappings=["PARTITIONED"]))
+        _no_children_left()
+        assert splits == [2, 2]
+
+    def test_interrupt_in_share_0_kills_the_children(self, splits, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        _act_first(monkeypatch, in_parent=interrupt, in_child=lambda: time.sleep(30))
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_doc(), _four_runs())
+        assert time.monotonic() - t0 < 10
+        assert splits == [2]
+        _no_children_left()
+
+    def test_child_rows_larger_than_a_pipe_buffer(self, splits, monkeypatch):
+        spec = SweepSpec.from_dict(
+            {"priorities": ["EDF"], "preemptive": [True], "reps": 600, "horizon": "20ms"}
+        )
+        _cpus(monkeypatch, 1)
+        serial = run_sweep(_doc(), spec)
+        groups = [serial[i:i + len(RUN_METRICS)] for i in range(0, len(serial), len(RUN_METRICS))]
+        assert len(pickle.dumps((groups[1::2], None))) > 65536
+        _cpus(monkeypatch, 2)
+        assert run_sweep(_doc(), spec) == serial
+        assert splits == [2]
+        _no_children_left()
+
+    def test_other_exception_in_a_child_reaches_the_caller(self, splits, monkeypatch):
+        _cpus(monkeypatch, 2)
+
+        def fail():
+            raise ValueError("not an rtsched error")
+
+        _act_first(monkeypatch, in_child=fail)
+        with pytest.raises(ValueError, match="not an rtsched error"):
+            run_sweep(_doc(), _four_runs())
+        assert splits == [2]
+        _no_children_left()
+
+    def test_child_dying_without_rows_names_its_status(self, splits, monkeypatch):
+        _cpus(monkeypatch, 2)
+        _act_first(monkeypatch, in_child=lambda: os._exit(3))
+        with pytest.raises(RtschedError, match="sweep worker exited with status 3 "):
+            run_sweep(_doc(), _four_runs())
+        _no_children_left()
 
 
 class TestCsvAndBest:
