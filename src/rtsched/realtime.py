@@ -474,7 +474,9 @@ def run_realtime(
     state: MiddlewareState, duration_ns: int
 ) -> tuple[list[TraceEvent], RunReport]:
     """Start the thread backend, run for duration_ns > 0 of wall time,
-    stop, and return (trace, report).  The state is left STOPPED.
+    stop, and return (trace, report).  The state is left STOPPED.  The
+    run keeps its trace as CSV lines and returns the TraceEvents read back
+    from them, as run_simulation does with keep_trace=True.
 
     Each call is one run with its own clock, trace and report.  stop() lets
     the jobs already released finish, so the call returns after duration_ns

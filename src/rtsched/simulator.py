@@ -115,6 +115,8 @@ class SimJobModel:
 
 def parse_horizon(text: str | int | None, base: int | None) -> int | None:
     """Horizon argument: ns int, '<n>hp' hyperperiods, or ms/us/s sugar."""
+    if isinstance(text, bool) or not isinstance(text, (int, str, type(None))):
+        raise ConfigurationError(f"horizon must be an int of ns or a string, not {text!r}")
     if text is None or isinstance(text, int):
         return text
     t = text.strip().lower()
@@ -728,10 +730,11 @@ def run_simulation(
     overflows must pass an explicit horizon.  Releases stop at the horizon
     and everything already released drains to completion.  `restrict`,
     when given, is called once per task when the run starts, and the
-    versions it returns are the ones that task's jobs select from.  With
-    `keep_trace=False` no trace is built and the one returned is empty;
-    with "csv" it is the CSV lines (no header), formatted as events are
-    recorded.  The report is the same.
+    versions it returns are the ones that task's jobs select from.  The
+    trace is kept as CSV lines (no header), formatted as events are
+    recorded: with `keep_trace="csv"` they are returned, with True the
+    TraceEvents read back from them, and with False none is kept and the
+    one returned is empty.  The report is the same.
     """
     model = model or SimJobModel()
     graph = state.check()

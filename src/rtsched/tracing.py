@@ -3,10 +3,13 @@
 A run produces an ordered list of TraceEvent.  The CSV export has a stable
 column order (timestamp_ns, kind, task, job_seq, worker, payload) and a
 deterministic payload encoding, so equal runs serialize byte-identically.
-RunLog keeps no trace, TraceEvents, or CSV rows.  It records through one
-step per event kind, and each step formats its own row, with names encoded
-once per run; rows are sorted only if some stamp came late.  `csv_row`
-encodes `write_trace_csv`, and is the reference the rows are tested against.
+A trace has one encoding, its CSV rows.  RunLog records through one step
+per event kind, and each step formats its own row, with names encoded once
+per run; rows are sorted only if some stamp came late.  A run that returns
+TraceEvents reads them back from its rows with the reader of
+`read_trace_csv`, which keeps names as text and shares one string per
+distinct name, kind and payload key.  `csv_row` encodes `write_trace_csv`,
+and is the reference the rows are tested against.
 
 Overheads are accumulated as a run records its events, kept or not, in
 accounts that hold only unfinished jobs; `compute_overheads` re-derives
@@ -25,6 +28,8 @@ import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 from .errors import TraceIntegrityError
 
@@ -47,6 +52,11 @@ EVENT_KINDS = (
 SCHEDULER_WORKER = -1  # worker column value for scheduler-side events
 
 CSV_COLUMNS = ("timestamp_ns", "kind", "task", "job_seq", "worker", "payload")
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+# payload keys whose values are names or words, read back as text even when
+# they look like a number; every other value that parses as an int is one
+_TEXT_KEYS = frozenset(("version", "accel", "by", "purpose", "got"))
 
 
 @dataclass(slots=True)
@@ -78,21 +88,33 @@ def csv_row(t: int, kind: str, task: str, seq, worker, payload: dict) -> str:
     return "%s,%s,%s,%s,%s,%s\n" % row
 
 
-def _decode_payload(text: str) -> dict:
+class _Shared(dict):
+    """One string object per distinct text: the first one met."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = text
+        return text
+
+
+def _decode_payload(text: str, shared: _Shared) -> dict:
     out: dict = {}
     if not text:
         return out
     for part in text.split(";"):
         k, _, v = part.partition("=")
-        try:
-            out[k] = int(v)
-        except ValueError:
-            out[k] = v
+        k = shared[k]
+        if k not in _TEXT_KEYS:
+            try:
+                out[k] = int(v)
+                continue
+            except ValueError:
+                pass
+        out[k] = shared[v]
     return out
 
 
 def write_trace_csv(events: list[TraceEvent], fp) -> None:
-    fp.write(",".join(CSV_COLUMNS) + "\n")
+    fp.write(_HEADER)
     for e in events:
         fp.write(csv_row(e.timestamp_ns, e.kind, e.task, e.job_seq, e.worker, e.payload))
 
@@ -116,17 +138,13 @@ def _read_rows(rows) -> list[TraceEvent]:
     if tuple(header or ()) != CSV_COLUMNS:
         raise TraceIntegrityError(f"unexpected trace header: {header}")
     events = []
+    shared = _Shared()
     for row in rows:
         try:
             ts, kind, task, seq, worker, payload = row
-            event = TraceEvent(
-                timestamp_ns=int(ts),
-                kind=kind,
-                task=task,
-                job_seq=int(seq) if seq else None,
-                worker=int(worker) if worker else None,
-                payload=_decode_payload(payload),
-            )
+            event = TraceEvent(int(ts), shared[kind], shared[task],
+                               int(seq) if seq else None, int(worker) if worker else None,
+                               _decode_payload(payload, shared))
         except ValueError:
             raise TraceIntegrityError(
                 f"malformed trace row at line {rows.line_num}: {row}") from None
@@ -422,17 +440,18 @@ class _Fields(dict):
 
 
 class RunLog:
-    """The record of one run: its report and no trace, TraceEvents or CSV rows.
+    """The record of one run: its report and, when kept, its trace.
 
     Both backends record through it, one step per event kind, so an event
     and its count are written in one place, and end the run with `close`;
     `t` is the instant of the step.  Each step accounts its overheads
-    through `_Accounts` and, only when the run keeps a trace, builds its
-    TraceEvent or formats its own CSV row: one f-string, no payload dict,
-    names and the payloads that carry one encoded once per run, equal to
-    `csv_row` of the TraceEvent.  `accel_names` are the run's accelerator
-    names, by id.  Not thread-safe: the thread backend calls it under its
-    own lock.
+    through `_Accounts` and, only when the run keeps a trace, appends its
+    event's CSV line to `trace`: one f-string, no payload dict, names and
+    the payloads that carry one encoded once per run, equal to `csv_row`
+    of the TraceEvent.  `close` returns those lines (`keep_trace="csv"`)
+    or the TraceEvents read back from them by the reader of
+    `read_trace_csv`.  `accel_names` are the run's accelerator names, by
+    id.  Not thread-safe: the thread backend calls it under its own lock.
     """
 
     def __init__(self, keep_trace: bool | str = True, accel_names: list | tuple = ()) -> None:
@@ -441,13 +460,9 @@ class RunLog:
         self.report = RunReport()
         self._accounts = _Accounts()
         self._keep = bool(keep_trace)
-        self._rows = keep_trace == "csv"
+        self._read_back = self._keep and keep_trace != "csv"
         self._csv = _Fields()
         self._last, self._late = 0, False  # the last row's stamp; a row came below it: sort
-
-    def _event(self, t: int, kind: str, job, worker: int | None, **payload) -> None:
-        task, seq = ("", None) if job is None else (job.task.name, job.seq)
-        self.trace.append(TraceEvent(t, kind, task, seq, worker, payload))
 
     def _line(self, t: int, row: str) -> None:
         self._late |= t < self._last
@@ -458,8 +473,6 @@ class RunLog:
         t = job.abs_release
         self._accounts.mark(_THEORETICAL, job.task.name, job.seq, t)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "release_theoretical", job, None)
             self._line(t, f"{t},release_theoretical,{self._csv[job.task.name]},{job.seq},,\n")
 
     def release(self, t: int, job, worker: int | None = None) -> None:
@@ -467,8 +480,6 @@ class RunLog:
         self.report.task(job.task.name).released += 1
         self._accounts.mark(_EFFECTIVE, job.task.name, job.seq, t)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "release_effective", job, worker)
             w = "" if worker is None else worker
             self._line(t, f"{t},release_effective,{self._csv[job.task.name]},{job.seq},{w},\n")
 
@@ -478,16 +489,12 @@ class RunLog:
         self.release(t, job, worker)
         late = t - job.abs_release
         if late > 0 and self._keep:
-            if not self._rows:
-                return self._event(t, "overrun", job, worker, late=late)
             at = f"{self._csv[job.task.name]},{job.seq},{worker}"
             self._line(t, f"{t},overrun,{at},late={late}\n")
 
     def start(self, t: int, job, worker: int) -> None:
         self._accounts.mark(_START, job.task.name, job.seq, t)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "job_start", job, worker, version=job.version.name)
             text = self._csv["version=" + job.version.name]
             self._line(t, f"{t},job_start,{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
@@ -504,13 +511,6 @@ class RunLog:
             stats.misses += 1
         if self._keep:
             over = body_ns - job.version.wcet_estimate
-            if not self._rows:
-                self._event(t, "job_complete", job, worker)
-                if over > 0:
-                    self._event(t, "overrun", job, worker, over=over)
-                if late > 0:
-                    self._event(t, "deadline_miss", job, worker, late=late)
-                return
             at = f"{self._csv[name]},{job.seq},{worker}"
             self._line(t, f"{t},job_complete,{at},\n")
             if over > 0:
@@ -523,9 +523,6 @@ class RunLog:
         `wait` for it, and picked `got`."""
         self._accounts.worker_wait(wait, held)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "lock_wait", None, worker,
-                                   wait=wait, held=held, purpose="get_task", got=got)
             text = f"wait={wait};held={held};purpose=get_task;got={got}"
             self._line(t, f"{t},lock_wait,,,{worker},{text}\n")
 
@@ -533,24 +530,17 @@ class RunLog:
         """The scheduler got queue `queue`'s lock at `t` after waiting `wait`."""
         self._accounts.scheduler_wait(wait)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "lock_wait", None, SCHEDULER_WORKER,
-                                   wait=wait, purpose="tick", queue=queue)
             text = f"wait={wait};purpose=tick;queue={queue}"
             self._line(t, f"{t},lock_wait,,,{SCHEDULER_WORKER},{text}\n")
 
     def tick_begin(self, t: int) -> None:
         self._accounts.tick_begin(t)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "tick_begin", None, SCHEDULER_WORKER)
             self._line(t, f"{t},tick_begin,,,{SCHEDULER_WORKER},\n")
 
     def tick_end(self, t: int) -> None:
         self._accounts.tick_end(t)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "tick_end", None, SCHEDULER_WORKER)
             self._line(t, f"{t},tick_end,,,{SCHEDULER_WORKER},\n")
 
     def preempt(self, t: int, job, worker: int, by: str, switch: int | None = None) -> None:
@@ -558,18 +548,12 @@ class RunLog:
         passes no `switch`, and its event carries none."""
         self._accounts.preempt(switch or 0)
         if self._keep:
-            if not self._rows:
-                payload = {"by": by} if switch is None else {"switch": switch, "by": by}
-                return self._event(t, "preempt", job, worker, **payload)
             text = self._csv[f"by={by}" if switch is None else f"switch={switch};by={by}"]
             self._line(t, f"{t},preempt,{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
     def resume(self, t: int, job, worker: int, switch: int | None = None) -> None:
         self._accounts.resume(switch or 0)
         if self._keep:
-            if not self._rows:
-                return self._event(t, "resume", job, worker,
-                                   **({} if switch is None else {"switch": switch}))
             text = "" if switch is None else f"switch={switch}"
             self._line(t, f"{t},resume,{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
@@ -577,9 +561,6 @@ class RunLog:
         """One accel_acquire or accel_release event per accelerator id."""
         if self._keep:
             for a in ids:
-                if not self._rows:
-                    self._event(t, kind, job, worker, accel=self.accel_names[a])
-                    continue
                 text = self._csv["accel=" + self.accel_names[a]]
                 self._line(t, f"{t},{kind},{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
@@ -588,7 +569,8 @@ class RunLog:
     ) -> tuple[list, RunReport]:
         """End the run: count the `(task, seq)` jobs it left unfinished,
         sort the trace by time (stable: same-instant order is kept), check
-        and set the overheads and set `meta`.  Returns (trace, report)."""
+        and set the overheads and set `meta`.  Returns (trace, report): the
+        trace as CSV lines under `keep_trace="csv"`, else as TraceEvents."""
         report = self.report
         if unfinished:
             names = ", ".join(f"{n}#{s}" for n, s in unfinished)
@@ -596,12 +578,14 @@ class RunLog:
             report.truncated = True
             for name, _ in unfinished:
                 report.task(name).misses += 1
-        if not self._rows:
-            self.trace.sort(key=lambda e: e.timestamp_ns)
-        elif self._late:  # by each row's leading stamp, as a number
-            self.trace.sort(key=lambda row: int(row[:row.index(",")]))
         report.overheads = self._accounts.finish(report.truncated)
         report.meta = meta
+        if self._read_back:
+            self.trace = _read_rows(csv.reader(chain((_HEADER,), self.trace)))
+            if self._late:
+                self.trace.sort(key=attrgetter("timestamp_ns"))
+        elif self._late:  # by each row's leading stamp, as a number
+            self.trace.sort(key=lambda row: int(row[:row.index(",")]))
         return self.trace, report
 
 

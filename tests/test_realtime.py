@@ -28,6 +28,7 @@ from rtsched import (
     channel_decl,
     channel_pop,
     channel_push,
+    compute_overheads,
     init,
     ms,
     processor_preflight,
@@ -280,6 +281,22 @@ class TestRealtimeRuns:
         assert 2 not in done and max(done) > 2
         kinds = Counter(e.kind for e in trace)
         assert kinds["accel_acquire"] == kinds["accel_release"] == stats.released
+
+    def test_numeric_names_read_back_as_text(self, many_cpus):
+        # the trace is read back from the run's CSV rows: a version "7" and
+        # an accelerator "2" stay names, and the overheads re-derive exactly
+        state = init(_rt_config(worker_count=1))
+        gpu = state.hwaccel_decl("2")
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(5))
+        vid = state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=ms(1),
+                                 name="7")
+        state.hwaccel_use(tid, vid, gpu)
+        trace, report = run_realtime(state, ms(60))
+        starts = [e.payload for e in trace if e.kind == "job_start"]
+        accels = [e.payload for e in trace if e.kind in ("accel_acquire", "accel_release")]
+        assert starts and all(p == {"version": "7"} for p in starts)
+        assert accels and all(p == {"accel": "2"} for p in accels)
+        assert compute_overheads(trace, allow_truncated=report.truncated) == report.overheads
 
     def test_restart_is_a_fresh_run(self, many_cpus):
         # a task declared between stop() and start() takes part in the

@@ -627,6 +627,14 @@ class TestParseHorizon:
             with pytest.raises(ConfigurationError, match="cannot parse"):
                 parse_horizon(text, None)
 
+    @pytest.mark.parametrize("horizon", [True, False, 2.5e6, [ms(10)]])
+    def test_non_int_non_string_rejected(self, horizon):
+        """True ran a 1 ns horizon and 2.5e6 raised AttributeError."""
+        with pytest.raises(ConfigurationError, match="horizon must be an int of ns or a string"):
+            parse_horizon(horizon, ms(10))
+        with pytest.raises(ConfigurationError, match="horizon must be an int of ns or a string"):
+            run_simulation(_one_task(), horizon=horizon)
+
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ConfigurationError, match="> 0"):
             run_simulation(_one_task(), horizon=0)

@@ -19,7 +19,7 @@ from rtsched import (
     trace_csv_text,
     write_trace_csv,
 )
-from rtsched.tracing import RunLog, csv_row
+from rtsched.tracing import RunLog, _Accounts, csv_row
 
 
 def _ev(t, kind, task="", seq=None, worker=None, **payload):
@@ -38,6 +38,27 @@ class TestCsv:
         text = trace_csv_text(events)
         back = read_trace_csv(io.StringIO(text))
         assert back == events
+
+    def test_names_that_look_like_numbers_stay_text(self):
+        """A version "7", a version "1_0" and an accelerator "2" read back
+        as text, not as the ints 7, 10 and 2."""
+        events = [
+            _ev(0, "job_start", "7", 0, worker=0, version="7"),
+            _ev(0, "accel_acquire", "7", 0, worker=0, accel="2"),
+            _ev(1, "preempt", "7", 0, worker=0, switch=5, by="1_0"),
+            _ev(2, "job_start", "1_0", 0, worker=0, version="1_0"),
+            _ev(3, "lock_wait", worker=0, wait=3, held=2, purpose="get_task", got="start"),
+        ]
+        assert read_trace_csv(io.StringIO(trace_csv_text(events))) == events
+
+    def test_read_back_shares_strings(self):
+        """Each distinct kind, task, payload key and name is one object."""
+        text = trace_csv_text([_ev(t, "job_start", "task", t, worker=0, version="v")
+                               for t in range(2)])
+        a, b = read_trace_csv(io.StringIO(text))
+        assert a.kind is b.kind and a.task is b.task
+        [(ka, va)], [(kb, vb)] = a.payload.items(), b.payload.items()
+        assert ka is kb and va is vb
 
     def test_header_and_line_shape(self):
         text = trace_csv_text([_ev(1, "tick_begin", worker=SCHEDULER_WORKER)])
@@ -137,25 +158,29 @@ class TestRunLog:
     def test_complete_records_overrun_and_miss(self):
         log = RunLog()
         log.complete(15, _job(0, 10, wcet=4), worker=1, body_ns=6)
-        assert log.trace == [
+        trace, report = log.close([], {})
+        assert trace == [
             _ev(15, "job_complete", "t", 0, worker=1),
             _ev(15, "overrun", "t", 0, worker=1, over=2),
             _ev(15, "deadline_miss", "t", 0, worker=1, late=5),
         ]
-        st = log.report.tasks["t"]
+        st = report.tasks["t"]
         assert (st.completed, st.misses, st.response.total) == (1, 1, 15)
 
     def test_table_release_late_entry(self):
+        """A late entry's release carries an overrun; one on time, none."""
         log = RunLog()
         log.table_release(7, _job(5, 20, wcet=1), worker=2)
-        assert log.trace == [
+        log.table_release(9, _job(9, 20, wcet=1, seq=1), worker=2)
+        trace, report = log.close([], {})
+        assert trace == [
             _ev(5, "release_theoretical", "t", 0),
             _ev(7, "release_effective", "t", 0, worker=2),
             _ev(7, "overrun", "t", 0, worker=2, late=2),
+            _ev(9, "release_theoretical", "t", 1),
+            _ev(9, "release_effective", "t", 1, worker=2),
         ]
-        assert log.report.released == 1
-        log.table_release(9, _job(9, 20, wcet=1, seq=1), worker=2)
-        assert [e.kind for e in log.trace[3:]] == ["release_theoretical", "release_effective"]
+        assert report.released == 2
 
 
 class TestRunLogRows:
@@ -293,6 +318,16 @@ INTEGRITY_FAULTS = {
 }
 
 
+class _Blind(_Accounts):
+    """Accounts that let every fault pass, so a faulty run still closes."""
+
+    def fail(self, message):
+        pass
+
+    def finish(self, allow_truncated):
+        return self.overheads
+
+
 class TestRunLogIntegrity:
     """The trace-integrity checks hold for a run that keeps no trace."""
 
@@ -302,18 +337,19 @@ class TestRunLogIntegrity:
         for keep_trace in (False, True, "csv"):
             log = RunLog(keep_trace=keep_trace)
             record(log)
-            stamp = ((lambda row: int(row.split(",")[0])) if keep_trace == "csv"
-                     else (lambda e: e.timestamp_ns))
-            trace = sorted(log.trace, key=stamp)
             with pytest.raises(TraceIntegrityError) as err:
                 log.close([], {})
             assert str(err.value) == message
-            if keep_trace is True:
-                with pytest.raises(TraceIntegrityError) as err:
-                    compute_overheads(trace)
-                assert str(err.value) == message
-            elif not keep_trace:
+            if not keep_trace:
                 assert log.trace == []
+        # the trace the same steps leave, sorted and read back, shows the same fault
+        log = RunLog()
+        log._accounts = _Blind()
+        record(log)
+        trace, _ = log.close([], {})
+        with pytest.raises(TraceIntegrityError) as err:
+            compute_overheads(trace)
+        assert str(err.value) == message
 
     def test_unfinished_job_tolerated_in_a_truncated_run(self):
         log = RunLog(keep_trace=False)
