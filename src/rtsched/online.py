@@ -177,6 +177,24 @@ def hyperperiod(state: MiddlewareState) -> int:
     return h
 
 
+def release_timing(
+    state: MiddlewareState, graph: GraphInfo, task: TaskDescriptor
+) -> tuple[TaskDescriptor | None, int | None, int | None]:
+    """(graph root or None, period, relative deadline) of `task`'s jobs.
+
+    A periodless graph node takes its root's period and, without a
+    deadline of its own, its root's deadline; every other task keeps its
+    own fields.
+    """
+    period, rel_deadline = task.period, task.relative_deadline
+    if period is not None or task.task_id not in graph.node_root:
+        return None, period, rel_deadline
+    root = state.task(graph.node_root[task.task_id])
+    if rel_deadline is None:
+        rel_deadline = root.relative_deadline
+    return root, root.period, rel_deadline
+
+
 # ------------------------------------------------------------- the core
 
 
@@ -387,8 +405,7 @@ class SchedulerCore:
         """plans[task_id] = (key rule, static version or None, graph root
         or None, version pool or None, version ranking or None).
 
-        The root is set for a periodless graph node, whose jobs take the
-        root's period and, without a deadline of their own, its deadline.
+        The root and the timing the rule ranks by are release_timing's.
         The pool is `restrict(task)`, None without a restriction.  The
         ranking is the pool's (versions.version_ranking), None under a
         method whose choice can vary.  The version is fixed when the
@@ -399,13 +416,7 @@ class SchedulerCore:
         method = cfg.version_selection
         plans = []
         for task in self.state.tasks:
-            root = None
-            period, rel_deadline = task.period, task.relative_deadline
-            if task.period is None and task.task_id in self.graph.node_root:
-                root = self.state.task(self.graph.node_root[task.task_id])
-                period = root.period
-                if rel_deadline is None:
-                    rel_deadline = root.relative_deadline
+            root, period, rel_deadline = release_timing(self.state, self.graph, task)
             version = None
             pool = None if restrict is None else restrict(task)
             ranking = version_ranking(method, task, self.select_ctx, pool)

@@ -49,12 +49,14 @@ from .errors import ConfigurationError, UsageError
 from .graph import GraphInfo
 from .model import (
     ClockSource,
+    LockingStrategy,
     MappingScheme,
     MiddlewareState,
     PolicyConfig,
     TaskDescriptor,
     TaskKind,
     VersionDescriptor,
+    WaitingStrategy,
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, hyperperiod
@@ -734,7 +736,9 @@ def run_simulation(
     trace is kept as CSV lines (no header), formatted as events are
     recorded: with `keep_trace="csv"` they are returned, with True the
     TraceEvents read back from them, and with False none is kept and the
-    one returned is empty.  The report is the same.
+    one returned is empty.  The report is the same.  A report warns when
+    `waiting_strategy` or `locking_strategy` is not its default: they act
+    only on the thread backend, so the simulated run ignores them.
     """
     model = model or SimJobModel()
     graph = state.check()
@@ -753,11 +757,19 @@ def run_simulation(
     engine = _Engine(state, graph, model, horizon_ns, seed, restrict, keep_trace)
     engine.run()
     unfinished = [(state.tasks[t].name, s) for t, s in sorted(engine.live_jobs)]
-    return engine.log.close(unfinished, {
+    cfg = state.config
+    trace, report = engine.log.close(unfinished, {
         "backend": ClockSource.VIRTUAL.value,
-        "policy": policy_label(state.config),
+        "policy": policy_label(cfg),
         "seed": seed,
         "horizon_ns": horizon_ns,
         "tick_ns": engine.core.tick,
-        "workers": state.config.worker_count,
+        "workers": cfg.worker_count,
     })
+    if (cfg.waiting_strategy is not WaitingStrategy.SLEEP
+            or cfg.locking_strategy is not LockingStrategy.OS_LOCK):
+        report.warnings.append(
+            "waiting_strategy and locking_strategy act only on the thread"
+            " backend; the simulator does not model them"
+        )
+    return trace, report

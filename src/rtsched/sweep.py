@@ -3,7 +3,8 @@
 A sweep point is (mapping, priority, preemptive, version_mode); each point
 runs `reps` times with seeds seed+0..reps-1 and every run contributes one
 row group to a long-format CSV: (policy, mapping, priority, preemptive,
-version_mode, rep, seed, metric, value).
+version_mode, rep, seed, metric, value).  Runs that make the same schedule
+are simulated once and share their values (run_sweep).
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from .document import (
     read_object,
 )
 from .errors import ConfigurationError, RtschedError
+from .graph import analyze_graph
 from .model import MappingScheme, PriorityAssignment
+from .online import release_timing
+from .priority import key_basis
 from .realtime import available_cpus
 from .simulator import policy_label, run_simulation
 
@@ -142,6 +146,48 @@ def make_restrict(state, names: list[str] | None):
     return restrict
 
 
+def _run_keys(doc: TaskSetDocument, spec: SweepSpec, runs: list[tuple]) -> list:
+    """The key of each of `runs`: runs with equal keys simulate the same run.
+
+    A key is the run's mapping, preemption flag and rep, each task's version
+    pool (make_restrict, so a mode naming no version equals null) and each
+    task's priority basis (priority.key_basis, with the timing the scheduler
+    gives graph nodes), computed once from one state built under GLOBAL,
+    the mapping that asks least of a document.  Nothing else a run reads
+    varies along the grid but the assignment's name, which only labels the
+    run and, under USER, makes validation ask every task for a
+    user_priority; so a USER run shares only with USER runs.  A run with a
+    task its assignment cannot rank, or of a document that does not build,
+    shares with none: it fails, or not, on its own.
+    """
+    try:
+        state = doc.build_state(replace(doc.config(), mapping_scheme=MappingScheme.GLOBAL))
+        graph = analyze_graph(state)
+    except RtschedError:
+        return list(range(len(runs)))
+    timing = [release_timing(state, graph, task)[1:] for task in state.tasks]
+    bases = {}
+    for priority in spec.priorities:
+        assignment = PriorityAssignment(priority)
+        basis = tuple(
+            key_basis(assignment, task, period=period, relative_deadline=deadline)
+            for task, (period, deadline) in zip(state.tasks, timing)
+        )
+        if all(primary is not None for _, primary in basis):
+            bases[priority] = (basis, assignment is PriorityAssignment.USER)
+    pools = {}
+    for label, names in spec.version_modes.items():
+        restrict = make_restrict(state, names)
+        pools[label] = None if restrict is None else tuple(
+            tuple(v.version_id for v in restrict(task)) for task in state.tasks
+        )
+    return [
+        (mapping, preempt, rep, pools[label], bases[priority])
+        if priority in bases else i
+        for i, (mapping, priority, preempt, label, _, rep) in enumerate(runs)
+    ]
+
+
 def _sweep_run(
     doc: TaskSetDocument,
     spec: SweepSpec,
@@ -151,8 +197,8 @@ def _sweep_run(
     label: str,
     names: list[str] | None,
     rep: int,
-) -> list[dict]:
-    """The rows of one grid point's repetition `rep`."""
+) -> dict:
+    """The metric values of one grid point's repetition `rep`."""
     seed = spec.seed + rep
     point = f"{mapping}/{priority}/preemptive={preempt}/{label}"
     try:
@@ -180,7 +226,7 @@ def _sweep_run(
         resp_total += st.response.total
         resp_count += st.response.count
         resp_max = max(resp_max, st.response.max or 0)
-    values = {
+    return {
         "released": report.released,
         "completed": report.completed,
         "misses": report.misses,
@@ -190,20 +236,6 @@ def _sweep_run(
         "max_response_ns": resp_max,
         "truncated": int(report.truncated),
     }
-    return [
-        {
-            "policy": policy_label(state.config),
-            "mapping": mapping,
-            "priority": priority,
-            "preemptive": preempt,
-            "version_mode": label,
-            "rep": rep,
-            "seed": seed,
-            "metric": metric,
-            "value": values[metric],
-        }
-        for metric in RUN_METRICS
-    ]
 
 
 def _run_share(run: Callable, share: list[tuple]) -> tuple[list, Exception | None]:
@@ -287,18 +319,28 @@ def _run_shares(run: Callable, runs: list[tuple], shares: int) -> list:
 def run_sweep(doc: TaskSetDocument, spec: SweepSpec) -> list[dict]:
     """Every grid point x repetition, deterministically ordered.
 
-    The runs are split into one interleaved share per usable CPU: this
-    process runs the first share and a child forked from it runs each
+    Each distinct run is simulated once.  Runs whose keys (_run_keys) are
+    equal make the same schedule: deadline-monotonic priority orders tasks
+    as rate-monotonic priority does when every relative deadline equals its
+    period, and a version mode naming no version restricts nothing.  The
+    first run in grid order with a key is its representative, and every
+    run of the key takes the representative's values with its own policy,
+    priority, version_mode, rep and seed, so the rows equal those of
+    simulating each point on its own.
+
+    The distinct runs are split into one interleaved share per usable CPU:
+    this process runs the first share and a child forked from it runs each
     other one, and the rows come back in grid order however many shares
     ran them, so the CSV is the same for any CPU count.  Everything runs
     in this process instead when one share would do (one usable CPU or a
-    single run), when the platform cannot fork, or when this process has
-    other threads running, which a fork would copy in whatever state they
-    hold.
+    single distinct run), when the platform cannot fork, or when this
+    process has other threads running, which a fork would copy in whatever
+    state they hold.
 
     A point that fails to build or validate aborts the whole sweep and
-    names the first such point in grid order; a clean grid with missed
-    deadlines is a result, not an error.
+    names the first such point in grid order (a failing representative is
+    the first of its key); a clean grid with missed deadlines is a result,
+    not an error.
     """
     runs = [
         (mapping, priority, preempt, label, names, rep)
@@ -308,11 +350,41 @@ def run_sweep(doc: TaskSetDocument, spec: SweepSpec) -> list[dict]:
         for label, names in spec.version_modes.items()
         for rep in range(spec.reps)
     ]
-    shares = min(available_cpus(), len(runs))
+    first: dict = {}  # key -> index in `distinct` of its representative
+    distinct = []
+    simulated = []  # index in `distinct` of each run's representative
+    for args, key in zip(runs, _run_keys(doc, spec, runs)):
+        if key not in first:
+            first[key] = len(distinct)
+            distinct.append(args)
+        simulated.append(first[key])
+    shares = min(available_cpus(), len(distinct))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         shares = 1
-    groups = _run_shares(functools.partial(_sweep_run, doc, spec), runs, shares)
-    return [row for group in groups for row in group]
+    values = _run_shares(functools.partial(_sweep_run, doc, spec), distinct, shares)
+    base = doc.config()
+    rows = []
+    for (mapping, priority, preempt, label, _, rep), i in zip(runs, simulated):
+        policy = policy_label(replace(
+            base,
+            mapping_scheme=MappingScheme(mapping),
+            priority_assignment=PriorityAssignment(priority),
+        ))
+        rows.extend(
+            {
+                "policy": policy,
+                "mapping": mapping,
+                "priority": priority,
+                "preemptive": preempt,
+                "version_mode": label,
+                "rep": rep,
+                "seed": spec.seed + rep,
+                "metric": metric,
+                "value": values[i][metric],
+            }
+            for metric in RUN_METRICS
+        )
+    return rows
 
 
 def write_sweep_csv(rows: list[dict], fp) -> None:

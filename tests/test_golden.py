@@ -10,6 +10,8 @@ The known SDF lost-wakeup scenario (a->b produce 3, b->c consume 3 over a
 2 s horizon) is deliberately not pinned: its output is a defect.
 """
 
+import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -405,6 +407,25 @@ def _drone_sweep():
     return load_document(os.path.join(DEMOS, "drone.json")), spec
 
 
+def _energy_time_implicit():
+    # every deadline equals its period, so RM and DM points share runs, and
+    # the mode naming no version shares with the unrestricted one
+    doc, spec = _energy_time_doc()
+    return doc, dataclasses.replace(
+        spec, priorities=["RM", "DM", "EDF"],
+        version_modes=dict(spec.version_modes, none=["turbo"]),
+    )
+
+
+def _energy_time_constrained():
+    # det's deadline (8 ms) falls below cam's period (10 ms): DM ranks det
+    # first and RM ranks cam first, so both are simulated
+    doc, spec = _energy_time_implicit()
+    raw = copy.deepcopy(doc.data)
+    raw["tasks"][1]["relative_deadline"] = ms(8)
+    return TaskSetDocument.load(raw), spec
+
+
 SWEEP_GOLDEN = {
     "energy-time-grid": (
         _energy_time_doc,
@@ -413,6 +434,14 @@ SWEEP_GOLDEN = {
     "drone": (
         _drone_sweep,
         "f1c9730a6c75e82d0fff79c3511cdffb6959b751b2c2aed89bcc922791daae92",
+    ),
+    "energy-time-rm-dm-edf": (
+        _energy_time_implicit,
+        "04499db5acd2cef2225c09364d48079839ab3ca0899187df94110e944110fb66",
+    ),
+    "energy-time-constrained": (
+        _energy_time_constrained,
+        "508a367c50c248c109c04daa0f6cd4e56ca21f59c52404127ee7099c37e275a8",
     ),
 }
 

@@ -1,10 +1,14 @@
 """Virtual-time backend: determinism, ordering, costs, channels, offline."""
 
+import dataclasses
+import os
+
 import pytest
 
 import rtsched.simulator as sim
 from rtsched import (
     ConfigurationError,
+    LockingStrategy,
     MappingScheme,
     ModeSelect,
     PolicyConfig,
@@ -14,9 +18,11 @@ from rtsched import (
     TaskKind,
     ValidationError,
     VersionSelection,
+    WaitingStrategy,
     channel_connect,
     channel_decl,
     init,
+    load_document,
     ms,
     parse_horizon,
     policy_label,
@@ -24,6 +30,9 @@ from rtsched import (
     trace_csv_text,
     us,
 )
+
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
 
 def _one_task(period=ms(10), wcet=ms(2), **cfg):
@@ -656,6 +665,32 @@ class TestPolicyLabel:
                 version_selection=VersionSelection.PRESELECTED,
             )
         ) == "O-TABLE"
+
+
+class TestThreadOnlyKnobs:
+    """waiting_strategy and locking_strategy act only on the thread backend."""
+
+    @pytest.mark.parametrize("waiting", list(WaitingStrategy))
+    @pytest.mark.parametrize("locking", list(LockingStrategy))
+    def test_same_run_and_one_warning_off_default(self, waiting, locking):
+        doc = load_document(os.path.join(DEMOS, "drone.json"))
+
+        def run(config):
+            trace, report = run_simulation(doc.build_state(config), doc.sim_model(),
+                                           horizon="2hp", seed=3, keep_trace="csv")
+            return trace, [w for w in report.warnings if "thread backend" in w]
+
+        default = doc.config()
+        trace, warnings = run(dataclasses.replace(
+            default, waiting_strategy=waiting, locking_strategy=locking))
+        assert run(default) == (trace, [])
+        if (waiting, locking) == (WaitingStrategy.SLEEP, LockingStrategy.OS_LOCK):
+            assert warnings == []
+        else:
+            assert warnings == [
+                "waiting_strategy and locking_strategy act only on the thread"
+                " backend; the simulator does not model them"
+            ]
 
 
 class TestRestrict:

@@ -25,7 +25,7 @@ from rtsched import (
     write_sweep_csv,
 )
 import rtsched.sweep as sweep_mod
-from rtsched.model import PolicyConfig, TaskKind
+from rtsched.model import MappingScheme, PolicyConfig, PriorityAssignment, TaskKind
 from rtsched.realtime import available_cpus
 from rtsched.sweep import RUN_METRICS
 
@@ -339,6 +339,195 @@ class TestParallelSweep:
         assert available_cpus() == 2
         assert run_sweep(doc, spec) == serial
         assert splits == [2]
+
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("first", ["RM", "DM"])
+    def test_failing_shared_run_names_the_first_point_of_its_key(
+        self, splits, monkeypatch, cpus, first
+    ):
+        # the PARTITIONED points lack virt_core_id; their RM and DM points
+        # share runs, and the one first in grid order is named
+        _cpus(monkeypatch, cpus)
+        runs = _count_runs(monkeypatch)
+        doc = TaskSetDocument.load({
+            "tasks": [{"name": "a", "kind": "periodic", "period": ms(10)}],
+            "versions": [{"task": "a", "wcet_estimate": ms(1)}],
+        })
+        second = "DM" if first == "RM" else "RM"
+        spec = SweepSpec.from_dict(
+            {"mappings": ["GLOBAL", "PARTITIONED"], "priorities": [first, second],
+             "preemptive": [True], "reps": 2}
+        )
+        with pytest.raises(RtschedError, match=rf"sweep point PARTITIONED/{first}/preemptive=True/any rep 0: "):
+            run_sweep(doc, spec)
+        assert splits == ([2] if cpus == 2 else [])
+        if cpus == 1:  # the GLOBAL points ran once per rep, not once per point
+            assert runs == [first, first]
+        _no_children_left()
+
+
+def _count_runs(monkeypatch):
+    """The priority assignment of each run_simulation the sweep makes in
+    this process."""
+    calls = []
+    inner = sweep_mod.run_simulation
+
+    def counted(state, *args, **kwargs):
+        calls.append(state.config.priority_assignment.value)
+        return inner(state, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_simulation", counted)
+    return calls
+
+
+def _direct(doc, spec, mapping, priority, preempt, names, rep):
+    """A grid run's metric values from its own state and run_simulation."""
+    state = doc.build_state(dataclasses.replace(
+        doc.config(),
+        mapping_scheme=MappingScheme(mapping),
+        priority_assignment=PriorityAssignment(priority),
+        preemptive=preempt,
+    ))
+    _, report = run_simulation(state, doc.sim_model(), horizon=spec.horizon,
+                               seed=spec.seed + rep, restrict=make_restrict(state, names))
+    responses = [st.response for st in report.tasks.values()]
+    count = sum(r.count for r in responses)
+    return {
+        "released": report.released,
+        "completed": report.completed,
+        "misses": report.misses,
+        "mean_response_ns": round(sum(r.total for r in responses) / count, 3) if count else 0,
+        "max_response_ns": max(r.max or 0 for r in responses),
+        "truncated": int(report.truncated),
+    }
+
+
+def _by_run(rows):
+    runs = {}
+    for r in rows:
+        key = (r["mapping"], r["priority"], r["preemptive"], r["version_mode"], r["rep"])
+        runs.setdefault(key, {})[r["metric"]] = r["value"]
+    return runs
+
+
+def _graph_doc(snk_deadline=None):
+    """src feeds the periodless graph node snk; without a deadline of its
+    own snk inherits src's, which equals src's period."""
+    snk = {"name": "snk", "kind": "graph_node"}
+    if snk_deadline is not None:
+        snk["relative_deadline"] = snk_deadline
+    return TaskSetDocument.load({
+        "config": {"worker_count": 1},
+        "tasks": [
+            {"name": "src", "kind": "periodic", "period": ms(10)},
+            snk,
+            {"name": "mid", "kind": "periodic", "period": ms(8)},
+        ],
+        "versions": [
+            {"task": "src", "wcet_estimate": ms(2)},
+            {"task": "snk", "wcet_estimate": ms(3)},
+            {"task": "mid", "wcet_estimate": ms(2)},
+        ],
+        "channels": [{"name": "c", "capacity": 2}],
+        "connections": [{"channel": "c", "src": "src", "dst": "snk"}],
+    })
+
+
+_THREE = dict(_GRID, priorities=["RM", "DM", "EDF"],
+              version_modes={"cpu": ["cpu"], "gpu": ["gpu"], "both": None, "none": ["turbo"]})
+
+
+class TestSharedRuns:
+    """A run is simulated once per distinct key: DM equals RM where every
+    deadline is its period, and a mode naming no version equals null."""
+
+    def _sweep(self, monkeypatch, doc, spec):
+        _cpus(monkeypatch, 1)
+        runs = _count_runs(monkeypatch)
+        rows = run_sweep(doc, spec)
+        for (mapping, priority, preempt, label, rep), values in _by_run(rows).items():
+            assert values == _direct(doc, spec, mapping, priority, preempt,
+                                     spec.version_modes[label], rep)
+        return rows, runs
+
+    def test_implicit_deadlines_run_two_thirds(self, monkeypatch):
+        spec = SweepSpec.from_dict(dict(_THREE, version_modes=_GRID["version_modes"]))
+        rows, runs = self._sweep(monkeypatch, _accel_doc(), spec)
+        assert len(rows) == 36 * len(RUN_METRICS)
+        assert len(runs) == 24
+        assert sorted(set(runs)) == ["EDF", "RM"]
+        # a shared point keeps its own columns
+        dm = [r for r in rows if r["priority"] == "DM"]
+        assert {r["policy"] for r in dm} == {"G-DM", "P-DM"}
+        assert {(r["rep"], r["seed"]) for r in dm} == {(0, 5)}
+
+    def test_mode_naming_no_version_shares_with_null(self, monkeypatch):
+        spec = SweepSpec.from_dict(_THREE)
+        rows, runs = self._sweep(monkeypatch, _accel_doc(), spec)
+        assert len(rows) == 48 * len(RUN_METRICS)
+        assert len(runs) == 24
+        by_run = _by_run(rows)
+        assert all(by_run[k[:3] + ("none",) + k[4:]] == v
+                   for k, v in by_run.items() if k[3] == "both")
+
+    def test_constrained_deadline_runs_every_point(self, monkeypatch):
+        doc = _accel_doc()
+        raw = dict(doc.data, tasks=[dict(t) for t in doc.data["tasks"]])
+        raw["tasks"][1]["relative_deadline"] = ms(15)
+        doc = TaskSetDocument.load(raw)
+        spec = SweepSpec.from_dict(dict(_THREE, version_modes=_GRID["version_modes"]))
+        rows, runs = self._sweep(monkeypatch, doc, spec)
+        assert len(runs) == 36
+        assert runs.count("DM") == 12
+
+    def test_graph_node_inheriting_its_roots_deadline_shares(self, monkeypatch):
+        spec = SweepSpec.from_dict({"priorities": ["RM", "DM"], "preemptive": [True, False],
+                                    "horizon": "80ms"})
+        rows, runs = self._sweep(monkeypatch, _graph_doc(), spec)
+        assert runs == ["RM", "RM"]
+        assert {r["value"] for r in rows if r["metric"] == "completed"} != {0}
+
+    def test_graph_node_with_its_own_deadline_does_not_share(self, monkeypatch):
+        spec = SweepSpec.from_dict({"priorities": ["RM", "DM"], "preemptive": [True, False],
+                                    "horizon": "80ms"})
+        rows, runs = self._sweep(monkeypatch, _graph_doc(snk_deadline=ms(6)), spec)
+        assert runs == ["RM", "RM", "DM", "DM"]
+
+    def test_unranked_task_shares_with_no_run(self, monkeypatch):
+        # USER cannot rank node, which has no user priority: the USER runs
+        # are not shared, and pass because no activation releases s, the
+        # sporadic root that feeds node
+        doc = TaskSetDocument.load({
+            "tasks": [{"name": "a", "kind": "periodic", "period": ms(10), "user_priority": 1},
+                      {"name": "s", "kind": "sporadic", "period": ms(10), "user_priority": 2},
+                      {"name": "node", "kind": "graph_node"}],
+            "versions": [{"task": t, "wcet_estimate": ms(1)} for t in ("a", "s", "node")],
+            "channels": [{"name": "c", "capacity": 1}],
+            "connections": [{"channel": "c", "src": "s", "dst": "node"}],
+        })
+        spec = SweepSpec.from_dict({"priorities": ["USER", "EDF"], "preemptive": [True],
+                                    "version_modes": {"any": None, "none": ["turbo"]}})
+        _, runs = self._sweep(monkeypatch, doc, spec)
+        assert runs == ["USER", "USER", "EDF"]
+
+    def test_user_shares_only_with_user(self, monkeypatch):
+        # a's user priority equals its period, so its USER basis is its RM
+        # basis; but USER validation asks b for a user priority
+        doc = TaskSetDocument.load({
+            "tasks": [{"name": "a", "kind": "periodic", "period": ms(10),
+                       "user_priority": ms(10)},
+                      {"name": "b", "kind": "aperiodic", "relative_deadline": ms(5)}],
+            "versions": [{"task": "a", "wcet_estimate": ms(1)},
+                         {"task": "b", "wcet_estimate": ms(1)}],
+        })
+        _cpus(monkeypatch, 1)
+        runs = _count_runs(monkeypatch)
+        spec = SweepSpec.from_dict({"priorities": ["RM", "USER"], "preemptive": [True]})
+        with pytest.raises(RtschedError, match=r"sweep point GLOBAL/USER/preemptive=True/any rep 0: "
+                                               r".*no-user-priority"):
+            run_sweep(doc, spec)
+        assert runs == ["RM", "USER"]
 
 
 def _no_children_left():
