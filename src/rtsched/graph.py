@@ -144,10 +144,9 @@ class ChannelState:
     the consumer, so one token burst cannot activate two jobs.
     """
 
-    __slots__ = ("channel_id", "capacity", "items", "claimed")
+    __slots__ = ("capacity", "items", "claimed")
 
     def __init__(self, desc: ChannelDescriptor):
-        self.channel_id = desc.channel_id
         self.capacity = desc.room
         self.items: deque = deque([None] * min(desc.initial_tokens, self.capacity))
         self.claimed = 0

@@ -248,7 +248,6 @@ class SchedulerCore:
         }
         self._pending: list[tuple[int, int]] = []  # (release, task_id)
         self._last_sporadic: dict[int, int] = {}
-        self._node_fired: dict[int, int] = {t: 0 for t in self.graph.node_rate}
         # (node, firings per iteration) of each periodic graph root's nodes
         # that inherit its deadline
         self._inheritors: dict[int, list[tuple[int, int]]] = {}
@@ -256,9 +255,9 @@ class SchedulerCore:
             r = self.graph.node_root.get(t)
             if r is not None and state.tasks[t].relative_deadline is None:
                 self._inheritors.setdefault(r, []).append((t, rate or 1))
-        # root -> [iteration of the first kept instant, its release instants
-        # from there]: only iterations some inheritor has yet to fire
-        self._root_releases: dict[int, list] = {r: [0, deque()] for r in self._inheritors}
+        # root -> its release instants of iterations some inheritor has yet
+        # to fire; the first kept is iteration _seq[root] - len(kept)
+        self._root_releases: dict[int, deque] = {r: deque() for r in self._inheritors}
         # token-driven nodes with their indexed inputs, in topological order;
         # roots release on the clock even if they have inputs
         self._token_nodes = [
@@ -364,20 +363,21 @@ class SchedulerCore:
         if root is None:
             abs_deadline = abs_release + (task.relative_deadline or 0)
             kept = self._root_releases.get(tid)
-            if kept is not None:
-                kept[1].append(abs_release)
-                self._trim_root_releases(tid, kept)
+            if kept is not None:  # drop instants of iterations every inheritor fired
+                kept.append(abs_release)
+                oldest = min(self._seq[t] // rate for t, rate in self._inheritors[tid])
+                while kept and self._seq[tid] - len(kept) < oldest:
+                    kept.popleft()
         elif task.relative_deadline is not None:
             # node-local deadline, measured from its own activation
             abs_deadline = abs_release + task.relative_deadline
         else:
-            # inherit the end-to-end deadline of the root release that
-            # spawned this iteration of the graph
-            iteration = self._node_fired[tid] // (self.graph.node_rate.get(tid, 1) or 1)
-            self._node_fired[tid] += 1
-            first, instants = self._root_releases[root.task_id]
-            i = iteration - first
-            base = instants[i] if i < len(instants) else abs_release
+            # inherit the end-to-end deadline of the root release that spawned
+            # iteration seq // rate of the graph: a node fires in order
+            kept = self._root_releases[root.task_id]
+            iteration = seq // (self.graph.node_rate.get(tid, 1) or 1)
+            i = iteration - (self._seq[root.task_id] - len(kept))
+            base = kept[i] if i < len(kept) else abs_release
             abs_deadline = base + root.relative_deadline
         if version is None:
             if ranking:
@@ -392,14 +392,6 @@ class SchedulerCore:
                 )
         key = key_of(seq, abs_release, abs_deadline)
         return Job(task, seq, version, abs_release, abs_deadline, key)
-
-    def _trim_root_releases(self, root: int, kept: list) -> None:
-        """Drop the root's instants of iterations every inheritor has fired."""
-        oldest = min(self._node_fired[t] // rate for t, rate in self._inheritors[root])
-        instants = kept[1]
-        while kept[0] < oldest and instants:
-            instants.popleft()
-            kept[0] += 1
 
     def _release_plans(self, restrict) -> list[tuple]:
         """plans[task_id] = (key rule, static version or None, graph root

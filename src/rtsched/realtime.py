@@ -185,9 +185,9 @@ class RealtimeBackend:
         self.reg_mutex = threading.RLock()  # cross-queue accelerator state
         self.work_conds = [threading.Condition() for _ in self.core.queues]
         self.preempt_flags = [threading.Event() for _ in range(cfg.worker_count)]
-        self.log = RunLog(accel_names=[a.name for a in state.accelerators])
-        self.trace_lock = threading.Lock()  # guards log, unfinished, _degraded
-        self.unfinished: list[Job] = []  # released jobs whose body failed
+        self.log = RunLog(accel_names=[a.name for a in state.accelerators],
+                          task_names=[t.name for t in state.tasks])
+        self.trace_lock = threading.Lock()  # guards log, _degraded
         self.t0 = 0
         self._stopping = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -272,11 +272,10 @@ class RealtimeBackend:
             th.join()
 
     def collect(self) -> tuple[list[TraceEvent], RunReport]:
-        """Trace and report of this run.  Call once, after stop."""
-        # a pass racing stop() can queue jobs after the workers have left
-        left = self.unfinished + [j for q in self.core.queues for j in q.items]
-        left.sort(key=lambda j: j.job_id)
-        return self.log.close([(j.task.name, j.seq) for j in left], {
+        """Trace and report of this run.  Call once, after stop.  The jobs
+        the log holds open are unfinished: bodies that failed, and jobs a
+        pass racing stop() queued after the workers had left."""
+        return self.log.close({
             "backend": ClockSource.MONOTONIC_OS.value,
             "workers": self.state.config.worker_count,
             "tick_ns": self.core.tick,
@@ -448,7 +447,6 @@ class RealtimeBackend:
         with self.trace_lock:
             if failure:
                 self.log.report.warnings.append(f"job {job.task.name}#{job.seq} {failure}")
-                self.unfinished.append(job)
             else:
                 self.log.complete(t_done, job, w, t_done - t_start - ctx.stolen_ns)
             self.log.accels(t_done, "accel_release", job, w, freed)

@@ -91,13 +91,13 @@ class SimJobModel:
     Unmapped versions execute for exactly their wcet_estimate.  Anything
     else, unknown names included, fails when the run starts.
 
-    The four cost knobs inject scheduling overheads.  body_ops overrides
-    the derived channel behaviour of a task (pops at start, pushes at the
-    end) with explicit (offset_ns >= 0, "push"|"pop", channel_name,
-    count >= 1) tuples splitting the execution body; its keys and channel
-    names must be declared.  Each activations entry (t, name) names a
-    sporadic or aperiodic task at t >= 0, and each mode_schedule instant is
-    >= 0.  Like exec_time, these fail when the run starts.
+    The four cost knobs, each an int >= 0 (ns), inject scheduling overheads.
+    body_ops overrides the derived channel behaviour of a task (pops at
+    start, pushes at the end) with explicit (offset_ns >= 0, "push"|"pop",
+    channel_name, count >= 1) tuples splitting the execution body; its keys
+    and channel names must be declared.  Each activations entry (t, name)
+    names a sporadic or aperiodic task at t >= 0, and each mode_schedule
+    instant is >= 0.  Like exec_time, these fail when the run starts.
     """
 
     exec_time: dict = field(default_factory=dict)
@@ -243,7 +243,8 @@ class _Engine:
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self.log = RunLog(keep_trace, [a.name for a in state.accelerators])
+        self.log = RunLog(keep_trace, [a.name for a in state.accelerators],
+                          [t.name for t in state.tasks])
         self.events_done = 0
 
         self.registry = AcceleratorRegistry(
@@ -265,7 +266,6 @@ class _Engine:
         self.workers = [_WorkerSim() for _ in range(state.config.worker_count)]
         self.locks = [_FifoLock() for _ in self.core.queues]
         self.execs: dict[Job, _JobExec] = {}
-        self.live_jobs: set[tuple[int, int]] = set()
         self._sched_active = False
         self._sched_missed = False
         self._tick_armed = False
@@ -283,6 +283,11 @@ class _Engine:
                 raise ConfigurationError(f"SimJobModel.activations entry {(t, name)!r} must"
                                          " name a sporadic or aperiodic task at an instant >= 0")
         self.activations = [(t, tasks[name].task_id) for t, name in sorted(model.activations)]
+        for knob in ("get_task_cost", "sched_scan_cost_per_task", "sort_cost_per_element",
+                     "context_switch_cost"):
+            cost = getattr(model, knob)
+            if type(cost) is not int or cost < 0:
+                raise ConfigurationError(f"SimJobModel.{knob} must be an int >= 0, got {cost!r}")
         for t, mask in model.mode_schedule:
             if t < 0:
                 raise ConfigurationError(f"SimJobModel.mode_schedule entry {(t, mask)!r}"
@@ -424,7 +429,6 @@ class _Engine:
         jobs.extend(self.core.graph_activations(self.now))
         for job in jobs:
             self.log.theoretical(job)
-            self.live_jobs.add(job.job_id)
         return jobs
 
     def _tick_cs(self, now: int, waited: int) -> None:
@@ -685,7 +689,6 @@ class _Engine:
     def _complete(self, w: int, job: Job) -> None:
         ws = self.workers[w]
         ex = self.execs.pop(job)
-        self.live_jobs.discard(job.job_id)
         self.log.complete(self.now, job, w, ex.duration)
         freed, notify = self.core.free_accelerators(job)
         self.log.accels(self.now, "accel_release", job, w, freed)
@@ -708,7 +711,6 @@ class _Engine:
             self.push_event(max(release, self.now), _P_MISC, self._run_entry, core, job)
 
     def _run_entry(self, core: int, job: Job) -> None:
-        self.live_jobs.add(job.job_id)
         self.log.table_release(self.now, job, core)
         self._switch_end(core, core, job, 0)
 
@@ -756,9 +758,8 @@ def run_simulation(
 
     engine = _Engine(state, graph, model, horizon_ns, seed, restrict, keep_trace)
     engine.run()
-    unfinished = [(state.tasks[t].name, s) for t, s in sorted(engine.live_jobs)]
     cfg = state.config
-    trace, report = engine.log.close(unfinished, {
+    trace, report = engine.log.close({
         "backend": ClockSource.VIRTUAL.value,
         "policy": policy_label(cfg),
         "seed": seed,

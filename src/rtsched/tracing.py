@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 
-from .errors import TraceIntegrityError
+from .errors import ConfigurationError, TraceIntegrityError
 
 EVENT_KINDS = (
     "release_theoretical",
@@ -450,12 +450,17 @@ class RunLog:
     the payloads that carry one encoded once per run, equal to `csv_row`
     of the TraceEvent.  `close` returns those lines (`keep_trace="csv"`)
     or the TraceEvents read back from them by the reader of
-    `read_trace_csv`.  `accel_names` are the run's accelerator names, by
-    id.  Not thread-safe: the thread backend calls it under its own lock.
+    `read_trace_csv`.  `accel_names` and `task_names` are the run's
+    accelerator and task names, by id.  Not thread-safe: the thread
+    backend calls it under its own lock.
     """
 
-    def __init__(self, keep_trace: bool | str = True, accel_names: list | tuple = ()) -> None:
+    def __init__(self, keep_trace: bool | str = True, accel_names: list | tuple = (),
+                 task_names: list | tuple = ()) -> None:
+        if not (isinstance(keep_trace, bool) or keep_trace == "csv"):
+            raise ConfigurationError(f'keep_trace must be True, False or "csv", not {keep_trace!r}')
         self.accel_names = accel_names
+        self.task_names = task_names
         self.trace: list = []
         self.report = RunReport()
         self._accounts = _Accounts()
@@ -564,14 +569,15 @@ class RunLog:
                 text = self._csv["accel=" + self.accel_names[a]]
                 self._line(t, f"{t},{kind},{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
 
-    def close(
-        self, unfinished: list[tuple[str, int]], meta: dict
-    ) -> tuple[list, RunReport]:
-        """End the run: count the `(task, seq)` jobs it left unfinished,
-        sort the trace by time (stable: same-instant order is kept), check
-        and set the overheads and set `meta`.  Returns (trace, report): the
-        trace as CSV lines under `keep_trace="csv"`, else as TraceEvents."""
+    def close(self, meta: dict) -> tuple[list, RunReport]:
+        """End the run: count as unfinished, in (task id, seq) order, the
+        jobs the accounts hold open (some of their four marks, not all), sort
+        the trace by time (stable: same-instant order is kept), check and set
+        the overheads and set `meta`.  Returns (trace, report): the trace as
+        CSV lines under `keep_trace="csv"`, else as TraceEvents."""
         report = self.report
+        rank = {name: i for i, name in enumerate(self.task_names)}
+        unfinished = sorted(self._accounts.marks, key=lambda job: (rank.get(job[0], -1), job[1]))
         if unfinished:
             names = ", ".join(f"{n}#{s}" for n, s in unfinished)
             report.warnings.append(f"run ended with unfinished jobs: {names}")

@@ -15,7 +15,7 @@ from rtsched.cli import main
 from rtsched.tracing import CSV_COLUMNS
 
 from .test_document import WRONGLY_TYPED
-from .test_simulator import MALFORMED_EXEC_TIME
+from .test_simulator import COST_KNOBS, MALFORMED_EXEC_TIME
 
 
 def _doc(tmp_path, data, name="set.json"):
@@ -215,6 +215,18 @@ class TestSimulate:
         assert main(["simulate", path, "--horizon", "20ms"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: exec_time of task 'a'") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("knob", COST_KNOBS)
+    def test_negative_cost_knob_is_one_error_line(self, tmp_path, capsys, knob):
+        path = _doc(tmp_path, {
+            "config": {"worker_count": 1},
+            "tasks": [{"name": "a", "period": ms(10)}],
+            "versions": [{"task": "a", "wcet_estimate": ms(1)}],
+            "sim_model": {knob: -1},
+        })
+        assert main(["simulate", path, "--horizon", "20ms"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: SimJobModel.{knob} must be an int >= 0, got -1\n"
 
 
 class TestSweep:

@@ -175,7 +175,19 @@ class TestScriptedInputs:
             run_simulation(self._state(), model, horizon=ms(10))
 
 
+COST_KNOBS = ("get_task_cost", "sched_scan_cost_per_task", "sort_cost_per_element",
+              "context_switch_cost")
+
+
 class TestCostKnobs:
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    @pytest.mark.parametrize("knob", COST_KNOBS)
+    def test_knob_that_is_not_an_int_of_ns_rejected(self, knob, value):
+        model = SimJobModel(**{knob: value})
+        with pytest.raises(ConfigurationError,
+                           match=rf"SimJobModel\.{knob} must be an int >= 0, got {value}$"):
+            run_simulation(_one_task(), model, horizon=ms(20))
+
     def test_get_task_cost_delays_start(self):
         model = SimJobModel(get_task_cost=us(2))
         trace, report = run_simulation(_one_task(), model)
@@ -228,6 +240,12 @@ class TestCostKnobs:
         assert _events(trace, "preempt") == []
         assert _times(trace, "job_start", task="hi")[0] == ms(8)
         assert report.misses == 0  # hi still makes its 12 ms deadline
+
+
+@pytest.mark.parametrize("keep_trace", ["CSV", "rows", 1, None])
+def test_unknown_keep_trace_rejected(keep_trace):
+    with pytest.raises(ConfigurationError, match='keep_trace must be True, False or "csv"'):
+        run_simulation(_one_task(), keep_trace=keep_trace)
 
 
 class TestSwitchWindow:

@@ -157,9 +157,13 @@ def _job(release, deadline, wcet, task="t", seq=0):
 class TestRunLog:
     def test_complete_records_overrun_and_miss(self):
         log = RunLog()
-        log.complete(15, _job(0, 10, wcet=4), worker=1, body_ns=6)
-        trace, report = log.close([], {})
-        assert trace == [
+        job = _job(0, 10, wcet=4)
+        log.theoretical(job)
+        log.release(0, job)
+        log.start(9, job, 1)
+        log.complete(15, job, worker=1, body_ns=6)
+        trace, report = log.close({})
+        assert trace[3:] == [
             _ev(15, "job_complete", "t", 0, worker=1),
             _ev(15, "overrun", "t", 0, worker=1, over=2),
             _ev(15, "deadline_miss", "t", 0, worker=1, late=5),
@@ -172,7 +176,7 @@ class TestRunLog:
         log = RunLog()
         log.table_release(7, _job(5, 20, wcet=1), worker=2)
         log.table_release(9, _job(9, 20, wcet=1, seq=1), worker=2)
-        trace, report = log.close([], {})
+        trace, report = log.close({})
         assert trace == [
             _ev(5, "release_theoretical", "t", 0),
             _ev(7, "release_effective", "t", 0, worker=2),
@@ -181,6 +185,17 @@ class TestRunLog:
             _ev(9, "release_effective", "t", 1, worker=2),
         ]
         assert report.released == 2
+
+    def test_unfinished_jobs_listed_in_task_order(self):
+        """close names the jobs it holds open by task id, then seq, not by
+        name or by the order their marks came in."""
+        log = RunLog(keep_trace=False, task_names=("b", "a"))
+        for task, seq in (("a", 1), ("b", 2), ("a", 0), ("b", 0)):
+            log.theoretical(_job(0, 9, wcet=1, task=task, seq=seq))
+        _, report = log.close({})
+        assert report.warnings == ["run ended with unfinished jobs: b#0, b#2, a#0, a#1"]
+        assert report.truncated
+        assert (report.tasks["a"].misses, report.tasks["b"].misses) == (2, 2)
 
 
 class TestRunLogRows:
@@ -191,7 +206,7 @@ class TestRunLogRows:
         log.theoretical(_job(10, 50, wcet=1, task="a"))
         log.theoretical(_job(9, 50, wcet=1, task="b"))
         log.tick_wait(9, 2, 0)
-        trace, _ = log.close([], {})
+        trace, _ = log.close({})
         assert trace == ["9,release_theoretical,b,0,,\n",
                          "9,lock_wait,,,-1,wait=2;purpose=tick;queue=0\n",
                          "10,release_theoretical,a,0,,\n"]
@@ -203,7 +218,7 @@ class TestRunLogRows:
         log.release(1, job)
         log.start(2, job, 0)
         log.preempt(3, job, 0, by="h,i", switch=4)
-        trace, _ = log.close([("t", 0)], {})
+        trace, _ = log.close({})
         assert trace == ["0,release_theoretical,t,0,,\n", "1,release_effective,t,0,,\n",
                          "2,job_start,t,0,0,version=v0\n",
                          '3,preempt,t,0,0,"switch=4;by=h,i"\n']
@@ -337,16 +352,22 @@ class TestRunLogIntegrity:
         for keep_trace in (False, True, "csv"):
             log = RunLog(keep_trace=keep_trace)
             record(log)
-            with pytest.raises(TraceIntegrityError) as err:
-                log.close([], {})
-            assert str(err.value) == message
+            if fault == "started, never completed":
+                # a log reports a job it holds open as unfinished
+                _, report = log.close({})
+                assert report.truncated and report.tasks["t"].misses == 1
+                assert report.warnings == ["run ended with unfinished jobs: t#0"]
+            else:
+                with pytest.raises(TraceIntegrityError) as err:
+                    log.close({})
+                assert str(err.value) == message
             if not keep_trace:
                 assert log.trace == []
         # the trace the same steps leave, sorted and read back, shows the same fault
         log = RunLog()
         log._accounts = _Blind()
         record(log)
-        trace, _ = log.close([], {})
+        trace, _ = log.close({})
         with pytest.raises(TraceIntegrityError) as err:
             compute_overheads(trace)
         assert str(err.value) == message
@@ -354,7 +375,7 @@ class TestRunLogIntegrity:
     def test_unfinished_job_tolerated_in_a_truncated_run(self):
         log = RunLog(keep_trace=False)
         log.start(1, _J, 0)
-        _, report = log.close([("t", 0)], {})
+        _, report = log.close({})
         assert report.truncated
 
     def test_first_fault_wins(self):
@@ -363,7 +384,7 @@ class TestRunLogIntegrity:
         log.start(5, _J, 0)
         log.start(6, _J, 1)
         with pytest.raises(TraceIntegrityError, match="tick_end without tick_begin"):
-            log.close([], {})
+            log.close({})
 
 
 def _chain(t, task, seq):
@@ -392,7 +413,7 @@ def _finish_in_order(seqs):
         else:
             bounds += [seq, seq + 1]
     assert log._accounts.done == {"t": bounds}
-    log.close([], {})
+    log.close({})
 
 
 class TestFinishedJobs:
