@@ -13,9 +13,11 @@ Aperiodic jobs use their activation instant as primary regardless of the
 assignment, which makes them FIFO among themselves.  The trailing pair is
 the deterministic tie-break.
 
-`key_basis` fixes a task's class and primary once, and `key_rule` is the
-one rule built from it: the scheduler builds each task's rule when a run
-starts.  `assign_priority` applies it to a single job.
+`key_rule` is the one rule: it fixes a task's class and primary once, and
+the scheduler builds each task's rule when a run starts.  `assign_priority`
+applies it to a single job.  A task whose relative deadline equals its
+period gets the same keys under DM as under RM (Leung & Whitehead, 1982),
+which lets a sweep run such DM points as RM ones.
 """
 
 from __future__ import annotations
@@ -40,46 +42,6 @@ class PriorityKey(NamedTuple):
 _key = partial(tuple.__new__, PriorityKey)  # PriorityKey from a 4-tuple, without a Python frame
 
 
-# a basis primary taken from each job rather than fixed per task
-RELEASE = "release"
-DEADLINE = "deadline"
-
-_UNRANKED = {
-    PriorityAssignment.RM: "RM needs a period on task {!r}",
-    PriorityAssignment.DM: "DM needs a relative deadline on task {!r}",
-    PriorityAssignment.USER: "USER priority missing on task {!r}",
-}
-
-
-def key_basis(
-    assignment: PriorityAssignment,
-    task: TaskDescriptor,
-    *,
-    period: int | None = None,
-    relative_deadline: int | None = None,
-) -> tuple[int, int | str | None]:
-    """(class, primary): the part of every key of `task` fixed per task.
-
-    primary is a constant, RELEASE or DEADLINE for the job's absolute
-    release or deadline, or None when the assignment cannot rank the task.
-    period/relative_deadline override the task's own fields as in
-    `key_rule`.  Two tasks' jobs with equal bases get equal keys, so
-    deadline-monotonic priority equals rate-monotonic priority (Leung &
-    Whitehead, 1982) wherever each relative deadline equals its period.
-    """
-    if task.kind is TaskKind.APERIODIC:
-        return CLASS_APERIODIC, RELEASE
-    if assignment is PriorityAssignment.EDF:
-        return CLASS_RECURRING, DEADLINE
-    if assignment is PriorityAssignment.RM:
-        primary = period if period is not None else task.period
-    elif assignment is PriorityAssignment.DM:
-        primary = relative_deadline if relative_deadline is not None else task.relative_deadline
-    else:  # USER
-        primary = task.user_priority
-    return CLASS_RECURRING, primary
-
-
 def key_rule(
     assignment: PriorityAssignment,
     task: TaskDescriptor,
@@ -91,27 +53,33 @@ def key_rule(
 
     period/relative_deadline override the task's own fields; the scheduler
     passes the root's values for graph-node jobs, whose timing is described
-    at graph level.  The rule is `key_basis` completed by the job's own
-    instant where the basis names one, and by the task id and seq.  A task
-    the assignment cannot rank gets a rule that raises ValidationError when
-    called, so only a task that releases a job fails: a graph node that
-    never activates needs no period under RM.
+    at graph level.  Everything but the job's own instants and seq is fixed
+    here, once.  A task the assignment cannot rank gets a rule that raises
+    ValidationError when called, so only a task that releases a job fails:
+    a graph node that never activates needs no period under RM.
     """
     tid = task.task_id
-    klass, primary = key_basis(assignment, task, period=period,
-                               relative_deadline=relative_deadline)
-    if primary is RELEASE:
-        return lambda seq, abs_release, abs_deadline: _key((klass, abs_release, tid, seq))
-    if primary is DEADLINE:
-        return lambda seq, abs_release, abs_deadline: _key((klass, abs_deadline, tid, seq))
+    if task.kind is TaskKind.APERIODIC:
+        return lambda seq, abs_release, abs_deadline: _key(
+            (CLASS_APERIODIC, abs_release, tid, seq))
+    if assignment is PriorityAssignment.EDF:
+        return lambda seq, abs_release, abs_deadline: _key(
+            (CLASS_RECURRING, abs_deadline, tid, seq))
+    if assignment is PriorityAssignment.RM:
+        primary = period if period is not None else task.period
+        missing = f"RM needs a period on task {task.name!r}"
+    elif assignment is PriorityAssignment.DM:
+        primary = relative_deadline if relative_deadline is not None else task.relative_deadline
+        missing = f"DM needs a relative deadline on task {task.name!r}"
+    else:  # USER
+        primary = task.user_priority
+        missing = f"USER priority missing on task {task.name!r}"
     if primary is None:
-        missing = _UNRANKED[assignment].format(task.name)
-
         def unranked(seq: int, abs_release: int, abs_deadline: int) -> PriorityKey:
             raise ValidationError(missing)
 
         return unranked
-    return lambda seq, abs_release, abs_deadline: _key((klass, primary, tid, seq))
+    return lambda seq, abs_release, abs_deadline: _key((CLASS_RECURRING, primary, tid, seq))
 
 
 def assign_priority(

@@ -468,10 +468,16 @@ class RealtimeBackend:
 # -------------------------------------------------------------- helpers
 
 
+def _positive_int(name: str, value, rule: str = "positive") -> None:
+    """Refuse argument `name` unless it is an int, not a bool, above 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ConfigurationError(f"{name} must be {rule} and an int, not {value!r}")
+
+
 def run_realtime(
     state: MiddlewareState, duration_ns: int
 ) -> tuple[list[TraceEvent], RunReport]:
-    """Start the thread backend, run for duration_ns > 0 of wall time,
+    """Start the thread backend, run for an int duration_ns > 0 of wall time,
     stop, and return (trace, report).  The state is left STOPPED.  The
     run keeps its trace as CSV lines and returns the TraceEvents read back
     from them, as run_simulation does with keep_trace=True.
@@ -482,8 +488,7 @@ def run_realtime(
     channel at stop, is counted unfinished with a warning naming it."""
     if state.config.clock_source is not ClockSource.MONOTONIC_OS:
         raise ConfigurationError("run_realtime requires clock_source=MONOTONIC_OS")
-    if duration_ns <= 0:
-        raise ConfigurationError("duration_ns must be > 0")
+    _positive_int("duration_ns", duration_ns, "> 0")
     processor_preflight(state.config.worker_count + 1)
     state.start()
     try:
@@ -506,11 +511,11 @@ def latency_probe(
     Spawns `threads` probe tasks, one per worker, each released every
     `period_ns` for `loops` activations, and returns the distribution of
     job_start - release_theoretical per probe plus a pooled "all" entry.
-    The shape mirrors the cyclictest-style min/avg/max summary."""
-    if loops <= 0:
-        raise ConfigurationError("loops must be positive")
-    if threads < 1:
-        raise ConfigurationError("threads must be >= 1")
+    The shape mirrors the cyclictest-style min/avg/max summary.  threads,
+    period_ns and loops must be ints > 0, checked before a thread starts."""
+    _positive_int("threads", threads)
+    _positive_int("period_ns", period_ns)
+    _positive_int("loops", loops)
     cfg = PolicyConfig(
         mapping_scheme=MappingScheme.GLOBAL,
         priority_assignment=priority_assignment,

@@ -33,9 +33,8 @@ from .document import (
 )
 from .errors import ConfigurationError, RtschedError
 from .graph import analyze_graph
-from .model import MappingScheme, PriorityAssignment
+from .model import MappingScheme, PriorityAssignment, TaskKind
 from .online import release_timing
-from .priority import key_basis
 from .realtime import available_cpus
 from .simulator import policy_label, run_simulation
 
@@ -149,32 +148,23 @@ def make_restrict(state, names: list[str] | None):
 def _run_keys(doc: TaskSetDocument, spec: SweepSpec, runs: list[tuple]) -> list:
     """The key of each of `runs`: runs with equal keys simulate the same run.
 
-    A key is the run's mapping, preemption flag and rep, each task's version
-    pool (make_restrict, so a mode naming no version equals null) and each
-    task's priority basis (priority.key_basis, with the timing the scheduler
-    gives graph nodes), computed once from one state built under GLOBAL,
-    the mapping that asks least of a document.  Nothing else a run reads
-    varies along the grid but the assignment's name, which only labels the
-    run and, under USER, makes validation ask every task for a
-    user_priority; so a USER run shares only with USER runs.  A run with a
-    task its assignment cannot rank, or of a document that does not build,
-    shares with none: it fails, or not, on its own.
+    A key is the run's mapping, priority, preemption flag, rep and each
+    task's version pool (make_restrict, so a mode naming no version equals
+    null), computed once from one state built under GLOBAL, the mapping
+    that asks least of a document.  DM is keyed as RM when every task but
+    the aperiodic ones has a relative deadline equal to its period, with
+    the timing the scheduler gives graph nodes (online.release_timing): DM
+    then ranks every job as RM does (priority.key_rule).  A run of a
+    document that does not build shares with none.
     """
     try:
         state = doc.build_state(replace(doc.config(), mapping_scheme=MappingScheme.GLOBAL))
         graph = analyze_graph(state)
     except RtschedError:
         return list(range(len(runs)))
-    timing = [release_timing(state, graph, task)[1:] for task in state.tasks]
-    bases = {}
-    for priority in spec.priorities:
-        assignment = PriorityAssignment(priority)
-        basis = tuple(
-            key_basis(assignment, task, period=period, relative_deadline=deadline)
-            for task, (period, deadline) in zip(state.tasks, timing)
-        )
-        if all(primary is not None for _, primary in basis):
-            bases[priority] = (basis, assignment is PriorityAssignment.USER)
+    timing = (release_timing(state, graph, task) for task in state.tasks
+              if task.kind is not TaskKind.APERIODIC)
+    implicit = all(period == deadline for _, period, deadline in timing)
     pools = {}
     for label, names in spec.version_modes.items():
         restrict = make_restrict(state, names)
@@ -182,9 +172,9 @@ def _run_keys(doc: TaskSetDocument, spec: SweepSpec, runs: list[tuple]) -> list:
             tuple(v.version_id for v in restrict(task)) for task in state.tasks
         )
     return [
-        (mapping, preempt, rep, pools[label], bases[priority])
-        if priority in bases else i
-        for i, (mapping, priority, preempt, label, _, rep) in enumerate(runs)
+        (mapping, "RM" if implicit and priority == "DM" else priority,
+         preempt, rep, pools[label])
+        for mapping, priority, preempt, label, _, rep in runs
     ]
 
 
@@ -320,11 +310,11 @@ def run_sweep(doc: TaskSetDocument, spec: SweepSpec) -> list[dict]:
     """Every grid point x repetition, deterministically ordered.
 
     Each distinct run is simulated once.  Runs whose keys (_run_keys) are
-    equal make the same schedule: deadline-monotonic priority orders tasks
-    as rate-monotonic priority does when every relative deadline equals its
-    period, and a version mode naming no version restricts nothing.  The
-    first run in grid order with a key is its representative, and every
-    run of the key takes the representative's values with its own policy,
+    equal have the same inputs but their labels: DM is keyed as RM when
+    every non-aperiodic deadline equals its period, and a version mode
+    naming no version restricts nothing.  The first run in grid order with
+    a key is its representative, whatever its outcome, and every run of
+    the key takes the representative's values with its own policy,
     priority, version_mode, rep and seed, so the rows equal those of
     simulating each point on its own.
 

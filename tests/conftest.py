@@ -17,6 +17,17 @@ def many_cpus(monkeypatch):
 
 
 @pytest.fixture
+def preflight_forbidden(monkeypatch):
+    """A thread-backend call that reaches its processor check, the step
+    before any thread starts, fails the test."""
+
+    def preflight(required):
+        raise AssertionError("reached the processor check")
+
+    monkeypatch.setattr(rt, "processor_preflight", preflight)
+
+
+@pytest.fixture
 def tie_order(monkeypatch):
     """Same-instant order as a test variable: after `tie_order(seed)`, the
     simulator runs the events of one instant and ordering class in an order

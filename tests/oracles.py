@@ -5,7 +5,8 @@ single-core scheduler over (release, deadline, remaining) triples; the SDF
 oracle searches for the repetition vector instead of normalizing fractions;
 the SDF plan oracle counts tokens per edge and numbers them, where the
 package keeps FIFOs of producer firings; the gcd/lcm oracles use trial division and prime factorisation; the ready
-queue oracle fully re-sorts its live jobs on every read.  Keeping the
+queue oracle fully re-sorts its live jobs on every read; the response-time
+oracle solves the analytic recurrence instead of simulating.  Keeping the
 algorithms structurally different from the package is the point.
 """
 
@@ -334,6 +335,34 @@ def priority_key_oracle(
             "USER": f"USER priority missing on task {name!r}",
         }[assignment])
     return (0, primary, task_id, seq)
+
+
+# ------------------------------------------------------ response-time oracle
+
+
+def rta_fp(tasks: list[tuple[int, int]]) -> list[int | None]:
+    """Worst-case response time of each (period, wcet) of `tasks`, listed
+    from highest to lowest priority, on one processor under preemptive
+    fixed priority with synchronous release, no overheads and deadlines
+    equal to periods: the least fixed point of
+
+        R_i = C_i + sum over j < i of ceil(R_i / T_j) * C_j
+
+    (Joseph & Pandya 1986; Audsley et al. 1993), iterated up from C_i.
+    None for a task whose iteration passes its period."""
+    out: list[int | None] = []
+    for i, (period, wcet) in enumerate(tasks):
+        r = wcet
+        while r is not None:
+            nxt = wcet + sum(-(-r // t) * c for t, c in tasks[:i])
+            if nxt > period:
+                r = None
+            elif nxt == r:
+                break
+            else:
+                r = nxt
+        out.append(r)
+    return out
 
 
 # ------------------------------------------------------- selection oracle

@@ -328,6 +328,12 @@ class TestLatency:
         assert main(["latency", "--loops", "0"]) == 1
         assert "loops must be positive" in capsys.readouterr().err
 
+    def test_interval_below_a_nanosecond(self, capsys, preflight_forbidden):
+        assert main(["latency", "--interval", "0.0001"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: period_ns must be positive and an int, not 0"
+        ]
+
     def test_bad_policy(self, capsys):
         assert main(["latency", "--policy", "LLF", "--loops", "1"]) == 1
         assert "unknown policy" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from rtsched import (
     init,
     ms,
 )
-from rtsched.priority import DEADLINE, RELEASE, key_basis, key_rule
+from rtsched.priority import key_rule
 
 RM = PriorityAssignment.RM
 DM = PriorityAssignment.DM
@@ -113,29 +113,13 @@ def test_tie_break_is_total(state):
     assert k_a != k_b and k_a < k_b  # task id breaks the tie
 
 
-def test_basis_dm_equals_rm_only_under_implicit_deadlines(state):
+def test_dm_keys_equal_rm_keys_only_under_implicit_deadlines(state):
+    # the fact a sweep relies on to run a DM point as an RM one
     implicit = _task(state, "implicit", period=ms(10))
     tight = _task(state, "tight", period=ms(10), relative_deadline=ms(4))
-    assert key_basis(DM, implicit) == key_basis(RM, implicit) == (0, ms(10))
-    assert key_basis(DM, tight) == (0, ms(4)) != key_basis(RM, tight)
-
-
-def test_basis_names_the_job_instant_or_nothing(state):
-    t = _task(state, "t", period=ms(10))
-    a = _task(state, "a", kind=TaskKind.APERIODIC, relative_deadline=ms(5))
-    n = _task(state, "n", kind=TaskKind.GRAPH_NODE)
-    assert key_basis(EDF, t) == (0, DEADLINE)
-    assert key_basis(RM, a) == key_basis(USER, a) == (1, RELEASE)
-    assert key_basis(RM, n) == key_basis(USER, t) == (0, None)
-    assert key_basis(RM, n, period=ms(20)) == (0, ms(20))
-
-
-def test_rule_completes_its_basis(state):
-    t = _task(state, "t", period=ms(10), relative_deadline=ms(4))
-    for assignment in (RM, DM, EDF):
-        klass, primary = key_basis(assignment, t)
-        key = key_rule(assignment, t)(3, ms(20), ms(24))
-        assert key == (klass, ms(24) if primary == DEADLINE else primary, t.task_id, 3)
+    job = (3, ms(30), ms(40))
+    assert key_rule(DM, implicit)(*job) == key_rule(RM, implicit)(*job)
+    assert key_rule(DM, tight)(*job) != key_rule(RM, tight)(*job)
 
 
 keys = st.builds(

@@ -70,6 +70,17 @@ class TestPreflight:
             run_realtime(state, duration)
         assert state._backend is None
 
+    @pytest.mark.parametrize("duration", [True, 2.5e6, "1ms"])
+    def test_run_realtime_refuses_a_duration_that_is_not_an_int(self, duration,
+                                                                preflight_forbidden):
+        state = init(_rt_config())
+        tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000)
+        with pytest.raises(ConfigurationError,
+                           match=rf"duration_ns must be > 0 and an int, not {duration!r}"):
+            run_realtime(state, duration)
+        assert state._backend is None
+
 
 class TestFifoTicketLock:
     def _grant_order(self, spin):
@@ -460,6 +471,15 @@ class TestLatencyProbe:
     def test_threads_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="threads"):
             latency_probe(threads=0)
+
+    @pytest.mark.parametrize("arg, value", [
+        ("period_ns", 0), ("period_ns", -1), ("period_ns", 2.5e6), ("period_ns", True),
+        ("loops", 2.5), ("loops", True), ("threads", 1.0), ("threads", True),
+    ])
+    def test_each_argument_is_a_positive_int(self, arg, value, preflight_forbidden):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{arg} must be positive and an int, not {value!r}$"):
+            latency_probe(**{arg: value})
 
     def test_shape_and_pooling(self, many_cpus):
         stats = latency_probe(threads=2, period_ns=ms(20), loops=3)

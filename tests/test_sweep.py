@@ -9,6 +9,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtsched import (
     ConfigurationError,
@@ -439,8 +441,9 @@ _THREE = dict(_GRID, priorities=["RM", "DM", "EDF"],
 
 
 class TestSharedRuns:
-    """A run is simulated once per distinct key: DM equals RM where every
-    deadline is its period, and a mode naming no version equals null."""
+    """A run is simulated once per distinct key: DM is keyed as RM where
+    every non-aperiodic deadline is its period, a mode naming no version
+    equals null, and runs with equal keys share whatever their outcome."""
 
     def _sweep(self, monkeypatch, doc, spec):
         _cpus(monkeypatch, 1)
@@ -494,10 +497,10 @@ class TestSharedRuns:
         rows, runs = self._sweep(monkeypatch, _graph_doc(snk_deadline=ms(6)), spec)
         assert runs == ["RM", "RM", "DM", "DM"]
 
-    def test_unranked_task_shares_with_no_run(self, monkeypatch):
+    def test_unranked_task_shares_within_its_key(self, monkeypatch):
         # USER cannot rank node, which has no user priority: the USER runs
-        # are not shared, and pass because no activation releases s, the
-        # sporadic root that feeds node
+        # share one run, which passes because no activation releases s,
+        # the sporadic root that feeds node
         doc = TaskSetDocument.load({
             "tasks": [{"name": "a", "kind": "periodic", "period": ms(10), "user_priority": 1},
                       {"name": "s", "kind": "sporadic", "period": ms(10), "user_priority": 2},
@@ -509,11 +512,41 @@ class TestSharedRuns:
         spec = SweepSpec.from_dict({"priorities": ["USER", "EDF"], "preemptive": [True],
                                     "version_modes": {"any": None, "none": ["turbo"]}})
         _, runs = self._sweep(monkeypatch, doc, spec)
-        assert runs == ["USER", "USER", "EDF"]
+        assert runs == ["USER", "EDF"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(tasks=st.lists(
+        st.sampled_from([4, 5, 10, 20]).flatmap(lambda p: st.tuples(
+            st.just(ms(p)), st.integers(1, 10).map(lambda k: ms(k) // 10),
+            st.integers(0, 1), st.none() | st.integers(ms(1), ms(p) - 1),
+        )),
+        min_size=1, max_size=4,
+    ))
+    def test_rows_equal_direct_runs_and_dm_shares_only_when_implicit(self, tasks):
+        doc = TaskSetDocument.load({
+            "config": {"worker_count": 2},
+            "tasks": [{"name": f"t{i}", "kind": "periodic", "period": period,
+                       "relative_deadline": deadline, "virt_core_id": core}
+                      for i, (period, _, core, deadline) in enumerate(tasks)],
+            "versions": [{"task": f"t{i}", "wcet_estimate": wcet}
+                         for i, (_, wcet, _, _) in enumerate(tasks)],
+        })
+        spec = SweepSpec.from_dict({
+            "mappings": ["GLOBAL", "PARTITIONED"], "priorities": ["RM", "DM", "EDF"],
+            "preemptive": [True, False], "version_modes": {"any": None, "none": ["turbo"]},
+            "horizon": "20ms",
+        })
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            inner = sweep_mod._sweep_run
+            mp.setattr(sweep_mod, "_sweep_run", lambda *args: calls.append(args) or inner(*args))
+            self._sweep(mp, doc, spec)
+        implicit = all(deadline is None for *_, deadline in tasks)
+        assert len(calls) == (8 if implicit else 12)
 
     def test_user_shares_only_with_user(self, monkeypatch):
-        # a's user priority equals its period, so its USER basis is its RM
-        # basis; but USER validation asks b for a user priority
+        # a's user priority equals its period, so USER would rank a's jobs
+        # as RM does; but USER validation asks b for a user priority
         doc = TaskSetDocument.load({
             "tasks": [{"name": "a", "kind": "periodic", "period": ms(10),
                        "user_priority": ms(10)},
