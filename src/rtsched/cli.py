@@ -107,8 +107,7 @@ def _cmd_simulate(args) -> int:
             fp.writelines(rows)
     if args.report:
         with open(args.report, "w") as fp:
-            json.dump(report.to_dict(), fp, indent=2, sort_keys=True)
-            fp.write("\n")
+            fp.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     _print_report(report)
     return 0
 

@@ -45,7 +45,14 @@ _UNBLOCKED: frozenset[int] = frozenset()
 
 
 class Job:
-    """One release of one task."""
+    """One release of one task.
+
+    `key` is the job's own priority key and `boost` the best key it has
+    inherited, if any.  `rank`, its effective key, is a field that
+    `inherit` and `clear_inheritance` keep equal to the boost where it
+    outranks the key, else the key; dispatch compares it directly, and
+    `effective_key()` returns it.
+    """
 
     __slots__ = (
         "task",
@@ -55,6 +62,7 @@ class Job:
         "abs_deadline",
         "key",
         "boost",
+        "rank",
         "blocked_on",
         "channel_blocked",
     )
@@ -75,6 +83,7 @@ class Job:
         self.abs_deadline = abs_deadline
         self.key = key
         self.boost: PriorityKey | None = None
+        self.rank = key
         # accelerators the job is parked on; `_resolve_accelerators` gives a
         # parking job a set of its own, so the unparked share one empty one
         self.blocked_on: set[int] | frozenset[int] = _UNBLOCKED
@@ -85,16 +94,17 @@ class Job:
         return (self.task.task_id, self.seq)
 
     def effective_key(self) -> PriorityKey:
-        if self.boost is not None and self.boost < self.key:
-            return self.boost
-        return self.key
+        return self.rank
 
     def inherit(self, key: PriorityKey) -> None:
         if self.boost is None or key < self.boost:
             self.boost = key
+            if key < self.rank:
+                self.rank = key
 
     def clear_inheritance(self) -> None:
         self.boost = None
+        self.rank = self.key
 
     def __repr__(self) -> str:  # debug aid
         return f"<job {self.task.name}#{self.seq}>"
@@ -438,7 +448,7 @@ class SchedulerCore:
     def preemptor(self, qi: int, job: Job) -> Job | None:
         """The head of queue qi when it outranks `job`, else None."""
         head = self.queues[qi].first_dispatchable()
-        if head is not None and head.effective_key() < job.effective_key():
+        if head is not None and head.rank < job.rank:
             return head
         return None
 
@@ -466,7 +476,7 @@ class SchedulerCore:
         for i, job in enumerate(queue.items):
             if job.blocked_on:
                 continue
-            if stack_ok and stack_top.effective_key() < job.effective_key():
+            if stack_ok and stack_top.rank < job.rank:
                 return ("resume", stack_top, [])
             resolved = self._resolve_accelerators(job)
             if resolved is None:

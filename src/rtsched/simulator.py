@@ -152,15 +152,31 @@ def _finite(*xs) -> bool:
 
 def _duration_draw(spec, rng: random.Random, where: str) -> Callable[[], int]:
     """One exec_time spec (see SimJobModel) as a function drawing a job's
-    duration from `rng`; raises a ConfigurationError naming `where`."""
+    duration from `rng`; raises a ConfigurationError naming `where`.
+
+    Bounds are compared as given, then truncated to ints.  A uniform draw
+    is compiled once into the rejection loop `rng.randint` runs on
+    `getrandbits`: width.bit_length() bits, redrawn while at or above the
+    width.  So it returns exactly `randint`'s values, from the same bits,
+    without re-checking its arguments on every draw.
+    """
     match spec:
         case int() | float() if _finite(spec) and spec >= 0:
             fixed = int(spec)
             return lambda: fixed
         case {"dist": "uniform", "low": a, "high": b} if (
-                len(spec) == 3 and _finite(a, b) and int(a) <= int(b)):
-            low, high = int(a), int(b)
-            return lambda: max(0, rng.randint(low, high))
+                len(spec) == 3 and _finite(a, b) and a <= b):
+            low = int(a)
+            width = int(b) - low + 1
+            bits, k = rng.getrandbits, width.bit_length()
+
+            def uniform() -> int:
+                r = bits(k)
+                while r >= width:
+                    r = bits(k)
+                return max(0, low + r)
+
+            return uniform
         case {"dist": "normal", "mean": a, "std": b} if (
                 len(spec) == 3 and _finite(a, b) and b >= 0):
             mean, std = float(a), float(b)
@@ -264,6 +280,8 @@ class _Engine:
         self.chan_prod_waiters = {c: OrderedDict() for c in self.core.channels}
         self.chan_cons_waiters = {c: OrderedDict() for c in self.core.channels}
         self.workers = [_WorkerSim() for _ in range(state.config.worker_count)]
+        self.queue_of = [self.core.queue_of_worker(w) for w in range(len(self.workers))]
+        self.preemptive = state.config.preemptive
         self.locks = [_FifoLock() for _ in self.core.queues]
         self.execs: dict[Job, _JobExec] = {}
         self._sched_active = False
@@ -354,11 +372,12 @@ class _Engine:
                 self.push_event(t, _P_CONTROL, self._activate, task_id)
             self._arm_tick(0)
 
-        while self._heap:
-            t, _, _, fn, args = heapq.heappop(self._heap)
+        heap, pop, ctx = self._heap, heapq.heappop, self.ctx
+        while heap:
+            t, _, _, fn, args = pop(heap)
             assert t >= self.now, "virtual time must be monotonic"
             self.now = t
-            self.ctx.now = t
+            ctx.now = t
             fn(*args)
             self.events_done += 1
             if self.events_done > _EVENT_CAP:
@@ -495,7 +514,7 @@ class _Engine:
                         break
             for w in idle[:dispatchable]:
                 self._queue_wake(w, qi)
-        if self.state.config.preemptive:
+        if self.preemptive:
             running = [
                 w.current if (w.current is not None and not w.in_cs) else None
                 for w in self.workers
@@ -534,7 +553,8 @@ class _Engine:
         action, job, acquired = self.core.pick_next(qi, stack_top)
         cost = self.model.get_task_cost
         self.log.get_task_wait(now, w, waited, cost, action)
-        self.log.accels(now, "accel_acquire", job, w, acquired)
+        if acquired:
+            self.log.accels(now, "accel_acquire", job, w, acquired)
         self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, job)
 
     def _pull_cs_end(self, w: int, qi: int, action: str, job: Job | None) -> None:
@@ -560,7 +580,7 @@ class _Engine:
         else:
             self.log.start(self.now, job, w)
             self.execs[job] = self._build_exec(job)
-        if self.state.config.preemptive and self.core.preemptor(qi, job) is not None:
+        if self.preemptive and self.core.preemptor(qi, job) is not None:
             self._queue_wake(w, qi)
         self._advance(w, job)
 
@@ -577,7 +597,8 @@ class _Engine:
             ws.stack.append(job)
             ws.current = None
             action, nxt, acquired = self.core.pick_next(qi, job)
-            self.log.accels(now, "accel_acquire", nxt, w, acquired)
+            if acquired:
+                self.log.accels(now, "accel_acquire", nxt, w, acquired)
             self.push_event(now + cost, _P_MISC, self._pull_cs_end, w, qi, action, nxt)
         else:
             self.log.get_task_wait(now, w, waited, cost, "none")
@@ -679,7 +700,7 @@ class _Engine:
             self.push_event(self.now, _P_MISC, self._continue, w, job)
         elif ws.idle:
             # job sits preempted on the stack of an idle worker
-            self._queue_wake(w, self.core.queue_of_worker(w))
+            self._queue_wake(w, self.queue_of[w])
 
     def _continue(self, w: int, job: Job) -> None:
         ws = self.workers[w]
@@ -690,16 +711,17 @@ class _Engine:
         ws = self.workers[w]
         ex = self.execs.pop(job)
         self.log.complete(self.now, job, w, ex.duration)
-        freed, notify = self.core.free_accelerators(job)
-        self.log.accels(self.now, "accel_release", job, w, freed)
         ws.current = None
-        # unparked waiters may be pullable by idle workers of any queue
-        for qi in notify:
-            self._after_insert(qi)
+        if job.version.accelerators:
+            freed, notify = self.core.free_accelerators(job)
+            self.log.accels(self.now, "accel_release", job, w, freed)
+            # unparked waiters may be pullable by idle workers of any queue
+            for qi in notify:
+                self._after_insert(qi)
         if self.offline:
             self._next_entry(w)
         else:
-            self._request_pull(w, self.core.queue_of_worker(w))
+            self._request_pull(w, self.queue_of[w])
 
     # --------------------------------------------------- table replay
 

@@ -157,7 +157,7 @@ def _read_rows(rows) -> list[TraceEvent]:
 # ------------------------------------------------------------ statistics
 
 
-@dataclass
+@dataclass(slots=True)
 class Stat:
     count: int = 0
     total: int = 0
@@ -186,7 +186,7 @@ class Stat:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskStats:
     released: int = 0
     completed: int = 0
@@ -297,8 +297,11 @@ class _Accounts:
     Only unfinished jobs hold a slot in `marks`.  A finished job leaves its
     seq in its task's `done` bounds, a sorted flat list [lo, hi, lo, hi, ...]
     of the half-open seq intervals finished so far, so a mark that comes
-    after the job's chain is full is still a duplicate.  Marks with no seq
-    stay in `marks` until `finish`.
+    after the job's chain is full is still a duplicate.  A seq at or above
+    the last bound is in no interval and needs no search, and the next seq
+    in order extends the last interval in place: jobs that start and finish
+    in seq order never bisect.  Marks with no seq stay in `marks` until
+    `finish`.
     """
 
     def __init__(self) -> None:
@@ -318,7 +321,8 @@ class _Accounts:
         slot = self.marks.get(job)
         if slot is None:
             bounds = self.done.get(task)
-            if bounds and seq is not None and bisect_right(bounds, seq) & 1:
+            if (bounds and seq is not None and seq < bounds[-1]
+                    and bisect_right(bounds, seq) & 1):
                 self.fail(f"duplicate {_MARKS[i]} for {task}#{seq}")
                 return
             slot = self.marks[job] = [None, None, None, None]
@@ -332,13 +336,17 @@ class _Accounts:
                 self.overheads.release_overhead.add(re_ - rt)
             else:
                 self.fail(_disorder(task, seq, slot))
-            self._finished(task, seq)
+            bounds = self.done.get(task)
+            if bounds and bounds[-1] == seq:  # the usual case: the next seq in order
+                bounds[-1] = seq + 1
+            else:
+                self._finished(task, seq)
 
     def _finished(self, task: str, seq: int) -> None:
         """Add `seq` to the task's finished intervals, merging neighbours."""
         bounds = self.done.setdefault(task, [])
-        if bounds and bounds[-1] == seq:  # the usual case: the next seq in order
-            bounds[-1] = seq + 1
+        if not bounds or seq > bounds[-1]:  # past every interval: no search
+            bounds += (seq, seq + 1)
             return
         k = bisect_right(bounds, seq)  # even: seq lies in no interval
         joins_left = k > 0 and bounds[k - 1] == seq
@@ -482,11 +490,12 @@ class RunLog:
 
     def release(self, t: int, job, worker: int | None = None) -> None:
         """The job becomes dispatchable at `t`."""
-        self.report.task(job.task.name).released += 1
-        self._accounts.mark(_EFFECTIVE, job.task.name, job.seq, t)
+        name = job.task.name
+        (self.report.tasks.get(name) or self.report.task(name)).released += 1
+        self._accounts.mark(_EFFECTIVE, name, job.seq, t)
         if self._keep:
             w = "" if worker is None else worker
-            self._line(t, f"{t},release_effective,{self._csv[job.task.name]},{job.seq},{w},\n")
+            self._line(t, f"{t},release_effective,{self._csv[name]},{job.seq},{w},\n")
 
     def table_release(self, t: int, job, worker: int) -> None:
         """A table entry enters its core at `t`, late if past its release."""
@@ -508,7 +517,7 @@ class RunLog:
         an overrun and a deadline miss are recorded with it."""
         name = job.task.name
         self._accounts.mark(_COMPLETE, name, job.seq, t)
-        stats = self.report.task(name)
+        stats = self.report.tasks.get(name) or self.report.task(name)
         stats.completed += 1
         stats.response.add(t - job.abs_release)
         late = t - job.abs_deadline

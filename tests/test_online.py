@@ -37,6 +37,7 @@ import rtsched.online
 import rtsched.simulator as sim
 from rtsched.graph import analyze_graph
 from rtsched.online import Job, ReadyQueue, SchedulerCore
+from rtsched.priority import PriorityKey
 
 from .oracles import (
     ReadyQueueOracle,
@@ -537,6 +538,37 @@ class TestReadyQueue:
         assert q.first_dispatchable() is b
         b.blocked_on = {1}
         assert q.first_dispatchable() is None
+
+    def test_insert_rejects_a_boosted_job(self):
+        state = _periodic_state([ms(10), ms(20)])
+        core = _core(state)
+        lo, hi = self._job(core, state, 1, 0), self._job(core, state, 0, 0)
+        lo.inherit(hi.key)
+        with pytest.raises(AssertionError, match="inherited priority"):
+            ReadyQueue().insert(lo)
+
+
+_KEYS = st.builds(PriorityKey, st.integers(0, 1), st.integers(0, 5), st.integers(0, 3),
+                  st.integers(0, 3))
+
+
+class TestRank:
+    """`Job.rank` is the effective key: the boost where it outranks the
+    job's own key, else the key."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=_KEYS, ops=st.lists(st.one_of(_KEYS, st.none()), max_size=12))
+    def test_follows_inherit_and_clear(self, key, ops):
+        task = _periodic_state([ms(10)]).tasks[0]
+        job = Job(task, 0, task.versions[0], 0, ms(10), key)
+        assert job.rank == key
+        for boost in ops:  # a key is inherited, None clears
+            if boost is None:
+                job.clear_inheritance()
+            else:
+                job.inherit(boost)
+            expected = job.boost if job.boost is not None and job.boost < key else key
+            assert job.rank == expected == job.effective_key()
 
 
 def _accel_state():

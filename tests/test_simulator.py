@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import random
 
 import pytest
 
@@ -490,6 +491,7 @@ def _task_a():
 MALFORMED_EXEC_TIME = [
     pytest.param(-5, id="negative-duration"),
     pytest.param({"dist": "uniform", "low": 5, "high": 1}, id="low-above-high"),
+    pytest.param({"dist": "uniform", "low": 2.7, "high": 2.2}, id="float-low-above-high"),
     pytest.param("abc", id="string"),
     pytest.param([1, 2], id="list"),
     pytest.param({"dist": "uniform", "low": "x", "high": ms(1)}, id="string-low"),
@@ -542,6 +544,33 @@ class TestMalformedExecTime:
         model = SimJobModel(exec_time={"a": 1.5e6})
         trace, _ = run_simulation(_task_a(), model, horizon=ms(20))
         assert _times(trace, "job_complete") == [ms(1.5), ms(11.5)]
+
+
+class TestUniformDraw:
+    """A compiled uniform draw returns exactly what randint returns, clamped
+    at 0, from the same generator state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 401, 2**40 + 3])
+    @pytest.mark.parametrize("low, high", [
+        pytest.param(7, 7, id="width-1"),
+        pytest.param(7, 8, id="width-2"),
+        pytest.param(0, 2**10 - 1, id="width-2^k"),
+        pytest.param(ms(1), ms(1) + 2**10, id="width-2^k+1"),
+        pytest.param(5, 5 + 2**40, id="width-about-2^40"),
+        pytest.param(-ms(1), ms(1), id="negative-low"),
+        pytest.param(-9, -2, id="all-negative"),
+    ])
+    def test_equals_randint(self, seed, low, high):
+        rng, ref = random.Random(seed), random.Random(seed)
+        draw = sim._duration_draw({"dist": "uniform", "low": low, "high": high}, rng, "t")
+        assert [draw() for _ in range(200)] == [max(0, ref.randint(low, high))
+                                                 for _ in range(200)]
+        assert rng.getstate() == ref.getstate()
+
+    def test_float_bounds_truncate(self):
+        rng, ref = random.Random(3), random.Random(3)
+        draw = sim._duration_draw({"dist": "uniform", "low": 2.2, "high": 9.7}, rng, "t")
+        assert [draw() for _ in range(50)] == [ref.randint(2, 9) for _ in range(50)]
 
 
 class TestOffline:
