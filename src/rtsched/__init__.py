@@ -3,9 +3,21 @@
 Declare tasks, alternative implementations, accelerators and channels on a
 MiddlewareState, pick a mapping/priority policy, then either simulate the
 run under virtual time (deterministic, seedable) or execute it on OS
-threads.  Both backends share the scheduling core, so a policy explored in
-simulation behaves identically when deployed.
+threads.  Both backends plan releases, keep ready queues and pick the next
+job through one SchedulerCore, so they release, queue and rank jobs by the
+same rules.  They do not yet run a policy identically.  The thread backend
+releases without a horizon, so its last pass can release jobs that the
+simulator does not, and at stop it drains its whole backlog.  When a job
+preempts there, the victim is whichever flagged worker yields first, not a
+job the core chose.
+
+The thread backend (`run_realtime`, `processor_preflight`) and the sweep
+(`run_sweep` and its companions) are bound as modules that run their code
+when first read, so a run that only simulates runs neither.
 """
+
+import importlib.util
+import sys
 
 from .errors import (
     BackendError,
@@ -95,11 +107,50 @@ from .tracing import (
     write_trace_csv,
 )
 from .simulator import SimJobModel, parse_horizon, policy_label, run_simulation
-from .realtime import processor_preflight, run_realtime
 from .document import TaskSetDocument, document_from_state, load_document
-from .sweep import SWEEP_COLUMNS, SweepSpec, best_policy, make_restrict, run_sweep, write_sweep_csv
 
 __version__ = "0.1.0"
+
+
+def _on_first_use(name: str):
+    """The submodule `name`, entered in sys.modules and in the package now
+    but run only when one of its attributes is first read
+    (importlib.util.LazyLoader), so code that looks a module up in
+    sys.modules finds it as if it had been imported."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+realtime = _on_first_use("realtime")
+sweep = _on_first_use("sweep")
+
+# Package names read from those modules, so a run that only simulates never
+# compiles the thread backend or the sweep.
+_ON_FIRST_USE = {
+    "processor_preflight": realtime,
+    "run_realtime": realtime,
+    "SWEEP_COLUMNS": sweep,
+    "SweepSpec": sweep,
+    "best_policy": sweep,
+    "make_restrict": sweep,
+    "run_sweep": sweep,
+    "write_sweep_csv": sweep,
+}
+
+
+def __getattr__(name: str):
+    """Read a name of _ON_FIRST_USE from its module (PEP 562) and keep it
+    in the package, so the next lookup is a plain one."""
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 __all__ = [
     "AcceleratorDescriptor",

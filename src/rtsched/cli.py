@@ -23,7 +23,6 @@ from .document import document_from_state, load_document
 from .errors import RtschedError
 from .graph import plan_expansion
 from .simulator import policy_label, run_simulation
-from .sweep import SweepSpec, best_policy, run_sweep, write_sweep_csv
 from .tracing import CSV_COLUMNS
 
 
@@ -113,6 +112,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, best_policy, run_sweep, write_sweep_csv
+
     doc = load_document(args.document)
     if args.spec:
         with open(args.spec) as fp:

@@ -35,14 +35,14 @@ _tasks = st.lists(
 )
 
 
-def _max_responses(tasks, mapping, priority, workers):
+def _max_responses(tasks, mapping, priority, workers, model=None):
     state = init(PolicyConfig(mapping_scheme=mapping, priority_assignment=priority,
                               worker_count=workers))
     for i, (period, wcet, core) in enumerate(tasks):
         tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period,
                               virt_core_id=core if mapping is MappingScheme.PARTITIONED else None)
         state.version_decl(tid, wcet_estimate=wcet)
-    _, report = run_simulation(state, SimJobModel(), horizon="1hp")
+    _, report = run_simulation(state, model or SimJobModel(), horizon="1hp")
     return [report.tasks[f"t{i}"].response.max for i in range(len(tasks))]
 
 
@@ -74,3 +74,29 @@ def test_response_max_is_the_rta_fixed_point(tasks, cores):
     want = _fixed_points(one_core)
     if None not in want:
         assert _max_responses(one_core, MappingScheme.GLOBAL, RM, 1) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(tasks=_tasks, get_task=st.integers(0, 50).map(us), switch=st.integers(0, 50).map(us))
+def test_response_max_is_within_the_overhead_inflated_fixed_point(tasks, get_task, switch):
+    """On one worker under preemptive G-RM, with get-task and context-switch
+    costs and zero scan and sort costs, each task's largest response over one
+    hyperperiod is at most its RTA fixed point with every wcet inflated by
+    2 x (switch + get_task), wherever every inflated fixed point is within
+    its period.
+
+    Assumptions: jobs release synchronously, run exactly their wcet and
+    have deadlines equal to their periods.  Entering a job that preempts
+    costs one get-task and one switch, and resuming the job it preempted
+    costs one of each, so each job carries its own entry and the resumption
+    of the job it interrupts: two of each per job (Katcher, Arakawa &
+    Strosnider, "Engineering and analysis of fixed priority schedulers",
+    IEEE TSE 1993)."""
+    one_core = [(period, wcet, 0) for period, wcet, _ in tasks]
+    inflation = 2 * (switch + get_task)
+    bound = _fixed_points([(period, wcet + inflation, 0) for period, wcet, _ in one_core])
+    if None in bound:
+        return
+    model = SimJobModel(get_task_cost=get_task, context_switch_cost=switch)
+    got = _max_responses(one_core, MappingScheme.GLOBAL, RM, 1, model)
+    assert all(r <= b for r, b in zip(got, bound)), (got, bound)

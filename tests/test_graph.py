@@ -28,9 +28,11 @@ from rtsched import (
     plan_expansion,
     repetition_vector,
     run_simulation,
+    us,
 )
 from rtsched import ChannelDescriptor
 from rtsched.graph import check_activation, reserve_activation
+import rtsched.simulator as sim
 
 from .oracles import SdfPlanDeadlock, sdf_plan_reference, sdf_vector_brute
 
@@ -446,3 +448,61 @@ class TestExpansion:
         }})
         with pytest.raises(DeclarationError, match="relative_deadline must be > 0"):
             doc.build_state()
+
+
+# ------------------------------------------------- liveness at the end of a run
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """The engine of every simulation the test runs, captured after its run."""
+    captured = []
+    run = sim._Engine.run
+
+    def capture(engine):
+        run(engine)
+        captured.append(engine)
+
+    monkeypatch.setattr(sim._Engine, "run", capture)
+    return captured
+
+
+class StillParked(Exception):
+    """A run ended with a job parked that could run."""
+
+
+def _parked_that_could_run(engine):
+    """What a run leaves parked although it could go on: a consumer waiting
+    on a channel that holds a token, a producer waiting on one with room,
+    and an idle worker whose stack top is not blocked on a channel."""
+    names = {c.channel_id: c.name for c in engine.state.channels}
+    found = []
+    for cid, ch in engine.core.channels.items():
+        if ch.can_pop():
+            found += [f"{job} pops {names[cid]}" for _, job in engine.chan_cons_waiters[cid]]
+        if ch.can_push():
+            found += [f"{job} pushes {names[cid]}" for _, job in engine.chan_prod_waiters[cid]]
+    found += [f"worker {w} idles over {ws.stack[-1]}" for w, ws in enumerate(engine.workers)
+              if ws.idle and ws.stack and not ws.stack[-1].channel_blocked]
+    return found
+
+
+@pytest.mark.parametrize("workers", [
+    1,
+    pytest.param(2, marks=pytest.mark.xfail(
+        strict=True, raises=StillParked, reason="ROADMAP item 1 (a): a wake goes to a"
+        " producer buried in a worker's stack, and the stack top stays parked on a channel"
+        " with room")),
+    4,
+])
+def test_multirate_chain_leaves_nothing_parked_that_could_run(engines, workers):
+    """ROADMAP item 1's repro (a): a->b (3:1) and b->c (1:3)."""
+    state = init(PolicyConfig(worker_count=workers))
+    sdf = SdfGraph(actors=["a", "b", "c"],
+                   edges=[SdfEdge("a", "b", 3, 1), SdfEdge("b", "c", 1, 3)])
+    expand_sdf(state, sdf, period=ms(100), wcets={"a": us(100), "b": us(100), "c": us(100)},
+               relative_deadline=ms(1000))
+    run_simulation(state, horizon="2s", seed=7)
+    found = _parked_that_could_run(engines[-1])
+    if found:
+        raise StillParked("; ".join(found))
