@@ -3,13 +3,13 @@
 Declare tasks, alternative implementations, accelerators and channels on a
 MiddlewareState, pick a mapping/priority policy, then either simulate the
 run under virtual time (deterministic, seedable) or execute it on OS
-threads.  Both backends plan releases, keep ready queues and pick the next
-job through one SchedulerCore, so they release, queue and rank jobs by the
-same rules.  They do not yet run a policy identically.  The thread backend
-releases without a horizon, so its last pass can release jobs that the
-simulator does not, and at stop it drains its whole backlog.  When a job
-preempts there, the victim is whichever flagged worker yields first, not a
-job the core chose.
+threads.  Both backends run each scheduler pass, keep ready queues and pick
+the next job through one SchedulerCore, so they release, queue and rank
+jobs by the same rules.  They do not yet run a policy identically.  The
+thread backend releases without a horizon, so its last pass can release
+jobs that the simulator does not, and at stop it drains its whole backlog.
+When a job preempts there, the victim is whichever flagged worker yields
+first, not a job the core chose.
 
 The thread backend (`run_realtime`, `processor_preflight`) and the sweep
 (`run_sweep` and its companions) are bound as modules that run their code

@@ -1,16 +1,17 @@
 """On-line scheduling core shared by the simulator and the thread backend.
 
-The scheduler wakes every tick (the GCD of all recurring periods), releases
-due jobs, fires the graph nodes a channel push has fed since the last pass,
-inserts into the single shared queue (GLOBAL) or the per-core queues
-(PARTITIONED), each insert placing its job in key order, and notifies
-workers.  Workers pull under a FIFO lock; a preempted job goes on the
-preempting worker's stack and never migrates.
+The scheduler wakes every tick (the GCD of all recurring periods) and runs
+one pass in three `SchedulerCore` steps: `release` the due jobs, then the
+graph nodes a channel push has fed since the last pass; `group` them by
+ready queue (one shared queue under GLOBAL, one per core under
+PARTITIONED); `fill` each queue with its batch in key order.  The backend
+then notifies workers.  Workers pull under a FIFO lock; a preempted job
+goes on the preempting worker's stack and never migrates.
 
 This module holds the data structures and the decision logic, and the
 per-run state both backends share: `SchedulerCore` owns the run's channel
-states, its tick and each task's version pool and ranking.  Time, locking
-and tracing belong to the backends.
+states, its tick and each task's version pool and ranking.  Locks, clocks,
+cost knobs, log order and tracing belong to the backends.
 """
 
 from __future__ import annotations
@@ -117,14 +118,14 @@ class ReadyQueue:
     """Job list kept in `Job.key` order, highest priority first.
 
     `insert` places each job by binary insertion, so a pass costs
-    O(k log n) for k new jobs whatever the backlog; `sort` has nothing left
-    to do and stays so callers keep the contract "insert, then sort before
-    reading order".  The order holds because a queued job's key never
-    changes: inheritance boosts only accelerator holders, and acquisition
-    is all-or-nothing, so a holder has started and left the queue.  Keys
-    end in (task_id, seq) and are unique, so the order equals a stable
-    sort.  Admission to the guarding lock is FIFO; the lock lives in the
-    backend.
+    O(k log n) for k new jobs whatever the backlog.  The order holds
+    because a queued job's key never changes: inheritance boosts only
+    accelerator holders, and acquisition is all-or-nothing, so a holder
+    has started and left the queue.  Keys end in (task_id, seq) and are
+    unique, so the order equals a stable sort.  `sort` has nothing left to
+    do; only `SchedulerCore.fill` calls it, and it stays as perfbench's
+    `online.sort` span target until ROADMAP item 3.  Admission to the
+    guarding lock is FIFO; the lock lives in the backend.
     """
 
     __slots__ = ("items",)
@@ -209,7 +210,12 @@ def release_timing(
 
 
 class SchedulerCore:
-    """Release bookkeeping and dispatch decisions for one run.
+    """The scheduler pass, release bookkeeping and dispatch for one run.
+
+    A pass is three steps, `release`, `group` and `fill`, and both backends
+    run it only through them, each keeping its locks, clock, cost knobs and
+    log order.  The horizon is the one difference left between their calls
+    (ROADMAP item 5).
 
     Owns the run's shared scheduling state: `channels` (a ChannelState per
     declared channel, which both backends pop, and push only through `push`
@@ -456,6 +462,34 @@ class SchedulerCore:
         """Workers of queue qi whose running job ranks below the queue head."""
         return [w for w in self.workers_of_queue(qi)
                 if running[w] is not None and self.preemptor(qi, running[w]) is not None]
+
+    # --------------------------------------------------------- the pass
+
+    def release(self, now: int, horizon: int | None = None) -> list[Job]:
+        """Release step: the jobs a pass at `now` releases, in release order:
+        due_releases(now, horizon), then graph_activations(now)."""
+        jobs = self.due_releases(now, horizon)
+        jobs.extend(self.graph_activations(now))
+        return jobs
+
+    def group(self, jobs: list[Job]) -> list[tuple[int, list[Job]]]:
+        """Group step: `jobs` as (queue, batch) pairs in queue order, each
+        batch in release order; under GLOBAL always (0, jobs), even empty."""
+        if self.global_mapping:
+            return [(0, jobs)]
+        by_queue: dict[int, list[Job]] = {}
+        for job in jobs:
+            by_queue.setdefault(self.queue_for(job), []).append(job)
+        return sorted(by_queue.items())
+
+    def fill(self, qi: int, jobs: list[Job]) -> int:
+        """Fill step: insert one batch into queue qi in key order.  Returns
+        the queue's length, which the simulator's sort cost scales with."""
+        queue = self.queues[qi]
+        for job in jobs:
+            queue.insert(job)
+        queue.sort()
+        return len(queue)
 
     # ------------------------------------------------------- dispatch
 

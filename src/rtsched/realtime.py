@@ -1,7 +1,7 @@
 """OS-thread backend: the same scheduling core driven by the monotonic clock.
 
-One scheduler thread wakes every tick, scans for due releases, and fills
-the ready queue(s) under a FIFO ticket lock.  Worker threads pull jobs and
+One scheduler thread wakes every tick and runs the core's pass, filling
+each ready queue under its FIFO ticket lock.  Worker threads pull jobs and
 run their entry callables.  Preemption is cooperative: bodies poll at safe
 points (yield_point, channel operations) and dispatch higher-priority work
 in a nested frame, so the preemption stack is literally the Python call
@@ -305,60 +305,35 @@ class RealtimeBackend:
             self._sched_pass(now)
             k = now // self.core.tick + 1
 
-    def _collect_releases(self, now: int) -> list[Job]:
-        with self.reg_mutex:
-            self.select_ctx.now = now
-            jobs = self.core.due_releases(now)
-            with self.channels_lock:
-                jobs.extend(self.core.graph_activations(now))
-        return jobs
-
-    def _fill(self, qi: int, jobs: list[Job]) -> int:
-        """Insert `jobs` into queue qi, whose lock the caller holds.
-        Returns the instant they became dispatchable."""
-        with self.reg_mutex:
-            for job in jobs:
-                self.core.queues[qi].insert(job)
-            self.core.queues[qi].sort()
-        return self.now_ns()
-
     def _sched_pass(self, now: int) -> None:
-        """One tick: release what is due, then record the pass in one go."""
-        log = self.log
-        if self.core.global_mapping:
+        """One tick: release, then fill each batch under its queue's lock
+        (GLOBAL takes lock 0 before the scan), then record the pass in one
+        go."""
+        core = self.core
+        if core.global_mapping:
             waited = self.queue_locks[0].acquire()
-            t_begin = self.now_ns()
-            jobs = self._collect_releases(now)
-            t_end = self._fill(0, jobs)
-            self.queue_locks[0].release()
-            self._post_insert(0)
-            with self.trace_lock:
-                log.tick_wait(t_begin, waited, 0)
-                log.tick_begin(t_begin)
-                for job in jobs:
-                    log.theoretical(job)
-                    log.release(t_end, job)
-                log.tick_end(t_end)
-            return
         t_begin = self.now_ns()
-        by_queue: dict[int, list[Job]] = {}
-        for job in self._collect_releases(now):
-            by_queue.setdefault(self.core.queue_for(job), []).append(job)
+        with self.reg_mutex, self.channels_lock:
+            self.select_ctx.now = now
+            batches = core.group(core.release(now))
         fills = []
-        for qi in sorted(by_queue):
-            waited = self.queue_locks[qi].acquire()
-            fills.append((qi, waited, self._fill(qi, by_queue[qi])))
+        for qi, jobs in batches:
+            if not core.global_mapping:
+                waited = self.queue_locks[qi].acquire()
+            with self.reg_mutex:
+                core.fill(qi, jobs)
+            fills.append((qi, waited, self.now_ns(), jobs))
             self.queue_locks[qi].release()
             self._post_insert(qi)
         t_end = self.now_ns()
         with self.trace_lock:
-            log.tick_begin(t_begin)
-            for qi, waited, t in fills:
-                log.tick_wait(t, waited, qi)
-                for job in by_queue[qi]:
-                    log.theoretical(job)
-                    log.release(t, job)
-            log.tick_end(t_end)
+            self.log.tick_begin(t_begin)
+            for qi, waited, t, jobs in fills:
+                self.log.tick_wait(t, waited, qi)
+                for job in jobs:
+                    self.log.theoretical(job)
+                    self.log.release(t, job)
+            self.log.tick_end(t_end)
 
     def _post_insert(self, qi: int) -> None:
         with self.work_conds[qi]:

@@ -306,6 +306,7 @@ class _Engine:
             cost = getattr(model, knob)
             if type(cost) is not int or cost < 0:
                 raise ConfigurationError(f"SimJobModel.{knob} must be an int >= 0, got {cost!r}")
+        self.scan_cost = model.sched_scan_cost_per_task * len(state.tasks)
         for t, mask in model.mode_schedule:
             if t < 0:
                 raise ConfigurationError(f"SimJobModel.mode_schedule entry {(t, mask)!r}"
@@ -422,19 +423,16 @@ class _Engine:
         self._sched_pass()
 
     def _sched_pass(self) -> None:
+        """Global mapping scans under lock 0 and logs tick_end before
+        releasing it; partitioned mapping scans before taking any lock."""
         self._sched_active = True
         if self.core.global_mapping:
             self.locks[0].request(self.now, self._tick_cs)
         else:
-            # scan happens outside any lock under partitioned mapping
-            scan = self.model.sched_scan_cost_per_task * len(self.state.tasks)
             self.log.tick_begin(self.now)
-            jobs = self._collect_releases()
-            by_queue: dict[int, list[Job]] = {}
-            for job in jobs:
-                by_queue.setdefault(self.core.queue_for(job), []).append(job)
-            self.push_event(self.now + scan, _P_MISC, self._part_insert,
-                            sorted(by_queue.items()), 0)
+            batches = self.core.group(self._release())
+            self.push_event(self.now + self.scan_cost, _P_MISC, self._part_insert,
+                            batches, 0)
 
     def _sched_done(self) -> None:
         self._sched_active = False
@@ -443,24 +441,17 @@ class _Engine:
             if self._may_release(self.now):
                 self._sched_pass()
 
-    def _collect_releases(self) -> list[Job]:
-        jobs = self.core.due_releases(self.now, self.horizon)
-        jobs.extend(self.core.graph_activations(self.now))
+    def _release(self) -> list[Job]:
+        jobs = self.core.release(self.now, self.horizon)
         for job in jobs:
             self.log.theoretical(job)
         return jobs
 
     def _tick_cs(self, now: int, waited: int) -> None:
-        # global mapping: scan, release and insert under the one queue's lock
         self.log.tick_wait(now, waited, 0)
         self.log.tick_begin(now)
-        jobs = self._collect_releases()
-        queue = self.core.queues[0]
-        for job in jobs:
-            queue.insert(job)
-        queue.sort()
-        cost = self.model.sched_scan_cost_per_task * len(self.state.tasks)
-        cost += self.model.sort_cost_per_element * len(queue)
+        jobs = self._release()
+        cost = self.scan_cost + self.model.sort_cost_per_element * self.core.fill(0, jobs)
         self.push_event(now + cost, _P_MISC, self._tick_cs_end, jobs)
 
     def _tick_cs_end(self, jobs: list[Job]) -> None:
@@ -482,11 +473,7 @@ class _Engine:
     def _part_cs(self, now: int, waited: int, batches: list, idx: int) -> None:
         qi, jobs = batches[idx]
         self.log.tick_wait(now, waited, qi)
-        queue = self.core.queues[qi]
-        for job in jobs:
-            queue.insert(job)
-        queue.sort()
-        cost = self.model.sort_cost_per_element * len(queue)
+        cost = self.model.sort_cost_per_element * self.core.fill(qi, jobs)
         self.push_event(now + cost, _P_MISC, self._part_cs_end, batches, idx)
 
     def _part_cs_end(self, batches: list, idx: int) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 import rtsched.realtime as rt
 import rtsched.simulator as sim
+from rtsched.online import SchedulerCore
 
 from .oracles import activation_oracle
 
@@ -25,6 +26,22 @@ def preflight_forbidden(monkeypatch):
         raise AssertionError("reached the processor check")
 
     monkeypatch.setattr(rt, "processor_preflight", preflight)
+
+
+@pytest.fixture
+def release_passes(monkeypatch):
+    """The jobs of each call of the core's release step, one list per
+    call, so a test counts a run's passes from the core's side."""
+    passes = []
+    release = SchedulerCore.release
+
+    def counted(core, now, horizon=None):
+        jobs = release(core, now, horizon)
+        passes.append(list(jobs))
+        return jobs
+
+    monkeypatch.setattr(SchedulerCore, "release", counted)
+    return passes
 
 
 @pytest.fixture

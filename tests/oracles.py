@@ -4,9 +4,12 @@ Nothing here imports rtsched.  The timeline oracle is a straightforward
 single-core scheduler over (release, deadline, remaining) triples; the SDF
 oracle searches for the repetition vector instead of normalizing fractions;
 the SDF plan oracle counts tokens per edge and numbers them, where the
-package keeps FIFOs of producer firings; the gcd/lcm oracles use trial division and prime factorisation; the ready
-queue oracle fully re-sorts its live jobs on every read; the response-time
-oracle solves the analytic recurrence instead of simulating.  Keeping the
+package keeps FIFOs of producer firings; the gcd/lcm oracles use trial
+division and prime factorisation; the arrival oracle enumerates every
+arrival below the horizon and scans the passes for its own, where the
+package advances one next-arrival per task; the ready queue oracle fully
+re-sorts its live jobs on every read; the response-time oracle solves the
+analytic recurrence instead of simulating.  Keeping the
 algorithms structurally different from the package is the point.
 """
 
@@ -420,6 +423,31 @@ def activation_oracle(
                 tokens[cid][1] += req
             fired[n] = fired.get(n, 0) + 1
     return fired
+
+
+# ---------------------------------------------------------- arrival oracle
+
+
+def arrival_oracle(
+    tasks: list[tuple[int, int]], horizon: int, passes: list[int]
+) -> dict[tuple[int, int], int]:
+    """The pass that releases each clock arrival, by enumeration.
+
+    tasks lists (offset, period) per periodic task, in task order; passes
+    are ascending instants.  Each arrival offset + k * period below the
+    horizon maps (task index, arrival) to the first pass at or after it,
+    found by a linear scan; an arrival after the last pass is left out.
+    """
+    released: dict[tuple[int, int], int] = {}
+    for i, (offset, period) in enumerate(tasks):
+        k = 0
+        while offset + k * period < horizon:
+            arrival = offset + k * period
+            later = [p for p in passes if p >= arrival]
+            if later:
+                released[(i, arrival)] = later[0]
+            k += 1
+    return released
 
 
 # ----------------------------------------------------- ready-queue oracle

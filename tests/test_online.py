@@ -41,6 +41,7 @@ from rtsched.priority import PriorityKey
 
 from .oracles import (
     ReadyQueueOracle,
+    arrival_oracle,
     energy_time_choice_oracle,
     gcd_oracle,
     lcm_oracle,
@@ -681,6 +682,81 @@ class TestRouting:
         assert core.queue_count == 2
         assert core.queue_for(job) == 1
         assert list(core.workers_of_queue(1)) == [1]
+
+
+class TestSchedulerPass:
+    """The pass's three core steps, release, group and fill, with no engine."""
+
+    def test_release_puts_arrivals_before_activations_and_stops_at_horizon(self):
+        state = init(PolicyConfig())
+        root = state.task_decl("root", TaskKind.PERIODIC, period=ms(10))
+        state.version_decl(root, wcet_estimate=us(10))
+        node = state.task_decl("node", TaskKind.GRAPH_NODE)
+        state.version_decl(node, wcet_estimate=us(10))
+        ch = channel_decl(state, "c", element_size=8, capacity=4)
+        channel_connect(state, ch, root, node)
+        core = _core(state)
+        core.push(ch, "frame")
+        jobs = core.release(now=ms(20), horizon=ms(20))
+        assert [(j.task.name, j.abs_release) for j in jobs] == [
+            ("root", 0), ("root", ms(10)), ("node", ms(20))]
+        assert core.release(now=ms(30), horizon=ms(20)) == []
+
+    def test_partitioned_groups_by_core_in_queue_order(self):
+        state = init(PolicyConfig(mapping_scheme=MappingScheme.PARTITIONED, worker_count=4))
+        for name, core_id in [("a", 2), ("b", 0), ("c", 2), ("d", 1)]:
+            tid = state.task_decl(name, TaskKind.PERIODIC, period=ms(10), virt_core_id=core_id)
+            state.version_decl(tid, wcet_estimate=us(10))
+        core = _core(state)
+        jobs = core.release(now=ms(10))
+        batches = core.group(jobs)
+        assert [(qi, [(j.task.name, j.abs_release) for j in batch]) for qi, batch in batches] == [
+            (0, [("b", 0), ("b", ms(10))]),
+            (1, [("d", 0), ("d", ms(10))]),
+            (2, [("a", 0), ("a", ms(10)), ("c", 0), ("c", ms(10))]),
+        ]
+        for qi, batch in batches:  # each batch keeps release order
+            assert batch == [j for j in jobs if j.task.virt_core_id == qi]
+
+    def test_global_is_one_batch_even_when_empty(self):
+        core = _core(_periodic_state([ms(10), ms(20)], config=PolicyConfig(worker_count=3)))
+        jobs = core.release(now=0)
+        assert core.group(jobs) == [(0, jobs)]
+        assert core.group([]) == [(0, [])]
+
+    def test_fill_keeps_key_order_and_returns_queue_length(self):
+        state = _periodic_state([ms(30), ms(10), ms(20)])
+        core = _core(state)
+        assert core.fill(0, core.release(now=0)) == 3
+        assert core.fill(0, core.release(now=ms(10))) == 4
+        assert core.fill(0, []) == 4
+        assert [(j.task.name, j.abs_release) for j in core.queues[0].items] == [
+            ("t1", 0), ("t1", ms(10)), ("t2", 0), ("t0", 0)]  # RM by default
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tasks=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)), min_size=1, max_size=4),
+        horizon=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_passes_on_the_tick_grid_match_the_arrival_oracle(self, tasks, horizon, data):
+        # arrivals and horizon in microseconds; a dropped grid instant is a
+        # pass coalesced into a later one, and the last pass lies past the
+        # horizon so every arrival before it has a pass
+        tasks = [(us(offset), us(period)) for offset, period in tasks]
+        horizon = us(horizon)
+        core = _core(_periodic_state([p for _, p in tasks], offsets=[o for o, _ in tasks]))
+        grid = range(0, horizon + 2 * core.tick, core.tick)
+        kept = data.draw(st.lists(st.booleans(), min_size=len(grid) - 1,
+                                  max_size=len(grid) - 1))
+        passes = [t for t, keep in zip(grid, kept) if keep] + [grid[-1]]
+        released: dict[tuple[int, int], int] = {}
+        for now in passes:
+            for job in core.release(now, horizon):
+                key = (job.task.task_id, job.abs_release)
+                assert key not in released, f"{key} released twice"
+                released[key] = now
+        assert released == arrival_oracle(tasks, horizon, passes)
 
 
 class TestDispatch:

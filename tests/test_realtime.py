@@ -343,17 +343,26 @@ class TestRealtimeRuns:
         assert report.meta["tick_ns"] == ms(50)
         assert report.misses == 0
 
-    def test_partitioned_scheduler_pass(self, many_cpus):
-        state = init(_rt_config(mapping_scheme=MappingScheme.PARTITIONED, worker_count=1))
-        for name, period in [("a", ms(10)), ("b", ms(20))]:
+    @pytest.mark.parametrize("mapping", [MappingScheme.PARTITIONED, MappingScheme.GLOBAL],
+                             ids=["partitioned", "global"])
+    def test_scheduler_pass(self, many_cpus, release_passes, mapping):
+        # a 10 ms tick: the passes at 10 and 50 ms release nothing
+        state = init(_rt_config(mapping_scheme=mapping, worker_count=1))
+        for name, period in [("a", ms(20)), ("b", ms(30))]:
             tid = state.task_decl(name, TaskKind.PERIODIC, period=period, virt_core_id=0)
             state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000)
         trace, report = run_realtime(state, ms(60))
         assert report.released == report.completed > 0
         kinds = Counter(e.kind for e in trace)
-        assert report.overheads.scheduling.count == kinds["tick_begin"] > 0
+        assert report.overheads.scheduling.count == kinds["tick_begin"] == len(release_passes)
+        # one batch per pass under GLOBAL; under PARTITIONED one per pass
+        # that released, all on core 0
+        batches = len(release_passes) if mapping is MappingScheme.GLOBAL else sum(
+            1 for jobs in release_passes if jobs)
         ticks = [e for e in trace if e.kind == "lock_wait" and e.payload["purpose"] == "tick"]
-        assert ticks and all(e.payload["queue"] == 0 for e in ticks)
+        assert len(ticks) == batches > 0 and all(e.payload["queue"] == 0 for e in ticks)
+        assert kinds["release_theoretical"] == kinds["release_effective"] == report.released
+        assert compute_overheads(trace, allow_truncated=report.truncated) == report.overheads
 
     def test_body_blocks_on_pop_until_the_producer_pushes(self, many_cpus):
         # cons is released 5 ms before prod each period and waits in pop;

@@ -339,6 +339,21 @@ class TestLongPasses:
             assert "event cap reached; run truncated" in report.warnings
 
 
+@pytest.mark.parametrize("mapping", [MappingScheme.GLOBAL, MappingScheme.PARTITIONED],
+                         ids=["global", "partitioned"])
+def test_every_pass_releases_through_the_core(release_passes, mapping):
+    # _three_periodic's tasks with 340 us scans, so missed ticks coalesce
+    state = init(PolicyConfig(mapping_scheme=mapping, worker_count=2,
+                              priority_assignment=PriorityAssignment.EDF))
+    for i, (period, wcet) in enumerate([(ms(1), us(200)), (ms(2), us(500)), (ms(5), ms(1))]):
+        tid = state.task_decl(f"t{i}", TaskKind.PERIODIC, period=period, virt_core_id=i % 2)
+        state.version_decl(tid, wcet_estimate=wcet)
+    model = SimJobModel(sched_scan_cost_per_task=us(340))
+    trace, report = run_simulation(state, model, horizon=ms(20), seed=3)
+    assert len(release_passes) == len(_events(trace, "tick_begin")) > 0
+    assert sum(map(len, release_passes)) == report.released > 0
+
+
 class TestChannels:
     def _pipeline(self, capacity, push_count=None):
         state = init(PolicyConfig(worker_count=2))
