@@ -11,6 +11,13 @@ Timing is best effort unless the process may pin threads, lock memory and
 elevate itself to a real-time scheduling class; every capability that
 cannot be obtained degrades to a warning in the run report.  Channel waits
 poll in 50 microsecond slices so a blocked body still honours preemption.
+
+Memory is locked on fault (mlockall with MCL_ONFAULT, Linux 4.4 and later):
+a page is locked when first touched, so a thread's stack is resident only
+as deep as the thread uses it, and no locked page is swapped out.  The
+lock is process-wide, so runs that overlap share it: the first run to
+start takes it and the last to stop drops it with munlockall, which also
+drops any lock the host process took itself.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ from .tracing import RunLog, RunReport, Stat, TraceEvent
 from .versions import AcceleratorRegistry, SelectionContext
 
 _POLL_S = 50e-6  # channel wait slice
+_MCL_FLAGS = 7  # MCL_CURRENT | MCL_FUTURE | MCL_ONFAULT
+
+_mlock_guard = threading.Lock()  # guards _mlock_holders
+_mlock_holders = 0  # running backends that share the process's memory lock
 
 _tls = threading.local()
 
@@ -192,6 +203,7 @@ class RealtimeBackend:
         self._stopping = threading.Event()
         self._threads: list[threading.Thread] = []
         self._degraded: set[str] = set()
+        self._holds_mlock = False
 
     # ------------------------------------------------------- plumbing
 
@@ -227,14 +239,34 @@ class RealtimeBackend:
             self._warn_once("affinity", f"cannot pin to processor {cpu}; running unpinned")
 
     def _try_mlock(self) -> None:
-        try:
-            libc = ctypes.CDLL("libc.so.6", use_errno=True)
-            if libc.mlockall(3) != 0:  # MCL_CURRENT | MCL_FUTURE
-                raise OSError(ctypes.get_errno(), "mlockall")
-        except OSError:
-            self._warn_once(
-                "mlock", "cannot lock memory (mlockall failed); page faults possible"
-            )
+        """Join the process's memory lock, taking it when no running
+        backend holds it.  A run whose mlockall fails warns and holds
+        nothing."""
+        global _mlock_holders
+        with _mlock_guard:
+            if _mlock_holders == 0:
+                try:
+                    libc = ctypes.CDLL("libc.so.6", use_errno=True)
+                    if libc.mlockall(_MCL_FLAGS) != 0:
+                        raise OSError(ctypes.get_errno(), "mlockall")
+                except OSError:
+                    self._warn_once(
+                        "mlock", "cannot lock memory (mlockall failed); page faults possible"
+                    )
+                    return
+            _mlock_holders += 1
+            self._holds_mlock = True
+
+    def _munlock(self) -> None:
+        """Leave the memory lock; the last holder to leave unlocks."""
+        global _mlock_holders
+        with _mlock_guard:
+            if not self._holds_mlock:
+                return
+            self._holds_mlock = False
+            _mlock_holders -= 1
+            if _mlock_holders == 0:
+                ctypes.CDLL("libc.so.6").munlockall()
 
     # ------------------------------------------------------ lifecycle
 
@@ -260,8 +292,12 @@ class RealtimeBackend:
                 target=self._scheduler_loop, daemon=True, name="rtsched-sched"
             )
             self._threads.append(th)
-        for th in self._threads:
-            th.start()
+        try:
+            for th in self._threads:
+                th.start()
+        except BaseException:
+            self.stop()  # a thread that cannot start ends the run
+            raise
 
     def stop(self) -> None:
         self._stopping.set()
@@ -269,7 +305,9 @@ class RealtimeBackend:
             with cond:
                 cond.notify_all()
         for th in self._threads:
-            th.join()
+            if th.is_alive():  # not one that failed to start
+                th.join()
+        self._munlock()
 
     def collect(self) -> tuple[list[TraceEvent], RunReport]:
         """Trace and report of this run.  Call once, after stop.  The jobs
@@ -460,7 +498,11 @@ def run_realtime(
     Each call is one run with its own clock, trace and report.  stop() lets
     the jobs already released finish, so the call returns after duration_ns
     plus that backlog.  A job whose body raises, or is still blocked on a
-    channel at stop, is counted unfinished with a warning naming it."""
+    channel at stop, is counted unfinished with a warning naming it.
+
+    Memory is locked from start to stop, page by page as the run first
+    touches it (see the module docstring); the call returns with the lock
+    dropped unless another run still holds it."""
     if state.config.clock_source is not ClockSource.MONOTONIC_OS:
         raise ConfigurationError("run_realtime requires clock_source=MONOTONIC_OS")
     _positive_int("duration_ns", duration_ns, "> 0")

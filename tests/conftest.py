@@ -63,10 +63,19 @@ def tie_order(monkeypatch):
     return shuffle
 
 
+def _locked_kb() -> int | None:
+    """VmLck of this process in kB, or None where /proc does not report it."""
+    try:
+        with open("/proc/self/status") as fp:
+            return next((int(line.split()[1]) for line in fp if line.startswith("VmLck:")), None)
+    except OSError:
+        return None
+
+
 @pytest.fixture(scope="session", autouse=True)
-def simulated_runs_end_drained():
-    """Check how every test simulation ends.  Session-scoped so Hypothesis
-    tests take it too.
+def runs_end_clean():
+    """Check how every test simulation ends, and that the suite ends with
+    no memory locked.  Session-scoped so Hypothesis tests take it too.
 
     A run not cut at the event cap ends with no token-driven graph node
     whose inputs could serve a firing.  oracles.activation_oracle scans a
@@ -100,3 +109,5 @@ def simulated_runs_end_drained():
     sim._Engine.run = checked_run
     yield
     sim._Engine.run = run
+    # every thread-backend run drops its memory lock at stop
+    assert _locked_kb() in (0, None), f"the suite ends with {_locked_kb()} kB locked"

@@ -6,9 +6,14 @@ so the suite passes on small machines, with one honest test of the real
 check.
 """
 
+import errno
+import json
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +40,8 @@ from rtsched import (
     run_realtime,
 )
 from rtsched.realtime import FifoTicketLock, current_job_context, latency_probe
+
+from .conftest import _locked_kb
 
 
 def _rt_config(**kw):
@@ -497,3 +504,121 @@ class TestLatencyProbe:
         assert stats["all"].count >= 2
         assert stats["all"].min >= 0
         assert stats["all"].min <= stats["all"].avg <= stats["all"].max
+
+
+class _FakeLibc:
+    """Stands in for libc: records each memory-lock call with the names of
+    the rtsched threads alive when it was made."""
+
+    def __init__(self):
+        self.calls = []
+        self.mlockall_result = 0
+
+    def _record(self, *call):
+        alive = sorted(t.name for t in threading.enumerate() if t.name.startswith("rtsched-"))
+        self.calls.append((*call, alive))
+
+    def mlockall(self, flags):
+        self._record("mlockall", flags)
+        return self.mlockall_result
+
+    def munlockall(self):
+        self._record("munlockall")
+        return 0
+
+
+@pytest.fixture
+def fake_libc(monkeypatch):
+    libc = _FakeLibc()
+    monkeypatch.setattr(rt, "ctypes", SimpleNamespace(
+        CDLL=lambda name, use_errno=False: libc, get_errno=lambda: errno.EPERM))
+    return libc
+
+
+def _probe_state():
+    state = init(_rt_config(worker_count=1))
+    tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(5))
+    state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000)
+    return state
+
+
+_MEMORY_SCRIPT = """
+import json
+import rtsched.realtime as rt
+from rtsched import ClockSource, PolicyConfig, TaskKind, init, ms, run_realtime
+
+def status_kb(key):
+    with open("/proc/self/status") as fp:
+        return next(int(line.split()[1]) for line in fp if line.startswith(key + ":"))
+
+rt.processor_preflight = lambda required: None
+state = init(PolicyConfig(worker_count=1, clock_source=ClockSource.MONOTONIC_OS))
+tid = state.task_decl("t", TaskKind.PERIODIC, period=ms(5))
+state.version_decl(tid, entry=lambda ctx, args: None, wcet_estimate=1000)
+before = status_kb("VmRSS")
+_, report = run_realtime(state, ms(100))
+print(json.dumps({"rss_kb": status_kb("VmRSS") - before, "locked_kb": status_kb("VmLck"),
+                  "warnings": report.warnings}))
+"""
+
+
+class TestMemoryLock:
+    """A run locks memory on fault from start to stop; overlapping runs
+    share one lock, which the last to stop drops."""
+
+    def test_a_run_locks_at_start_and_unlocks_after_the_joins(self, many_cpus, fake_libc):
+        _, report = run_realtime(_probe_state(), ms(30))
+        assert fake_libc.calls == [("mlockall", 7, []), ("munlockall", [])]
+        assert not any("lock memory" in w for w in report.warnings)
+        assert rt._mlock_holders == 0
+
+    def test_a_failing_lock_warns_and_never_unlocks(self, many_cpus, fake_libc):
+        fake_libc.mlockall_result = -1
+        _, report = run_realtime(_probe_state(), ms(30))
+        assert fake_libc.calls == [("mlockall", 7, [])]
+        assert any(w.startswith("cannot lock memory") for w in report.warnings)
+        assert rt._mlock_holders == 0
+
+    def test_overlapping_runs_lock_once_and_unlock_at_the_last_stop(self, many_cpus,
+                                                                    fake_libc):
+        first, second = _probe_state(), _probe_state()
+        first.start()
+        second.start()
+        first.stop()
+        assert [call[0] for call in fake_libc.calls] == ["mlockall"]
+        second.stop()
+        assert [call[0] for call in fake_libc.calls] == ["mlockall", "munlockall"]
+        assert fake_libc.calls[-1][-1] == []
+        assert rt._mlock_holders == 0
+
+    def test_a_thread_that_cannot_start_ends_the_run_and_its_lock(self, many_cpus,
+                                                                  fake_libc, monkeypatch):
+        start = threading.Thread.start
+
+        def failing(th):
+            if th.name == "rtsched-sched":
+                raise RuntimeError("can't start new thread")
+            start(th)
+
+        monkeypatch.setattr(threading.Thread, "start", failing)
+        state = _probe_state()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            state.start()
+        assert fake_libc.calls == [("mlockall", 7, []), ("munlockall", [])]
+        assert rt._mlock_holders == 0
+
+    @pytest.mark.skipif(_locked_kb() is None, reason="needs VmLck in /proc/self/status")
+    def test_a_run_keeps_resident_only_what_it_touches(self):
+        # in a fresh interpreter, so earlier tests' pages do not count; a
+        # locked stack that is filled in whole costs 8 MiB per thread
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", _MEMORY_SCRIPT], cwd=root, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        if any(w.startswith("cannot lock memory") for w in seen["warnings"]):
+            pytest.skip("this host refuses mlockall")
+        assert seen["rss_kb"] < 8 * 1024
+        assert seen["locked_kb"] == 0
