@@ -25,6 +25,9 @@ from .graph import plan_expansion
 from .simulator import policy_label, run_simulation
 from .tracing import CSV_COLUMNS
 
+# trace rows joined per write by `simulate --trace`
+_TRACE_CHUNK = 4096
+
 
 def _env_seed() -> int:
     raw = os.environ.get("RT_YASMIN_SEED")
@@ -103,10 +106,12 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         with open(args.trace, "w") as fp:
             fp.write(",".join(CSV_COLUMNS) + "\n")
-            fp.writelines(rows)
+            # a join per bounded chunk: few writes, no second copy of the trace
+            for i in range(0, len(rows), _TRACE_CHUNK):
+                fp.write("".join(rows[i:i + _TRACE_CHUNK]))
     if args.report:
         with open(args.report, "w") as fp:
-            fp.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+            fp.write(report.to_json() + "\n")
     _print_report(report)
     return 0
 
@@ -166,7 +171,7 @@ def _cmd_latency(args) -> int:
     from .model import us
     from .realtime import latency_probe
 
-    stats = latency_probe(
+    stats, warnings = latency_probe(
         threads=args.threads,
         period_ns=us(args.interval),
         loops=args.loops,
@@ -183,14 +188,16 @@ def _cmd_latency(args) -> int:
                 f" avg={st.avg / 1000:.0f} ({st.count} samples)"
             )
     pooled = stats["all"]
-    if not pooled.count:
+    if pooled.count:
+        print(
+            f"  all: min={pooled.min / 1000:.0f} max={pooled.max / 1000:.0f}"
+            f" avg={pooled.avg / 1000:.0f} ({pooled.count} samples)"
+        )
+    else:
         print("no samples collected")
-        return 1
-    print(
-        f"  all: min={pooled.min / 1000:.0f} max={pooled.max / 1000:.0f}"
-        f" avg={pooled.avg / 1000:.0f} ({pooled.count} samples)"
-    )
-    return 0
+    for w in warnings:
+        print(f"  warning: {w}")
+    return 0 if pooled.count else 1
 
 
 def _parse_policy(name: str):

@@ -349,15 +349,14 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
         for n in nodes:
             info.node_root[n] = roots[0]
 
-    # ---- firing rates per iteration along topological order
-    rate: dict[int, Fraction] = {}
+    # ---- firing rates per iteration along topological order.  A rate is
+    # an int (a fractional one becomes 0), so an input's rate arriving/need
+    # is compared by cross-multiplying; a Fraction only formats a message.
+    rate: dict[int, int] = {}
     for t in seen:  # topological order
         task = state.tasks[t]
-        if task.period is not None:
-            rate[t] = Fraction(1)
-            continue
-        if task.kind is not TaskKind.GRAPH_NODE:
-            rate[t] = Fraction(1)  # data exchange between recurring tasks
+        if task.period is not None or task.kind is not TaskKind.GRAPH_NODE:
+            rate[t] = 1  # a root, or data exchange between recurring tasks
             continue
         inputs = info.inputs.get(t)
         if not inputs:
@@ -369,38 +368,35 @@ def analyze_graph(state: MiddlewareState) -> GraphInfo:
                     " it never auto-activates",
                 )
             )
-            rate[t] = Fraction(0)
+            rate[t] = 0
             continue
-        firings: Fraction | None = None
+        num = den = 0  # the first input's firings, num/den
         for cid, need in inputs:
             ch = state.channels[cid]
-            arriving = rate.get(ch.src, Fraction(0)) * (ch.push_count or 1)
-            f = arriving / need
-            if firings is None:
-                firings = f
-            elif firings != f:
+            arriving = rate[ch.src] * (ch.push_count or 1)
+            if not den:
+                num, den = arriving, need
+            elif arriving * den != num * need:
                 diags.append(
                     Diagnostic(
                         "error",
                         "rate-mismatch",
                         f"node {task.name!r}: input channels imply conflicting"
-                        f" firing rates ({firings} vs {f})",
+                        f" firing rates ({Fraction(num, den)} vs {Fraction(arriving, need)})",
                     )
                 )
-                f = firings
-        assert firings is not None
-        if firings.denominator != 1:
+        firings, rest = divmod(num, den)
+        if rest:
             diags.append(
                 Diagnostic(
                     "error",
                     "rate-fraction",
-                    f"node {task.name!r} would fire {firings} times per iteration;"
+                    f"node {task.name!r} would fire {Fraction(num, den)} times per iteration;"
                     " token flow must divide evenly",
                 )
             )
-            firings = Fraction(0)
-        rate[t] = firings
-        info.node_rate[t] = int(firings)
+            firings = 0
+        rate[t] = info.node_rate[t] = firings
 
     # graph nodes not touched by any channel
     for task in state.tasks:
@@ -588,9 +584,10 @@ def expand_sdf(
         raise DeclarationError(f"missing wcet for actors: {', '.join(missing)}")
 
     ids: dict[str, int] = {}
+    roots = set(plan.sources)
     for node in plan.nodes:
         actor = node.split("#", 1)[0]
-        is_root = node in plan.sources
+        is_root = node in roots
         # the deadline is end to end: it lives on the roots and downstream
         # firings inherit it from the root release of their iteration
         ids[node] = state.task_decl(

@@ -522,12 +522,13 @@ def latency_probe(
     period_ns: int = ms(10),
     loops: int = 50,
     priority_assignment: PriorityAssignment = PriorityAssignment.EDF,
-) -> dict[str, Stat]:
+) -> tuple[dict[str, Stat], list[str]]:
     """Release-to-start latency of empty periodic jobs on this host.
 
     Spawns `threads` probe tasks, one per worker, each released every
     `period_ns` for `loops` activations, and returns the distribution of
-    job_start - release_theoretical per probe plus a pooled "all" entry.
+    job_start - release_theoretical per probe plus a pooled "all" entry,
+    with the run's warnings (e.g. no SCHED_FIFO, pinning or locked memory).
     The shape mirrors the cyclictest-style min/avg/max summary.  threads,
     period_ns and loops must be ints > 0, checked before a thread starts."""
     _positive_int("threads", threads)
@@ -544,7 +545,7 @@ def latency_probe(
     for i in range(threads):
         tid = task_decl(state, f"probe{i}", TaskKind.PERIODIC, period=period_ns)
         version_decl(state, tid, entry=lambda ctx, args: None, wcet_estimate=1000)
-    trace, _ = run_realtime(state, period_ns * loops)
+    trace, report = run_realtime(state, period_ns * loops)
     releases: dict[tuple[str, int], int] = {}
     stats: dict[str, Stat] = {f"probe{i}": Stat() for i in range(threads)}
     stats["all"] = Stat()
@@ -555,4 +556,4 @@ def latency_probe(
             lat = ev.timestamp_ns - releases[(ev.task, ev.job_seq)]
             stats[ev.task].add(lat)
             stats["all"].add(lat)
-    return stats
+    return stats, report.warnings

@@ -26,12 +26,18 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 
 from .errors import ConfigurationError, TraceIntegrityError
+
+# json.dumps' own encoders of a str, an int and a float
+_json_str = json.encoder.encode_basestring_ascii
+_json_int = int.__repr__
+_json_float = float.__repr__
 
 EVENT_KINDS = (
     "release_theoretical",
@@ -177,6 +183,7 @@ class Stat:
         return self.total / self.count if self.count else 0.0
 
     def to_dict(self) -> dict:
+        # RunReport.to_json writes these keys and values itself: change both
         return {
             "count": self.count,
             "total": self.total,
@@ -194,6 +201,7 @@ class TaskStats:
     response: Stat = field(default_factory=Stat)
 
     def to_dict(self) -> dict:
+        # RunReport.to_json writes these keys and values itself: change both
         return {
             "released": self.released,
             "completed": self.completed,
@@ -271,6 +279,45 @@ class RunReport:
             "run": self.overheads.to_dict(),
             "warnings": list(self.warnings),
         }
+
+    def to_json(self) -> str:
+        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)`, byte for byte.
+
+        With an indent json.dumps runs its pure-Python encoder, whose cost
+        grows with the task count.  A task's block has a fixed shape, so
+        one f-string writes it and no dict is built; the small sections
+        go through json.dumps, indented one level."""
+        def section(value) -> str:
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+        blocks = []
+        for name in sorted(self.tasks):
+            s = self.tasks[name]
+            r = s.response
+            blocks.append(
+                f'    {_json_str(name)}: {{\n'
+                f'      "completed": {_json_int(s.completed)},\n'
+                f'      "misses": {_json_int(s.misses)},\n'
+                f'      "released": {_json_int(s.released)},\n'
+                f'      "response_ns": {{\n'
+                f'        "avg": {_json_float(round(r.avg, 3))},\n'
+                f'        "count": {_json_int(r.count)},\n'
+                f'        "max": {_json_int(r.max or 0)},\n'
+                f'        "min": {_json_int(r.min or 0)},\n'
+                f'        "total": {_json_int(r.total)}\n'
+                f'      }}\n'
+                f'    }}'
+            )
+        tasks = "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
+        totals = {"released": self.released, "completed": self.completed,
+                  "misses": self.misses, "truncated": self.truncated}
+        return (
+            f'{{\n  "meta": {section(self.meta)},\n'
+            f'  "run": {section(self.overheads.to_dict())},\n'
+            f'  "tasks": {tasks},\n'
+            f'  "totals": {section(totals)},\n'
+            f'  "warnings": {section(self.warnings)}\n}}'
+        )
 
 
 # per-job marks, in the order a job must pass them

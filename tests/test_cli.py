@@ -4,17 +4,21 @@ Deadline misses are results (exit 0); only config and validation
 problems exit 1.
 """
 
+import hashlib
 import json
+import os
 
 import pytest
 
+import rtsched.cli as cli
 import rtsched.realtime as rt
 import rtsched.sweep as sweep_mod
-from rtsched import ms
+from rtsched import Stat, ms
 from rtsched.cli import main
 from rtsched.tracing import CSV_COLUMNS
 
 from .test_document import WRONGLY_TYPED
+from .test_golden import GOLDEN
 from .test_simulator import COST_KNOBS, MALFORMED_EXEC_TIME
 
 
@@ -184,6 +188,29 @@ class TestSimulate:
         blob = json.loads(report.read_text())
         assert blob["totals"]["released"] == 1
         assert blob["totals"]["misses"] == 0
+
+    @pytest.mark.parametrize("case, argv", [
+        ("vision-pipeline", ["demos/vision_pipeline.json", "--seed", "3"]),
+        ("drone", ["demos/drone.json", "--horizon", "5hp", "--seed", "3"]),
+    ], ids=["vision-pipeline", "drone"])
+    def test_trace_and_report_files_match_golden(self, case, argv, tmp_path):
+        trace = tmp_path / "trace.csv"
+        report = tmp_path / "report.json"
+        document = os.path.join(os.path.dirname(__file__), os.pardir, argv[0])
+        assert main(["simulate", document, *argv[1:],
+                     "--trace", str(trace), "--report", str(report)]) == 0
+        _, trace_sha, report_sha = GOLDEN[case]
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+    def test_trace_written_in_chunks(self, tmp_path, monkeypatch):
+        # a chunk size that leaves a short last chunk changes no byte
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", 7)
+        trace = tmp_path / "trace.csv"
+        document = os.path.join(os.path.dirname(__file__), os.pardir, "demos/vision_pipeline.json")
+        assert main(["simulate", document, "--seed", "3", "--trace", str(trace)]) == 0
+        _, trace_sha, _ = GOLDEN["vision-pipeline"]
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha
 
     def test_unfinished_job_warning_printed(self, tmp_path, capsys):
         # t pops a channel whose producer never fires
@@ -356,4 +383,23 @@ class TestLatency:
         assert rc == 0
         out = capsys.readouterr().out
         assert "probe0:" in out and "probe1:" in out
-        assert out.splitlines()[-1].lstrip().startswith("all: min=")
+        # the pooled line comes last, before the run's warnings if any
+        lines = [ln for ln in out.splitlines() if not ln.startswith("  warning: ")]
+        assert lines[-1].lstrip().startswith("all: min=")
+
+    @pytest.mark.parametrize("samples", [(5_000, 9_000), ()], ids=["samples", "no-samples"])
+    def test_probe_warnings_printed(self, samples, capsys, monkeypatch):
+        def probe(**_):
+            stat = Stat()
+            for ns in samples:
+                stat.add(ns)
+            return {"probe0": stat, "all": stat}, ["cannot lock memory", "no SCHED_FIFO"]
+
+        monkeypatch.setattr(rt, "latency_probe", probe)
+        assert main(["latency", "--loops", "2"]) == (0 if samples else 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [
+            "  all: min=5 max=9 avg=7 (2 samples)" if samples else "no samples collected",
+            "  warning: cannot lock memory",
+            "  warning: no SCHED_FIFO",
+        ]

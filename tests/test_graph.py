@@ -250,6 +250,72 @@ class TestAnalyzeGraph:
         assert info.node_root[mid] == root
         assert info.node_rate[mid] == 2
 
+    @staticmethod
+    def _rated(*inputs):
+        """A root r and a graph node n fed by one channel from r per
+        (push_count, required_tokens) in `inputs`, then a graph node m fed
+        one token per firing of n; returns the state and the ids of n and m."""
+        state = init(PolicyConfig())
+        r = state.task_decl("r", TaskKind.PERIODIC, period=ms(10))
+        n = state.task_decl("n", TaskKind.GRAPH_NODE)
+        m = state.task_decl("m", TaskKind.GRAPH_NODE)
+        for i, (push, need) in enumerate(inputs):
+            cid = channel_decl(state, f"rn{i}", 8, 8)
+            channel_connect(state, cid, r, n, required_tokens=need, push_count=push)
+        channel_connect(state, channel_decl(state, "nm", 8, 8), n, m)
+        return state, n, m
+
+    @staticmethod
+    def _messages(info):
+        return [(d.level, d.code, d.message) for d in info.diagnostics]
+
+    def test_rate_mismatch_message(self):
+        # 2 tokens in per root job, 2 needed: once; 3 in, 2 needed: 3/2
+        state, n, m = self._rated((2, 2), (3, 2), (4, 2))
+        info = analyze_graph(state)
+        assert self._messages(info) == [
+            ("error", "rate-mismatch",
+             "node 'n': input channels imply conflicting firing rates (1 vs 3/2)"),
+            ("error", "rate-mismatch",
+             "node 'n': input channels imply conflicting firing rates (1 vs 2)"),
+        ]
+        # the first input's rate stands and flows downstream
+        assert info.node_rate == {n: 1, m: 1}
+
+    def test_rate_fraction_message(self):
+        state, n, m = self._rated((3, 2))
+        info = analyze_graph(state)
+        assert self._messages(info) == [
+            ("error", "rate-fraction",
+             "node 'n' would fire 3/2 times per iteration; token flow must divide evenly"),
+        ]
+        # a fractional rate becomes 0, and so does every rate it feeds
+        assert info.node_rate == {n: 0, m: 0}
+
+    def test_equal_rates_by_different_fractions(self):
+        # 6/4 == 3/2 == 9/6: one rate, but not an integer one
+        state, n, _ = self._rated((6, 4), (3, 2), (9, 6))
+        assert self._messages(analyze_graph(state)) == [
+            ("error", "rate-fraction",
+             "node 'n' would fire 3/2 times per iteration; token flow must divide evenly"),
+        ]
+
+    def test_dead_node_messages(self):
+        state = init(PolicyConfig())
+        a = state.task_decl("a", TaskKind.GRAPH_NODE)
+        b = state.task_decl("b", TaskKind.GRAPH_NODE)
+        state.task_decl("lone", TaskKind.GRAPH_NODE)
+        channel_connect(state, channel_decl(state, "ab", 8, 1), a, b)
+        info = analyze_graph(state)
+        assert self._messages(info) == [
+            ("error", "no-root", "graph component {a, b} has no periodic root"),
+            ("warning", "dead-node",
+             "graph node 'a' has no inputs and no period; it never auto-activates"),
+            ("warning", "dead-node",
+             "graph node 'lone' has no channels and no period; it never activates"),
+        ]
+        assert info.node_rate == {b: 0}
+
 
 class TestRepetitionVector:
     def test_two_actor_example(self):

@@ -498,7 +498,8 @@ class TestLatencyProbe:
             latency_probe(**{arg: value})
 
     def test_shape_and_pooling(self, many_cpus):
-        stats = latency_probe(threads=2, period_ns=ms(20), loops=3)
+        stats, warnings = latency_probe(threads=2, period_ns=ms(20), loops=3)
+        assert all(isinstance(w, str) for w in warnings)
         assert set(stats) == {"probe0", "probe1", "all"}
         assert stats["all"].count == stats["probe0"].count + stats["probe1"].count
         assert stats["all"].count >= 2

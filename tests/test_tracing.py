@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -16,10 +17,13 @@ from rtsched import (
     TraceIntegrityError,
     compute_overheads,
     read_trace_csv,
+    run_simulation,
     trace_csv_text,
     write_trace_csv,
 )
 from rtsched.tracing import RunLog, _Accounts, csv_row
+
+from .test_golden import GOLDEN
 
 
 def _ev(t, kind, task="", seq=None, worker=None, **payload):
@@ -146,6 +150,50 @@ class TestRunReport:
     def test_task_accessor_creates_once(self):
         r = RunReport()
         assert r.task("x") is r.task("x")
+
+    @staticmethod
+    def _dumped(report):
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+    def test_to_json_of_an_empty_report(self):
+        assert RunReport().to_json() == self._dumped(RunReport())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_to_json_is_to_dict_dumped(self, data):
+        name = st.one_of(st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "é", "名",
+                                          "\u2028", "\U0001f600", 'a"b\\c\nd']),
+                         st.text(max_size=6))
+        value = st.integers(min_value=-10**15, max_value=10**15)
+
+        def stat():
+            s = Stat()  # count 0 when the draw is empty
+            for v in data.draw(st.lists(value, max_size=3)):
+                s.add(v)
+            return s
+
+        r = RunReport(truncated=data.draw(st.booleans()))
+        for n in data.draw(st.lists(name, max_size=4, unique=True)):
+            t = r.task(n)
+            t.released, t.completed, t.misses = data.draw(st.tuples(value, value, value))
+            t.response = stat()
+        for f in ("get_task", "scheduling", "release_overhead", "worker_lock_wait",
+                  "scheduler_lock_wait"):
+            setattr(r.overheads, f, stat())
+        r.overheads.preemptions, r.overheads.context_switch_total = data.draw(
+            st.tuples(value, value))
+        r.warnings = data.draw(st.lists(name, max_size=3))
+        leaf = st.one_of(st.none(), st.booleans(), value, st.floats(), name)
+        r.meta = data.draw(st.dictionaries(
+            name, st.one_of(leaf, st.lists(leaf, max_size=2),
+                            st.dictionaries(name, leaf, max_size=2)), max_size=4))
+        assert r.to_json() == self._dumped(r)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_to_json_of_golden_runs(self, case):
+        state, model, horizon, seed = GOLDEN[case][0]()
+        _, report = run_simulation(state, model, horizon=horizon, seed=seed)
+        assert report.to_json() == self._dumped(report)
 
 
 def _job(release, deadline, wcet, task="t", seq=0):
