@@ -11,9 +11,14 @@ jobs that the simulator does not, and at stop it drains its whole backlog.
 When a job preempts there, the victim is whichever flagged worker yields
 first, not a job the core chose.
 
-The thread backend (`run_realtime`, `processor_preflight`) and the sweep
-(`run_sweep` and its companions) are bound as modules that run their code
-when first read, so a run that only simulates runs neither.
+The package exports a name (`__all__`) only when it is a declaration call
+or README's Library section documents it.  Everything else, the scheduler
+core and its jobs, selection and graph analysis included, keeps its name
+in its defining module and is not part of the API.
+
+The thread backend (`run_realtime`) and the sweep (`run_sweep` and its
+companions) are bound as modules that run their code when first read, so
+a run that only simulates runs neither.
 """
 
 import importlib.util
@@ -34,9 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    MS,
-    US,
-    AcceleratorDescriptor,
     BitmaskSelect,
     ClockSource,
     Diagnostic,
@@ -46,7 +48,6 @@ from .model import (
     MappingScheme,
     MiddlewareState,
     ModeSelect,
-    Phase,
     PolicyConfig,
     PriorityAssignment,
     TaskDescriptor,
@@ -67,46 +68,26 @@ from .model import (
     us,
     version_decl,
 )
-from .priority import PriorityKey, assign_priority
 from .graph import (
-    ChannelDescriptor,
-    ChannelState,
-    ExpansionPlan,
-    GraphInfo,
     SdfEdge,
     SdfGraph,
-    analyze_graph,
     channel_connect,
     channel_decl,
     channel_pop,
     channel_push,
     expand_sdf,
-    plan_expansion,
-    repetition_vector,
 )
-from .versions import (
-    AcceleratorRegistry,
-    SelectionContext,
-    eligible_versions,
-    select_version,
-)
-from .online import Job, SchedulerCore, hyperperiod, scheduler_tick_period
-from .offline import ScheduleTable, TableEntry, validate_table
+from .offline import ScheduleTable
 from .tracing import (
     CSV_COLUMNS,
-    EVENT_KINDS,
-    SCHEDULER_WORKER,
-    Overheads,
     RunReport,
     Stat,
-    TaskStats,
     TraceEvent,
     compute_overheads,
     read_trace_csv,
     trace_csv_text,
-    write_trace_csv,
 )
-from .simulator import SimJobModel, parse_horizon, policy_label, run_simulation
+from .simulator import SimJobModel, run_simulation
 from .document import TaskSetDocument, document_from_state, load_document
 
 __version__ = "0.1.0"
@@ -131,12 +112,9 @@ sweep = _on_first_use("sweep")
 # Package names read from those modules, so a run that only simulates never
 # compiles the thread backend or the sweep.
 _ON_FIRST_USE = {
-    "processor_preflight": realtime,
     "run_realtime": realtime,
-    "SWEEP_COLUMNS": sweep,
     "SweepSpec": sweep,
     "best_policy": sweep,
-    "make_restrict": sweep,
     "run_sweep": sweep,
     "write_sweep_csv": sweep,
 }
@@ -153,66 +131,45 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AcceleratorDescriptor",
-    "AcceleratorRegistry",
     "BackendError",
     "BitmaskSelect",
     "CSV_COLUMNS",
-    "ChannelDescriptor",
-    "ChannelState",
     "ClockSource",
     "ConfigurationError",
     "DeclarationError",
     "Diagnostic",
-    "EVENT_KINDS",
     "EnergySelect",
     "EnergyTimeSelect",
-    "ExpansionPlan",
     "GraphError",
-    "GraphInfo",
-    "Job",
     "LockingStrategy",
-    "MS",
     "MappingScheme",
     "MiddlewareState",
     "ModeSelect",
-    "Overheads",
-    "Phase",
     "PhaseError",
     "PolicyConfig",
     "PriorityAssignment",
-    "PriorityKey",
     "RtschedError",
     "RunReport",
-    "SCHEDULER_WORKER",
-    "SWEEP_COLUMNS",
     "ScheduleTable",
-    "SchedulerCore",
     "SdfDeadlockError",
     "SdfEdge",
     "SdfGraph",
     "SdfInconsistentError",
-    "SelectionContext",
     "SelectionError",
     "SimJobModel",
     "Stat",
     "SweepSpec",
-    "TableEntry",
     "TaskDescriptor",
     "TaskKind",
     "TaskSetDocument",
-    "TaskStats",
     "TraceEvent",
     "TraceIntegrityError",
-    "US",
     "UsageError",
     "UserSelect",
     "ValidationError",
     "VersionDescriptor",
     "VersionSelection",
     "WaitingStrategy",
-    "analyze_graph",
-    "assign_priority",
     "best_policy",
     "channel_connect",
     "channel_decl",
@@ -221,34 +178,22 @@ __all__ = [
     "cleanup",
     "compute_overheads",
     "document_from_state",
-    "eligible_versions",
     "expand_sdf",
     "hwaccel_decl",
     "hwaccel_use",
-    "hyperperiod",
     "init",
     "load_document",
-    "make_restrict",
     "ms",
-    "parse_horizon",
-    "plan_expansion",
-    "policy_label",
-    "processor_preflight",
     "read_trace_csv",
-    "repetition_vector",
     "run_realtime",
     "run_simulation",
     "run_sweep",
-    "scheduler_tick_period",
-    "select_version",
     "start",
     "stop",
     "task_activate",
     "task_decl",
     "trace_csv_text",
     "us",
-    "validate_table",
     "version_decl",
     "write_sweep_csv",
-    "write_trace_csv",
 ]

@@ -24,7 +24,7 @@ from .errors import (
     SdfInconsistentError,
     UsageError,
 )
-from .model import Diagnostic, MiddlewareState, TaskKind
+from .model import Diagnostic, MiddlewareState, TaskKind, check_int
 
 
 # ------------------------------------------------------------ channels
@@ -55,8 +55,8 @@ def channel_decl(
 ) -> int:
     """Declare an unconnected channel and return its id."""
     state._require_mutable("channel_decl")
-    if element_size < 0 or capacity < 0:
-        raise DeclarationError("element_size and capacity must be >= 0")
+    check_int("element_size", element_size, 0)
+    check_int("capacity", capacity, 0)
     if name in state._channel_names:
         raise DeclarationError(f"channel {name!r} already declared")
     state._channel_names.add(name)
@@ -91,10 +91,10 @@ def channel_connect(
         raise DeclarationError(f"channel {ch.name!r} is already connected")
     state.task(src_task)
     state.task(dst_task)
-    if required_tokens is not None and required_tokens < 1:
-        raise DeclarationError("required_tokens must be >= 1")
-    if push_count is not None and push_count < 1:
-        raise DeclarationError("push_count must be >= 1")
+    if required_tokens is not None:
+        check_int("required_tokens", required_tokens, 1)
+    if push_count is not None:
+        check_int("push_count", push_count, 1)
     ch.src = src_task
     ch.dst = dst_task
     ch.required_tokens = required_tokens
@@ -576,8 +576,7 @@ def expand_sdf(
     execution estimate used for each of its firings.  Returns the
     repetition vector.
     """
-    if period <= 0:
-        raise DeclarationError("period must be > 0")
+    check_int("period", period, 1, "> 0")
     plan = plan_expansion(sdf)
     missing = [a for a in sdf.actors if a not in wcets]
     if missing:

@@ -77,6 +77,11 @@ class WaitingStrategy(enum.Enum):
 
 
 class LockingStrategy(enum.Enum):
+    """How the thread backend locks a ready queue: OS_LOCK builds a FIFO
+    ticket lock whose waiters sleep, LOCK_FREE one whose waiters spin.
+    LOCK_FREE builds a lock, not a lock-free queue; its value is kept so
+    that documents read as before."""
+
     OS_LOCK = "os_lock"
     LOCK_FREE = "lock_free"
 
@@ -201,8 +206,7 @@ class PolicyConfig:
     clock_source: ClockSource = ClockSource.VIRTUAL
 
     def check(self) -> None:
-        if self.worker_count < 1:
-            raise ConfigurationError("worker_count must be >= 1")
+        check_int("worker_count", self.worker_count, 1, error=ConfigurationError)
         if self.mapping_scheme is MappingScheme.OFFLINE:
             if self.preemptive:
                 raise ConfigurationError("OFFLINE forbids preemption")
@@ -223,6 +227,14 @@ class Diagnostic:
 
 
 # ------------------------------------------------------------- the state
+
+
+def check_int(name: str, value, low: int, rule: str = "", error=DeclarationError) -> None:
+    """Refuse argument `name` unless it is an int, not a bool, and >= low:
+    the one rule for the counts, ids and ns times the entry points take.
+    `rule` words the bound in the message (default `>= low`)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise error(f"{name} must be {rule or f'>= {low}'} and an int, not {value!r}")
 
 
 def _check_name(what: str, name: str) -> None:  # names reach `k=v;...` trace payloads
@@ -281,26 +293,25 @@ class MiddlewareState:
         if not name or name in self._names:
             raise DeclarationError(f"task name {name!r} missing or already used")
         _check_name("task", name)
-        if kind in (TaskKind.PERIODIC, TaskKind.SPORADIC):
-            if period is None or period <= 0:
-                raise DeclarationError(f"{kind.value} task {name!r} needs period > 0")
+        if kind in (TaskKind.PERIODIC, TaskKind.SPORADIC) and period is None:
+            raise DeclarationError(f"{kind.value} task {name!r} needs period > 0")
         if kind is TaskKind.APERIODIC and period is not None:
             raise DeclarationError("aperiodic tasks take no period")
-        if period is not None and period <= 0:
-            raise DeclarationError("period must be > 0")
+        if period is not None:
+            check_int("period", period, 1, "> 0")
         if relative_deadline is None and period is not None:
             relative_deadline = period  # implicit deadline
-        if relative_deadline is not None and relative_deadline <= 0:
-            raise DeclarationError("relative_deadline must be > 0")
-        if release_offset < 0:
-            raise DeclarationError("release_offset must be >= 0")
+        if relative_deadline is not None:
+            check_int("relative_deadline", relative_deadline, 1, "> 0")
+        check_int("release_offset", release_offset, 0)
         if self.config.mapping_scheme in (MappingScheme.PARTITIONED, MappingScheme.OFFLINE):
             if virt_core_id is None:
                 raise DeclarationError(
                     f"{self.config.mapping_scheme.value} mapping requires virt_core_id"
                     f" on task {name!r}"
                 )
-            if not 0 <= virt_core_id < self.config.worker_count:
+            check_int("virt_core_id", virt_core_id, 0)
+            if virt_core_id >= self.config.worker_count:
                 raise DeclarationError(
                     f"virt_core_id {virt_core_id} out of range for"
                     f" {self.config.worker_count} workers"
@@ -332,8 +343,7 @@ class MiddlewareState:
         """Declare a functionally equivalent implementation of a task."""
         self._require_mutable("version_decl")
         task = self.task(task_id)
-        if wcet_estimate <= 0:
-            raise DeclarationError("wcet_estimate must be > 0")
+        check_int("wcet_estimate", wcet_estimate, 1, "> 0")
         _check_name("version", name)
         method = self.config.version_selection
         if method is not VersionSelection.PRESELECTED:
@@ -382,7 +392,8 @@ class MiddlewareState:
         """Bind an accelerator to a task version (idempotent)."""
         self._require_mutable("hwaccel_use")
         version = self.task(task_id).version(version_id)
-        if not 0 <= accel_id < len(self.accelerators):
+        check_int("accel_id", accel_id, 0)
+        if accel_id >= len(self.accelerators):
             raise DeclarationError(f"unknown accelerator id {accel_id}")
         version.accelerators.add(accel_id)
 

@@ -38,6 +38,7 @@ from .model import (
     TaskKind,
     VersionSelection,
     WaitingStrategy,
+    check_int,
     init,
     ms,
     task_decl,
@@ -86,8 +87,9 @@ class FifoTicketLock:
     """Mutex granting strictly in arrival order.
 
     acquire() returns the wait in ns.  With spin=True waiters burn the CPU
-    instead of sleeping on the condition; that is the closest Python gets
-    to the lock-free queue variant, and it keeps the FIFO grant order.
+    instead of sleeping on the condition, keeping the FIFO grant order:
+    that spinning ticket lock is what LockingStrategy.LOCK_FREE builds.
+    No lock-free queue is built.
     """
 
     def __init__(self, *, spin: bool = False):
@@ -478,13 +480,7 @@ class RealtimeBackend:
             self._run_job(core_id, job)
 
 
-# -------------------------------------------------------------- helpers
-
-
-def _positive_int(name: str, value, rule: str = "positive") -> None:
-    """Refuse argument `name` unless it is an int, not a bool, above 0."""
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ConfigurationError(f"{name} must be {rule} and an int, not {value!r}")
+# --------------------------------------------------------- entry points
 
 
 def run_realtime(
@@ -505,7 +501,7 @@ def run_realtime(
     dropped unless another run still holds it."""
     if state.config.clock_source is not ClockSource.MONOTONIC_OS:
         raise ConfigurationError("run_realtime requires clock_source=MONOTONIC_OS")
-    _positive_int("duration_ns", duration_ns, "> 0")
+    check_int("duration_ns", duration_ns, 1, "> 0", ConfigurationError)
     processor_preflight(state.config.worker_count + 1)
     state.start()
     try:
@@ -531,9 +527,8 @@ def latency_probe(
     with the run's warnings (e.g. no SCHED_FIFO, pinning or locked memory).
     The shape mirrors the cyclictest-style min/avg/max summary.  threads,
     period_ns and loops must be ints > 0, checked before a thread starts."""
-    _positive_int("threads", threads)
-    _positive_int("period_ns", period_ns)
-    _positive_int("loops", loops)
+    for name, value in (("threads", threads), ("period_ns", period_ns), ("loops", loops)):
+        check_int(name, value, 1, "positive", ConfigurationError)
     cfg = PolicyConfig(
         mapping_scheme=MappingScheme.GLOBAL,
         priority_assignment=priority_assignment,

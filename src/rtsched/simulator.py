@@ -57,6 +57,7 @@ from .model import (
     TaskKind,
     VersionDescriptor,
     WaitingStrategy,
+    check_int,
 )
 from .offline import table_jobs
 from .online import Job, SchedulerCore, hyperperiod
@@ -303,9 +304,7 @@ class _Engine:
         self.activations = [(t, tasks[name].task_id) for t, name in sorted(model.activations)]
         for knob in ("get_task_cost", "sched_scan_cost_per_task", "sort_cost_per_element",
                      "context_switch_cost"):
-            cost = getattr(model, knob)
-            if type(cost) is not int or cost < 0:
-                raise ConfigurationError(f"SimJobModel.{knob} must be an int >= 0, got {cost!r}")
+            check_int(f"SimJobModel.{knob}", getattr(model, knob), 0, error=ConfigurationError)
         self.scan_cost = model.sched_scan_cost_per_task * len(state.tasks)
         for t, mask in model.mode_schedule:
             if t < 0:

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtsched import (
-    ChannelState,
     MappingScheme,
     PolicyConfig,
     PriorityAssignment,
@@ -35,13 +34,14 @@ from rtsched import (
     channel_decl,
     init,
     ms,
-    repetition_vector,
     run_simulation,
-    scheduler_tick_period,
     us,
 )
 from rtsched.cli import main
 from rtsched.sweep import SweepSpec, run_sweep
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.graph import ChannelState, repetition_vector
+from rtsched.online import scheduler_tick_period
 
 from .oracles import (
     OracleTask,

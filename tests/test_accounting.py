@@ -15,7 +15,6 @@ from rtsched import (
     CSV_COLUMNS,
     ClockSource,
     DeclarationError,
-    EVENT_KINDS,
     MappingScheme,
     PolicyConfig,
     PriorityAssignment,
@@ -33,7 +32,8 @@ from rtsched import (
     us,
 )
 from rtsched.cli import main
-from rtsched.tracing import _Accounts
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.tracing import EVENT_KINDS, _Accounts
 
 from .test_golden import GOLDEN
 

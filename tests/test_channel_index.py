@@ -13,18 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtsched import (
-    AcceleratorRegistry,
     PolicyConfig,
-    SelectionContext,
     TaskKind,
-    analyze_graph,
     channel_connect,
     channel_decl,
     init,
     ms,
 )
-from rtsched.graph import check_activation, input_channels, output_channels
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.graph import analyze_graph, check_activation, input_channels, output_channels
 from rtsched.online import SchedulerCore
+from rtsched.versions import AcceleratorRegistry, SelectionContext
 
 from .oracles import activation_oracle
 

@@ -253,7 +253,7 @@ class TestSimulate:
         })
         assert main(["simulate", path, "--horizon", "20ms"]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: SimJobModel.{knob} must be an int >= 0, got -1\n"
+        assert err == f"error: SimJobModel.{knob} must be >= 0 and an int, not -1\n"
 
 
 class TestSweep:

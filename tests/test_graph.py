@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsched import (
-    ChannelState,
     DeclarationError,
     GraphError,
     PolicyConfig,
@@ -18,20 +17,25 @@ from rtsched import (
     SdfInconsistentError,
     TaskKind,
     ValidationError,
-    analyze_graph,
     channel_connect,
     channel_decl,
     expand_sdf,
     init,
     load_document,
     ms,
-    plan_expansion,
-    repetition_vector,
     run_simulation,
     us,
 )
-from rtsched import ChannelDescriptor
-from rtsched.graph import check_activation, reserve_activation
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.graph import (
+    ChannelDescriptor,
+    ChannelState,
+    analyze_graph,
+    check_activation,
+    plan_expansion,
+    repetition_vector,
+    reserve_activation,
+)
 import rtsched.simulator as sim
 
 from .oracles import SdfPlanDeadlock, sdf_plan_reference, sdf_vector_brute

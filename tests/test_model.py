@@ -15,7 +15,6 @@ from rtsched import (
     EnergyTimeSelect,
     MappingScheme,
     ModeSelect,
-    Phase,
     PhaseError,
     PolicyConfig,
     PriorityAssignment,
@@ -24,12 +23,16 @@ from rtsched import (
     UsageError,
     ValidationError,
     VersionSelection,
-    analyze_graph,
+    channel_connect,
+    channel_decl,
     init,
     ms,
     run_simulation,
     us,
 )
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.graph import analyze_graph
+from rtsched.model import Phase
 
 
 def test_time_helpers():
@@ -60,6 +63,13 @@ class TestPolicyConfig:
     def test_worker_count_positive(self):
         with pytest.raises(ConfigurationError):
             PolicyConfig(worker_count=0).check()
+
+    @pytest.mark.parametrize("count", [1.0, True, None])
+    def test_worker_count_is_an_int(self, count):
+        # a float died in math.gcd mid-run; True ran as one worker
+        with pytest.raises(ConfigurationError,
+                           match=rf"^worker_count must be >= 1 and an int, not {count!r}$"):
+            init(PolicyConfig(worker_count=count))
 
 
 class TestTaskDecl:
@@ -210,6 +220,48 @@ class TestAccelerators:
         vid = state.version_decl(tid, wcet_estimate=1)
         with pytest.raises(DeclarationError, match="unknown accelerator"):
             state.hwaccel_use(tid, vid, 0)
+
+
+class TestIntArguments:
+    """Counts, ids and ns times are ints, never bools or floats: period=True
+    declared a 1 ns period, and a float period died in math.gcd mid-run."""
+
+    @pytest.mark.parametrize("call, arg, value", [
+        ("task_decl", "period", True),
+        ("task_decl", "period", 1.5e6),
+        ("task_decl", "relative_deadline", 2.5e6),
+        ("task_decl", "release_offset", 0.5),
+        ("task_decl", "release_offset", -1),
+        ("task_decl", "virt_core_id", 1.0),
+        ("version_decl", "wcet_estimate", 1.5),
+        ("version_decl", "wcet_estimate", True),
+        ("hwaccel_use", "accel_id", 0.0),
+        ("hwaccel_use", "accel_id", True),
+        ("channel_decl", "element_size", 1.5),
+        ("channel_decl", "capacity", False),
+        ("channel_connect", "required_tokens", 2.0),
+        ("channel_connect", "push_count", True),
+    ])
+    def test_declaration_names_the_argument(self, call, arg, value):
+        state = init(PolicyConfig(mapping_scheme=MappingScheme.PARTITIONED))
+        state.hwaccel_decl("gpu")
+        state.hwaccel_decl("dsp")
+        a = state.task_decl("a", TaskKind.PERIODIC, period=ms(10), virt_core_id=0)
+        b = state.task_decl("b", TaskKind.GRAPH_NODE, virt_core_id=0)
+        state.version_decl(a, wcet_estimate=ms(1))
+        cid = channel_decl(state, "ab", element_size=4, capacity=1)
+        calls = {
+            "task_decl": lambda **kw: state.task_decl(
+                "t", TaskKind.PERIODIC, **{"period": ms(10), "virt_core_id": 0, **kw}),
+            "version_decl": lambda **kw: state.version_decl(a, **kw),
+            "hwaccel_use": lambda **kw: state.hwaccel_use(a, 0, **kw),
+            "channel_decl": lambda **kw: channel_decl(
+                state, "c", **{"element_size": 4, "capacity": 1, **kw}),
+            "channel_connect": lambda **kw: channel_connect(state, cid, a, b, **kw),
+        }
+        with pytest.raises(DeclarationError,
+                           match=rf"^{arg} must be \S+ \d+ and an int, not {re.escape(repr(value))}$"):
+            calls[call](**{arg: value})
 
 
 class TestPayloadSeparatorsInNames:

@@ -9,9 +9,10 @@ from rtsched import (
     document_from_state,
     init,
     ms,
-    validate_table,
 )
 from rtsched.cli import main
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.offline import validate_table
 
 
 def _offline_state(worker_count=2):

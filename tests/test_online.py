@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtsched import (
-    AcceleratorRegistry,
     BitmaskSelect,
     ConfigurationError,
     EnergySelect,
@@ -17,27 +16,28 @@ from rtsched import (
     ModeSelect,
     PolicyConfig,
     PriorityAssignment,
-    SelectionContext,
     TaskKind,
     UserSelect,
     ValidationError,
     VersionSelection,
-    assign_priority,
     channel_connect,
     channel_decl,
-    eligible_versions,
-    hyperperiod,
     init,
     ms,
-    scheduler_tick_period,
-    select_version,
     us,
 )
 import rtsched.online
 import rtsched.simulator as sim
+# Internal names that rtsched does not export: imported from their modules.
 from rtsched.graph import analyze_graph
-from rtsched.online import Job, ReadyQueue, SchedulerCore
-from rtsched.priority import PriorityKey
+from rtsched.online import Job, ReadyQueue, SchedulerCore, hyperperiod, scheduler_tick_period
+from rtsched.priority import PriorityKey, assign_priority
+from rtsched.versions import (
+    AcceleratorRegistry,
+    SelectionContext,
+    eligible_versions,
+    select_version,
+)
 
 from .oracles import (
     ReadyQueueOracle,

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from rtsched import (
     PolicyConfig,
     PriorityAssignment,
-    PriorityKey,
     TaskKind,
     ValidationError,
-    assign_priority,
     init,
     ms,
 )
-from rtsched.priority import key_rule
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.priority import PriorityKey, assign_priority, key_rule
 
 RM = PriorityAssignment.RM
 DM = PriorityAssignment.DM

@@ -36,10 +36,15 @@ from rtsched import (
     compute_overheads,
     init,
     ms,
-    processor_preflight,
     run_realtime,
 )
-from rtsched.realtime import FifoTicketLock, current_job_context, latency_probe
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.realtime import (
+    FifoTicketLock,
+    current_job_context,
+    latency_probe,
+    processor_preflight,
+)
 
 from .conftest import _locked_kb
 

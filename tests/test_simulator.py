@@ -25,12 +25,12 @@ from rtsched import (
     init,
     load_document,
     ms,
-    parse_horizon,
-    policy_label,
     run_simulation,
     trace_csv_text,
     us,
 )
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.simulator import parse_horizon, policy_label
 
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
@@ -186,7 +186,7 @@ class TestCostKnobs:
     def test_knob_that_is_not_an_int_of_ns_rejected(self, knob, value):
         model = SimJobModel(**{knob: value})
         with pytest.raises(ConfigurationError,
-                           match=rf"SimJobModel\.{knob} must be an int >= 0, got {value}$"):
+                           match=rf"SimJobModel\.{knob} must be >= 0 and an int, not {value}$"):
             run_simulation(_one_task(), model, horizon=ms(20))
 
     def test_get_task_cost_delays_start(self):

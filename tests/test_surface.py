@@ -1,10 +1,13 @@
-"""The package surface others rely on: every exported name imports, and
-every function the benchmark's spans wrap (perfbench/spans.py TARGETS)
-still exists, so deleting one fails here rather than in a traced run."""
+"""The package surface others rely on: the exported names are exactly the
+ones README's Library section lists, internal names stay in their own
+modules, and every function the benchmark's spans wrap
+(perfbench/spans.py TARGETS) still exists, so deleting one fails here
+rather than in a traced run."""
 
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +17,25 @@ import rtsched
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
+README = os.path.join(ROOT, "README.md")
+
+# Names the package no longer exports, by defining module: scheduler
+# internals and helpers that are neither declaration calls nor documented.
+INTERNAL = {
+    "model": ["AcceleratorDescriptor", "MS", "Phase", "US"],
+    "priority": ["PriorityKey", "assign_priority"],
+    "graph": ["ChannelDescriptor", "ChannelState", "ExpansionPlan", "GraphInfo",
+              "analyze_graph", "plan_expansion", "repetition_vector"],
+    "versions": ["AcceleratorRegistry", "SelectionContext", "eligible_versions",
+                 "select_version"],
+    "online": ["Job", "SchedulerCore", "hyperperiod", "scheduler_tick_period"],
+    "offline": ["TableEntry", "validate_table"],
+    "tracing": ["EVENT_KINDS", "Overheads", "SCHEDULER_WORKER", "TaskStats",
+                "write_trace_csv"],
+    "simulator": ["parse_horizon", "policy_label"],
+    "realtime": ["processor_preflight"],
+    "sweep": ["SWEEP_COLUMNS", "make_restrict"],
+}
 
 # Each script runs in a fresh interpreter: the test session has run every module.
 _FIRST_USE_SCRIPT = """
@@ -31,11 +53,9 @@ assert not done, f"a simulate run ran {done}"
 
 assert rtsched.realtime is sys.modules["rtsched.realtime"]
 assert rtsched.sweep is sys.modules["rtsched.sweep"]
-for name in ("processor_preflight", "run_realtime"):
-    assert getattr(rtsched, name) is getattr(rtsched.realtime, name), name
+assert rtsched.run_realtime is rtsched.realtime.run_realtime
 assert not ran("rtsched.sweep", "run_sweep")
-for name in ("SWEEP_COLUMNS", "SweepSpec", "best_policy", "make_restrict", "run_sweep",
-             "write_sweep_csv"):
+for name in ("SweepSpec", "best_policy", "run_sweep", "write_sweep_csv"):
     assert getattr(rtsched, name) is getattr(rtsched.sweep, name), name
 try:
     rtsched.no_such_name
@@ -74,11 +94,34 @@ def _span_targets():
     return module.TARGETS
 
 
+def _readme_names() -> list[str]:
+    """The names of the bulleted list in README's Library section."""
+    with open(README, encoding="utf-8") as f:
+        section = f.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- **"):].split("\n\n", 1)[0]
+    return re.findall(r"`(\w+)`", bullets)
+
+
 def test_all_names_import():
     assert len(set(rtsched.__all__)) == len(rtsched.__all__)
     namespace: dict = {}
     exec("from rtsched import *", namespace)
-    assert set(rtsched.__all__) <= namespace.keys()
+    assert namespace.keys() - {"__builtins__"} == set(rtsched.__all__)
+
+
+def test_exports_are_the_readme_list():
+    listed = _readme_names()
+    assert len(listed) == len(set(listed)) == 65
+    assert set(rtsched.__all__) == set(listed)
+
+
+@pytest.mark.parametrize("modname, name",
+                         [(m, n) for m, names in INTERNAL.items() for n in names],
+                         ids=lambda v: v)
+def test_internal_name_stays_in_its_module(modname, name):
+    with pytest.raises(AttributeError):
+        getattr(rtsched, name)
+    assert hasattr(importlib.import_module(f"rtsched.{modname}"), name)
 
 
 def test_simulate_loads_neither_the_thread_backend_nor_the_sweep():

@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from rtsched import (
     ConfigurationError,
     RtschedError,
-    SWEEP_COLUMNS,
     SweepSpec,
     TaskSetDocument,
     best_policy,
     init,
-    make_restrict,
     ms,
     run_simulation,
     run_sweep,
@@ -29,7 +27,8 @@ from rtsched import (
 import rtsched.sweep as sweep_mod
 from rtsched.model import MappingScheme, PolicyConfig, PriorityAssignment, TaskKind
 from rtsched.realtime import available_cpus
-from rtsched.sweep import RUN_METRICS
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.sweep import RUN_METRICS, SWEEP_COLUMNS, make_restrict
 
 
 def _doc(worker_count=1):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtsched import (
-    SCHEDULER_WORKER,
     RunReport,
     Stat,
     TraceEvent,
@@ -19,9 +18,9 @@ from rtsched import (
     read_trace_csv,
     run_simulation,
     trace_csv_text,
-    write_trace_csv,
 )
-from rtsched.tracing import RunLog, _Accounts, csv_row
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.tracing import SCHEDULER_WORKER, RunLog, _Accounts, csv_row, write_trace_csv
 
 from .test_golden import GOLDEN
 

@@ -3,24 +3,27 @@
 import pytest
 
 from rtsched import (
-    AcceleratorRegistry,
     BitmaskSelect,
     EnergySelect,
     EnergyTimeSelect,
     ModeSelect,
     PolicyConfig,
-    SelectionContext,
     SelectionError,
     TaskKind,
     UsageError,
     UserSelect,
     VersionSelection,
-    eligible_versions,
     init,
     ms,
+)
+# Internal names that rtsched does not export: imported from their modules.
+from rtsched.priority import PriorityKey
+from rtsched.versions import (
+    AcceleratorRegistry,
+    SelectionContext,
+    eligible_versions,
     select_version,
 )
-from rtsched.priority import PriorityKey
 
 
 class FakeJob:
