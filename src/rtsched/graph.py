@@ -89,8 +89,9 @@ def channel_connect(
     ch = channel(state, channel_id)
     if ch.src is not None or ch.dst is not None:
         raise DeclarationError(f"channel {ch.name!r} is already connected")
-    state.task(src_task)
-    state.task(dst_task)
+    for name, task_id in (("src_task", src_task), ("dst_task", dst_task)):
+        check_int(name, task_id, 0)
+        state.task(task_id)
     if required_tokens is not None:
         check_int("required_tokens", required_tokens, 1)
     if push_count is not None:

@@ -229,12 +229,13 @@ class Diagnostic:
 # ------------------------------------------------------------- the state
 
 
-def check_int(name: str, value, low: int, rule: str = "", error=DeclarationError) -> None:
-    """Refuse argument `name` unless it is an int, not a bool, and >= low:
-    the one rule for the counts, ids and ns times the entry points take.
-    `rule` words the bound in the message (default `>= low`)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise error(f"{name} must be {rule or f'>= {low}'} and an int, not {value!r}")
+def check_int(name: str, value, low: int | None, rule: str = "", error=DeclarationError) -> None:
+    """Refuse argument `name` unless it is an int, not a bool, and >= low
+    (if not None): the one rule for the counts, ids and ns times the entry
+    points take.  `rule` words the bound in the message (default `>= low`)."""
+    if isinstance(value, bool) or not isinstance(value, int) or low is not None and value < low:
+        bound = "" if low is None else f"{rule or f'>= {low}'} and "
+        raise error(f"{name} must be {bound}an int, not {value!r}")
 
 
 def _check_name(what: str, name: str) -> None:  # names reach `k=v;...` trace payloads
@@ -304,13 +305,16 @@ class MiddlewareState:
         if relative_deadline is not None:
             check_int("relative_deadline", relative_deadline, 1, "> 0")
         check_int("release_offset", release_offset, 0)
+        if virt_core_id is not None:  # also under GLOBAL, which ignores it: a document holds it
+            check_int("virt_core_id", virt_core_id, 0)
+        if user_priority is not None:
+            check_int("user_priority", user_priority, None)
         if self.config.mapping_scheme in (MappingScheme.PARTITIONED, MappingScheme.OFFLINE):
             if virt_core_id is None:
                 raise DeclarationError(
                     f"{self.config.mapping_scheme.value} mapping requires virt_core_id"
                     f" on task {name!r}"
                 )
-            check_int("virt_core_id", virt_core_id, 0)
             if virt_core_id >= self.config.worker_count:
                 raise DeclarationError(
                     f"virt_core_id {virt_core_id} out of range for"
@@ -342,6 +346,7 @@ class MiddlewareState:
     ) -> int:
         """Declare a functionally equivalent implementation of a task."""
         self._require_mutable("version_decl")
+        check_int("task_id", task_id, 0)
         task = self.task(task_id)
         check_int("wcet_estimate", wcet_estimate, 1, "> 0")
         _check_name("version", name)
@@ -391,6 +396,8 @@ class MiddlewareState:
     def hwaccel_use(self, task_id: int, version_id: int, accel_id: int) -> None:
         """Bind an accelerator to a task version (idempotent)."""
         self._require_mutable("hwaccel_use")
+        check_int("task_id", task_id, 0)
+        check_int("version_id", version_id, 0)
         version = self.task(task_id).version(version_id)
         check_int("accel_id", accel_id, 0)
         if accel_id >= len(self.accelerators):
@@ -409,6 +416,7 @@ class MiddlewareState:
         SimJobModel.activations instead.
         """
         self._require_phase(Phase.RUNNING, op="task_activate")
+        check_int("task_id", task_id, 0)
         task = self.task(task_id)
         if task.kind not in (TaskKind.SPORADIC, TaskKind.APERIODIC):
             raise UsageError(

@@ -316,6 +316,8 @@ class SchedulerCore:
         """
         jobs: list[Job] = []
         for tid, release in self._next_periodic.items():
+            if release > now:
+                continue
             task = self.state.tasks[tid]
             while release <= now and (horizon is None or release < horizon):
                 jobs.append(self.make_job(task, release))
@@ -375,10 +377,9 @@ class SchedulerCore:
         tid = task.task_id
         seq = self._seq[tid]
         self._seq[tid] = seq + 1
-        key_of, version, root, pool, ranking = self._plans[tid]
+        key_of, version, root, pool, ranking, kept = self._plans[tid]
         if root is None:
             abs_deadline = abs_release + (task.relative_deadline or 0)
-            kept = self._root_releases.get(tid)
             if kept is not None:  # drop instants of iterations every inheritor fired
                 kept.append(abs_release)
                 oldest = min(self._seq[t] // rate for t, rate in self._inheritors[tid])
@@ -410,8 +411,8 @@ class SchedulerCore:
         return Job(task, seq, version, abs_release, abs_deadline, key)
 
     def _release_plans(self, restrict) -> list[tuple]:
-        """plans[task_id] = (key rule, static version or None, graph root
-        or None, version pool or None, version ranking or None).
+        """plans[task_id] = (key rule, static version or None, graph root or None,
+        version pool or None, version ranking or None, _root_releases' deque or None).
 
         The root and the timing the rule ranks by are release_timing's.
         The pool is `restrict(task)`, None without a restriction.  The
@@ -432,7 +433,7 @@ class SchedulerCore:
                 version = ranking[0]
             rule = key_rule(cfg.priority_assignment, task,
                             period=period, relative_deadline=rel_deadline)
-            plans.append((rule, version, root, pool, ranking))
+            plans.append((rule, version, root, pool, ranking, self._root_releases.get(task.task_id)))
         return plans
 
     # ------------------------------------------------------- routing
@@ -453,9 +454,9 @@ class SchedulerCore:
 
     def preemptor(self, qi: int, job: Job) -> Job | None:
         """The head of queue qi when it outranks `job`, else None."""
-        head = self.queues[qi].first_dispatchable()
-        if head is not None and head.rank < job.rank:
-            return head
+        for head in self.queues[qi].items:  # first_dispatchable, without its call
+            if not head.blocked_on:
+                return head if head.rank < job.rank else None
         return None
 
     def preemption_targets(self, qi: int, running: list[Job | None]) -> list[int]:
@@ -512,11 +513,11 @@ class SchedulerCore:
                 continue
             if stack_ok and stack_top.rank < job.rank:
                 return ("resume", stack_top, [])
-            resolved = self._resolve_accelerators(job)
-            if resolved is None:
-                continue  # parked on a busy accelerator
-            version, acquired = resolved
-            job.version = version
+            acquired = []
+            if job.version.accelerators:
+                if (resolved := self._resolve_accelerators(job)) is None:
+                    continue  # parked on a busy accelerator
+                job.version, acquired = resolved
             del queue.items[i]
             return ("start", job, acquired)
         if stack_ok:
@@ -526,16 +527,14 @@ class SchedulerCore:
     def _resolve_accelerators(
         self, job: Job
     ) -> tuple[VersionDescriptor, list[int]] | None:
-        """Try to make `job` startable, switching version if that avoids a
-        busy accelerator.  None means the job was parked (and the holder
-        possibly boosted)."""
+        """Try to make `job`, whose version uses accelerators, startable,
+        switching version if that avoids a busy accelerator.  None means the
+        job was parked (and the holder possibly boosted)."""
         version = job.version
-        if not version.accelerators:
-            return (version, [])
         busy = self.registry.acquire(job, version.accelerators)
         if not busy:
             return (version, sorted(version.accelerators))
-        _, _, _, pool, ranking = self._plans[job.task.task_id]
+        pool, ranking = self._plans[job.task.task_id][3:5]
         if ranking:
             alt = first_free(ranking, self.registry)
         else:

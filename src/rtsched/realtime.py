@@ -370,9 +370,8 @@ class RealtimeBackend:
             self.log.tick_begin(t_begin)
             for qi, waited, t, jobs in fills:
                 self.log.tick_wait(t, waited, qi)
-                for job in jobs:
-                    self.log.theoretical(job)
-                    self.log.release(t, job)
+                self.log.theoretical(jobs)
+                self.log.release(t, jobs)
             self.log.tick_end(t_end)
 
     def _post_insert(self, qi: int) -> None:

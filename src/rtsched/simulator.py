@@ -39,6 +39,7 @@ deterministic contract.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from collections import OrderedDict, deque
@@ -259,10 +260,9 @@ class _Engine:
         self.rng = random.Random(seed)
         self.now = 0
         self._heap: list = []
-        self._seq = 0
+        self._seq = itertools.count(1)  # push order
         self.log = RunLog(keep_trace, [a.name for a in state.accelerators],
                           [t.name for t in state.tasks])
-        self.events_done = 0
 
         self.registry = AcceleratorRegistry(
             len(state.accelerators), pip_enabled=model.pip_enabled
@@ -320,8 +320,7 @@ class _Engine:
     # ------------------------------------------------------- plumbing
 
     def push_event(self, t: int, prio: int, fn: Callable, *args) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, prio, self._seq, fn, args))
+        heapq.heappush(self._heap, (t, prio, next(self._seq), fn, args))
 
     def _plans(self, graph: GraphInfo) -> list[list[tuple]]:
         """plans[task_id][version_id] = (draw, head, body_ops as sorted (offset, step), tail)."""
@@ -373,17 +372,20 @@ class _Engine:
             self._arm_tick(0)
 
         heap, pop, ctx = self._heap, heapq.heappop, self.ctx
-        while heap:
-            t, _, _, fn, args = pop(heap)
-            assert t >= self.now, "virtual time must be monotonic"
-            self.now = t
-            ctx.now = t
-            fn(*args)
-            self.events_done += 1
-            if self.events_done > _EVENT_CAP:
-                self.log.report.truncated = True
-                self.log.report.warnings.append("event cap reached; run truncated")
-                break
+        done = 0  # events run; events_done once the loop ends
+        try:
+            while heap:
+                t, _, _, fn, args = pop(heap)
+                assert t >= self.now, "virtual time must be monotonic"
+                self.now = ctx.now = t
+                fn(*args)
+                done += 1
+                if done > _EVENT_CAP:
+                    self.log.report.truncated = True
+                    self.log.report.warnings.append("event cap reached; run truncated")
+                    break
+        finally:
+            self.events_done = done
 
     def _set_mode(self, mask: frozenset) -> None:
         self.ctx.execution_mode = mask
@@ -429,7 +431,9 @@ class _Engine:
             self.locks[0].request(self.now, self._tick_cs)
         else:
             self.log.tick_begin(self.now)
-            batches = self.core.group(self._release())
+            jobs = self.core.release(self.now, self.horizon)
+            self.log.theoretical(jobs)
+            batches = self.core.group(jobs)
             self.push_event(self.now + self.scan_cost, _P_MISC, self._part_insert,
                             batches, 0)
 
@@ -440,22 +444,16 @@ class _Engine:
             if self._may_release(self.now):
                 self._sched_pass()
 
-    def _release(self) -> list[Job]:
-        jobs = self.core.release(self.now, self.horizon)
-        for job in jobs:
-            self.log.theoretical(job)
-        return jobs
-
     def _tick_cs(self, now: int, waited: int) -> None:
         self.log.tick_wait(now, waited, 0)
         self.log.tick_begin(now)
-        jobs = self._release()
+        jobs = self.core.release(now, self.horizon)
+        self.log.theoretical(jobs)
         cost = self.scan_cost + self.model.sort_cost_per_element * self.core.fill(0, jobs)
         self.push_event(now + cost, _P_MISC, self._tick_cs_end, jobs)
 
     def _tick_cs_end(self, jobs: list[Job]) -> None:
-        for job in jobs:
-            self.log.release(self.now, job)
+        self.log.release(self.now, jobs)
         self.log.tick_end(self.now)
         self.locks[0].release(self.now)
         self._after_insert(0)
@@ -477,8 +475,7 @@ class _Engine:
 
     def _part_cs_end(self, batches: list, idx: int) -> None:
         qi, jobs = batches[idx]
-        for job in jobs:
-            self.log.release(self.now, job)
+        self.log.release(self.now, jobs)
         self.locks[qi].release(self.now)
         self._after_insert(qi)
         self._part_insert(batches, idx + 1)
@@ -530,7 +527,12 @@ class _Engine:
 
     def _request_pull(self, w: int, qi: int) -> None:
         self.workers[w].idle = False
-        self.locks[qi].request(self.now, self._pull_cs, w, qi)
+        lock = self.locks[qi]
+        if lock.held:
+            lock.request(self.now, self._pull_cs, w, qi)
+        else:  # _FifoLock.request's grant, without its call
+            lock.held = True
+            self._pull_cs(self.now, 0, w, qi)
 
     def _pull_cs(self, now: int, waited: int, w: int, qi: int) -> None:
         ws = self.workers[w]
@@ -621,15 +623,15 @@ class _Engine:
         ex = self.execs[job]
         job.channel_blocked = False
         while ex.step < len(ex.program):
-            kind = ex.program[ex.step][0]
-            if kind == "exec":
-                dur = ex.program[ex.step][1] if ex.left == 0 else ex.left
+            step = ex.program[ex.step]
+            if step[0] == "exec":
+                dur = ex.left or step[1]
                 ex.left = dur
                 ex.seg_end = self.now + dur
                 ex.gen += 1
                 self.push_event(ex.seg_end, _P_DONE, self._seg_done, w, job, ex.gen)
                 return
-            _, cid, count = ex.program[ex.step]
+            kind, cid, count = step
             if ex.left == 0:
                 ex.left = count
             ch = self.core.channels[cid]

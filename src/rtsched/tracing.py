@@ -171,12 +171,14 @@ class Stat:
     max: int | None = None
 
     def add(self, value: int) -> None:
+        if not self.count:  # min and max are None until the first sample
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
 
     @property
     def avg(self) -> float:
@@ -329,7 +331,8 @@ _MARK_INDEX = {kind: i for i, kind in enumerate(_MARKS)}
 class _Accounts:
     """The overheads and integrity checks of one run, fed event by event:
     by RunLog's steps as the run records, and by compute_overheads from a
-    trace, through one typed entry point per kind of event.
+    trace, through `mark` and `event` or a typed entry point.  RunLog adds
+    lock waits, and sets marks that open or leave open a slot, itself.
 
     Emission order gives what the sorted trace gives.  Every rule but tick
     pairing is order-independent: a job's marks are checked, and its
@@ -407,18 +410,6 @@ class _Accounts:
         else:
             bounds[k:k] = [seq, seq + 1]
 
-    def scheduler_wait(self, wait: int) -> None:
-        """The scheduler waited `wait` for a queue lock."""
-        self.overheads.scheduler_lock_wait.add(wait)
-
-    def worker_wait(self, wait: int, held: int | None) -> None:
-        """A worker waited `wait` for a queue lock and, picking its next
-        job, held it for `held`."""
-        out = self.overheads
-        out.worker_lock_wait.add(wait)
-        if held is not None:
-            out.get_task.add(held)
-
     def tick_begin(self, t: int) -> None:
         if self.open_tick is not None:
             self.fail("tick_begin while a tick is open")
@@ -441,13 +432,14 @@ class _Accounts:
 
     def event(self, t: int, kind: str, worker: int | None, payload: dict) -> None:
         """Account an event read back from a trace that is not a job mark."""
-        if kind == "lock_wait":
-            wait = int(payload.get("wait", 0))
+        if kind == "lock_wait":  # as RunLog's tick_wait and get_task_wait add it
+            out, wait = self.overheads, int(payload.get("wait", 0))
             if worker == SCHEDULER_WORKER:
-                self.scheduler_wait(wait)
+                out.scheduler_lock_wait.add(wait)
             else:
-                get_task = payload.get("purpose") == "get_task"
-                self.worker_wait(wait, int(payload.get("held", 0)) if get_task else None)
+                out.worker_lock_wait.add(wait)
+                if payload.get("purpose") == "get_task":
+                    out.get_task.add(int(payload.get("held", 0)))
         elif kind == "tick_begin":
             self.tick_begin(t)
         elif kind == "tick_end":
@@ -529,32 +521,49 @@ class RunLog:
         self._last = t
         self.trace.append(row)
 
-    def theoretical(self, job) -> None:
-        t = job.abs_release
-        self._accounts.mark(_THEORETICAL, job.task.name, job.seq, t)
-        if self._keep:
-            self._line(t, f"{t},release_theoretical,{self._csv[job.task.name]},{job.seq},,\n")
+    def theoretical(self, jobs) -> None:
+        """Each job's theoretical release, at its `abs_release`."""
+        accounts, marks, done = self._accounts, self._accounts.marks, self._accounts.done
+        for job in jobs:
+            name, seq, t = job.task.name, job.seq, job.abs_release
+            bounds = done.get(name)
+            if (name, seq) in marks or bounds and seq < bounds[-1]:
+                accounts.mark(_THEORETICAL, name, seq, t)
+            else:
+                marks[name, seq] = [t, None, None, None]
+            if self._keep:
+                self._line(t, f"{t},release_theoretical,{self._csv[name]},{seq},,\n")
 
-    def release(self, t: int, job, worker: int | None = None) -> None:
-        """The job becomes dispatchable at `t`."""
-        name = job.task.name
-        (self.report.tasks.get(name) or self.report.task(name)).released += 1
-        self._accounts.mark(_EFFECTIVE, name, job.seq, t)
-        if self._keep:
-            w = "" if worker is None else worker
-            self._line(t, f"{t},release_effective,{self._csv[name]},{job.seq},{w},\n")
+    def release(self, t: int, jobs, worker: int | None = None) -> None:
+        """The jobs become dispatchable at `t`."""
+        tasks, accounts, w = self.report.tasks, self._accounts, "" if worker is None else worker
+        for job in jobs:
+            name, seq = job.task.name, job.seq
+            (tasks.get(name) or self.report.task(name)).released += 1
+            slot = accounts.marks.get((name, seq))
+            if slot and slot[_EFFECTIVE] is None and slot[_COMPLETE] is None:
+                slot[_EFFECTIVE] = t
+            else:
+                accounts.mark(_EFFECTIVE, name, seq, t)
+            if self._keep:
+                self._line(t, f"{t},release_effective,{self._csv[name]},{seq},{w},\n")
 
     def table_release(self, t: int, job, worker: int) -> None:
         """A table entry enters its core at `t`, late if past its release."""
-        self.theoretical(job)
-        self.release(t, job, worker)
+        self.theoretical((job,))
+        self.release(t, (job,), worker)
         late = t - job.abs_release
         if late > 0 and self._keep:
             at = f"{self._csv[job.task.name]},{job.seq},{worker}"
             self._line(t, f"{t},overrun,{at},late={late}\n")
 
     def start(self, t: int, job, worker: int) -> None:
-        self._accounts.mark(_START, job.task.name, job.seq, t)
+        name, seq = job.task.name, job.seq
+        slot = self._accounts.marks.get((name, seq))
+        if slot and slot[_START] is None and slot[_COMPLETE] is None:
+            slot[_START] = t
+        else:
+            self._accounts.mark(_START, name, seq, t)
         if self._keep:
             text = self._csv["version=" + job.version.name]
             self._line(t, f"{t},job_start,{self._csv[job.task.name]},{job.seq},{worker},{text}\n")
@@ -582,14 +591,16 @@ class RunLog:
     def get_task_wait(self, t: int, worker: int, wait: int, held: int, got: str) -> None:
         """A worker held its queue's lock from `t` for `held`, after waiting
         `wait` for it, and picked `got`."""
-        self._accounts.worker_wait(wait, held)
+        out = self._accounts.overheads
+        out.worker_lock_wait.add(wait)
+        out.get_task.add(held)
         if self._keep:
             text = f"wait={wait};held={held};purpose=get_task;got={got}"
             self._line(t, f"{t},lock_wait,,,{worker},{text}\n")
 
     def tick_wait(self, t: int, wait: int, queue: int) -> None:
         """The scheduler got queue `queue`'s lock at `t` after waiting `wait`."""
-        self._accounts.scheduler_wait(wait)
+        self._accounts.overheads.scheduler_lock_wait.add(wait)
         if self._keep:
             text = f"wait={wait};purpose=tick;queue={queue}"
             self._line(t, f"{t},lock_wait,,,{SCHEDULER_WORKER},{text}\n")

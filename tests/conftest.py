@@ -55,8 +55,7 @@ def tie_order(monkeypatch):
         rng = random.Random(seed)
 
         def push_event(engine, t, prio, fn, *args):
-            engine._seq += 1
-            heapq.heappush(engine._heap, (t, prio, (rng.random(), engine._seq), fn, args))
+            heapq.heappush(engine._heap, (t, prio, (rng.random(), next(engine._seq)), fn, args))
 
         monkeypatch.setattr(sim._Engine, "push_event", push_event)
 

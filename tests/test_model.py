@@ -1,10 +1,12 @@
 """Declarations, config checks, lifecycle phases."""
 
+import os
 import re
 import sys
 
 import pytest
 
+import rtsched
 from rtsched import (
     BitmaskSelect,
     ClockSource,
@@ -264,6 +266,77 @@ class TestIntArguments:
             calls[call](**{arg: value})
 
 
+class TestTaskIdArguments:
+    """Task ids and user priorities follow the same int rule, checked by
+    the entry points that take them: a task id of True named task 1, 0.0
+    died indexing the task list, and user_priority=1.5 declared a state
+    that the document writer then refused."""
+
+    @staticmethod
+    def _state(**config):
+        state = init(PolicyConfig(**config))
+        rtsched.hwaccel_decl(state, "gpu")
+        for name in ("a", "b"):
+            tid = rtsched.task_decl(state, name, TaskKind.SPORADIC, period=ms(10))
+            rtsched.version_decl(state, tid, wcet_estimate=ms(1))
+        return state
+
+    @staticmethod
+    def _refused(name, value):
+        return pytest.raises(
+            DeclarationError, match=rf"^{name} must be >= 0 and an int, not {value!r}$")
+
+    @pytest.mark.parametrize("value", [True, 0.0])
+    def test_version_decl_task_id(self, value):
+        state = self._state()
+        with self._refused("task_id", value):
+            rtsched.version_decl(state, value, wcet_estimate=ms(1))
+        assert [len(t.versions) for t in state.tasks] == [1, 1]
+
+    @pytest.mark.parametrize("value", [True, 0.0])
+    def test_hwaccel_use_task_id(self, value):
+        state = self._state()
+        with self._refused("task_id", value):
+            rtsched.hwaccel_use(state, value, 0, 0)
+        with self._refused("version_id", value):
+            rtsched.hwaccel_use(state, 0, value, 0)
+        assert all(not v.accelerators for t in state.tasks for v in t.versions)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_task_activate_task_id(self, value):
+        state = self._state()
+        rtsched.start(state)
+        with self._refused("task_id", value):
+            rtsched.task_activate(state, value, now=0)
+
+    @pytest.mark.parametrize("end", ["src_task", "dst_task"])
+    @pytest.mark.parametrize("value", [True, 0.0])
+    def test_channel_connect_task_id(self, end, value):
+        state = self._state()
+        cid = channel_decl(state, "ab", element_size=4, capacity=1)
+        ends = {"src_task": 0, "dst_task": 1, end: value}
+        with self._refused(end, value):
+            channel_connect(state, cid, ends["src_task"], ends["dst_task"])
+        assert (state.channels[cid].src, state.channels[cid].dst) == (None, None)
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_virt_core_id_is_an_int_under_global_mapping(self, value):
+        state = init(PolicyConfig())
+        with self._refused("virt_core_id", value):
+            rtsched.task_decl(state, "t", TaskKind.PERIODIC, period=ms(10), virt_core_id=value)
+        assert state.tasks == []
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_user_priority_is_an_int(self, value):
+        state = init(PolicyConfig(priority_assignment=PriorityAssignment.USER))
+        with pytest.raises(DeclarationError,
+                           match=rf"^user_priority must be an int, not {re.escape(repr(value))}$"):
+            rtsched.task_decl(state, "t", TaskKind.PERIODIC, period=ms(10), user_priority=value)
+        assert state.tasks == []
+        rtsched.task_decl(state, "t", TaskKind.PERIODIC, period=ms(10), user_priority=-3)
+        assert state.tasks[0].user_priority == -3
+
+
 class TestPayloadSeparatorsInNames:
     """Task, version and accelerator names reach trace payloads (`by=`,
     `version=`, `accel=`), whose `key=value;...` encoding has no escape,
@@ -462,6 +535,65 @@ class TestLifecycle:
             state.stop()
             runs += 1
             assert len(calls) == runs
+
+    def test_free_functions_walk_the_lifecycle(self):
+        """The paper's calls in order under VIRTUAL: each declaration,
+        start, stop and cleanup refused outside its phases, and
+        task_activate refused without a thread backend."""
+        state = init(PolicyConfig())
+        gpu = rtsched.hwaccel_decl(state, "gpu")
+        tid = rtsched.task_decl(state, "t", TaskKind.PERIODIC, period=ms(10))
+        sid = rtsched.task_decl(state, "s", TaskKind.SPORADIC, period=ms(5))
+        v = rtsched.version_decl(state, tid, wcet_estimate=ms(1))
+        rtsched.version_decl(state, sid, wcet_estimate=ms(1))
+        rtsched.hwaccel_use(state, tid, v, gpu)
+        assert state.tasks[tid].versions[v].accelerators == {gpu}
+        declarations = (
+            lambda: rtsched.hwaccel_decl(state, "dsp"),
+            lambda: rtsched.hwaccel_use(state, sid, 0, gpu),
+            lambda: rtsched.task_decl(state, "late", TaskKind.PERIODIC, period=ms(5)),
+            lambda: rtsched.version_decl(state, tid, wcet_estimate=ms(1)),
+        )
+        for call in (lambda: rtsched.task_activate(state, sid),
+                     lambda: rtsched.stop(state), lambda: rtsched.cleanup(state)):
+            with pytest.raises(PhaseError):
+                call()
+        rtsched.start(state)
+        assert state.phase is Phase.RUNNING
+        for call in (*declarations, lambda: rtsched.start(state), lambda: rtsched.cleanup(state)):
+            with pytest.raises(PhaseError):
+                call()
+        with pytest.raises(UsageError, match="needs a thread-backend run"):
+            rtsched.task_activate(state, sid)
+        rtsched.stop(state)
+        assert state.phase is Phase.STOPPED
+        with pytest.raises(PhaseError):
+            rtsched.task_activate(state, sid)
+        rtsched.cleanup(state)
+        assert state.phase is Phase.CLEANED
+        for call in (*declarations, lambda: rtsched.start(state),
+                     lambda: rtsched.stop(state), lambda: rtsched.cleanup(state)):
+            with pytest.raises(PhaseError):
+                call()
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2,
+        reason="a one-worker thread-backend run needs 2 processors (worker + scheduler)",
+    )
+    def test_free_functions_run_the_thread_backend(self):
+        state = init(PolicyConfig(clock_source=ClockSource.MONOTONIC_OS, worker_count=1))
+        tid = rtsched.task_decl(state, "t", TaskKind.PERIODIC, period=ms(10))
+        sid = rtsched.task_decl(state, "s", TaskKind.SPORADIC, period=ms(5))
+        rtsched.version_decl(state, tid, wcet_estimate=us(10))
+        rtsched.version_decl(state, sid, wcet_estimate=us(10))
+        rtsched.start(state)
+        try:
+            assert rtsched.task_activate(state, sid, now=0) == 0
+            assert rtsched.task_activate(state, sid, now=ms(1)) == ms(5)
+        finally:
+            rtsched.stop(state)
+        rtsched.cleanup(state)
+        assert state.phase is Phase.CLEANED
 
     def test_restart_after_stop(self):
         state = self._simple()

@@ -330,6 +330,21 @@ class TestLongPasses:
         assert _times(trace, "resume", "t0") == [5_300_007]
         assert _times(trace, "job_complete", "t0") == [210_001, 5_310_006]
 
+    def test_drained_run_counts_every_event_it_pushed(self, monkeypatch):
+        # tests/conftest.py and the event cap read events_done
+        pushed, engines = [], []
+        push, run = sim._Engine.push_event, sim._Engine.run
+        monkeypatch.setattr(sim._Engine, "push_event",
+                            lambda engine, *event: pushed.append(event) or push(engine, *event))
+        monkeypatch.setattr(sim._Engine, "run",
+                            lambda engine: engines.append(engine) or run(engine))
+        model = SimJobModel(get_task_cost=1, sched_scan_cost_per_task=us(340),
+                            context_switch_cost=1)
+        _, report = run_simulation(_three_periodic(), model, horizon=ms(20), seed=3)
+        [engine] = engines
+        assert not report.truncated and not engine._heap
+        assert engine.events_done == len(pushed) > 0
+
     def test_event_cap_inside_a_pass_truncates(self, monkeypatch):
         # some of these caps cut the run between a tick_begin and its tick_end
         for cap in range(990, 1011):

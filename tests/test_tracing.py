@@ -121,11 +121,12 @@ class TestStat:
         assert s.to_dict() == {"count": 3, "total": 15, "min": 1, "max": 9, "avg": 5.0}
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1))
+    @given(st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1))
     def test_matches_builtin_aggregates(self, values):
         s = Stat()
         for v in values:
             s.add(v)
+        assert (s.count, s.total) == (len(values), sum(values))
         assert s.min == min(values)
         assert s.max == max(values)
         assert s.avg == pytest.approx(sum(values) / len(values))
@@ -205,8 +206,8 @@ class TestRunLog:
     def test_complete_records_overrun_and_miss(self):
         log = RunLog()
         job = _job(0, 10, wcet=4)
-        log.theoretical(job)
-        log.release(0, job)
+        log.theoretical([job])
+        log.release(0, [job])
         log.start(9, job, 1)
         log.complete(15, job, worker=1, body_ns=6)
         trace, report = log.close({})
@@ -238,7 +239,7 @@ class TestRunLog:
         name or by the order their marks came in."""
         log = RunLog(keep_trace=False, task_names=("b", "a"))
         for task, seq in (("a", 1), ("b", 2), ("a", 0), ("b", 0)):
-            log.theoretical(_job(0, 9, wcet=1, task=task, seq=seq))
+            log.theoretical([_job(0, 9, wcet=1, task=task, seq=seq)])
         _, report = log.close({})
         assert report.warnings == ["run ended with unfinished jobs: b#0, b#2, a#0, a#1"]
         assert report.truncated
@@ -250,8 +251,8 @@ class TestRunLogRows:
         """A row stamped 9 recorded after one stamped 10 goes before it, and
         rows of one instant keep the order they were recorded in."""
         log = RunLog("csv")
-        log.theoretical(_job(10, 50, wcet=1, task="a"))
-        log.theoretical(_job(9, 50, wcet=1, task="b"))
+        log.theoretical([_job(10, 50, wcet=1, task="a")])
+        log.theoretical([_job(9, 50, wcet=1, task="b")])
         log.tick_wait(9, 2, 0)
         trace, _ = log.close({})
         assert trace == ["9,release_theoretical,b,0,,\n",
@@ -261,8 +262,8 @@ class TestRunLogRows:
     def test_rows_in_time_order_kept_as_recorded(self):
         log = RunLog("csv")
         job = _job(0, 9, wcet=1)
-        log.theoretical(job)
-        log.release(1, job)
+        log.theoretical([job])
+        log.release(1, [job])
         log.start(2, job, 0)
         log.preempt(3, job, 0, by="h,i", switch=4)
         trace, _ = log.close({})
@@ -339,6 +340,7 @@ def _tick(log, t, kind):
 
 
 _J = _job(0, 9, wcet=1)
+_J2 = _job(0, 9, wcet=1)  # another Job with _J's (task, seq)
 
 
 # each fault as a run records it, and the message compute_overheads gives
@@ -362,18 +364,31 @@ INTEGRITY_FAULTS = {
         "trace ends inside a tick",
     ),
     "start after complete": (
-        lambda log: (log.theoretical(_J), log.release(0, _J),
+        lambda log: (log.theoretical([_J]), log.release(0, [_J]),
                      log.complete(5, _J, 0, 1), log.start(9, _J, 0)),
         "ordering violation for job t#0: {'release_theoretical': 0,"
         " 'release_effective': 0, 'job_complete': 5, 'job_start': 9}",
     ),
     "complete after a full chain": (
-        lambda log: (log.theoretical(_J), log.release(0, _J), log.start(1, _J, 0),
+        lambda log: (log.theoretical([_J]), log.release(0, [_J]), log.start(1, _J, 0),
                      log.complete(5, _J, 0, 1), log.complete(6, _J, 0, 1)),
         "duplicate job_complete for t#0",
     ),
+    "duplicate release_theoretical": (
+        lambda log: log.theoretical([_J, _J2]),
+        "duplicate release_theoretical for t#0",
+    ),
+    "duplicate release_effective": (
+        lambda log: (log.theoretical([_J]), log.release(0, [_J]), log.release(1, [_J2])),
+        "duplicate release_effective for t#0",
+    ),
+    "release_theoretical after a full chain": (
+        lambda log: (log.theoretical([_J]), log.release(0, [_J]), log.start(1, _J, 0),
+                     log.complete(5, _J, 0, 1), log.theoretical([_J2])),
+        "duplicate release_theoretical for t#0",
+    ),
     "started, never completed": (
-        lambda log: (log.theoretical(_J), log.release(0, _J),
+        lambda log: (log.theoretical([_J]), log.release(0, [_J]),
                      log.start(1, _J, 0)),
         "job t#0 started but never completed",
     ),
@@ -448,8 +463,8 @@ def _finish_in_order(seqs):
     log = RunLog(keep_trace=False)
     for seq in seqs:
         job = _job(0, 9, wcet=1, seq=seq)
-        log.theoretical(job)
-        log.release(1, job)
+        log.theoretical([job])
+        log.release(1, [job])
         log.start(2, job, 0)
         log.complete(3, job, 0, 1)
         assert not log._accounts.marks
